@@ -7,7 +7,7 @@ Farkas certificates and counterexample sampling.
 """
 
 from .barriers import (BarrierChain, ConstraintRow, HalfPlane, Poly, af_rows,
-                       build_chain, ellipsoid_barrier, hoscbf_row, scbf_row)
+                       build_chain, ellipsoid_barrier, hoscbf_row)
 from .clf import QuadraticClf, build_quadratic_clf, clf_row, goal_reach_time, solve_lyapunov
 from .errors import FtcbfError
 from .estimators import (CalibrationResult, EstimatorBank, EstimatorState,
@@ -22,7 +22,6 @@ from .scenarios import (Scenario, build_boeing_scenario, build_scenario,
 from .simulator import (FaultScenario, SystemModel, apply_actuator_failure,
                         measure, step_true_state)
 from .verifier import (falsify_actuator_region, falsify_region,
-                       falsify_sensor_region, verify_ft_set_pointwise,
-                       verify_scbf_pointwise)
+                       falsify_sensor_region, verify_ft_set_pointwise)
 
 __version__ = "0.1.0"

@@ -13,7 +13,9 @@ LTI model except in the degree-0 case.
 Rows are oriented row.u >= bound. The estimator-conditioned rows replace the
 unknown error term dh/dx K c z by its worst case over the ball ||z|| <= gamma,
 so a control satisfying the row satisfies the exact inequality for every
-admissible z.
+admissible z. hoscbf_pair is the one place that formula lives: the policy
+takes the worst case, the verifier plugs in a sampled z, and the CLF row
+reuses its trace and error terms.
 """
 
 from __future__ import annotations
@@ -335,41 +337,46 @@ def _degree_zero_chain(h: Poly, model: SystemModel, affine=None) -> BarrierChain
         "dh/dx g(x) vanished at all probed states; nonlinear models need relative degree 0")
 
 
-def _estimator_terms(chain: BarrierChain, est, model: SystemModel, d: int, gamma: float):
-    """Shared assembly: (grad, trace term, worst-case z term) at est.x_hat."""
-    x_hat = est.x_hat
-    w = chain.grad(d, x_hat)
-    if est.K is None:
-        return w, 0.0, 0.0
-    H = chain.hessian(d, x_hat)
+def _estimator_terms(est, w: np.ndarray, H: np.ndarray, gamma: float,
+                     z: Optional[np.ndarray] = None):
+    """(trace, err) of the row with gradient w and Hessian H under est.
+
+    trace = 1/2 tr(nu^T K^T H K nu). err is what the error term adds to the
+    bound: the worst case gamma ||w K c|| over ||z|| <= gamma when z is None,
+    the exact -w K c z otherwise. Both vanish for an estimator without a gain.
+    """
+    if est is None or est.K is None:
+        return 0.0, 0.0
     KN = est.K @ est.nu_r
     trace = 0.5 * float(np.trace(KN.T @ H @ KN))
-    z_worst = gamma * float(np.linalg.norm(w @ est.K @ est.c_r))
-    return w, trace, z_worst
+    wKc = w @ est.K @ est.c_r
+    if z is None:
+        return trace, gamma * float(np.linalg.norm(wKc))
+    return trace, -float(wKc @ np.asarray(z, dtype=float))
 
 
-def scbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float,
-             source: str = "scbf") -> ConstraintRow:
-    """Degree-0 estimator-conditioned safety row at est.x_hat.
+def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
+                gamma: float, z: Optional[np.ndarray] = None):
+    """(row, bound) of the estimator-conditioned row at the top degree d'.
 
     row.u >= bound encodes
-        dh/dx (f + g u) + 1/2 tr(nu^T K^T H K nu) - gamma ||dh/dx K c||
-            >= -(h(x_hat) - gamma offset),
-    which implies the exact condition for every ||z|| <= gamma.
+        dh/dx (f + g u) + 1/2 tr(nu^T K^T H K nu) + dh/dx K c z >= -(h(x_hat) - gamma offset)
+    at the estimate x_hat. With z None the error term is its worst case over
+    ||z|| <= gamma (the policy's row); with z given it is exact (the
+    verifier's row at a sampled error).
     """
-    if chain.rel_degree != 0:
-        raise ContractError("scbf_row requires a relative-degree-0 chain")
-    return hoscbf_row(chain, est, model, gamma, source=source)
+    d = chain.rel_degree
+    w = chain.grad(d, x_hat)
+    trace, err = _estimator_terms(est, w, chain.hessian(d, x_hat), gamma, z)
+    row = w @ model.g(x_hat)
+    bound = -chain.shrunk(d, x_hat, gamma) - float(w @ model.f(x_hat)) - trace + err
+    return row, bound
 
 
 def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float,
                source: str = "hoscbf") -> ConstraintRow:
-    """Estimator-conditioned row at the chain's top degree d'."""
-    d = chain.rel_degree
-    x_hat = est.x_hat
-    w, trace, z_worst = _estimator_terms(chain, est, model, d, gamma)
-    row = w @ model.g(x_hat)
-    bound = -chain.shrunk(d, x_hat, gamma) - float(w @ model.f(x_hat)) - trace + z_worst
+    """Estimator-conditioned row at est.x_hat, robust over the gamma ball."""
+    row, bound = hoscbf_pair(chain, est, model, est.x_hat, gamma)
     return ConstraintRow(row=row, bound=bound, source=source)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barriers import ConstraintRow
+from .barriers import ConstraintRow, _estimator_terms
 from .errors import ContractError, LyapunovError
 from .simulator import SystemModel
 
@@ -127,10 +127,9 @@ def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
         return None
     row = -(dv @ model.g(x_hat))
     bound = float(dv @ model.f(x_hat)) + STRICT_MARGIN
-    if est.K is not None:
-        bound += gamma * float(np.linalg.norm(dv @ est.K @ est.c_r))
-        KN = est.K @ est.nu_r
-        bound += 0.5 * float(np.trace(KN.T @ clf.hessian() @ KN))
+    trace, err = _estimator_terms(est, dv, clf.hessian(), gamma)
+    bound += err
+    bound += trace
     if decay:
         bound += clf.rho * clf.value(x_hat)
     return ConstraintRow(row=row, bound=bound, source=source)

@@ -411,6 +411,8 @@ def build_custom_scenario(cfg: dict) -> Scenario:
 
 
 def build_scenario(cfg: dict) -> Scenario:
+    if "barriers" in cfg and not cfg["barriers"]:
+        raise ScenarioValidationError("barriers: at least one barrier is required")
     kind = cfg.get("kind")
     if kind == "wmr":
         return build_wmr_scenario(cfg)

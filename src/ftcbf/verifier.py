@@ -15,41 +15,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierChain, af_rows
+from .barriers import BarrierChain, af_rows, hoscbf_pair
 from .errors import ContractError, RedundancyError
 from .optimizer import farkas_certificate
 from .simulator import SystemModel
-
-
-def verify_scbf_pointwise(chain: BarrierChain, model: SystemModel, x_hat: np.ndarray,
-                          gamma: float, est=None) -> dict:
-    """Single-constraint check at one estimate.
-
-    If dh^{d'}/dx g(x_hat) != 0 a feasible input always exists. Otherwise the
-    slack xi is minimized in closed form over the gamma ball (the z term is
-    linear, so the minimizer is -gamma * (dh/dx K c)^T / ||.||) and a negative
-    minimum is returned as a counterexample together with the violating z.
-    """
-    d = chain.rel_degree
-    x_hat = np.asarray(x_hat, dtype=float)
-    w = chain.grad(d, x_hat)
-    row = w @ model.g(x_hat)
-    if np.max(np.abs(row)) > 1e-12:
-        return {"feasible": True, "reason": "control enters the constraint", "z": None}
-    trace = 0.0
-    z_dir = np.zeros(model.n)
-    z_gain = 0.0
-    if est is not None and est.K is not None:
-        KN = est.K @ est.nu_r
-        trace = 0.5 * float(np.trace(KN.T @ chain.hessian(d, x_hat) @ KN))
-        wKc = w @ est.K @ est.c_r
-        z_gain = float(np.linalg.norm(wKc))
-        if z_gain > 0:
-            z_dir = -np.asarray(wKc, dtype=float) / z_gain
-    xi_min = float(w @ model.f(x_hat)) + trace + chain.shrunk(d, x_hat, gamma) - gamma * z_gain
-    if xi_min < 0.0:
-        return {"feasible": False, "xi_min": xi_min, "z": gamma * z_dir}
-    return {"feasible": True, "xi_min": xi_min, "z": None}
 
 
 def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
@@ -58,8 +27,9 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
                             thetas: Optional[dict] = None) -> dict:
     """Farkas check of the m-estimator constraint set at given estimates/errors.
 
-    Assembles A u <= Xi with A_i = -dh/dx g(x_hat_i) and the slack Xi_i using
-    the supplied z_i, then asks for a certificate. When pairwise estimate
+    Assembles A u <= Xi from the policy's own rows (hoscbf_pair) at each
+    estimate x_hat_i, with the supplied z_i in place of the worst case:
+    A = -row, Xi = -bound. Then asks for a certificate. When pairwise estimate
     distances violate theta_ij the premise of the feasibility condition fails
     and the check is reported vacuous (feasible by premise).
     """
@@ -75,17 +45,10 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
     A, Xi = [], []
     for i in range(m):
         x_hat = np.asarray(estimates[i], dtype=float)
-        est = ests[i]
         for chain in chains:
-            d = chain.rel_degree
-            w = chain.grad(d, x_hat)
-            A.append(-(w @ model.g(x_hat)))
-            xi = float(w @ model.f(x_hat)) + chain.shrunk(d, x_hat, gammas[i])
-            if est is not None and est.K is not None:
-                KN = est.K @ est.nu_r
-                xi += 0.5 * float(np.trace(KN.T @ chain.hessian(d, x_hat) @ KN))
-                xi += float(w @ est.K @ est.c_r @ np.asarray(zs[i], dtype=float))
-            Xi.append(xi)
+            row, bound = hoscbf_pair(chain, ests[i], model, x_hat, gammas[i], z=zs[i])
+            A.append(-row)
+            Xi.append(-bound)
     y = farkas_certificate(np.array(A), np.array(Xi))
     return {"feasible": y is None, "vacuous": False, "certificate": y}
 
@@ -145,7 +108,11 @@ def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
     half the samples projected onto the shrunk-barrier boundary (where rows
     bind); sibling estimates are perturbed within min theta_ij / 2 so every
     pairwise distance respects theta; errors are drawn in the gamma balls.
+    Those radii must be finite: an uncalibrated scenario is rejected.
     """
+    if not (np.all(np.isfinite(gammas)) and np.all(np.isfinite(list(thetas.values())))):
+        raise ContractError("sensor verification needs finite gammas and thetas; run "
+                            "`ftcbf calibrate` and merge its calibration: block into the scenario")
     m = len(ests)
     rng = np.random.default_rng(seed)
     theta_min = min(thetas.values()) if thetas else 0.0

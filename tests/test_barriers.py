@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ftcbf.barriers import (BarrierChain, HalfPlane, Poly, af_rows, build_chain,
-                            ellipsoid_barrier, hoscbf_row, scbf_row)
-from ftcbf.errors import ContractError, RedundancyError, UncontrollableBarrierError
+                            ellipsoid_barrier, hoscbf_pair, hoscbf_row)
+from ftcbf.errors import RedundancyError, UncontrollableBarrierError
 from ftcbf.scenarios import BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G
 from ftcbf.simulator import SystemModel
 
@@ -62,7 +62,7 @@ def test_scbf_row_plain():
     a, b = np.array([1.0, 2.0]), 0.4
     ch = build_chain(HalfPlane(tuple(a), b), model)
     est = StubEst([0.3, -0.1])
-    row = scbf_row(ch, est, model, gamma=0.0)
+    row = hoscbf_row(ch, est, model, gamma=0.0)
     assert np.allclose(row.row, a)
     assert row.bound == pytest.approx(-(a @ est.x_hat + b))
 
@@ -75,19 +75,13 @@ def test_scbf_row_gamma_terms():
     K = np.array([[0.3, 0.0], [0.1, 0.2]])
     est = StubEst([0.3, -0.1], K=K, c_r=np.eye(2), nu_r=np.zeros((2, 2)))
     g = 0.25
-    b0 = scbf_row(ch, est, model, gamma=0.0).bound
-    b1 = scbf_row(ch, est, model, gamma=g).bound
+    b0 = hoscbf_row(ch, est, model, gamma=0.0).bound
+    b1 = hoscbf_row(ch, est, model, gamma=g).bound
     expected = g * np.linalg.norm(a) + g * np.linalg.norm(a @ K @ np.eye(2))
     assert b1 - b0 == pytest.approx(expected, abs=1e-12)
     # open-loop estimator: the z and trace terms vanish entirely
     est0 = StubEst([0.3, -0.1])
-    assert scbf_row(ch, est0, model, gamma=g).bound - b0 == pytest.approx(g * np.linalg.norm(a))
-
-
-def test_scbf_requires_degree_zero():
-    with pytest.raises(ContractError):
-        scbf_row(build_chain(HalfPlane((0, 1, 0, 0), 0.1), wmr_model()),
-                 StubEst(np.zeros(4)), wmr_model(), 0.0)
+    assert hoscbf_row(ch, est0, model, gamma=g).bound - b0 == pytest.approx(g * np.linalg.norm(a))
 
 
 def test_hoscbf_row_wmr():
@@ -98,15 +92,6 @@ def test_hoscbf_row_wmr():
     assert np.allclose(row.row, [0.0, 1.0])  # a^T (F+I) G: only u2 enters
     w1 = np.array([0, 1, 0, 1.0])
     assert row.bound == pytest.approx(-(w1 @ est.x_hat + 0.1) - w1 @ (WMR_F @ est.x_hat))
-
-
-def test_hoscbf_degenerate_order_equals_scbf():
-    model = integrator_model()
-    ch = build_chain(HalfPlane((1.0, 0.0), 0.2), model)
-    est = StubEst([0.5, 0.5])
-    r1 = scbf_row(ch, est, model, 0.1)
-    r2 = hoscbf_row(ch, est, model, 0.1)
-    assert np.allclose(r1.row, r2.row) and r1.bound == pytest.approx(r2.bound)
 
 
 def test_gamma_monotonicity():
@@ -218,6 +203,13 @@ def test_row_soundness_over_gamma_ball():
         lhs = (w @ (model.f(est.x_hat) + model.g(est.x_hat) @ u)
                + w @ est.K @ est.c_r @ z + trace)
         assert lhs >= -hshrunk - 1e-9
+    # the worst case is attained at z* = -gamma (w K c)^T / ||w K c||: the
+    # verifier's exact-z row there is the policy's row
+    wKc = w @ est.K @ est.c_r
+    z_star = -gamma * wKc / np.linalg.norm(wKc)
+    row, bound = hoscbf_pair(ch, est, model, est.x_hat, gamma, z=z_star)
+    assert np.array_equal(row, r.row)
+    assert bound == pytest.approx(r.bound, abs=1e-12)
 
 
 def test_gamma_offset_affine_exact():

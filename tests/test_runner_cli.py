@@ -139,6 +139,19 @@ def test_cli_verify_exit_codes(tmp_path, boeing_yaml):
     assert report["counterexample"] is not None
 
 
+def test_cli_verify_uncalibrated_sensor_scenario(tmp_path, wmr_yaml, capsys):
+    """Without a calibration block theta is +inf: rejected before sampling."""
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    del cfg["calibration"]
+    path = tmp_path / "uncalibrated.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["verify", "--scenario", str(path), "--budget", "10",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "ftcbf calibrate" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_verify_zero_budget(tmp_path, boeing_yaml):
     rc = main(["verify", "--scenario", str(boeing_yaml), "--budget", "0",
                "--out", str(tmp_path / "r.json")])

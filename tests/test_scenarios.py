@@ -91,6 +91,18 @@ def test_scenario_validation_bad_attack_sensor():
         build_wmr_scenario({"faults": {"patterns": [[0], [9]]}})
 
 
+CUSTOM_MODEL = {"F": [[-1.0, 0.0], [0.0, -1.0]], "G": [[1.0, 0.0], [0.0, 1.0]],
+                "c": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.01, "nu": 0.01}
+
+
+@pytest.mark.parametrize("cfg", [{"kind": "wmr"}, {"kind": "boeing"},
+                                 {"kind": "custom", "model": CUSTOM_MODEL}],
+                         ids=["wmr", "boeing", "custom"])
+def test_scenario_validation_empty_barriers(cfg):
+    with pytest.raises(ScenarioValidationError, match="barrier"):
+        build_scenario({**cfg, "barriers": []})
+
+
 def test_unknown_kind():
     with pytest.raises(ScenarioValidationError):
         build_scenario({"kind": "spaceship"})

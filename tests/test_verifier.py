@@ -8,7 +8,7 @@ from ftcbf.scenarios import build_boeing_scenario, load_scenario
 from ftcbf.simulator import SystemModel
 from ftcbf.verifier import (falsify_actuator_region, falsify_region,
                             falsify_sensor_region, latin_hypercube,
-                            verify_ft_set_pointwise, verify_scbf_pointwise)
+                            verify_ft_set_pointwise)
 
 from conftest import integrator_model
 
@@ -18,10 +18,16 @@ def no_authority_model(nu=0.01):
                               np.array([[1.0, 0.0]]), np.zeros((2, 2)), nu * np.eye(1))
 
 
+def pointwise(ch, model, x_hat, gamma):
+    """The m = 1 constraint set at one estimate, without a filter gain."""
+    return verify_ft_set_pointwise([ch], model, [None], [np.asarray(x_hat, dtype=float)],
+                                   [np.zeros(model.n)], [gamma])
+
+
 def test_pointwise_control_enters():
     model = integrator_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.2), model)
-    out = verify_scbf_pointwise(ch, model, np.array([5.0, 0.0]), gamma=0.1)
+    out = pointwise(ch, model, [5.0, 0.0], gamma=0.1)
     assert out["feasible"]
 
 
@@ -29,25 +35,27 @@ def test_pointwise_no_authority_but_interior():
     model = no_authority_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.5), model, force_degree=0)
     # h(x_hat) = x1 + 0.5 > 0 and xi = dh/dx f + hat h = x2 + hat h
-    out = verify_scbf_pointwise(ch, model, np.array([1.0, 0.0]), gamma=0.0)
-    assert out["feasible"] and out["xi_min"] > 0
+    out = pointwise(ch, model, [1.0, 0.0], gamma=0.0)
+    assert out["feasible"] and not out["vacuous"]
 
 
 def test_pointwise_counterexample_outside_shrunk_set():
     model = no_authority_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.5), model, force_degree=0)
-    out = verify_scbf_pointwise(ch, model, np.array([-0.6, 0.0]), gamma=0.0)
+    out = pointwise(ch, model, [-0.6, 0.0], gamma=0.0)
     assert not out["feasible"]
-    assert np.allclose(out["z"], 0.0)
 
 
 def test_ft_set_m1_reduces_to_pointwise():
+    """With m = 1 and no control authority the set is the single slack row
+    0.u <= xi: infeasible exactly where xi < 0, certified by y > 0."""
     model = no_authority_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.5), model, force_degree=0)
-    x_bad = np.array([-0.6, 0.0])
-    single = verify_scbf_pointwise(ch, model, x_bad, gamma=0.0)
-    ft = verify_ft_set_pointwise([ch], model, [None], [x_bad], [np.zeros(2)], [0.0])
-    assert single["feasible"] == ft["feasible"] is False
+    for x1 in (-0.6, -0.51, -0.49, 1.0):
+        out = pointwise(ch, model, [x1, 0.0], gamma=0.0)
+        assert out["feasible"] is (x1 + 0.5 >= 0.0)
+        if not out["feasible"]:
+            assert out["certificate"].shape == (1,) and out["certificate"][0] > 0
 
 
 def test_ft_set_parallel_vs_antiparallel():
