@@ -17,8 +17,7 @@ from .optimizer import QpProblem, QpResult, farkas_certificate, solve_qp
 from .policy import (PolicyConfig, active_sets, assemble_constraints,
                      check_clf_cbf_compatibility, resolve_conflicts)
 from .runner import RunResult, run_scenario, run_sweep, sweep_metrics, write_csv
-from .scenarios import (Scenario, build_boeing_scenario, build_scenario,
-                        build_wmr_scenario, load_scenario, wmr_compensator)
+from .scenarios import Scenario, build_scenario, load_scenario, wmr_compensator
 from .simulator import (FaultScenario, SystemModel, apply_actuator_failure,
                         measure, step_true_state)
 from .verifier import (falsify_actuator_region, falsify_region,

@@ -92,7 +92,7 @@ def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None, pos_dim: Optional[
     Psi = S P_L S with S = diag(1/d on the first pos_dim coordinates, 1
     elsewhere) and rho = 1 / (d * max eigenvalue of Psi). F must make the
     Lyapunov equation solvable (pre-stabilize it otherwise; the scenario
-    builders do this and log the substitution). M is the gradient bound of V
+    builder does this and logs the substitution). M is the gradient bound of V
     on the operating box, giving |V(x)-V(x')| <= M ||x-x'|| there (k = 1).
     """
     F = np.asarray(F, dtype=float)

@@ -3,14 +3,21 @@
 Two golden fixtures ship with the repo: a wheeled mobile robot driven through
 feedback linearization under a false-data injection on one redundant position
 sensor, and the Boeing 747 lateral axis under a scheduled loss of two rudder
-servos. Scenario files are declarative YAML documents with blocks
-model / faults / barriers / clf / policy / sim / calibration / seeds; every
-default below can be overridden there. Matrices are nested arrays; sensor and
-actuator indices are 0-based.
+servos. Scenario files are declarative YAML documents with the top-level keys
+name / kind and the blocks model / faults / barriers / clf / policy / sim /
+estimators / calibration / verify / seeds; any other key is rejected.
+
+One builder reads every block for every kind. `kind` (wmr | boeing | custom)
+only picks an entry of PRESETS, a plain-data document of defaults that the
+file is deep-merged over; `custom` has no model defaults, so it needs
+explicit F, G, c. A policy block that declares failure `patterns` makes an
+actuator-failure scenario, anything else a sensor-fault one. Matrices are
+nested arrays; sensor and actuator indices are 0-based.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -165,11 +172,11 @@ def _parse_thetas(block) -> dict:
     return out
 
 
-def wmr_default_config() -> dict:
-    return {
+PRESETS = {
+    "wmr": {
         "name": "wmr-sensor-attack",
-        "kind": "wmr",
-        "model": {"sigma": 0.01, "nu": 0.01},
+        "model": {"F": WMR_F.tolist(), "G": WMR_G.tolist(), "c": WMR_C.tolist(),
+                  "sigma": 0.01, "nu": 0.01},
         "faults": {
             "patterns": [[0], [2]],
             "active": 1,
@@ -190,15 +197,12 @@ def wmr_default_config() -> dict:
         "calibration": {"gammas": None, "thetas": None, "epsilon": 0.05},
         "verify": {"box": 1.0},
         "seeds": list(range(20)),
-    }
-
-
-def boeing_default_config() -> dict:
-    return {
+    },
+    "boeing": {
         "name": "boeing-actuator-failure",
-        "kind": "boeing",
-        "model": {},
+        "model": {"F": BOEING_F.tolist(), "G": BOEING_G.tolist(), "c": BOEING_C.tolist()},
         "faults": {
+            "patterns": [],
             "failure_schedule": [
                 {"step": 10, "L": [1, 0, 1]},
                 {"step": 100, "L": [0, 1, 1]},
@@ -214,21 +218,34 @@ def boeing_default_config() -> dict:
         "sim": {"dt": 0.1, "horizon": 30.0, "x0": [0.1, 0.02, 0.0, 0.0], "cost": "identity"},
         "verify": {"box": 1.0},
         "seeds": [0],
-    }
+    },
+    # Synthetic and degenerate fixtures: the model block has no default.
+    "custom": {
+        "name": "custom",
+        "faults": {"patterns": [[]]},
+        "policy": {"mode": "sensor_ft"},
+        "sim": {"dt": 0.01, "horizon": 1.0},
+        "seeds": [0],
+    },
+}
+
+BLOCKS = ("name", "kind", "model", "faults", "barriers", "clf", "policy", "sim",
+          "estimators", "calibration", "verify", "seeds")
 
 
-def _wmr_stabilized_F(notes: list) -> np.ndarray:
-    """The WMR double integrator makes F^T P + P F = -I unsolvable, so the
-    Lyapunov solve runs on F - G K with a unit-weight LQR gain instead."""
+def _stabilized_F(F: np.ndarray, G: np.ndarray, notes: list) -> np.ndarray:
+    """F when F^T P + P F = -I is solvable; otherwise (the WMR double
+    integrator) the Lyapunov solve runs on F - G K with a unit-weight LQR
+    gain instead."""
     try:
-        solve_lyapunov(WMR_F, -np.eye(4))
-        return WMR_F
+        solve_lyapunov(F, -np.eye(F.shape[0]))
+        return F
     except LyapunovError:
         pass
-    K_dual = steady_state_gain(WMR_F.T, WMR_G.T, np.eye(4), np.eye(2))
+    K_dual = steady_state_gain(F.T, G.T, np.eye(F.shape[0]), np.eye(G.shape[1]))
     K_lqr = K_dual.T
     notes.append("clf: Lyapunov solve used stabilized F - G K_lqr (F is not Hurwitz)")
-    return WMR_F - WMR_G @ K_lqr
+    return F - G @ K_lqr
 
 
 def _clf_level_inside_goal(clf: QuadraticClf, d: float, indices) -> float:
@@ -241,186 +258,134 @@ def _clf_level_inside_goal(clf: QuadraticClf, d: float, indices) -> float:
     return d * d / lam
 
 
-def build_wmr_scenario(config: Optional[dict] = None) -> Scenario:
-    cfg = _deep_merge(wmr_default_config(), config or {})
-    notes: list = []
-    n = 4
-    sigma = _scale_or_matrix(cfg["model"]["sigma"], n)
-    nu = _scale_or_matrix(cfg["model"]["nu"], 6)
-    model = SystemModel.linear(WMR_F, WMR_G, WMR_C, sigma, nu)
-
-    fblock = cfg["faults"]
-    faults = FaultScenario.from_attack_spec(
-        q=6, p=2, sensor_patterns=fblock["patterns"], active_fault=fblock.get("active"),
-        attack_spec=fblock.get("attack"))
-
-    barrier_specs = cfg["barriers"]
-    chains = [build_chain(_barrier_from_spec(s, n), model) for s in barrier_specs]
-
-    cblock = cfg["clf"]
-    F_cl = np.asarray(cblock["F_cl"], dtype=float) if cblock.get("F_cl") else _wmr_stabilized_F(notes)
-    clf = build_quadratic_clf(F_cl, cblock["radius"], x_goal=cblock["goal"],
-                              pos_dim=cblock["pos_dim"])
-    goal_indices = list(cblock["goal_indices"])
-    level = _clf_level_inside_goal(clf, cblock["radius"], goal_indices)
-    v_bar = cblock.get("v_bar")
-    if v_bar is None:
-        v_bar = cblock["v_bar_fraction"] * level
-    clf.V_bar = float(v_bar)
-
-    pblock = cfg["policy"]
-    mode = pblock["mode"]
-    u_max = pblock.get("u_max")
-    policy = PolicyConfig(mode=mode, delta=float(pblock.get("delta", float("inf"))),
-                          V_bar=float(v_bar), clf_decay=bool(cblock.get("decay", True)),
-                          u_max=float(u_max) if u_max is not None else None)
-
-    calib = cfg.get("calibration") or {}
-    if mode == "baseline":
-        bank_patterns = [[]]
-        gammas = np.array([float(pblock.get("baseline_gamma", 0.0))])
-        thetas = {}
-    else:
-        bank_patterns = [list(p) for p in fblock["patterns"]]
-        m = len(bank_patterns)
-        gammas = np.array([float(g) for g in calib.get("gammas")]) if calib.get("gammas") \
-            else np.zeros(m)
-        thetas = _parse_thetas(calib.get("thetas")) or \
-            {(i, j): float("inf") for i in range(m) for j in range(i + 1, m)}
-
-    sim = cfg["sim"]
-    eblock = cfg.get("estimators", {})
-    R = np.eye(2) if sim.get("cost", "identity") == "identity" else np.asarray(sim["cost"], dtype=float)
-    return Scenario(
-        name=cfg["name"], kind="wmr", family="sensor", model=model, faults=faults,
-        chains=chains, policy=policy, R=R, dt=float(sim["dt"]), horizon=float(sim["horizon"]),
-        x0=np.asarray(sim["x0"], dtype=float), config=cfg, barrier_specs=barrier_specs,
-        clf=clf, goal_radius=float(cblock["radius"]), goal_indices=goal_indices,
-        estimator_mode=eblock.get("mode", "constant_gain"),
-        estimator_smoothing=float(eblock.get("smoothing", 0.95)),
-        bank_patterns=bank_patterns, gammas=gammas, thetas=thetas,
-        seeds=[int(s) for s in cfg.get("seeds", [])],
-        verify_box=float(cfg.get("verify", {}).get("box", 1.0)),
-        compensator=True, notes=notes,
-    )
-
-
-def build_boeing_scenario(config: Optional[dict] = None) -> Scenario:
-    cfg = _deep_merge(boeing_default_config(), config or {})
-    n = 4
-    model = SystemModel.linear(BOEING_F, BOEING_G, BOEING_C,
-                               np.zeros((4, 4)), np.zeros((1, 1)))
-    sim = cfg["sim"]
-    dt = float(sim["dt"])
-
-    schedule = []
-    for item in cfg["faults"]["failure_schedule"]:
-        t_start = float(item["time"]) if "time" in item else float(item["step"]) * dt
-        schedule.append((t_start, np.diag([float(v) for v in item["L"]])))
-    faults = FaultScenario(q=1, p=3, sensor_patterns=[], active_fault=None,
-                           attack=None, failure_schedule=schedule)
-
-    barrier_specs = cfg["barriers"]
-    barriers = [_barrier_from_spec(s, n) for s in barrier_specs]
-    chains = [build_chain(h, model) for h in barriers]
-
-    pblock = cfg["policy"]
-    mode = pblock["mode"]
-    if mode == "baseline":
-        pattern_diags = [[1, 1, 1]]
-    else:
-        pattern_diags = pblock["patterns"]
-    patterns = [np.diag([float(v) for v in diag]) for diag in pattern_diags]
-    try:
-        af_chain_sets = [[build_chain(h, model, input_mask=L) for L in patterns]
-                         for h in barriers]
-    except UncontrollableBarrierError as exc:
-        raise RedundancyError(
-            f"a failure pattern leaves no control authority over a barrier: {exc}") from exc
-    nominal = pblock.get("nominal") or {}
-    gain = None
-    if nominal.get("type") == "lqr":
-        q_w = nominal.get("q", 1.0)
-        Q_lqr = np.diag([float(v) for v in q_w]) if not np.isscalar(q_w) else float(q_w) * np.eye(n)
-        K_dual = steady_state_gain(BOEING_F.T, BOEING_G.T, Q_lqr,
-                                   float(nominal.get("r", 1.0)) * np.eye(3))
-        gain = K_dual.T
-    elif nominal.get("type") == "gain":
-        gain = np.asarray(nominal["K"], dtype=float)
-    policy = PolicyConfig(mode="actuator_ft", alpha_kappa=float(pblock.get("alpha_kappa", 1.0)),
-                          nominal_gain=gain)
-
-    R = np.eye(3) if sim.get("cost", "identity") == "identity" else np.asarray(sim["cost"], dtype=float)
-    return Scenario(
-        name=cfg["name"], kind="boeing", family="actuator", model=model, faults=faults,
-        chains=chains, policy=policy, R=R, dt=dt, horizon=float(sim["horizon"]),
-        x0=np.asarray(sim["x0"], dtype=float), config=cfg, barrier_specs=barrier_specs,
-        af_chain_sets=af_chain_sets, af_patterns=patterns,
-        seeds=[int(s) for s in cfg.get("seeds", [0])],
-        verify_box=float(cfg.get("verify", {}).get("box", 1.0)),
-    )
-
-
-def build_custom_scenario(cfg: dict) -> Scenario:
-    """Fully explicit model block; used for synthetic and degenerate fixtures."""
-    mblock = cfg["model"]
-    F = np.asarray(mblock["F"], dtype=float)
-    G = np.asarray(mblock["G"], dtype=float)
-    c = np.asarray(mblock["c"], dtype=float)
-    n, p = G.shape
-    sigma = _scale_or_matrix(mblock.get("sigma", 0.0), n)
-    nu = _scale_or_matrix(mblock.get("nu", 0.0), c.shape[0])
-    model = SystemModel.linear(F, G, c, sigma, nu)
-
-    fblock = cfg.get("faults", {})
-    faults = FaultScenario.from_attack_spec(
-        q=c.shape[0], p=p, sensor_patterns=fblock.get("patterns", [[]]),
-        active_fault=fblock.get("active"), attack_spec=fblock.get("attack"))
-
-    barrier_specs = cfg["barriers"]
-    chains = [build_chain(_barrier_from_spec(s, n), model,
-                          force_degree=s.get("force_degree"))
-              for s in barrier_specs]
-
-    pblock = cfg.get("policy", {"mode": "sensor_ft"})
-    policy = PolicyConfig(mode=pblock.get("mode", "sensor_ft"),
-                          delta=float(pblock.get("delta", float("inf"))))
-
-    calib = cfg.get("calibration") or {}
-    bank_patterns = [list(q) for q in fblock.get("patterns", [[]])]
-    m = len(bank_patterns)
-    gammas = np.array([float(g) for g in calib.get("gammas")]) if calib.get("gammas") \
-        else np.zeros(m)
-    thetas = _parse_thetas(calib.get("thetas")) or \
-        {(i, j): float("inf") for i in range(m) for j in range(i + 1, m)}
-
-    sim = cfg.get("sim", {})
-    eblock = cfg.get("estimators", {})
-    R = np.eye(p) if sim.get("cost", "identity") == "identity" else np.asarray(sim["cost"], dtype=float)
-    return Scenario(
-        name=cfg.get("name", "custom"), kind="custom", family="sensor", model=model,
-        faults=faults, chains=chains, policy=policy, R=R,
-        dt=float(sim.get("dt", 0.01)), horizon=float(sim.get("horizon", 1.0)),
-        x0=np.asarray(sim.get("x0", np.zeros(n)), dtype=float), config=cfg,
-        barrier_specs=barrier_specs, bank_patterns=bank_patterns,
-        estimator_mode=eblock.get("mode", "constant_gain"),
-        estimator_smoothing=float(eblock.get("smoothing", 0.95)),
-        gammas=gammas, thetas=thetas, seeds=[int(s) for s in cfg.get("seeds", [0])],
-        verify_box=float(cfg.get("verify", {}).get("box", 1.0)),
-    )
-
-
 def build_scenario(cfg: dict) -> Scenario:
-    if "barriers" in cfg and not cfg["barriers"]:
-        raise ScenarioValidationError("barriers: at least one barrier is required")
+    """Merge cfg over the preset its `kind` names and build the scenario.
+
+    `kind` only picks defaults (and the WMR wheel-command compensator): every
+    block is read the same way for every kind. A policy block that declares
+    failure `patterns` makes an actuator-failure scenario, anything else a
+    sensor-fault one.
+    """
+    unknown = [k for k in cfg if k not in BLOCKS]
+    if unknown:
+        raise ScenarioValidationError(
+            f"unknown top-level key {', '.join(map(repr, unknown))} "
+            f"(allowed: {', '.join(BLOCKS)})")
     kind = cfg.get("kind")
-    if kind == "wmr":
-        return build_wmr_scenario(cfg)
-    if kind == "boeing":
-        return build_boeing_scenario(cfg)
-    if kind == "custom":
-        return build_custom_scenario(cfg)
-    raise ScenarioValidationError(f"unknown scenario kind {kind!r}")
+    if kind not in PRESETS:
+        raise ScenarioValidationError(f"unknown scenario kind {kind!r}")
+    cfg = _deep_merge(copy.deepcopy(PRESETS[kind]), cfg)
+    notes: list = []
+    # Every required key of every block is read below, so a KeyError here
+    # is a key the scenario leaves out.
+    try:
+        if not cfg["barriers"]:
+            raise ScenarioValidationError("barriers: at least one barrier is required")
+        mblock = cfg["model"]
+        F, G, c = (np.asarray(mblock[k], dtype=float) for k in ("F", "G", "c"))
+        n, p = G.shape
+        model = SystemModel.linear(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n),
+                                   _scale_or_matrix(mblock.get("nu", 0.0), c.shape[0]))
+
+        sim = cfg["sim"]
+        dt = float(sim["dt"])
+        fblock = cfg["faults"]
+        schedule = [(float(item["time"]) if "time" in item else float(item["step"]) * dt,
+                     np.diag([float(v) for v in item["L"]]))
+                    for item in fblock.get("failure_schedule") or []]
+        faults = FaultScenario.from_attack_spec(
+            q=c.shape[0], p=p, sensor_patterns=fblock["patterns"],
+            active_fault=fblock.get("active"), attack_spec=fblock.get("attack"),
+            failure_schedule=schedule)
+
+        barrier_specs = cfg["barriers"]
+        barriers = [_barrier_from_spec(s, n) for s in barrier_specs]
+        chains = [build_chain(h, model, force_degree=s.get("force_degree"))
+                  for h, s in zip(barriers, barrier_specs)]
+
+        pblock = cfg["policy"]
+        mode = pblock["mode"]
+        actuator = pblock.get("patterns") is not None
+        af_patterns, af_chain_sets = [], []
+        if actuator:
+            pattern_diags = [[1.0] * p] if mode == "baseline" else pblock["patterns"]
+            af_patterns = [np.diag([float(v) for v in diag]) for diag in pattern_diags]
+            try:
+                af_chain_sets = [[build_chain(h, model, input_mask=L,
+                                              force_degree=s.get("force_degree"))
+                                  for L in af_patterns]
+                                 for h, s in zip(barriers, barrier_specs)]
+            except UncontrollableBarrierError as exc:
+                raise RedundancyError(
+                    f"a failure pattern leaves no control authority over a barrier: {exc}") from exc
+
+        cblock = cfg.get("clf")
+        clf, goal_radius, goal_indices, v_bar = None, None, None, 0.0
+        if cblock:
+            F_cl = np.asarray(cblock["F_cl"], dtype=float) if cblock.get("F_cl") \
+                else _stabilized_F(F, G, notes)
+            goal_radius = float(cblock["radius"])
+            clf = build_quadratic_clf(F_cl, goal_radius, x_goal=cblock.get("goal"),
+                                      pos_dim=cblock.get("pos_dim"))
+            goal_indices = list(cblock["goal_indices"])
+            v_bar = cblock.get("v_bar")
+            if v_bar is None:
+                v_bar = cblock["v_bar_fraction"] * _clf_level_inside_goal(
+                    clf, goal_radius, goal_indices)
+            clf.V_bar = float(v_bar)
+
+        nominal = pblock.get("nominal") or {}
+        gain = None
+        if nominal.get("type") == "lqr":
+            q_w = nominal.get("q", 1.0)
+            Q_lqr = float(q_w) * np.eye(n) if np.isscalar(q_w) else np.diag([float(v) for v in q_w])
+            gain = steady_state_gain(F.T, G.T, Q_lqr, float(nominal.get("r", 1.0)) * np.eye(p)).T
+        elif nominal.get("type") == "gain":
+            gain = np.asarray(nominal["K"], dtype=float)
+        u_max = pblock.get("u_max")
+        # A baseline actuator scenario is the actuator policy over the
+        # healthy pattern alone; a baseline sensor one is the all-sensor filter.
+        policy = PolicyConfig(mode="actuator_ft" if actuator else mode,
+                              delta=float(pblock.get("delta", float("inf"))), V_bar=float(v_bar),
+                              clf_decay=bool(cblock and cblock.get("decay", True)),
+                              alpha_kappa=float(pblock.get("alpha_kappa", 1.0)), nominal_gain=gain,
+                              u_max=float(u_max) if u_max is not None else None)
+
+        calib = cfg.get("calibration") or {}
+        if mode == "baseline":
+            bank_patterns = [[]]
+            gammas = np.array([float(pblock.get("baseline_gamma", 0.0))])
+            thetas = {}
+        else:
+            bank_patterns = [list(pat) for pat in fblock["patterns"]]
+            m = len(bank_patterns)
+            given = calib.get("gammas")
+            gammas = np.array([float(g) for g in given]) if given else np.zeros(m)
+            thetas = _parse_thetas(calib.get("thetas")) or \
+                {(i, j): float("inf") for i in range(m) for j in range(i + 1, m)}
+            if not given and mode in ("sensor_ft", "sensor_ft_clf"):
+                notes.append("calibration: no gammas given, so estimator rows are unshrunk "
+                             "(gamma = 0) and pairwise pruning is off (theta = inf); "
+                             "run `ftcbf calibrate` and merge its calibration block")
+
+        eblock = cfg.get("estimators") or {}
+        R = np.eye(p) if sim.get("cost", "identity") == "identity" \
+            else np.asarray(sim["cost"], dtype=float)
+        return Scenario(
+            name=cfg["name"], kind=kind, family="actuator" if actuator else "sensor",
+            model=model, faults=faults, chains=chains, policy=policy, R=R, dt=dt,
+            horizon=float(sim["horizon"]), x0=np.asarray(sim.get("x0", np.zeros(n)), dtype=float),
+            config=cfg, barrier_specs=barrier_specs, af_chain_sets=af_chain_sets,
+            af_patterns=af_patterns, clf=clf, goal_radius=goal_radius, goal_indices=goal_indices,
+            estimator_mode=eblock.get("mode", "constant_gain"),
+            estimator_smoothing=float(eblock.get("smoothing", 0.95)),
+            bank_patterns=bank_patterns, gammas=gammas, thetas=thetas,
+            seeds=[int(s) for s in cfg["seeds"]],
+            verify_box=float(cfg.get("verify", {}).get("box", 1.0)),
+            compensator=kind == "wmr", notes=notes,
+        )
+    except KeyError as exc:
+        raise ScenarioValidationError(f"missing required key {exc.args[0]!r}") from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -16,7 +16,7 @@ from ftcbf.optimizer import QpProblem, farkas_certificate, solve_qp
 from ftcbf.policy import PolicyConfig, resolve_conflicts
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import (BOEING_F, BOEING_G, WMR_C, WMR_F, build_scenario,
-                             build_wmr_scenario, load_scenario)
+                             load_scenario)
 from ftcbf.simulator import SystemModel
 from ftcbf.verifier import falsify_sensor_region
 

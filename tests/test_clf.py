@@ -5,7 +5,7 @@ from ftcbf.clf import (QuadraticClf, build_quadratic_clf, clf_row, goal_reach_ti
                        solve_lyapunov)
 from ftcbf.errors import ContractError, LyapunovError
 from ftcbf.estimators import make_bank
-from ftcbf.scenarios import WMR_F, build_wmr_scenario
+from ftcbf.scenarios import WMR_F, build_scenario
 from ftcbf.simulator import SystemModel
 
 from conftest import integrator_model
@@ -75,7 +75,7 @@ def test_clf_row_gradient_descent_direction():
 
 
 def test_clf_row_wmr_term_by_term():
-    scn = build_wmr_scenario()
+    scn = build_scenario({"kind": "wmr"})
     model, clf = scn.model, scn.clf
     bank = make_bank(model, scn.bank_patterns, scn.x0)
     est = bank.singles[0]
@@ -119,7 +119,7 @@ def test_v_nonincreasing_above_vbar_noise_free():
     cfg = {"model": {"sigma": 0.0, "nu": 1e-4},
            "faults": {"active": None, "attack": None},
            "sim": {"horizon": 6.0}}
-    scn = build_wmr_scenario(cfg)
+    scn = build_scenario({"kind": "wmr", **cfg})
     res = run_scenario(scn, 0)
     V_bar = scn.policy.V_bar
     for i in range(res.estimates.shape[1]):

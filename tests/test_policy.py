@@ -9,7 +9,7 @@ from ftcbf.policy import (PolicyConfig, active_sets, actuator_control,
                           assemble_constraints, check_clf_cbf_compatibility,
                           resolve_conflicts)
 from ftcbf.runner import run_scenario
-from ftcbf.scenarios import build_boeing_scenario, build_wmr_scenario
+from ftcbf.scenarios import build_scenario
 from ftcbf.simulator import SystemModel
 
 from conftest import integrator_model
@@ -133,7 +133,7 @@ def test_total_infeasibility_event():
 
 
 def test_assemble_sensor_clf_counts_and_tags():
-    scn = build_wmr_scenario({"policy": {"u_max": None}})
+    scn = build_scenario({"kind": "wmr", "policy": {"u_max": None}})
     bank = make_bank(scn.model, scn.bank_patterns, scn.x0, gammas=scn.gammas,
                      thetas=scn.thetas)
     rows = assemble_constraints(scn.policy, scn.model, chains=scn.chains, bank=bank,
@@ -143,7 +143,7 @@ def test_assemble_sensor_clf_counts_and_tags():
 
 
 def test_assemble_actuator_rows_per_pattern():
-    scn = build_boeing_scenario()
+    scn = build_scenario({"kind": "boeing"})
     rows = assemble_constraints(scn.policy, scn.model, x=np.zeros(4),
                                 af_chain_sets=scn.af_chain_sets, patterns=scn.af_patterns)
     assert len(rows) == 6  # 2 barrier sides x 3 patterns
@@ -151,7 +151,7 @@ def test_assemble_actuator_rows_per_pattern():
 
 
 def test_actuator_control_nominal_shift():
-    scn = build_boeing_scenario()
+    scn = build_scenario({"kind": "boeing"})
     x = np.array([0.0, 0.002, 0.0, 0.0])
     u_nom = -scn.policy.nominal_gain @ x
     out = actuator_control(scn.policy, scn.model, x, scn.af_chain_sets,
@@ -217,12 +217,12 @@ def test_attacked_channel_residue_dominates(wmr_yaml):
 
 
 def test_baseline_matches_ft_without_faults():
-    base_cfg = {"faults": {"active": None, "attack": None}, "sim": {"horizon": 8.0},
+    base_cfg = {"kind": "wmr", "faults": {"active": None, "attack": None}, "sim": {"horizon": 8.0},
                 "model": {"sigma": 0.002, "nu": 0.002}}
-    ft = build_wmr_scenario(base_cfg)
+    ft = build_scenario(base_cfg)
     bl_cfg = dict(base_cfg)
     bl_cfg["policy"] = {"mode": "baseline"}
-    bl = build_wmr_scenario(bl_cfg)
+    bl = build_scenario(bl_cfg)
     for seed in (0, 1, 2):
         m_ft = run_scenario(ft, seed).metrics
         m_bl = run_scenario(bl, seed).metrics

@@ -7,14 +7,14 @@ import yaml
 
 from ftcbf.cli import main
 from ftcbf.runner import run_scenario, run_sweep, sweep_metrics, write_csv
-from ftcbf.scenarios import build_wmr_scenario, load_scenario
+from ftcbf.scenarios import build_scenario, load_scenario
 
 
-FAST = {"sim": {"horizon": 2.0}, "model": {"sigma": 0.002, "nu": 0.002}}
+FAST = {"kind": "wmr", "sim": {"horizon": 2.0}, "model": {"sigma": 0.002, "nu": 0.002}}
 
 
 def test_run_result_shapes():
-    scn = build_wmr_scenario(FAST)
+    scn = build_scenario(FAST)
     res = run_scenario(scn, 0)
     steps = scn.n_steps
     assert res.states.shape == (steps + 1, 4)
@@ -27,7 +27,7 @@ def test_run_result_shapes():
 
 
 def test_csv_byte_identical(tmp_path):
-    scn = build_wmr_scenario(FAST)
+    scn = build_scenario(FAST)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(run_scenario(scn, 3), p1)
     write_csv(run_scenario(scn, 3), p2)
@@ -37,7 +37,7 @@ def test_csv_byte_identical(tmp_path):
 
 
 def test_parallel_sweep_matches_serial():
-    scn = build_wmr_scenario(FAST)
+    scn = build_scenario(FAST)
     serial = run_sweep(scn, [0, 1], workers=1)
     par = run_sweep(scn, [0, 1], workers=2)
     for a, b in zip(serial, par):
@@ -46,7 +46,7 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_metrics_match_csv_recomputation(tmp_path):
-    scn = build_wmr_scenario(FAST)
+    scn = build_scenario(FAST)
     results = [run_scenario(scn, s) for s in (0, 1, 2)]
     metrics = sweep_metrics(results)
     safe = 0
@@ -104,7 +104,7 @@ def test_cli_calibrate_block_merges(tmp_path, wmr_yaml):
     assert set(block["calibration"]) == {"gammas", "thetas", "epsilon", "n_runs"}
     cfg = yaml.safe_load(wmr_yaml.read_text())
     cfg["calibration"] = block["calibration"]
-    scn = build_wmr_scenario(cfg)
+    scn = build_scenario(cfg)
     assert np.allclose(scn.gammas, block["calibration"]["gammas"])
 
 
@@ -150,6 +150,49 @@ def test_cli_verify_uncalibrated_sensor_scenario(tmp_path, wmr_yaml, capsys):
     assert rc == 1
     assert "ftcbf calibrate" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_run_notes_uncalibrated_sensor_scenario(tmp_path, wmr_yaml, capsys):
+    """`run` keeps going without a calibration block but says what that costs."""
+    assert main(["run", "--scenario", str(wmr_yaml), "--seeds", "0",
+                 "--out", str(tmp_path / "golden")]) == 0
+    assert "ftcbf calibrate" not in capsys.readouterr().err
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    del cfg["calibration"]
+    path = tmp_path / "uncalibrated.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", "--scenario", str(path), "--seeds", "0",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert "ftcbf calibrate" in capsys.readouterr().err
+
+
+def _without_model(cfg):
+    cfg.update(kind="custom")
+    del cfg["model"]
+
+
+def _without_half_plane_normal(cfg):
+    del cfg["barriers"][0]["a"]
+
+
+def _misspelt_block(cfg):
+    cfg["calibraton"] = cfg.pop("calibration")
+
+
+@pytest.mark.parametrize("edit, key", [(_without_model, "'model'"),
+                                       (_without_half_plane_normal, "'a'"),
+                                       (_misspelt_block, "'calibraton'")],
+                         ids=["custom-without-model", "half-plane-without-a", "unknown-block"])
+def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key):
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    edit(cfg)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["run", "--scenario", str(path), "--seeds", "0", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
 
 
 def test_cli_verify_zero_budget(tmp_path, boeing_yaml):

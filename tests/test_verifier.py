@@ -4,7 +4,7 @@ import pytest
 from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.estimators import make_bank
 from ftcbf.optimizer import farkas_certificate
-from ftcbf.scenarios import build_boeing_scenario, load_scenario
+from ftcbf.scenarios import build_scenario, load_scenario
 from ftcbf.simulator import SystemModel
 from ftcbf.verifier import (falsify_actuator_region, falsify_region,
                             falsify_sensor_region, latin_hypercube,
@@ -144,7 +144,7 @@ def test_falsify_sensor_no_counterexample_on_golden_wmr(wmr_yaml):
 
 
 def test_falsify_actuator_boeing_full_budget():
-    scn = build_boeing_scenario()
+    scn = build_scenario({"kind": "boeing"})
     rep = falsify_actuator_region(scn.af_chain_sets, scn.af_patterns, scn.model,
                                   box=1.0, budget=10_000, seed=0)
     assert rep["counterexample"] is None
@@ -161,7 +161,7 @@ def test_falsify_sensor_wmr_full_budget(wmr_yaml):
 
 
 def test_falsify_actuator_dead_pattern_counterexample():
-    scn = build_boeing_scenario()
+    scn = build_scenario({"kind": "boeing"})
     dead = [np.zeros((3, 3))]
     chain_sets = [[build_chain(HalfPlane(tuple(s["a"]), s["b"]), scn.model,
                                input_mask=dead[0], force_degree=0)]
