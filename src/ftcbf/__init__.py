@@ -14,8 +14,7 @@ from .estimators import (CalibrationResult, EstimatorBank, EstimatorState,
                          calibrate_gammas, ekf_step, make_bank, reduce_output,
                          residue, steady_state_gain)
 from .optimizer import QpProblem, QpResult, farkas_certificate, solve_qp
-from .policy import (PolicyConfig, active_sets, assemble_constraints,
-                     check_clf_cbf_compatibility, resolve_conflicts)
+from .policy import PolicyConfig, active_sets, assemble_constraints, resolve_conflicts
 from .runner import RunResult, run_scenario, run_sweep, sweep_metrics, write_csv
 from .scenarios import Scenario, build_scenario, load_scenario, wmr_compensator
 from .simulator import (FaultScenario, SystemModel, apply_actuator_failure,

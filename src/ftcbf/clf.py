@@ -58,9 +58,6 @@ class QuadraticClf:
     Psi: np.ndarray
     x_goal: np.ndarray
     rho: float
-    V_bar: float = 0.0
-    M: float = 0.0     # Lipschitz-style constant: |V(x)-V(x')| <= M ||x-x'||^k on the box
-    k: int = 1
 
     def __post_init__(self):
         self.Psi = np.asarray(self.Psi, dtype=float)
@@ -85,15 +82,14 @@ class QuadraticClf:
         return 2.0 * self.Psi
 
 
-def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None, pos_dim: Optional[int] = None,
-                        operating_radius: float = 10.0) -> QuadraticClf:
+def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None,
+                        pos_dim: Optional[int] = None) -> QuadraticClf:
     """CLF from the Lyapunov solve with goal-radius scaling.
 
     Psi = S P_L S with S = diag(1/d on the first pos_dim coordinates, 1
     elsewhere) and rho = 1 / (d * max eigenvalue of Psi). F must make the
     Lyapunov equation solvable (pre-stabilize it otherwise; the scenario
-    builder does this and logs the substitution). M is the gradient bound of V
-    on the operating box, giving |V(x)-V(x')| <= M ||x-x'|| there (k = 1).
+    builder does this and logs the substitution).
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
@@ -107,9 +103,7 @@ def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None, pos_dim: Optional[
     Psi = (Psi + Psi.T) / 2.0
     lam_max = float(np.max(np.linalg.eigvalsh(Psi)))
     x_goal = np.zeros(n) if x_goal is None else np.asarray(x_goal, dtype=float)
-    M = 2.0 * lam_max * (operating_radius + float(np.linalg.norm(x_goal)))
-    return QuadraticClf(Psi=Psi, x_goal=x_goal, rho=1.0 / (d * lam_max),
-                        V_bar=lam_max / 4.0, M=M, k=1)
+    return QuadraticClf(Psi=Psi, x_goal=x_goal, rho=1.0 / (d * lam_max))
 
 
 def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,

@@ -55,10 +55,6 @@ class EstimatorState:
     residue: float = 0.0
     smoothing: float = 0.95
 
-    @property
-    def index(self):
-        return self.id[1] if self.id[0] == "single" else None
-
 
 def _sym_check(P: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(P - P.T))

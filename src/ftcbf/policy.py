@@ -83,51 +83,34 @@ def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
     return Z, U
 
 
-def assemble_constraints(cfg: PolicyConfig, model: SystemModel, *,
-                         chains: Sequence[BarrierChain] = (),
-                         bank: Optional[EstimatorBank] = None,
-                         clf: Optional[QuadraticClf] = None,
-                         Z: Sequence[int] = (), U: Sequence[int] = (),
-                         x: Optional[np.ndarray] = None,
-                         af_chain_sets: Sequence[Sequence[BarrierChain]] = (),
-                         patterns: Sequence[np.ndarray] = ()) -> list:
-    """Mode-dispatched row assembly.
-
-    Sensor modes emit one row per (barrier, i in Z) plus one CLF row per
-    i in U; actuator mode emits one row per (barrier, failure pattern) at the
-    true state x (af_chain_sets is one chain list per barrier, aligned with
-    patterns). baseline is the sensor machinery over a single-filter bank.
+def assemble_constraints(cfg: PolicyConfig, model: SystemModel,
+                         chains: Sequence[BarrierChain], bank: EstimatorBank,
+                         clf: Optional[QuadraticClf],
+                         Z: Sequence[int], U: Sequence[int]) -> list:
+    """Sensor-fault rows: one row per (barrier, i in Z), one CLF row per
+    j in U (active_sets leaves U empty unless the mode carries a CLF), and
+    the input box when u_max is set. baseline is the same machinery over a
+    single-filter bank.
     """
     rows: list = []
-    if cfg.mode in ("sensor_ft", "sensor_ft_clf", "baseline"):
-        for i in Z:
-            est = bank.singles[i]
-            for ch in chains:
-                rows.append(hoscbf_row(ch, est, model, bank.gamma(i), source=f"hoscbf({i})"))
-        if cfg.mode in ("sensor_ft_clf", "baseline") and clf is not None:
-            for j in U:
-                r = clf_row(clf, bank.singles[j], model, bank.gamma(j),
-                            decay=cfg.clf_decay, source=f"clf({j})")
-                if r is not None:
-                    rows.append(r)
-        if cfg.u_max is not None:
-            # Input box: never pruned, turns outlier-driven control blowups
-            # into infeasibilities the pruning steps can act on.
-            for i in range(model.p):
-                e = np.zeros(model.p)
-                e[i] = 1.0
-                rows.append(ConstraintRow(e, -cfg.u_max, source=f"ubox(+{i})"))
-                rows.append(ConstraintRow(-e, -cfg.u_max, source=f"ubox(-{i})"))
-        return rows
-    if cfg.mode == "actuator_ft":
-        if x is None:
-            raise ContractError("actuator_ft assembly needs the true state")
-        alpha = (lambda s, k=cfg.alpha_kappa: k * s)
-        for b_idx, chain_set in enumerate(af_chain_sets):
-            rows.extend(af_rows(chain_set, x, patterns, model, alpha=alpha,
-                                barrier_label=str(b_idx)))
-        return rows
-    raise ContractError(f"unsupported mode {cfg.mode!r}")
+    for i in Z:
+        est = bank.singles[i]
+        for ch in chains:
+            rows.append(hoscbf_row(ch, est, model, bank.gamma(i), source=f"hoscbf({i})"))
+    for j in U:
+        r = clf_row(clf, bank.singles[j], model, bank.gamma(j),
+                    decay=cfg.clf_decay, source=f"clf({j})")
+        if r is not None:
+            rows.append(r)
+    if cfg.u_max is not None:
+        # Input box: never pruned, turns outlier-driven control blowups
+        # into infeasibilities the pruning steps can act on.
+        for i in range(model.p):
+            e = np.zeros(model.p)
+            e[i] = 1.0
+            rows.append(ConstraintRow(e, -cfg.u_max, source=f"ubox(+{i})"))
+            rows.append(ConstraintRow(-e, -cfg.u_max, source=f"ubox(-{i})"))
+    return rows
 
 
 def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
@@ -193,12 +176,16 @@ def actuator_control(cfg: PolicyConfig, model: SystemModel, x: np.ndarray,
                      af_chain_sets, patterns, R: np.ndarray) -> ResolveOutcome:
     """Actuator-failure policy: one QP over all pattern rows at the true state.
 
+    af_chain_sets holds one chain list per barrier, aligned with patterns.
     With a nominal gain the QP runs on the deviation v = u - u_nom (rows get
     their bounds shifted by row . u_nom), acting as a safety filter around the
     reference-tracking feedback.
     """
-    rows = assemble_constraints(cfg, model, x=x, af_chain_sets=af_chain_sets,
-                                patterns=patterns)
+    alpha = (lambda s, k=cfg.alpha_kappa: k * s)
+    rows: list = []
+    for b_idx, chain_set in enumerate(af_chain_sets):
+        rows.extend(af_rows(chain_set, x, patterns, model, alpha=alpha,
+                            barrier_label=str(b_idx)))
     u_nom = np.zeros(R.shape[0])
     qp_rows = rows
     if cfg.nominal_gain is not None:
@@ -211,52 +198,3 @@ def actuator_control(cfg: PolicyConfig, model: SystemModel, x: np.ndarray,
     return ResolveOutcome(res, np.zeros(R.shape[0]), rows, [], [], step=1,
                           infeasible_event=True)
 
-
-def check_clf_cbf_compatibility(a, b: float, Psi, x_goal, theta_bar: float,
-                                model: SystemModel, x_init=None) -> dict:
-    """Report whether the goal ellipsoid and the safe half-plane are jointly
-    servable.
-
-    Checks (i) the goal center is strictly safe (a.x'' + b > 0) and (ii) the
-    CLF sublevel set at theta_bar^2 lambda_max / 2 misses the unsafe side,
-    by minimizing a.x + b over the ellipsoid. For rank(G) < n additionally
-    searches a direction v in span(G) (columns and sign flips) with a.v > 0
-    and, when an initial state is supplied, (x_init - x'')^T Psi v < 0.
-    """
-    a = np.asarray(a, dtype=float)
-    Psi = np.asarray(Psi, dtype=float)
-    x_goal = np.asarray(x_goal, dtype=float)
-    lam_bar = float(np.max(np.linalg.eigvalsh(Psi)))
-    level = theta_bar ** 2 * lam_bar / 2.0
-    goal_margin = float(a @ x_goal + b)
-    goal_safe = goal_margin > 0.0
-    spread = float(np.sqrt(max(0.0, level * (a @ np.linalg.solve(Psi, a)))))
-    disjoint = goal_margin - spread > 0.0
-
-    report = {
-        "goal_strictly_safe": goal_safe,
-        "goal_margin": goal_margin,
-        "level": level,
-        "level_set_disjoint_from_unsafe": disjoint,
-        "min_halfplane_over_level_set": goal_margin - spread,
-        "rank_G": int(np.linalg.matrix_rank(model.G)) if model.is_linear else None,
-        "direction_v": None,
-        "compatible": goal_safe and disjoint,
-    }
-    if not goal_safe:
-        report["reason"] = "goal center is not strictly safe"
-    elif not disjoint:
-        report["reason"] = "CLF sublevel set touches the unsafe half-plane"
-
-    if model.is_linear and report["rank_G"] is not None and report["rank_G"] < model.n:
-        for col in range(model.p):
-            for s in (1.0, -1.0):
-                v = s * model.G[:, col]
-                if a @ v > 1e-12:
-                    if x_init is not None and (np.asarray(x_init) - x_goal) @ Psi @ v >= 0:
-                        continue
-                    report["direction_v"] = v
-                    break
-            if report["direction_v"] is not None:
-                break
-    return report

@@ -77,7 +77,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     bank = None
     m = 0
     if sensor_family:
-        with_pairs = scn.policy.mode != "baseline" and len(scn.bank_patterns) > 1
+        with_pairs = len(scn.bank_patterns) > 1
         bank = make_bank(model, scn.bank_patterns, scn.x0, mode=scn.estimator_mode,
                          gammas=scn.gammas, thetas=scn.thetas, with_pairs=with_pairs,
                          smoothing=scn.estimator_smoothing)
@@ -115,7 +115,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             residues[k] = bank.residues()
             Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy)
             builder = lambda Zs, Us: assemble_constraints(  # noqa: E731
-                scn.policy, model, chains=scn.chains, bank=bank, clf=scn.clf, Z=Zs, U=Us)
+                scn.policy, model, scn.chains, bank, scn.clf, Zs, Us)
             outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, scn.policy,
                                                         builder, scn.R)
         else:

@@ -5,7 +5,8 @@ feedback linearization under a false-data injection on one redundant position
 sensor, and the Boeing 747 lateral axis under a scheduled loss of two rudder
 servos. Scenario files are declarative YAML documents with the top-level keys
 name / kind and the blocks model / faults / barriers / clf / policy / sim /
-estimators / calibration / verify / seeds; any other key is rejected.
+estimators / calibration / verify / seeds; any other key is rejected, and a
+null optional block (clf, estimators, calibration, verify) is an absent one.
 
 One builder reads every block for every kind. `kind` (wmr | boeing | custom)
 only picks an entry of PRESETS, a plain-data document of defaults that the
@@ -102,7 +103,6 @@ class Scenario:
     """Everything a run needs, plus the merged config that rebuilds it."""
 
     name: str
-    kind: str
     family: str                       # "sensor" | "actuator"
     model: SystemModel
     faults: FaultScenario
@@ -229,8 +229,9 @@ PRESETS = {
     },
 }
 
-BLOCKS = ("name", "kind", "model", "faults", "barriers", "clf", "policy", "sim",
-          "estimators", "calibration", "verify", "seeds")
+REQUIRED_BLOCKS = ("model", "faults", "policy", "sim")
+OPTIONAL_BLOCKS = ("clf", "estimators", "calibration", "verify")
+BLOCKS = ("name", "kind", "barriers", "seeds") + REQUIRED_BLOCKS + OPTIONAL_BLOCKS
 
 
 def _stabilized_F(F: np.ndarray, G: np.ndarray, notes: list) -> np.ndarray:
@@ -264,7 +265,7 @@ def build_scenario(cfg: dict) -> Scenario:
     `kind` only picks defaults (and the WMR wheel-command compensator): every
     block is read the same way for every kind. A policy block that declares
     failure `patterns` makes an actuator-failure scenario, anything else a
-    sensor-fault one.
+    sensor-fault one; its mode must then be actuator_ft or baseline.
     """
     unknown = [k for k in cfg if k not in BLOCKS]
     if unknown:
@@ -279,8 +280,15 @@ def build_scenario(cfg: dict) -> Scenario:
     # Every required key of every block is read below, so a KeyError here
     # is a key the scenario leaves out.
     try:
+        for key in REQUIRED_BLOCKS + OPTIONAL_BLOCKS:
+            block = cfg[key] if key in REQUIRED_BLOCKS else cfg.get(key) or {}
+            if not isinstance(block, dict):
+                raise ScenarioValidationError(f"{key}: block must be a mapping")
         if not cfg["barriers"]:
             raise ScenarioValidationError("barriers: at least one barrier is required")
+        for key in ("barriers", "seeds"):
+            if not isinstance(cfg[key], list):
+                raise ScenarioValidationError(f"{key}: must be a list")
         mblock = cfg["model"]
         F, G, c = (np.asarray(mblock[k], dtype=float) for k in ("F", "G", "c"))
         n, p = G.shape
@@ -306,6 +314,11 @@ def build_scenario(cfg: dict) -> Scenario:
         pblock = cfg["policy"]
         mode = pblock["mode"]
         actuator = pblock.get("patterns") is not None
+        if actuator and mode not in ("actuator_ft", "baseline"):
+            raise ScenarioValidationError(
+                f"policy: failure patterns need mode actuator_ft or baseline, not {mode!r}")
+        if mode == "actuator_ft" and not pblock.get("patterns"):
+            raise ScenarioValidationError("policy: mode 'actuator_ft' needs failure patterns")
         af_patterns, af_chain_sets = [], []
         if actuator:
             pattern_diags = [[1.0] * p] if mode == "baseline" else pblock["patterns"]
@@ -332,7 +345,6 @@ def build_scenario(cfg: dict) -> Scenario:
             if v_bar is None:
                 v_bar = cblock["v_bar_fraction"] * _clf_level_inside_goal(
                     clf, goal_radius, goal_indices)
-            clf.V_bar = float(v_bar)
 
         nominal = pblock.get("nominal") or {}
         gain = None
@@ -361,8 +373,17 @@ def build_scenario(cfg: dict) -> Scenario:
             m = len(bank_patterns)
             given = calib.get("gammas")
             gammas = np.array([float(g) for g in given]) if given else np.zeros(m)
-            thetas = _parse_thetas(calib.get("thetas")) or \
-                {(i, j): float("inf") for i in range(m) for j in range(i + 1, m)}
+            pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+            given_thetas = calib.get("thetas")
+            thetas = _parse_thetas(given_thetas) or {ij: float("inf") for ij in pairs}
+            if not actuator and given and len(gammas) != m:
+                raise ScenarioValidationError(
+                    f"calibration: {len(gammas)} gammas given for {m} fault patterns")
+            if not actuator and given_thetas and (len(given_thetas) != len(pairs)
+                                                  or sorted(thetas) != pairs):
+                raise ScenarioValidationError(
+                    f"calibration: {len(given_thetas)} thetas given for {len(pairs)} "
+                    f"pattern pairs i < j < {m}")
             if not given and mode in ("sensor_ft", "sensor_ft_clf"):
                 notes.append("calibration: no gammas given, so estimator rows are unshrunk "
                              "(gamma = 0) and pairwise pruning is off (theta = inf); "
@@ -372,7 +393,7 @@ def build_scenario(cfg: dict) -> Scenario:
         R = np.eye(p) if sim.get("cost", "identity") == "identity" \
             else np.asarray(sim["cost"], dtype=float)
         return Scenario(
-            name=cfg["name"], kind=kind, family="actuator" if actuator else "sensor",
+            name=cfg["name"], family="actuator" if actuator else "sensor",
             model=model, faults=faults, chains=chains, policy=policy, R=R, dt=dt,
             horizon=float(sim["horizon"]), x0=np.asarray(sim.get("x0", np.zeros(n)), dtype=float),
             config=cfg, barrier_specs=barrier_specs, af_chain_sets=af_chain_sets,
@@ -381,7 +402,7 @@ def build_scenario(cfg: dict) -> Scenario:
             estimator_smoothing=float(eblock.get("smoothing", 0.95)),
             bank_patterns=bank_patterns, gammas=gammas, thetas=thetas,
             seeds=[int(s) for s in cfg["seeds"]],
-            verify_box=float(cfg.get("verify", {}).get("box", 1.0)),
+            verify_box=float((cfg.get("verify") or {}).get("box", 1.0)),
             compensator=kind == "wmr", notes=notes,
         )
     except KeyError as exc:
@@ -390,7 +411,10 @@ def build_scenario(cfg: dict) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ScenarioValidationError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ScenarioValidationError(f"{path}: scenario file must be a mapping")
     return build_scenario(cfg)

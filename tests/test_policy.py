@@ -6,8 +6,7 @@ from ftcbf.clf import QuadraticClf
 from ftcbf.errors import ContractError
 from ftcbf.estimators import EstimatorBank, EstimatorState, make_bank
 from ftcbf.policy import (PolicyConfig, active_sets, actuator_control,
-                          assemble_constraints, check_clf_cbf_compatibility,
-                          resolve_conflicts)
+                          assemble_constraints, resolve_conflicts)
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import build_scenario
 from ftcbf.simulator import SystemModel
@@ -144,8 +143,8 @@ def test_assemble_sensor_clf_counts_and_tags():
 
 def test_assemble_actuator_rows_per_pattern():
     scn = build_scenario({"kind": "boeing"})
-    rows = assemble_constraints(scn.policy, scn.model, x=np.zeros(4),
-                                af_chain_sets=scn.af_chain_sets, patterns=scn.af_patterns)
+    rows = actuator_control(scn.policy, scn.model, np.zeros(4), scn.af_chain_sets,
+                            scn.af_patterns, scn.R).rows
     assert len(rows) == 6  # 2 barrier sides x 3 patterns
     assert sum(r.source.startswith("af_cbf") for r in rows) == 6
 
@@ -166,29 +165,6 @@ def test_actuator_control_nominal_shift():
                             scn.af_patterns, scn.R)
     for r in out2.rows:
         assert r.row @ out2.u >= r.bound - 1e-9
-
-
-def test_compatibility_report():
-    model = integrator_model(n=2)
-    Psi = np.eye(2)
-    rep = check_clf_cbf_compatibility(np.array([0.0, 1.0]), 0.1, Psi,
-                                      np.array([0.0, 0.5]), theta_bar=0.1, model=model)
-    assert rep["goal_strictly_safe"] and rep["compatible"]
-    rep = check_clf_cbf_compatibility(np.array([0.0, 1.0]), 0.1, Psi,
-                                      np.array([0.0, -0.5]), theta_bar=0.1, model=model)
-    assert not rep["goal_strictly_safe"] and not rep["compatible"]
-    assert "safe" in rep["reason"]
-
-
-def test_compatibility_wmr_calibrated(wmr_yaml):
-    from ftcbf.scenarios import load_scenario
-    scn = load_scenario(wmr_yaml)
-    theta_bar = max(scn.thetas.values())
-    rep = check_clf_cbf_compatibility(np.array([0.0, 1.0, 0.0, 0.0]), 0.1,
-                                      scn.clf.Psi, scn.clf.x_goal, theta_bar,
-                                      scn.model, x_init=scn.x0)
-    assert rep["compatible"]
-    assert rep["rank_G"] == 2
 
 
 def test_pruned_estimator_is_the_attacked_one(wmr_yaml):

@@ -179,10 +179,37 @@ def _misspelt_block(cfg):
     cfg["calibraton"] = cfg.pop("calibration")
 
 
+def _actuator_mode_without_patterns(cfg):
+    cfg["policy"]["mode"] = "actuator_ft"
+
+
+def _sensor_mode_with_patterns(cfg):
+    cfg["policy"]["patterns"] = [[1, 1]]
+
+
+def _one_gamma(cfg):
+    del cfg["calibration"]["gammas"][1:]
+
+
+def _extra_fault_pattern(cfg):
+    cfg["faults"]["patterns"].append([4])
+
+
+def _null_sim(cfg):
+    cfg["sim"] = None
+
+
 @pytest.mark.parametrize("edit, key", [(_without_model, "'model'"),
                                        (_without_half_plane_normal, "'a'"),
-                                       (_misspelt_block, "'calibraton'")],
-                         ids=["custom-without-model", "half-plane-without-a", "unknown-block"])
+                                       (_misspelt_block, "'calibraton'"),
+                                       (_actuator_mode_without_patterns, "needs failure patterns"),
+                                       (_sensor_mode_with_patterns, "'sensor_ft_clf'"),
+                                       (_one_gamma, "1 gammas given for 2 fault patterns"),
+                                       (_extra_fault_pattern, "2 gammas given for 3 fault patterns"),
+                                       (_null_sim, "sim: block must be a mapping")],
+                         ids=["custom-without-model", "half-plane-without-a", "unknown-block",
+                              "actuator-mode-without-patterns", "sensor-mode-with-patterns",
+                              "one-gamma", "extra-fault-pattern", "null-sim"])
 def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key):
     cfg = yaml.safe_load(wmr_yaml.read_text())
     edit(cfg)
@@ -192,6 +219,16 @@ def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_cli_malformed_yaml_is_an_error(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("kind: wmr\nsim: {dt: 0.02\n")
+    rc = main(["run", "--scenario", str(path), "--seeds", "0", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "not valid YAML" in err
     assert "Traceback" not in err
 
 

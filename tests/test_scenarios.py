@@ -147,6 +147,14 @@ def test_kind_only_picks_defaults(wmr_yaml):
     assert res_custom.omega is None and res_wmr.omega is not None
 
 
+def test_null_optional_block_is_absent(tmp_path, wmr_yaml):
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    cfg["verify"] = None
+    path = tmp_path / "null-verify.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert load_scenario(path).verify_box == 1.0
+
+
 def test_ramp_attack_spec():
     scn = build_scenario({"kind": "wmr", "faults": {"attack": {"type": "ramp", "rate": 2.0,
                                                                  "start": 1.0}}})
