@@ -6,6 +6,12 @@ left), steady-state gains for LTI models, smoothed innovation residues for the
 conflict-resolution policy, and the Monte Carlo calibration that turns the
 existence statement "there is a gamma bounding the estimation error with high
 probability" into usable per-filter radii.
+
+A bank built from x0 of shape (runs, n) carries one estimate per run in each
+filter (x_hat and residue gain the leading run axis) and is stepped on output
+increments of shape (runs, q). Gains and covariances stay one per filter:
+for an LTI model the Riccati flow does not depend on the state, so every run
+shares it exactly. Calibration steps all its Monte Carlo runs this way.
 """
 
 from __future__ import annotations
@@ -17,15 +23,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, DetectabilityError, EstimatorConfigError
-from .simulator import FaultScenario, SystemModel, measure, step_true_state
+from .simulator import FaultScenario, SystemModel, matvec, measure, step_true_state
 
 
 def reduce_output(y_inc: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
-    """Delete the entries indexed by pattern, preserving the order of the rest."""
+    """Delete the trailing-axis entries indexed by pattern, preserving the order of the rest."""
     y_inc = np.asarray(y_inc, dtype=float)
     if not pattern:
         return y_inc.copy()
-    return np.delete(y_inc, list(pattern))
+    return np.delete(y_inc, list(pattern), axis=-1)
 
 
 def reduce_model_rows(c: np.ndarray, nu: np.ndarray, pattern: Sequence[int]):
@@ -64,8 +70,8 @@ def _sym_check(P: np.ndarray) -> np.ndarray:
 
 
 def residue(est: EstimatorState, y_reduced: np.ndarray, dt: float,
-            smoothing: Optional[float] = None) -> float:
-    """Smoothed innovation norm ||y_reduced - c_r x_hat dt||.
+            smoothing: Optional[float] = None):
+    """Smoothed innovation norm ||y_reduced - c_r x_hat dt||, one per run.
 
     smoothing = 0 gives the instantaneous value. The raw per-step innovation
     is noise-dominated at small dt, so the policy compares smoothed values.
@@ -73,8 +79,8 @@ def residue(est: EstimatorState, y_reduced: np.ndarray, dt: float,
     if est.mode == "open_loop" or est.c_r is None:
         return est.residue
     lam = est.smoothing if smoothing is None else smoothing
-    inst = float(np.linalg.norm(np.asarray(y_reduced, dtype=float) - est.c_r @ est.x_hat * dt))
-    return lam * est.residue + (1.0 - lam) * inst
+    d = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, est.x_hat) * dt
+    return lam * est.residue + (1.0 - lam) * np.sqrt(np.vecdot(d, d))
 
 
 def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: float,
@@ -86,20 +92,23 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
     In riccati_ode mode the covariance follows
     dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P and the gain is recomputed
     as P c_r^T R_r^-1; constant_gain keeps K frozen at the steady-state value.
+    A stacked x_hat of shape (runs, n) steps every run; P and K stay shared,
+    which is exact for an LTI model (drift_jacobian is F whatever the state).
     """
     x = est.x_hat
-    drift = (model.f(x) + model.g(x) @ np.asarray(u, dtype=float)) * dt
+    u = np.asarray(u, dtype=float)
+    drift = (model.f(x) + matvec(model.g(x), u)) * dt
     if est.mode == "open_loop":
         return replace(est, x_hat=x + drift)
 
-    innov = np.asarray(y_reduced, dtype=float) - est.c_r @ x * dt
-    x_new = x + drift + est.K @ innov
+    innov = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, x) * dt
+    x_new = x + drift + matvec(est.K, innov)
     res = residue(est, y_reduced, dt)
 
     if est.mode == "constant_gain":
         return replace(est, x_hat=x_new, residue=res)
 
-    Ft = model.drift_jacobian(x, np.asarray(u, dtype=float))
+    Ft = model.drift_jacobian(x, u)
     Q = model.sigma @ model.sigma.T
     S = est.c_r.T @ est.R_r_inv @ est.c_r
     # Substep the Riccati Euler update: one full-dt step from P0 = I is
@@ -229,10 +238,11 @@ def make_bank(model: SystemModel, patterns: Sequence[Sequence[int]], x0: np.ndar
     """Build the m single filters and the pairwise filters.
 
     x_hat(0) = x0 for every filter (the system starts known-safe) and
-    P(0) = I. gammas/thetas may be filled in later by calibration.
+    P(0) = I. x0 may be a stack (runs, n); each filter then tracks every run
+    in lockstep. gammas/thetas may be filled in later by calibration.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n,):
+    if x0.ndim > 2 or x0.shape[-1:] != (model.n,):
         raise ContractError("x0 dimension mismatch")
     pats = [tuple(sorted(int(s) for s in p)) for p in patterns]
     singles = [_make_state(model, ("single", i), pat, x0, mode, smoothing)
@@ -266,6 +276,9 @@ class CalibrationResult:
         }
 
 
+NOISE_BLOCK = 50  # steps of noise drawn per run at a time during calibration
+
+
 def calibrate_gammas(model: SystemModel, scen: FaultScenario, n_runs: int, horizon: float,
                      epsilon: float, dt: float = 0.01, seed: int = 0,
                      mode: str = "constant_gain") -> CalibrationResult:
@@ -274,33 +287,46 @@ def calibrate_gammas(model: SystemModel, scen: FaultScenario, n_runs: int, horiz
     gamma_i is the empirical (1 - epsilon/2)-quantile over runs of
     sup_t ||x_t - x_hat_{t,i}||, splitting epsilon evenly between the
     estimation-error event and the pairwise-deviation event; theta_ij is set
-    to gamma_i + gamma_j. Runs use u = 0: for LTI constant-gain filters the
-    error dynamics do not depend on the input, so this loses no generality
-    for the shipped scenarios.
+    to gamma_i + gamma_j. Runs use u = 0: for LTI filters the error dynamics
+    do not depend on the input, so this loses no generality for the shipped
+    scenarios. A model that is not LTI is rejected.
+
+    All runs step in lockstep as one (n_runs, n) stack through measure,
+    step_true_state and one bank. Run r draws its noise from
+    default_rng(seed + r), each step's state draw before its measurement
+    draw, NOISE_BLOCK steps at a time; the results are bitwise those of
+    stepping the runs one after another.
     """
+    if not 0.0 < epsilon <= 1.0:  # also false for nan
+        raise ContractError(f"epsilon must be a finite number in (0, 1], got {epsilon!r}")
     if n_runs < 50:
         raise ContractError("calibration needs n_runs >= 50")
+    if not model.is_linear:
+        raise ContractError("calibration needs an LTI model (SystemModel.linear): "
+                            "the u = 0 runs do not bound the error of a nonlinear filter")
     clean = FaultScenario(q=model.q, p=model.p, sensor_patterns=scen.sensor_patterns,
                           active_fault=None, attack=None, failure_schedule=[])
     m = len(clean.sensor_patterns)
+    n, q = model.n, model.q
     steps = int(round(horizon / dt))
     u = np.zeros(model.p)
-    x0 = np.zeros(model.n)
+    x = np.zeros((n_runs, n))
+    bank = make_bank(model, clean.sensor_patterns, x, mode=mode, with_pairs=False)
+    rngs = [np.random.default_rng(seed + run) for run in range(n_runs)]
+    noise = np.empty((NOISE_BLOCK, n_runs, n + q))
     sups = np.zeros((n_runs, m))
-    for run in range(n_runs):
-        rng = np.random.default_rng(seed + run)
-        bank = make_bank(model, clean.sensor_patterns, x0, mode=mode, with_pairs=False)
-        x = x0.copy()
-        for k in range(steps):
-            w = rng.standard_normal(model.n)
-            v = rng.standard_normal(model.q)
-            y_inc = measure(model, x, k * dt, clean, v, dt)
-            x = step_true_state(model, x, u, dt, w)
-            bank.step(model, u, y_inc, dt)
-            for i in range(m):
-                err = float(np.linalg.norm(x - bank.singles[i].x_hat))
-                if err > sups[run, i]:
-                    sups[run, i] = err
+    for k in range(steps):
+        b = k % NOISE_BLOCK
+        if b == 0:
+            block = min(NOISE_BLOCK, steps - k)
+            for run, rng in enumerate(rngs):
+                noise[:block, run] = rng.standard_normal((block, n + q))
+        y_inc = measure(model, x, k * dt, clean, noise[b, :, n:], dt)
+        x = step_true_state(model, x, u, dt, noise[b, :, :n])
+        bank.step(model, u, y_inc, dt)
+        for i, est in enumerate(bank.singles):
+            d = x - est.x_hat
+            sups[:, i] = np.maximum(sups[:, i], np.sqrt(np.vecdot(d, d)))
     gammas = np.quantile(sups, 1.0 - epsilon / 2.0, axis=0)
     thetas = {(i, j): float(gammas[i] + gammas[j])
               for i in range(m) for j in range(i + 1, m)}

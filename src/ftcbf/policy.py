@@ -114,7 +114,6 @@ def assemble_constraints(cfg: PolicyConfig, model: SystemModel,
 
 
 def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
-                      cfg: PolicyConfig,
                       constraint_builder: Callable[[Sequence[int], Sequence[int]], list],
                       R: np.ndarray) -> ResolveOutcome:
     """Steps 1-3: full intersection, pairwise pruning, residue pruning.

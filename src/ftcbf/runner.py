@@ -116,8 +116,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy)
             builder = lambda Zs, Us: assemble_constraints(  # noqa: E731
                 scn.policy, model, scn.chains, bank, scn.clf, Zs, Us)
-            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, scn.policy,
-                                                        builder, scn.R)
+            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, builder, scn.R)
         else:
             outcome = actuator_control(scn.policy, model, x, scn.af_chain_sets,
                                        scn.af_patterns, scn.R)

@@ -164,7 +164,16 @@ def _barrier_from_spec(spec: dict, n: int):
     raise ScenarioValidationError(f"unknown barrier type {kind!r}")
 
 
+def _list_of_lists(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ScenarioValidationError(f"{where} must be a list of lists, got {value!r}")
+    return value
+
+
 def _parse_thetas(block) -> dict:
+    if block is not None and not isinstance(block, dict):
+        raise ScenarioValidationError(
+            f'calibration: thetas must be a mapping like {{"0,1": 0.02}}, got {block!r}')
     out = {}
     for key, val in (block or {}).items():
         i, j = (int(s) for s in str(key).split(","))
@@ -289,6 +298,10 @@ def build_scenario(cfg: dict) -> Scenario:
         for key in ("barriers", "seeds"):
             if not isinstance(cfg[key], list):
                 raise ScenarioValidationError(f"{key}: must be a list")
+        for i, spec in enumerate(cfg["barriers"]):
+            if not isinstance(spec, dict):
+                raise ScenarioValidationError(
+                    f"barriers: entry {i} must be a mapping, got {spec!r}")
         mblock = cfg["model"]
         F, G, c = (np.asarray(mblock[k], dtype=float) for k in ("F", "G", "c"))
         n, p = G.shape
@@ -302,7 +315,8 @@ def build_scenario(cfg: dict) -> Scenario:
                      np.diag([float(v) for v in item["L"]]))
                     for item in fblock.get("failure_schedule") or []]
         faults = FaultScenario.from_attack_spec(
-            q=c.shape[0], p=p, sensor_patterns=fblock["patterns"],
+            q=c.shape[0], p=p,
+            sensor_patterns=_list_of_lists(fblock["patterns"], "faults: patterns"),
             active_fault=fblock.get("active"), attack_spec=fblock.get("attack"),
             failure_schedule=schedule)
 
@@ -321,7 +335,8 @@ def build_scenario(cfg: dict) -> Scenario:
             raise ScenarioValidationError("policy: mode 'actuator_ft' needs failure patterns")
         af_patterns, af_chain_sets = [], []
         if actuator:
-            pattern_diags = [[1.0] * p] if mode == "baseline" else pblock["patterns"]
+            pattern_diags = [[1.0] * p] if mode == "baseline" \
+                else _list_of_lists(pblock["patterns"], "policy: patterns")
             af_patterns = [np.diag([float(v) for v in diag]) for diag in pattern_diags]
             try:
                 af_chain_sets = [[build_chain(h, model, input_mask=L,
@@ -372,6 +387,8 @@ def build_scenario(cfg: dict) -> Scenario:
             bank_patterns = [list(pat) for pat in fblock["patterns"]]
             m = len(bank_patterns)
             given = calib.get("gammas")
+            if given is not None and not isinstance(given, list):
+                raise ScenarioValidationError(f"calibration: gammas must be a list, got {given!r}")
             gammas = np.array([float(g) for g in given]) if given else np.zeros(m)
             pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
             given_thetas = calib.get("thetas")

@@ -9,6 +9,13 @@ integrated with Euler-Maruyama at a fixed step. The attack vector a_t is
 supported on the sensor indices of the active fault pattern; actuator failures
 multiply the commanded input by a diagonal 0/1 effectiveness matrix L.
 
+`measure` and `step_true_state` also take a stack of states of shape
+(runs, n), with noise draws of the same leading shape, and step every run at
+once. Their matrix-vector products go through `matvec`, which gives the same
+bits for one run of a stack as for that state alone, so a Monte Carlo batch
+reproduces its per-run loop exactly. A batch needs an LTI model: a
+user-supplied f or g sees the whole stack.
+
 Sensor and actuator indices are 0-based throughout.
 """
 
@@ -23,6 +30,11 @@ from .errors import ContractError, ScenarioValidationError
 
 _SPOT_CHECK_RNG = np.random.default_rng(0x5EED)
 _LIN_TOL = 1e-12
+
+
+def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x over the trailing axis of x; for one vector it equals A @ x bit for bit."""
+    return (A @ x[..., None])[..., 0]
 
 
 def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
@@ -81,7 +93,7 @@ class SystemModel:
         c = np.asarray(c, dtype=float)
         return cls(
             n=n, p=p, q=c.shape[0],
-            f=lambda x, _F=F: _F @ x,
+            f=lambda x, _F=F: matvec(_F, x),
             g=lambda x, _G=G: _G,
             c=c, sigma=np.asarray(sigma, dtype=float), nu=np.asarray(nu, dtype=float),
             F=F, G=G, is_linear=True,
@@ -199,23 +211,35 @@ class FaultScenario:
 
 def step_true_state(model: SystemModel, x: np.ndarray, u: np.ndarray, dt: float,
                     noise_draw: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step: x + (f(x) + g(x) u) dt + sigma w sqrt(dt)."""
+    """One Euler-Maruyama step: x + (f(x) + g(x) u) dt + sigma w sqrt(dt).
+
+    x and noise_draw are (n,) or a stack (runs, n); u is (p,) or (runs, p).
+    """
     if dt <= 0:
         raise ContractError("dt must be positive")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (model.n,) or u.shape != (model.p,) or np.shape(noise_draw) != (model.n,):
+    noise_draw = np.asarray(noise_draw, dtype=float)
+    if x.shape[-1:] != (model.n,) or u.shape[-1:] != (model.p,) \
+            or noise_draw.shape != x.shape:
         raise ContractError("state/input/noise dimension mismatch")
-    return x + (model.f(x) + model.g(x) @ u) * dt + model.sigma @ noise_draw * np.sqrt(dt)
+    return (x + (model.f(x) + matvec(model.g(x), u)) * dt
+            + matvec(model.sigma, noise_draw) * np.sqrt(dt))
 
 
 def measure(model: SystemModel, x: np.ndarray, t: float, scen: FaultScenario,
             noise_draw: np.ndarray, dt: float) -> np.ndarray:
-    """Output increment dy = (c x + a_t) dt + nu v sqrt(dt)."""
+    """Output increment dy = (c x + a_t) dt + nu v sqrt(dt).
+
+    x is (n,) or a stack (runs, n); noise_draw has the same leading shape
+    and q entries per run.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,) or np.shape(noise_draw) != (model.q,):
+    noise_draw = np.asarray(noise_draw, dtype=float)
+    if x.shape[-1:] != (model.n,) or noise_draw.shape != x.shape[:-1] + (model.q,):
         raise ContractError("state/noise dimension mismatch in measure")
-    return (model.c @ x + scen.attack_vector(t)) * dt + model.nu @ noise_draw * np.sqrt(dt)
+    return ((matvec(model.c, x) + scen.attack_vector(t)) * dt
+            + matvec(model.nu, noise_draw) * np.sqrt(dt))
 
 
 def apply_actuator_failure(u: np.ndarray, L: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from scipy.optimize import linprog
 from ftcbf.barriers import ConstraintRow, HalfPlane, build_chain
 from ftcbf.estimators import calibrate_gammas, make_bank, steady_state_gain
 from ftcbf.optimizer import QpProblem, farkas_certificate, solve_qp
-from ftcbf.policy import PolicyConfig, resolve_conflicts
+from ftcbf.policy import resolve_conflicts
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import (BOEING_F, BOEING_G, WMR_C, WMR_F, build_scenario,
                              load_scenario)
@@ -244,8 +244,7 @@ def test_step2_pruning_fixture():
             return [ConstraintRow([1.0], 1.0), ConstraintRow([-1.0], 1.0)]
         return []
 
-    out = resolve_conflicts(bank, [0, 1], [], PolicyConfig(mode="sensor_ft"),
-                            builder, np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], builder, np.eye(1))
     report("Step-2 pruning removes exactly j",
            out.removed == [(1, "pairwise")] and out.Z == [0],
            f"removed={out.removed}")

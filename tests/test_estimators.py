@@ -5,7 +5,7 @@ from dataclasses import replace
 from ftcbf.errors import ContractError, DetectabilityError, EstimatorConfigError
 from ftcbf.estimators import (calibrate_gammas, ekf_step, make_bank, reduce_output,
                               residue, steady_state_gain)
-from ftcbf.scenarios import WMR_C, WMR_F, WMR_G
+from ftcbf.scenarios import WMR_C, WMR_F, WMR_G, load_scenario
 from ftcbf.simulator import FaultScenario, SystemModel, measure, step_true_state
 
 from conftest import integrator_model
@@ -173,3 +173,74 @@ def test_calibration_requires_50_runs():
     scen = FaultScenario(q=6, p=2, sensor_patterns=[[0]])
     with pytest.raises(ContractError):
         calibrate_gammas(model, scen, 10, 1.0, 0.1)
+
+
+def calibrate_per_run(model, scen, n_runs, horizon, epsilon, dt=0.01, seed=0,
+                      mode="constant_gain"):
+    """Reference: the calibration Monte Carlo stepped one run and one state at a time."""
+    clean = FaultScenario(q=model.q, p=model.p, sensor_patterns=scen.sensor_patterns)
+    m = len(clean.sensor_patterns)
+    steps = int(round(horizon / dt))
+    u = np.zeros(model.p)
+    x0 = np.zeros(model.n)
+    sups = np.zeros((n_runs, m))
+    for run in range(n_runs):
+        rng = np.random.default_rng(seed + run)
+        bank = make_bank(model, clean.sensor_patterns, x0, mode=mode, with_pairs=False)
+        x = x0.copy()
+        for k in range(steps):
+            w = rng.standard_normal(model.n)
+            v = rng.standard_normal(model.q)
+            y_inc = measure(model, x, k * dt, clean, v, dt)
+            x = step_true_state(model, x, u, dt, w)
+            bank.step(model, u, y_inc, dt)
+            for i in range(m):
+                err = float(np.linalg.norm(x - bank.singles[i].x_hat))
+                if err > sups[run, i]:
+                    sups[run, i] = err
+    return sups, np.quantile(sups, 1.0 - epsilon / 2.0, axis=0)
+
+
+@pytest.mark.parametrize("case", ["constant_gain", "riccati_ode", "open_loop"])
+def test_lockstep_calibration_matches_per_run_loop(case):
+    # 123 steps: two full 50-step noise blocks and a partial one
+    if case == "open_loop":
+        # the first pattern removes every sensor, so its filter runs open loop
+        model = SystemModel.linear(-np.eye(2), np.eye(2), np.eye(2),
+                                   0.01 * np.eye(2), 0.01 * np.eye(2))
+        scen = FaultScenario(q=2, p=2, sensor_patterns=[[0, 1], []])
+        args = (model, scen, 50, 1.23, 0.1)
+        kwargs = dict(dt=0.01, seed=5)
+    else:
+        scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
+        args = (wmr_model(), scen, 50, 1.23, 0.05)
+        kwargs = dict(dt=0.01, seed=11, mode=case)
+    cal = calibrate_gammas(*args, **kwargs)
+    sups, gammas = calibrate_per_run(*args, **kwargs)
+    assert np.array_equal(cal.sup_errors, sups)
+    assert np.array_equal(cal.gammas, gammas)
+
+
+def test_calibration_rejects_nonlinear_model():
+    model = SystemModel(n=1, p=1, q=1, f=lambda x: -x ** 3, g=lambda x: np.ones((1, 1)),
+                        c=np.eye(1), sigma=0.01 * np.eye(1), nu=0.01 * np.eye(1))
+    scen = FaultScenario(q=1, p=1, sensor_patterns=[[]])
+    with pytest.raises(ContractError, match="LTI"):
+        calibrate_gammas(model, scen, 50, 0.1, 0.1, mode="riccati_ode")
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, 3.0, float("nan"), float("inf")])
+def test_calibration_rejects_bad_epsilon(epsilon):
+    scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
+    with pytest.raises(ContractError, match="epsilon"):
+        calibrate_gammas(wmr_model(), scen, 50, 1.0, epsilon)
+
+
+def test_stored_wmr_calibration_reproduces(wmr_yaml):
+    """scenarios/wmr.yaml says `calibrate --runs 200 --seed 1000` gives its block."""
+    scn = load_scenario(wmr_yaml)
+    block = scn.config["calibration"]
+    cal = calibrate_gammas(scn.model, scn.faults, block["n_runs"], scn.horizon,
+                           block["epsilon"], dt=scn.dt, seed=1000, mode=scn.estimator_mode)
+    assert np.max(np.abs(cal.gammas - np.asarray(block["gammas"]))) <= 1e-7
+    assert abs(cal.thetas[(0, 1)] - block["thetas"]["0,1"]) <= 1e-7

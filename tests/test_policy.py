@@ -77,8 +77,7 @@ def make_builder(infeasible_when):
 
 def test_step1_feasible_no_removals():
     bank = stub_bank([[0.0, 0.0], [0.1, 0.0]], thetas={(0, 1): 1.0})
-    cfg = PolicyConfig(mode="sensor_ft")
-    out = resolve_conflicts(bank, [0, 1], [], cfg, make_builder([]), np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], make_builder([]), np.eye(1))
     assert out.step == 1 and out.removed == [] and out.Z == [0, 1]
 
 
@@ -90,8 +89,7 @@ def test_step2_pruning_fixture():
     assert np.linalg.norm(np.array(x_i) - x_ij) == pytest.approx(0.2, abs=1e-12)
     assert np.linalg.norm(np.array(x_j) - x_ij) == pytest.approx(1.4, abs=1e-3)
     bank = stub_bank([x_i, x_j], pair_estimates={(0, 1): x_ij}, thetas={(0, 1): 1.0})
-    cfg = PolicyConfig(mode="sensor_ft")
-    out = resolve_conflicts(bank, [0, 1], [], cfg, make_builder([[0, 1]]), np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), np.eye(1))
     assert out.removed == [(1, "pairwise")]
     assert out.Z == [0] and out.step == 2
     assert out.result.is_feasible
@@ -101,8 +99,7 @@ def test_step2_never_removes_consistent_estimator():
     # all pairwise distances <= theta: step 2 removes nothing, step 3 kicks in
     bank = stub_bank([[0.0, 0.0], [0.5, 0.0]], pair_estimates={(0, 1): [0.25, 0.0]},
                      thetas={(0, 1): 1.0}, residues=[0.3, 0.1])
-    cfg = PolicyConfig(mode="sensor_ft")
-    out = resolve_conflicts(bank, [0, 1], [], cfg, make_builder([[0, 1]]), np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), np.eye(1))
     assert all(reason != "pairwise" for _, reason in out.removed)
     assert out.removed[0] == (0, "residue")  # largest smoothed residue first
     assert out.step == 3
@@ -112,8 +109,7 @@ def test_step3_order_descending_residue_ties_low_index():
     bank = stub_bank([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                      thetas={(i, j): np.inf for i in range(3) for j in range(i + 1, 3)},
                      residues=[0.5, 0.9, 0.5])
-    cfg = PolicyConfig(mode="sensor_ft")
-    out = resolve_conflicts(bank, [0, 1, 2], [], cfg,
+    out = resolve_conflicts(bank, [0, 1, 2], [],
                             make_builder([[0, 1, 2], [0, 2]]), np.eye(1))
     assert out.removed == [(1, "residue"), (0, "residue")]
     assert out.Z == [2]
@@ -121,12 +117,11 @@ def test_step3_order_descending_residue_ties_low_index():
 
 def test_total_infeasibility_event():
     bank = stub_bank([[0.0, 0.0]], thetas={})
-    cfg = PolicyConfig(mode="sensor_ft")
 
     def always_bad(Z, U):
         return [ConstraintRow([1.0], 1.0), ConstraintRow([-1.0], 1.0)]
 
-    out = resolve_conflicts(bank, [0], [], cfg, always_bad, np.eye(1))
+    out = resolve_conflicts(bank, [0], [], always_bad, np.eye(1))
     assert out.infeasible_event
     assert np.array_equal(out.u, [0.0])
 

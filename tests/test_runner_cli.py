@@ -114,6 +114,16 @@ def test_cli_calibrate_too_few_runs(tmp_path, wmr_yaml):
     assert rc == 1
 
 
+@pytest.mark.parametrize("epsilon", ["-1", "3", "nan"])
+def test_cli_calibrate_bad_epsilon(tmp_path, wmr_yaml, capsys, epsilon):
+    rc = main(["calibrate", "--scenario", str(wmr_yaml), "--runs", "50",
+               "--epsilon", epsilon, "--out", str(tmp_path / "c.yaml")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "epsilon" in err
+    assert not (tmp_path / "c.yaml").exists()
+
+
 def test_cli_verify_exit_codes(tmp_path, boeing_yaml):
     rc = main(["verify", "--scenario", str(boeing_yaml), "--budget", "200",
                "--out", str(tmp_path / "rep.json")])
@@ -199,6 +209,26 @@ def _null_sim(cfg):
     cfg["sim"] = None
 
 
+def _scalar_gammas(cfg):
+    cfg["calibration"]["gammas"] = 0.01
+
+
+def _list_thetas(cfg):
+    cfg["calibration"]["thetas"] = [0.02]
+
+
+def _scalar_patterns(cfg):
+    cfg["faults"]["patterns"] = 5
+
+
+def _bare_barrier_name(cfg):
+    cfg["barriers"] = ["half_plane"]
+
+
+def _scalar_failure_patterns(cfg):
+    cfg["policy"].update(mode="actuator_ft", patterns=5)
+
+
 @pytest.mark.parametrize("edit, key", [(_without_model, "'model'"),
                                        (_without_half_plane_normal, "'a'"),
                                        (_misspelt_block, "'calibraton'"),
@@ -206,10 +236,19 @@ def _null_sim(cfg):
                                        (_sensor_mode_with_patterns, "'sensor_ft_clf'"),
                                        (_one_gamma, "1 gammas given for 2 fault patterns"),
                                        (_extra_fault_pattern, "2 gammas given for 3 fault patterns"),
-                                       (_null_sim, "sim: block must be a mapping")],
+                                       (_null_sim, "sim: block must be a mapping"),
+                                       (_scalar_gammas, "calibration: gammas must be a list"),
+                                       (_list_thetas, "calibration: thetas must be a mapping"),
+                                       (_scalar_patterns, "faults: patterns must be a list"),
+                                       (_bare_barrier_name,
+                                        "barriers: entry 0 must be a mapping"),
+                                       (_scalar_failure_patterns,
+                                        "policy: patterns must be a list")],
                          ids=["custom-without-model", "half-plane-without-a", "unknown-block",
                               "actuator-mode-without-patterns", "sensor-mode-with-patterns",
-                              "one-gamma", "extra-fault-pattern", "null-sim"])
+                              "one-gamma", "extra-fault-pattern", "null-sim", "scalar-gammas",
+                              "list-thetas", "scalar-patterns", "bare-barrier-name",
+                              "scalar-failure-patterns"])
 def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key):
     cfg = yaml.safe_load(wmr_yaml.read_text())
     edit(cfg)
