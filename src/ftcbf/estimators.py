@@ -80,7 +80,11 @@ def residue(est: EstimatorState, y_reduced: np.ndarray, dt: float,
         return est.residue
     lam = est.smoothing if smoothing is None else smoothing
     d = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, est.x_hat) * dt
-    return lam * est.residue + (1.0 - lam) * np.sqrt(np.vecdot(d, d))
+    return _smoothed_residue(est, d, lam)
+
+
+def _smoothed_residue(est: EstimatorState, innov: np.ndarray, lam: float):
+    return lam * est.residue + (1.0 - lam) * np.sqrt(np.vecdot(innov, innov))
 
 
 def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: float,
@@ -103,7 +107,7 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
 
     innov = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, x) * dt
     x_new = x + drift + matvec(est.K, innov)
-    res = residue(est, y_reduced, dt)
+    res = _smoothed_residue(est, innov, est.smoothing)
 
     if est.mode == "constant_gain":
         return replace(est, x_hat=x_new, residue=res)

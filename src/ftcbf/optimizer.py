@@ -1,16 +1,31 @@
 """Per-step quadratic program and Farkas infeasibility certificates.
 
 Solves   minimize u^T R u   subject to   row_i . u >= bound_i
-with a dense primal active-set method, warm-started from a phase-one simplex
-that either produces a feasible vertex or a Farkas certificate y >= 0 with
-A^T y = 0 and Xi^T y < 0 proving A u <= Xi empty. Everything is hand-rolled
-and deterministic (Bland's rule on both pivots); the problems here never
-exceed a handful of rows and inputs, so dense is the right tool.
+by enumerating KKT active sets. The problems here are tiny (the golden
+scenarios have p <= 3 and at most 8 rows), so one kernel tries every set S of
+linearly independent rows at once: all sizes go through one batched
+`np.linalg.solve` of the Gram blocks A_S R^-1 A_S^T lam = 2 b_S. A strictly
+convex QP has exactly one KKT point, so the first set, by size and then
+lexicographically, whose multipliers are nonnegative and whose point
+u = R^-1 A_S^T lam / 2 satisfies every row is the optimum. A point satisfies
+a row when it lies within a distance of 1e-9 of the row's half-space.
+
+When no set of at most p rows passes, the rows are infeasible. By Helly's
+theorem some set of at most p + 1 rows then carries a Farkas certificate
+y >= 0 with A^T y = 0 and b^T y = 1: a nonnegative left null vector of the
+set's rows. The same padded row sets give every candidate null vector at
+once, through one batched QR of the rows themselves. Both outcomes are
+re-checked on the original data before they are returned, and a problem
+with more row sets than the budget below is an error rather than a long
+enumeration.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,8 +33,18 @@ import numpy as np
 from .barriers import ConstraintRow
 from .errors import ContractError, SolverError
 
-_PIVOT_TOL = 1e-10
 _FEAS_TOL = 1e-9
+# The QP treats row sets whose unit-normalized Gram determinant is below this
+# as dependent: for two rows it is sin^2 of their angle, and exactly parallel
+# rows come out near 1e-16 after rounding. The certificate search counts a QR
+# pivot of unit rows below it as zero: above rounding, and below the 1e-9
+# angles of near-parallel rows, which it must tell apart.
+_INDEP_TOL = 1e-12
+# Row sets one problem may take, sum_{k <= p + 1} C(m, k). The largest problem
+# that any scenario, test or benchmark builds is p = 5 with 8 rows (247 sets,
+# the projected-gradient oracle test); the golden WMR QP, p = 2 with up to
+# 8 rows, takes 93 and the golden Boeing QP, p = 3 with 6 rows, 57.
+_SUBSET_BUDGET = 256
 
 
 @dataclass
@@ -56,101 +81,153 @@ class QpResult:
         return self.status == "optimal"
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray):
-    """Phase-one simplex for A u <= b.
+@functools.cache
+def _row_sets(m: int, p: int):
+    """Every nonempty set of at most p + 1 of m rows, by size and then
+    lexicographically, padded to width w = p + 1 with the indices m, m + 1, ...
 
-    Returns (u, None) with a feasible vertex, or (None, y) with the Farkas
-    multipliers recovered from the phase-one duals. Bland's rule throughout.
+    Returns the sets, how many of them have at most p rows, and each set's
+    Gram block as flat indices into the padded (m + w)-square Gram matrix.
+    Raises SolverError past the budget.
+    """
+    sizes = range(1, min(p + 1, m) + 1)
+    if 1 + sum(comb(m, k) for k in sizes) > _SUBSET_BUDGET:
+        raise SolverError(f"{m} rows in p = {p} exceed the active-set budget "
+                          f"of {_SUBSET_BUDGET} row sets")
+    w = p + 1
+    S = np.array([s + tuple(range(m, m + w - k)) for k in sizes
+                  for s in itertools.combinations(range(m), k)], dtype=np.intp).reshape(-1, w)
+    blocks = S[:, :, None] * (m + w) + S[:, None, :]
+    S.flags.writeable = blocks.flags.writeable = False
+    return S, sum(comb(m, k) for k in sizes if k <= p), blocks
+
+
+def _set_solves(G: np.ndarray, b: np.ndarray, S: np.ndarray, blocks: np.ndarray):
+    """Solve G_SS lam = 2 b_S for every row set S at once.
+
+    G is the Gram matrix of the m rows in the cost metric; the solves run on
+    its unit-diagonal rescaling. Indices of S from m on pad every set to one
+    width, so that all sizes go through one batched solve: they stand for
+    rows orthogonal to everything, with unit norm and zero bound. Returns
+    which sets have independent rows, and each set's lam, and lam times the
+    row norms, as rows of (sets, m) arrays that are zero outside the set.
+    """
+    m, w = len(b), S.shape[1]
+    unit = np.sqrt(G.diagonal())
+    unit[unit == 0.0] = 1.0
+    Np = np.eye(m + w)
+    Np[:m, :m] = G / np.outer(unit, unit)
+    Ns = Np.take(blocks)
+    # For two rows the determinant is sin^2 of their angle; 0 with a zero row.
+    indep = np.linalg.det(Ns) > _INDEP_TOL
+    if not indep.all():
+        Ns = np.where(indep[:, None, None], Ns, np.eye(w))
+    rhs = np.zeros(m + w)
+    rhs[:m] = b / unit
+    scaled = np.zeros((len(S), m + w))
+    scaled.put(np.arange(len(S))[:, None] * (m + w) + S, np.linalg.solve(Ns, rhs[S][..., None]))
+    scaled = 2.0 * scaled[:, :m]
+    return indep, scaled / unit, scaled
+
+
+def _certificate(A: np.ndarray, b: np.ndarray, norms: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """y >= 0 on at most p + 1 rows with A^T y = 0 and b^T y = 1.
+
+    Each row set, scaled to unit rows and padded as in _row_sets (a padding
+    row is a unit vector in an extra dimension of its own), is ordered with
+    the padding first, and one batched QR factors its rows as columns:
+    R = [[R11, r], [0, rho]]. When rho vanishes the set's last row depends on
+    the others, and z = [-R11^-1 r; 1], by back substitution, weights the
+    unit rows to zero, with the padding weighted zero. This works on the rows
+    themselves, so rows 1e-9 apart stay apart, which a Gram matrix would not
+    resolve. Among the sets whose weights are nonnegative and meet
+    _validate_certificate's bound, the certificate is the one with the
+    largest margin b^T y per unit of weight.
     """
     m, p = A.shape
-    if m == 0:
-        return np.zeros(p), None
+    n, w = sets.shape
+    unit = np.append(np.where(norms > 0.0, norms, 1.0), np.ones(w))
+    padded = np.zeros((m + w, p + w))
+    padded[:m, :p] = A / unit[:m, None]
+    padded[m:, p:] = np.eye(w)
+    R = np.linalg.qr(padded[sets[:, ::-1]].transpose(0, 2, 1), mode="r")
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    ok = (diag[:, -1] <= _INDEP_TOL) & (diag[:, :-1] > _INDEP_TOL).all(axis=1)
+    pivots = np.where(ok[:, None], np.diagonal(R, axis1=1, axis2=2)[:, :-1], 1.0)
+    z = np.ones((n, w))
+    for i in range(w - 2, -1, -1):
+        z[:, i] = -(R[:, i, i + 1:] * z[:, i + 1:]).sum(axis=1) / pivots[:, i]
+    z = z[:, ::-1] * (sets < m)
+    margin = (np.append(b, np.zeros(w))[sets] / unit[sets] * z).sum(axis=1)
+    ok &= (z >= 0.0).all(axis=1) & (margin > 0.0)
+    ys = np.zeros((n, m + w))
+    ys.put(np.arange(n)[:, None] * (m + w) + sets, z / unit[sets])
+    ys = ys[:, :m] / np.where(ok, margin, 1.0)[:, None]
+    ok &= np.abs(ys @ A).max(axis=1) <= _FEAS_TOL * np.maximum(1.0, ys.max(axis=1))
+    if not ok.any():
+        raise SolverError("no KKT active set and no Farkas certificate")
+    # Weights that pass sum to at least 1: their set's last row has weight 1.
+    y = ys[int(np.where(ok, margin / np.maximum(z.sum(axis=1), 1.0), -np.inf).argmax())]
+    _validate_certificate(-A, -b, y)
+    return y
 
-    sign = np.where(b >= 0.0, 1.0, -1.0)
-    ncols = 2 * p + 2 * m
-    T = np.zeros((m, ncols))
-    T[:, :p] = sign[:, None] * A
-    T[:, p:2 * p] = -T[:, :p]
-    T[np.arange(m), 2 * p + np.arange(m)] = sign           # slacks
-    T[np.arange(m), 2 * p + m + np.arange(m)] = 1.0        # artificials
-    rhs = sign * b
 
-    cost = np.zeros(ncols)
-    cost[2 * p + m:] = 1.0
-    basis = np.where(sign > 0, 2 * p + np.arange(m), 2 * p + m + np.arange(m))
+def _solve(A: np.ndarray, b: np.ndarray, R: Optional[np.ndarray]) -> QpResult:
+    """minimize u^T R u s.t. A u >= b, for finite A and b; R None is the identity.
 
-    # Canonical cost row: subtract artificial-basic rows from the cost.
-    obj = cost.copy()
-    for i in range(m):
-        if basis[i] >= 2 * p + m:
-            obj -= T[i]
-
-    max_iter = 50 * (m + p + 4)
-    for _ in range(max_iter):
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            break
-        ratios = np.full(m, np.inf)
-        col = T[:, entering]
-        ok = col > _PIVOT_TOL
-        ratios[ok] = rhs[ok] / col[ok]
-        best = np.min(ratios)
-        if not np.isfinite(best):
-            raise SolverError("phase-one simplex unbounded (numerical failure)")
-        cand = np.where(ratios <= best + 1e-12)[0]
-        leave = cand[np.argmin(basis[cand])]
-        piv = T[leave, entering]
-        T[leave] /= piv
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and abs(T[i, entering]) > 1e-14:
-                f = T[i, entering]
-                T[i] -= f * T[leave]
-                rhs[i] -= f * rhs[leave]
-        obj -= obj[entering] * T[leave]
-        basis[leave] = entering
-        rhs[(rhs < 0.0) & (rhs > -1e-12)] = 0.0
+    The optimum is the first row set, the empty one and then those of
+    _row_sets, whose multipliers are nonnegative and whose point
+    u = R^-1 A_S^T lam / 2 satisfies every row.
+    """
+    m, p = A.shape
+    sets, n_qp, blocks = _row_sets(m, p)
+    # The tolerance is a distance, the same for a row and any multiple of it:
+    # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
+    # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    tol = _FEAS_TOL * norms
+    if (b <= tol).all():
+        u, lam = np.zeros(p), np.zeros(m)
     else:
-        raise SolverError("phase-one simplex exceeded iteration cap")
-
-    art = basis >= 2 * p + m
-    obj_val = float(np.sum(rhs[art])) if np.any(art) else 0.0
-    if obj_val <= _FEAS_TOL:
-        vals = np.zeros(ncols)
-        vals[basis] = rhs
-        return vals[:p] - vals[p:2 * p], None
-    # Duals from the artificial reduced costs: pi_i = 1 - rc(z_i), y = -sign*pi.
-    pi = 1.0 - obj[2 * p + m:]
-    y = -sign * pi
-    y[y < 0.0] = 0.0
-    return None, y
+        ARinv = A if R is None else np.linalg.solve(R, A.T).T
+        G = ARinv @ A.T
+        indep, lams, scaled = _set_solves(G, b, sets[:n_qp], blocks[:n_qp])
+        us = lams @ ARinv / 2.0
+        ok = indep & (scaled >= -_FEAS_TOL).all(axis=1) & (us @ A.T - b >= -tol).all(axis=1)
+        if not ok.any():
+            # Only dependent rows can weigh to zero: every set of p + 1 rows,
+            # and the smaller ones the batch found dependent.
+            dependent = np.ones(len(sets), dtype=bool)
+            dependent[:n_qp] = ~indep
+            return QpResult("infeasible",
+                            certificate=_certificate(A, b, norms, sets[dependent]))
+        j = int(ok.argmax())
+        u, lam = us[j], np.maximum(lams[j], 0.0)
+    viol = b - A @ u
+    if (viol > tol).any():
+        raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
+                          "beyond the tolerance")
+    grad = 2.0 * (u if R is None else R @ u)
+    if np.abs(grad - A.T @ lam).max() > 1e-7 * max(1.0, np.abs(grad).max()):
+        raise SolverError("KKT stationarity residual out of tolerance")
+    active = tuple(np.flatnonzero(np.abs(viol) <= tol).tolist())
+    return QpResult("optimal", u=u, active=active, multipliers=lam)
 
 
 def farkas_certificate(A: np.ndarray, Xi: np.ndarray) -> Optional[np.ndarray]:
     """Farkas certificate for A u <= Xi, or None when the system is feasible.
 
     The returned y satisfies y >= 0, ||A^T y||_inf <= 1e-9 and Xi^T y = -1
-    (scaled); validity is re-checked before returning.
+    (scaled), is nonzero on at most p + 1 rows and is re-checked before
+    returning.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Xi = np.atleast_1d(np.asarray(Xi, dtype=float))
     if A.shape[0] != Xi.shape[0]:
         raise ContractError("A and Xi row counts differ")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(Xi))):
+    if not (np.isfinite(A).all() and np.isfinite(Xi).all()):
         raise ContractError("non-finite entries in Farkas system")
-    _, y = _phase_one(A, Xi)
-    if y is None:
-        return None
-    slope = float(Xi @ y)
-    if slope >= -1e-14:
-        raise SolverError("phase-one reported infeasible but Xi^T y >= 0")
-    y = y / (-slope)
-    _validate_certificate(A, Xi, y)
-    return y
+    return _solve(-A, -Xi, None).certificate
 
 
 def _validate_certificate(A, Xi, y):
@@ -162,121 +239,19 @@ def _validate_certificate(A, Xi, y):
         raise SolverError("certificate fails Xi^T y < 0")
 
 
-def _kkt_step(R2, Aw, u):
-    """Equality-constrained step: min (u+d)^T R (u+d) s.t. Aw d = 0."""
-    p = R2.shape[0]
-    k = Aw.shape[0]
-    if k == 0:
-        return -u.copy(), np.zeros(0)
-    M = np.zeros((p + k, p + k))
-    M[:p, :p] = R2
-    M[:p, p:] = -Aw.T
-    M[p:, :p] = Aw
-    rhs = np.concatenate([-R2 @ u, np.zeros(k)])
-    sol = np.linalg.solve(M, rhs)
-    return sol[:p], sol[p:]
-
-
-def solve_qp(prob: QpProblem, max_iter: int = 200) -> QpResult:
+def solve_qp(prob: QpProblem) -> QpResult:
     """Solve min u^T R u s.t. row_i.u >= bound_i.
 
     Returns the optimum with its active set, or an infeasibility result
     carrying the Farkas certificate for the equivalent system A u <= Xi
-    (A = -rows, Xi = -bounds). Degenerate all-zero rows are dropped when
-    their bound is nonpositive and certify infeasibility otherwise.
+    (A = -rows, Xi = -bounds), scaled to Xi^T y = -1.
     """
     p = prob.p
-    n_rows = len(prob.rows)
-    if n_rows == 0:
-        return QpResult("optimal", u=np.zeros(p), multipliers=np.zeros(0))
-
-    rows = np.array([np.asarray(r.row, dtype=float) for r in prob.rows])
+    rows = np.array([np.asarray(r.row, dtype=float) for r in prob.rows]) \
+        if prob.rows else np.zeros((0, p))
     bounds = np.array([float(r.bound) for r in prob.rows])
-    if rows.shape[1] != p:
+    if rows.ndim != 2 or rows.shape[1] != p:
         raise ContractError("row length does not match R")
-    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(bounds))):
+    if not (np.isfinite(rows).all() and np.isfinite(bounds).all()):
         raise ContractError("non-finite constraint data")
-
-    keep = []
-    for i in range(n_rows):
-        if np.max(np.abs(rows[i])) <= 1e-14:
-            if bounds[i] > 0.0:
-                y = np.zeros(n_rows)
-                y[i] = 1.0 / bounds[i]
-                return QpResult("infeasible", certificate=y)
-        else:
-            keep.append(i)
-    if not keep:
-        return QpResult("optimal", u=np.zeros(p), multipliers=np.zeros(n_rows))
-    keep = np.asarray(keep)
-    Ak, bk = rows[keep], bounds[keep]
-
-    if np.all(bk <= 0.0):
-        u = np.zeros(p)
-    else:
-        u, y = _phase_one(-Ak, -bk)
-        if u is None:
-            slope = float(-bk @ y)
-            if slope >= -1e-14:
-                raise SolverError("inconsistent phase-one outcome")
-            full = np.zeros(n_rows)
-            full[keep] = y / (-slope)
-            _validate_certificate(-rows, -bounds, full)
-            return QpResult("infeasible", certificate=full)
-
-    R2 = 2.0 * prob.R
-    mW: list[int] = []
-    for i in range(len(keep)):
-        if abs(Ak[i] @ u - bk[i]) <= _FEAS_TOL:
-            trial = mW + [i]
-            if np.linalg.matrix_rank(Ak[trial], tol=1e-10) == len(trial):
-                mW = trial
-
-    lam_w = np.zeros(0)
-    for _ in range(max_iter):
-        d, lam_w = _kkt_step(R2, Ak[mW], u)
-        # Threshold sits above KKT solve noise for ill-conditioned (near
-        # parallel) working sets; the stationarity residual check below still
-        # guards the accepted point.
-        if np.max(np.abs(d)) <= 1e-9 * max(1.0, np.max(np.abs(u))):
-            if lam_w.size == 0 or np.min(lam_w) >= -_FEAS_TOL:
-                break
-            worst = [mW[j] for j in range(len(mW)) if lam_w[j] < -_FEAS_TOL]
-            mW.remove(min(worst))
-            continue
-        cand = []
-        for i in range(len(keep)):
-            if i in mW:
-                continue
-            denom = float(Ak[i] @ d)
-            if denom < -1e-13:
-                cand.append((max(0.0, (bk[i] - float(Ak[i] @ u)) / denom), i))
-        alpha = 1.0
-        blocking = -1
-        if cand:
-            a_min = min(a for a, _ in cand)
-            if a_min < 1.0:
-                alpha = a_min
-                blocking = min(i for a, i in cand if a <= a_min + 1e-12)
-        u = u + alpha * d
-        if blocking >= 0:
-            trial = mW + [blocking]
-            if np.linalg.matrix_rank(Ak[trial], tol=1e-10) < len(trial):
-                raise SolverError("active-set cycling: dependent blocking row")
-            mW = trial
-    else:
-        raise SolverError("active set exceeded iteration cap")
-
-    viol = bk - Ak @ u
-    if np.max(viol) > _FEAS_TOL:
-        raise SolverError(f"active-set solution violates a row by {np.max(viol):.2e}")
-    grad = R2 @ u
-    resid = grad - (Ak[mW].T @ lam_w if mW else 0.0)
-    if np.max(np.abs(resid)) > 1e-7 * max(1.0, np.max(np.abs(grad))):
-        raise SolverError("KKT stationarity residual out of tolerance")
-
-    multipliers = np.zeros(n_rows)
-    for j, i in enumerate(mW):
-        multipliers[keep[i]] = max(0.0, lam_w[j])
-    active = tuple(int(keep[i]) for i in range(len(keep)) if abs(Ak[i] @ u - bk[i]) <= _FEAS_TOL)
-    return QpResult("optimal", u=u, active=active, multipliers=multipliers)
+    return _solve(rows, bounds, prob.R)

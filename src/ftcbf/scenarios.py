@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -170,6 +171,12 @@ def _list_of_lists(value, where: str) -> list:
     return value
 
 
+def _expect(value, types, where: str, what: str):
+    if not isinstance(value, types):
+        raise ScenarioValidationError(f"{where} must be {what}, got {value!r}")
+    return value
+
+
 def _parse_thetas(block) -> dict:
     if block is not None and not isinstance(block, dict):
         raise ScenarioValidationError(
@@ -299,9 +306,7 @@ def build_scenario(cfg: dict) -> Scenario:
             if not isinstance(cfg[key], list):
                 raise ScenarioValidationError(f"{key}: must be a list")
         for i, spec in enumerate(cfg["barriers"]):
-            if not isinstance(spec, dict):
-                raise ScenarioValidationError(
-                    f"barriers: entry {i} must be a mapping, got {spec!r}")
+            _expect(spec, dict, f"barriers: entry {i}", "a mapping")
         mblock = cfg["model"]
         F, G, c = (np.asarray(mblock[k], dtype=float) for k in ("F", "G", "c"))
         n, p = G.shape
@@ -309,7 +314,7 @@ def build_scenario(cfg: dict) -> Scenario:
                                    _scale_or_matrix(mblock.get("nu", 0.0), c.shape[0]))
 
         sim = cfg["sim"]
-        dt = float(sim["dt"])
+        dt = float(_expect(sim["dt"], numbers.Real, "sim: dt", "a number"))
         fblock = cfg["faults"]
         schedule = [(float(item["time"]) if "time" in item else float(item["step"]) * dt,
                      np.diag([float(v) for v in item["L"]]))
@@ -317,7 +322,9 @@ def build_scenario(cfg: dict) -> Scenario:
         faults = FaultScenario.from_attack_spec(
             q=c.shape[0], p=p,
             sensor_patterns=_list_of_lists(fblock["patterns"], "faults: patterns"),
-            active_fault=fblock.get("active"), attack_spec=fblock.get("attack"),
+            active_fault=fblock.get("active"),
+            attack_spec=_expect(fblock.get("attack"), (dict, type(None)), "faults: attack",
+                                "a mapping"),
             failure_schedule=schedule)
 
         barrier_specs = cfg["barriers"]
@@ -355,13 +362,15 @@ def build_scenario(cfg: dict) -> Scenario:
             goal_radius = float(cblock["radius"])
             clf = build_quadratic_clf(F_cl, goal_radius, x_goal=cblock.get("goal"),
                                       pos_dim=cblock.get("pos_dim"))
-            goal_indices = list(cblock["goal_indices"])
+            goal_indices = list(_expect(cblock["goal_indices"], (list, tuple),
+                                        "clf: goal_indices", "a list"))
             v_bar = cblock.get("v_bar")
             if v_bar is None:
                 v_bar = cblock["v_bar_fraction"] * _clf_level_inside_goal(
                     clf, goal_radius, goal_indices)
 
-        nominal = pblock.get("nominal") or {}
+        nominal = _expect(pblock.get("nominal"), (dict, type(None)), "policy: nominal",
+                          "a mapping") or {}
         gain = None
         if nominal.get("type") == "lqr":
             q_w = nominal.get("q", 1.0)
@@ -386,9 +395,8 @@ def build_scenario(cfg: dict) -> Scenario:
         else:
             bank_patterns = [list(pat) for pat in fblock["patterns"]]
             m = len(bank_patterns)
-            given = calib.get("gammas")
-            if given is not None and not isinstance(given, list):
-                raise ScenarioValidationError(f"calibration: gammas must be a list, got {given!r}")
+            given = _expect(calib.get("gammas"), (list, type(None)), "calibration: gammas",
+                            "a list")
             gammas = np.array([float(g) for g in given]) if given else np.zeros(m)
             pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
             given_thetas = calib.get("thetas")

@@ -1,10 +1,13 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from ftcbf.barriers import ConstraintRow
-from ftcbf.errors import ContractError
-from ftcbf.optimizer import QpProblem, QpResult, farkas_certificate, solve_qp
+from ftcbf.errors import ContractError, SolverError
+from ftcbf.optimizer import _SUBSET_BUDGET, QpProblem, QpResult, farkas_certificate, solve_qp
 
 
 def rows_of(A, b):
@@ -117,3 +120,146 @@ def test_farkas_certificate_always_valid(seed):
         assert np.min(y) >= -1e-12
         assert np.max(np.abs(A.T @ y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
         assert Xi @ y < 0
+
+
+def _max_rows(p):
+    """Largest row count whose row sets fit the kernel's budget."""
+    m = 1
+    while sum(comb(m + 1, k) for k in range(p + 2)) <= _SUBSET_BUDGET:
+        m += 1
+    return m
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Rows A u >= b that are feasible or infeasible (by a margin from 1e-5 to
+    1) by construction, with duplicated, near-parallel (rotated by about
+    1e-9), all-zero and 1e+-6-scaled rows mixed in."""
+    p = draw(st.integers(1, 5))
+    m = draw(st.integers(1, _max_rows(p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1, 1, (m, p))
+    u0 = rng.uniform(-1, 1, p)
+    b = A @ u0 - rng.uniform(0.0, 1.0, m) * (rng.random(m) < 0.7)
+    for j in range(1, m):
+        i = int(rng.integers(j))
+        kind = draw(st.sampled_from(["plain", "plain", "duplicate", "near-parallel", "zero"]))
+        if kind in ("duplicate", "near-parallel"):
+            A[j], b[j] = A[i], b[i]
+        if kind == "near-parallel" and p > 1 and np.any(A[i]):
+            v = rng.normal(size=p)
+            v -= (v @ A[i]) / (A[i] @ A[i]) * A[i]
+            A[j] = A[i] + 1e-9 * np.linalg.norm(A[i]) * v / np.linalg.norm(v)
+            b[j] += (A[j] - A[i]) @ u0  # the same slack at u0 as row i
+        elif kind == "zero":
+            A[j], b[j] = 0.0, -rng.uniform(0.0, 1.0)
+    infeasible = draw(st.booleans())
+    if infeasible:
+        # The last row contradicts a nonnegative combination of the others.
+        w = rng.uniform(0.0, 1.0, m - 1) * (rng.random(m - 1) < 0.5)
+        A[-1], b[-1] = -(w @ A[:-1]), -(w @ b[:-1]) + 10.0 ** rng.uniform(-5, 0)
+    scale = 10.0 ** (6 * rng.integers(-1, 2, m) * (rng.random(m) < 0.3))
+    return A * scale[:, None], b * scale, infeasible
+
+
+def _lp_feasible(A, b):
+    """HiGHS on the same rows scaled to unit norm, over the box |u| <= 1e3
+    (every feasible system drawn above has a point in the unit box); a zero
+    row is decided by the sign of its bound. On near-parallel rows one HiGHS
+    method can stop undecided (status 4), so the next one is tried."""
+    norms = np.linalg.norm(A, axis=1)
+    if np.any(b[norms == 0] > 0):
+        return False
+    keep = norms > 0
+    A, b = A[keep] / norms[keep, None], b[keep] / norms[keep]
+    p = A.shape[1]
+    for method in ("highs", "highs-ipm", "highs-ds"):
+        lp = linprog(np.zeros(p), A_ub=-A, b_ub=-b, bounds=[(-1e3, 1e3)] * p, method=method)
+        if lp.status in (0, 2):
+            return lp.status == 0
+    raise AssertionError(f"every HiGHS method stopped undecided: {lp.message}")
+
+
+def _assert_certificate(A, b, y):
+    p = A.shape[1]
+    assert np.min(y) >= 0.0
+    assert np.max(np.abs(A.T @ y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
+    assert b @ y > 0.0
+    assert np.count_nonzero(y) <= p + 1
+
+
+def _assert_kkt(R, A, b, res):
+    """Feasible, stationary and complementary, with the solver's tolerance:
+    a distance of 1e-9 from each row's half-space."""
+    tol = 1e-9 * np.linalg.norm(A, axis=1)
+    slack = A @ res.u - b
+    lam = res.multipliers
+    grad = 2 * R @ res.u
+    assert np.all(slack >= -tol)
+    assert np.min(lam) >= 0.0
+    assert np.max(np.abs(grad - A.T @ lam)) <= 1e-7 * max(1.0, np.max(np.abs(grad)))
+    assert np.all(np.abs(slack[lam > 0]) <= tol[lam > 0])
+    assert set(np.flatnonzero(lam > 0)) <= set(res.active)
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_systems(), st.integers(0, 2 ** 32 - 1))
+def test_solve_qp_fuzz_against_linprog(system, seed):
+    A, b, infeasible = system
+    m, p = A.shape
+    M = np.random.default_rng(seed).uniform(-1, 1, (p, p))
+    R = M @ M.T + np.eye(p)
+    res = solve_qp(QpProblem(R, rows_of(A, b)))
+    assert res.is_feasible == (not infeasible) == _lp_feasible(A, b)
+    if not res.is_feasible:
+        _assert_certificate(A, b, res.certificate)
+        return
+    _assert_kkt(R, A, b, res)
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_systems())
+def test_farkas_certificate_fuzz_against_linprog(system):
+    A, b, infeasible = system
+    y = farkas_certificate(-A, -b)
+    assert (y is None) == (not infeasible) == _lp_feasible(A, b)
+    if y is not None:
+        _assert_certificate(A, b, y)
+        assert np.isclose(b @ y, 1.0)
+
+
+def test_nearly_concurrent_rows_one_scaled_by_1e6():
+    """Three rows that meet within 1e-10 of one point, the middle one scaled
+    by 1e6: a value residual of 1e-9 on it would need u to 1e-15."""
+    A = np.array([[-5.7002218670362037e-01, 6.0822685213034444e-01],
+                  [6.2905382146851416e+05, 1.5913501016264030e+05],
+                  [-4.8702887050600435e-01, -8.0798230494553325e-01]])
+    b = np.array([-1.2153510820459066e-02, -4.2564831141940318e+04, 7.9118022308427960e-02])
+    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    assert res.is_feasible
+    assert np.allclose(res.u, [-0.0506108549, -0.0674136975], atol=1e-9)
+    _assert_kkt(np.eye(2), A, b, res)
+
+
+def test_certificate_for_a_small_margin():
+    """A golden WMR step whose rows miss feasibility by 7e-5 inside the u_max
+    box: the certificate's rows are nearly dependent once the bounds are
+    appended, and its weights are about 1e5."""
+    A = np.array([[0.0, 1.0], [0.05789282040902569, -0.6288869484362827],
+                  [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    b = np.array([-0.21348554585459148, 0.8289799113384037, -12.0, -12.0, -12.0, -12.0])
+    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    assert res.status == "infeasible"
+    _assert_certificate(A, b, res.certificate)
+    assert np.flatnonzero(res.certificate).tolist() == [0, 1, 3]
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_subset_budget_is_an_error(p):
+    m = _max_rows(p) + 1
+    A = np.ones((m, p))
+    with pytest.raises(SolverError, match=rf"{m} rows in p = {p}"):
+        solve_qp(QpProblem(np.eye(p), rows_of(A, np.zeros(m))))
+    with pytest.raises(SolverError, match=rf"{m} rows in p = {p}"):
+        farkas_certificate(A, np.zeros(m))
+    assert solve_qp(QpProblem(np.eye(p), rows_of(A[:-1], np.ones(m - 1)))).is_feasible

@@ -229,6 +229,22 @@ def _scalar_failure_patterns(cfg):
     cfg["policy"].update(mode="actuator_ft", patterns=5)
 
 
+def _scalar_attack(cfg):
+    cfg["faults"]["attack"] = 5
+
+
+def _scalar_nominal(cfg):
+    cfg["policy"]["nominal"] = 5
+
+
+def _scalar_goal_indices(cfg):
+    cfg["clf"]["goal_indices"] = 5
+
+
+def _text_dt(cfg):
+    cfg["sim"]["dt"] = "x"
+
+
 @pytest.mark.parametrize("edit, key", [(_without_model, "'model'"),
                                        (_without_half_plane_normal, "'a'"),
                                        (_misspelt_block, "'calibraton'"),
@@ -243,12 +259,17 @@ def _scalar_failure_patterns(cfg):
                                        (_bare_barrier_name,
                                         "barriers: entry 0 must be a mapping"),
                                        (_scalar_failure_patterns,
-                                        "policy: patterns must be a list")],
+                                        "policy: patterns must be a list"),
+                                       (_scalar_attack, "faults: attack must be a mapping"),
+                                       (_scalar_nominal, "policy: nominal must be a mapping"),
+                                       (_scalar_goal_indices, "clf: goal_indices must be a list"),
+                                       (_text_dt, "sim: dt must be a number")],
                          ids=["custom-without-model", "half-plane-without-a", "unknown-block",
                               "actuator-mode-without-patterns", "sensor-mode-with-patterns",
                               "one-gamma", "extra-fault-pattern", "null-sim", "scalar-gammas",
                               "list-thetas", "scalar-patterns", "bare-barrier-name",
-                              "scalar-failure-patterns"])
+                              "scalar-failure-patterns", "scalar-attack", "scalar-nominal",
+                              "scalar-goal-indices", "text-dt"])
 def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key):
     cfg = yaml.safe_load(wmr_yaml.read_text())
     edit(cfg)
