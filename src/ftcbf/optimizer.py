@@ -102,17 +102,19 @@ def _row_sets(m: int, p: int):
     return S, sum(comb(m, k) for k in sizes if k <= p), blocks
 
 
-def _set_solves(G: np.ndarray, b: np.ndarray, S: np.ndarray, blocks: np.ndarray):
-    """Solve G_SS lam = 2 b_S for every row set S at once.
+def _set_solves(G: np.ndarray, S: np.ndarray, blocks: np.ndarray):
+    """Factor G_SS lam = 2 b_S for every row set S at once.
 
     G is the Gram matrix of the m rows in the cost metric; the solves run on
     its unit-diagonal rescaling. Indices of S from m on pad every set to one
     width, so that all sizes go through one batched solve: they stand for
     rows orthogonal to everything, with unit norm and zero bound. Returns
-    which sets have independent rows, and each set's lam, and lam times the
-    row norms, as rows of (sets, m) arrays that are zero outside the set.
+    which sets have independent rows, and a solve that takes one bound per
+    row, or one row of bounds per set, and returns each set's lam, and lam
+    times the row norms, as rows of (sets, m) arrays that are zero outside
+    the set.
     """
-    m, w = len(b), S.shape[1]
+    m, w = G.shape[0], S.shape[1]
     unit = np.sqrt(G.diagonal())
     unit[unit == 0.0] = 1.0
     Np = np.eye(m + w)
@@ -122,12 +124,18 @@ def _set_solves(G: np.ndarray, b: np.ndarray, S: np.ndarray, blocks: np.ndarray)
     indep = np.linalg.det(Ns) > _INDEP_TOL
     if not indep.all():
         Ns = np.where(indep[:, None, None], Ns, np.eye(w))
-    rhs = np.zeros(m + w)
-    rhs[:m] = b / unit
-    scaled = np.zeros((len(S), m + w))
-    scaled.put(np.arange(len(S))[:, None] * (m + w) + S, np.linalg.solve(Ns, rhs[S][..., None]))
-    scaled = 2.0 * scaled[:, :m]
-    return indep, scaled / unit, scaled
+    flat = np.arange(len(S))[:, None] * (m + w) + S
+
+    def solve(b: np.ndarray):
+        rhs = np.zeros(b.shape[:-1] + (m + w,))
+        rhs[..., :m] = b / unit
+        rhs = rhs[S] if b.ndim == 1 else np.take_along_axis(rhs, S, axis=1)
+        scaled = np.zeros((len(S), m + w))
+        scaled.put(flat, np.linalg.solve(Ns, rhs[..., None])[..., 0])
+        scaled = 2.0 * scaled[:, :m]
+        return scaled / unit, scaled
+
+    return indep, solve
 
 
 def _certificate(A: np.ndarray, b: np.ndarray, norms: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -191,9 +199,18 @@ def _solve(A: np.ndarray, b: np.ndarray, R: Optional[np.ndarray]) -> QpResult:
     else:
         ARinv = A if R is None else np.linalg.solve(R, A.T).T
         G = ARinv @ A.T
-        indep, lams, scaled = _set_solves(G, b, sets[:n_qp], blocks[:n_qp])
+        indep, set_solve = _set_solves(G, sets[:n_qp], blocks[:n_qp])
+        lams, scaled = set_solve(b)
         us = lams @ ARinv / 2.0
         ok = indep & (scaled >= -_FEAS_TOL).all(axis=1) & (us @ A.T - b >= -tol).all(axis=1)
+        if not ok.any():
+            # Nearly parallel rows make the Gram blocks ill-conditioned, and a
+            # vertex far out can miss its own rows by more than the tolerance.
+            # One step of iterative refinement on every set's own rows.
+            dlams, dscaled = set_solve(b - us @ A.T)
+            lams, scaled = lams + dlams, scaled + dscaled
+            us = us + dlams @ ARinv / 2.0
+            ok = indep & (scaled >= -_FEAS_TOL).all(axis=1) & (us @ A.T - b >= -tol).all(axis=1)
         if not ok.any():
             # Only dependent rows can weigh to zero: every set of p + 1 rows,
             # and the smaller ones the batch found dependent.

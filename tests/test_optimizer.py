@@ -263,3 +263,19 @@ def test_subset_budget_is_an_error(p):
     with pytest.raises(SolverError, match=rf"{m} rows in p = {p}"):
         farkas_certificate(A, np.zeros(m))
     assert solve_qp(QpProblem(np.eye(p), rows_of(A[:-1], np.ones(m - 1)))).is_feasible
+
+
+def test_far_vertex_of_nearly_antiparallel_rows():
+    """Rows 1 and 3 are 6e-4 rad from antiparallel, so the only feasible
+    points lie near (2158, -2988): the Gram solve alone misses row 3 by 2e-9
+    there, and the system must still come out feasible."""
+    rng = np.random.default_rng(3000)
+    m, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    A = rng.uniform(-1, 1, (m, p))
+    Xi = rng.uniform(-1, 1, m)
+    assert (m, p) == (4, 2)
+    assert farkas_certificate(A, Xi) is None
+    res = solve_qp(QpProblem(np.eye(2), rows_of(-A, -Xi)))
+    assert res.is_feasible
+    _assert_kkt(np.eye(2), -A, -Xi, res)
+    assert np.allclose(res.u, [2158.38521584, -2988.57838288], rtol=1e-9)
