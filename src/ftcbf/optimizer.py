@@ -1,23 +1,27 @@
 """Per-step quadratic program and Farkas infeasibility certificates.
 
 Solves   minimize u^T R u   subject to   row_i . u >= bound_i
-by enumerating KKT active sets. The problems here are tiny (the golden
-scenarios have p <= 3 and at most 8 rows), so one kernel tries every set S of
-linearly independent rows at once: all sizes go through one batched
-`np.linalg.solve` of the Gram blocks A_S R^-1 A_S^T lam = 2 b_S. A strictly
-convex QP has exactly one KKT point, so the first set, by size and then
-lexicographically, whose multipliers are nonnegative and whose point
-u = R^-1 A_S^T lam / 2 satisfies every row is the optimum. A point satisfies
-a row when it lies within a distance of 1e-9 of the row's half-space.
+by enumerating KKT active sets. With R = L L^T and v = L^T u the program is
+the projection of the origin onto the rows row_i L^-T, so the rows are taken
+in that metric, scaled to unit length. The problems here are tiny (the
+golden scenarios have p <= 3 and at most 8 rows), so one batched QR factors
+every set S of at most p rows at once, each padded to width p with unit
+rows in dimensions of their own. One rule decides dependence everywhere: a
+pivot of unit rows at or below _INDEP_TOL is zero. For an independent set,
+N_S^T = Q R gives the KKT point v = Q z with R^T z = b_S and the multipliers
+mu = R^-1 z. A strictly convex QP has exactly one KKT point, so the first
+independent set, by size and then lexicographically, whose multipliers are
+nonnegative and whose point satisfies every row is the optimum. A point
+satisfies a row when it lies within a distance of 1e-9 of the row's
+half-space.
 
-When no set of at most p rows passes, the rows are infeasible. By Helly's
-theorem some set of at most p + 1 rows then carries a Farkas certificate
-y >= 0 with A^T y = 0 and b^T y = 1: a nonnegative left null vector of the
-set's rows. The same padded row sets give every candidate null vector at
-once, through one batched QR of the rows themselves. Both outcomes are
-re-checked on the original data before they are returned, and a problem
-with more row sets than the budget below is an error rather than a long
-enumeration.
+When no set passes, the rows are infeasible. By Helly's theorem some p + 1
+of them already are, and a Farkas certificate y >= 0 with A^T y = 0 and
+b^T y = 1 then lies on a minimal dependent set: an independent set S and a
+row j whose pivot after S is zero. The same factors give its weights. Both
+outcomes are re-checked on the original data before they are returned, and
+a problem with more row sets than the budget below is an error rather than
+a long enumeration.
 """
 
 from __future__ import annotations
@@ -34,17 +38,25 @@ from .barriers import ConstraintRow
 from .errors import ContractError, SolverError
 
 _FEAS_TOL = 1e-9
-# The QP treats row sets whose unit-normalized Gram determinant is below this
-# as dependent: for two rows it is sin^2 of their angle, and exactly parallel
-# rows come out near 1e-16 after rounding. The certificate search counts a QR
-# pivot of unit rows below it as zero: above rounding, and below the 1e-9
-# angles of near-parallel rows, which it must tell apart.
-_INDEP_TOL = 1e-12
-# Row sets one problem may take, sum_{k <= p + 1} C(m, k). The largest problem
-# that any scenario, test or benchmark builds is p = 5 with 8 rows (247 sets,
-# the projected-gradient oracle test); the golden WMR QP, p = 2 with up to
-# 8 rows, takes 93 and the golden Boeing QP, p = 3 with 6 rows, 57.
+# A pivot of unit rows at or below this counts as zero, both when a set is
+# solved and when a row is appended to it for a certificate. For two rows
+# the pivot is the sine of their angle: exactly parallel rows come out near
+# 1e-16, rows 1e-9 apart stay apart, and a null vector this far from exact
+# still passes _validate_certificate's residual bound.
+_INDEP_TOL = 1e-10
+# Sets of at most p rows one QP may take, the empty set included. The largest
+# problem that a shipped scenario or an oracle test builds is p = 5 with 8
+# rows (219 sets, the projected-gradient oracle test); the golden WMR QP,
+# p = 2 with up to 8 rows, takes 37 and the golden Boeing QP, p = 3 with 6
+# rows, 42. The certificate search pairs each set with each row.
 _SUBSET_BUDGET = 256
+
+
+def check_problem_size(m: int, p: int) -> None:
+    """Raise SolverError when m rows in p dimensions exceed the budget."""
+    if sum(comb(m, k) for k in range(p + 1)) > _SUBSET_BUDGET:
+        raise SolverError(f"{m} rows in p = {p} exceed the active-set budget "
+                          f"of {_SUBSET_BUDGET} row sets")
 
 
 @dataclass
@@ -53,6 +65,8 @@ class QpProblem:
 
     R: np.ndarray
     rows: Sequence[ConstraintRow] = field(default_factory=list)
+    # R = L L^T, the factor the kernel works in; None when R is the identity.
+    _L: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=float)
@@ -60,8 +74,14 @@ class QpProblem:
             raise ContractError("R must be square")
         if np.max(np.abs(self.R - self.R.T)) > 1e-10:
             raise ContractError("R must be symmetric")
-        if np.min(np.linalg.eigvalsh((self.R + self.R.T) / 2)) <= 1e-12:
+        try:
+            L = np.linalg.cholesky(self.R)
+            definite = np.min(np.diagonal(L), initial=np.inf) ** 2 > 1e-12
+        except np.linalg.LinAlgError:
+            definite = False
+        if not definite:
             raise ContractError("R must be positive definite")
+        self._L = None if np.array_equal(self.R, np.eye(self.p)) else L
 
     @property
     def p(self) -> int:
@@ -82,151 +102,104 @@ class QpResult:
 
 
 @functools.cache
-def _row_sets(m: int, p: int):
-    """Every nonempty set of at most p + 1 of m rows, by size and then
-    lexicographically, padded to width w = p + 1 with the indices m, m + 1, ...
-
-    Returns the sets, how many of them have at most p rows, and each set's
-    Gram block as flat indices into the padded (m + w)-square Gram matrix.
-    Raises SolverError past the budget.
-    """
-    sizes = range(1, min(p + 1, m) + 1)
-    if 1 + sum(comb(m, k) for k in sizes) > _SUBSET_BUDGET:
-        raise SolverError(f"{m} rows in p = {p} exceed the active-set budget "
-                          f"of {_SUBSET_BUDGET} row sets")
-    w = p + 1
-    S = np.array([s + tuple(range(m, m + w - k)) for k in sizes
-                  for s in itertools.combinations(range(m), k)], dtype=np.intp).reshape(-1, w)
-    blocks = S[:, :, None] * (m + w) + S[:, None, :]
-    S.flags.writeable = blocks.flags.writeable = False
-    return S, sum(comb(m, k) for k in sizes if k <= p), blocks
+def _row_sets(m: int, p: int) -> np.ndarray:
+    """The empty set and every set of at most p of m rows, by size and then
+    lexicographically, padded in front to width p with the indices
+    m, m + 1, ..."""
+    check_problem_size(m, p)
+    sets = np.array([tuple(range(m, m + p - k)) + s for k in range(min(p, m) + 1)
+                     for s in itertools.combinations(range(m), k)], dtype=np.intp)
+    sets.flags.writeable = False
+    return sets
 
 
-def _set_solves(G: np.ndarray, S: np.ndarray, blocks: np.ndarray):
-    """Factor G_SS lam = 2 b_S for every row set S at once.
-
-    G is the Gram matrix of the m rows in the cost metric; the solves run on
-    its unit-diagonal rescaling. Indices of S from m on pad every set to one
-    width, so that all sizes go through one batched solve: they stand for
-    rows orthogonal to everything, with unit norm and zero bound. Returns
-    which sets have independent rows, and a solve that takes one bound per
-    row, or one row of bounds per set, and returns each set's lam, and lam
-    times the row norms, as rows of (sets, m) arrays that are zero outside
-    the set.
-    """
-    m, w = G.shape[0], S.shape[1]
-    unit = np.sqrt(G.diagonal())
-    unit[unit == 0.0] = 1.0
-    Np = np.eye(m + w)
-    Np[:m, :m] = G / np.outer(unit, unit)
-    Ns = Np.take(blocks)
-    # For two rows the determinant is sin^2 of their angle; 0 with a zero row.
-    indep = np.linalg.det(Ns) > _INDEP_TOL
-    if not indep.all():
-        Ns = np.where(indep[:, None, None], Ns, np.eye(w))
-    flat = np.arange(len(S))[:, None] * (m + w) + S
-
-    def solve(b: np.ndarray):
-        rhs = np.zeros(b.shape[:-1] + (m + w,))
-        rhs[..., :m] = b / unit
-        rhs = rhs[S] if b.ndim == 1 else np.take_along_axis(rhs, S, axis=1)
-        scaled = np.zeros((len(S), m + w))
-        scaled.put(flat, np.linalg.solve(Ns, rhs[..., None])[..., 0])
-        scaled = 2.0 * scaled[:, :m]
-        return scaled / unit, scaled
-
-    return indep, solve
-
-
-def _certificate(A: np.ndarray, b: np.ndarray, norms: np.ndarray, sets: np.ndarray) -> np.ndarray:
+def _certificate(A: np.ndarray, b: np.ndarray, unit: np.ndarray, N: np.ndarray,
+                 sets: np.ndarray, bS: np.ndarray, Q: np.ndarray, Rs: np.ndarray) -> np.ndarray:
     """y >= 0 on at most p + 1 rows with A^T y = 0 and b^T y = 1.
 
-    Each row set, scaled to unit rows and padded as in _row_sets (a padding
-    row is a unit vector in an extra dimension of its own), is ordered with
-    the padding first, and one batched QR factors its rows as columns:
-    R = [[R11, r], [0, rho]]. When rho vanishes the set's last row depends on
-    the others, and z = [-R11^-1 r; 1], by back substitution, weights the
-    unit rows to zero, with the padding weighted zero. This works on the rows
-    themselves, so rows 1e-9 apart stay apart, which a Gram matrix would not
-    resolve. Among the sets whose weights are nonnegative and meet
-    _validate_certificate's bound, the certificate is the one with the
+    Such a y lies on a minimal dependent row set: an independent set S and
+    a row j whose pivot after S is zero. With S's factors N_S^T = Q R, the
+    weights w = -R^-1 Q^T n_j on the unit rows of S and 1 on row j take them
+    to zero. sets holds the independent sets, with their bounds and factors;
+    N the m unit rows. Among the pairs whose weights are nonnegative and
+    meet _validate_certificate's bound, the certificate is the one with the
     largest margin b^T y per unit of weight.
     """
-    m, p = A.shape
-    n, w = sets.shape
-    unit = np.append(np.where(norms > 0.0, norms, 1.0), np.ones(w))
-    padded = np.zeros((m + w, p + w))
-    padded[:m, :p] = A / unit[:m, None]
-    padded[m:, p:] = np.eye(w)
-    R = np.linalg.qr(padded[sets[:, ::-1]].transpose(0, 2, 1), mode="r")
-    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    ok = (diag[:, -1] <= _INDEP_TOL) & (diag[:, :-1] > _INDEP_TOL).all(axis=1)
-    pivots = np.where(ok[:, None], np.diagonal(R, axis1=1, axis2=2)[:, :-1], 1.0)
-    z = np.ones((n, w))
-    for i in range(w - 2, -1, -1):
-        z[:, i] = -(R[:, i, i + 1:] * z[:, i + 1:]).sum(axis=1) / pivots[:, i]
-    z = z[:, ::-1] * (sets < m)
-    margin = (np.append(b, np.zeros(w))[sets] / unit[sets] * z).sum(axis=1)
-    ok &= (z >= 0.0).all(axis=1) & (margin > 0.0)
-    ys = np.zeros((n, m + w))
-    ys.put(np.arange(n)[:, None] * (m + w) + sets, z / unit[sets])
-    ys = ys[:, :m] / np.where(ok, margin, 1.0)[:, None]
-    ok &= np.abs(ys @ A).max(axis=1) <= _FEAS_TOL * np.maximum(1.0, ys.max(axis=1))
+    m = A.shape[0]
+    # Every row in every set's basis, what the basis leaves of it, and the
+    # weights and the margin b^T y of the pair.
+    C = Q.transpose(0, 2, 1) @ N.T
+    left = N.T - Q @ C
+    W = -np.linalg.solve(Rs, C)
+    margin = b / unit[:m] + np.einsum("sk,skj->sj", bS, W)
+    dependent = np.einsum("sdj,sdj->sj", left, left) <= _INDEP_TOL ** 2
+    s, j = np.nonzero(dependent & (W >= 0.0).all(axis=1) & (margin > 0.0))
+    W, margin = W[s, :, j], margin[s, j]
+    ys = np.zeros((len(s), len(unit)))
+    ys[np.arange(len(s))[:, None], sets[s]] = W / unit[sets[s]]
+    ys[np.arange(len(s)), j] += 1.0 / unit[j]
+    ys = ys[:, :m] / margin[:, None]
+    ok = np.abs(ys @ A).max(axis=1, initial=0.0) \
+        <= _FEAS_TOL * np.maximum(1.0, ys.max(axis=1, initial=0.0))
     if not ok.any():
         raise SolverError("no KKT active set and no Farkas certificate")
-    # Weights that pass sum to at least 1: their set's last row has weight 1.
-    y = ys[int(np.where(ok, margin / np.maximum(z.sum(axis=1), 1.0), -np.inf).argmax())]
+    y = ys[int(np.where(ok, margin / (1.0 + W.sum(axis=1)), -np.inf).argmax())]
     _validate_certificate(-A, -b, y)
     return y
 
 
-def _solve(A: np.ndarray, b: np.ndarray, R: Optional[np.ndarray]) -> QpResult:
-    """minimize u^T R u s.t. A u >= b, for finite A and b; R None is the identity.
+def _solve(A: np.ndarray, b: np.ndarray, L: Optional[np.ndarray] = None) -> QpResult:
+    """minimize u^T R u s.t. A u >= b, for finite A and b, with R = L L^T,
+    or with L None for the identity.
 
-    The optimum is the first row set, the empty one and then those of
-    _row_sets, whose multipliers are nonnegative and whose point
-    u = R^-1 A_S^T lam / 2 satisfies every row.
+    The optimum is the first set of _row_sets whose rows are independent,
+    whose multipliers are nonnegative and whose point satisfies every row.
     """
     m, p = A.shape
-    sets, n_qp, blocks = _row_sets(m, p)
+    sets = _row_sets(m, p)
     # The tolerance is a distance, the same for a row and any multiple of it:
     # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
     # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
-    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    tol = _FEAS_TOL * norms
+    tol = _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
     if (b <= tol).all():
+        # The empty set, u = 0, needs no factors.
         u, lam = np.zeros(p), np.zeros(m)
     else:
-        ARinv = A if R is None else np.linalg.solve(R, A.T).T
-        G = ARinv @ A.T
-        indep, set_solve = _set_solves(G, sets[:n_qp], blocks[:n_qp])
-        lams, scaled = set_solve(b)
-        us = lams @ ARinv / 2.0
-        ok = indep & (scaled >= -_FEAS_TOL).all(axis=1) & (us @ A.T - b >= -tol).all(axis=1)
+        AL = A if L is None else np.linalg.solve(L, A.T).T
+        # The unit rows in the metric, then p padding rows: unit vectors in
+        # dimensions of their own, with bound 0.
+        unit = np.ones(m + p)
+        unit[:m] = np.sqrt(np.einsum("ij,ij->i", AL, AL))
+        unit[unit == 0.0] = 1.0
+        N = np.zeros((m + p, 2 * p))
+        N[:m, :p] = AL / unit[:m, None]
+        N[m:, p:] = np.eye(p)
+        bN = np.zeros(m + p)
+        bN[:m] = b / unit[:m]
+        bS = bN[sets]
+        Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
+        indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
+        Rs[~indep] = np.eye(p)
+        # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
+        # A u = A L^-T v. The multipliers are needed only where v is feasible.
+        z = np.linalg.solve(Rs.transpose(0, 2, 1), bS[..., None])
+        vs = (Q @ z)[:, :p, 0]
+        feasible = np.flatnonzero(indep & (vs @ AL.T - b >= -tol).all(axis=1))
+        mu = np.linalg.solve(Rs[feasible], z[feasible])[..., 0]
+        ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)
         if not ok.any():
-            # Nearly parallel rows make the Gram blocks ill-conditioned, and a
-            # vertex far out can miss its own rows by more than the tolerance.
-            # One step of iterative refinement on every set's own rows.
-            dlams, dscaled = set_solve(b - us @ A.T)
-            lams, scaled = lams + dlams, scaled + dscaled
-            us = us + dlams @ ARinv / 2.0
-            ok = indep & (scaled >= -_FEAS_TOL).all(axis=1) & (us @ A.T - b >= -tol).all(axis=1)
-        if not ok.any():
-            # Only dependent rows can weigh to zero: every set of p + 1 rows,
-            # and the smaller ones the batch found dependent.
-            dependent = np.ones(len(sets), dtype=bool)
-            dependent[:n_qp] = ~indep
-            return QpResult("infeasible",
-                            certificate=_certificate(A, b, norms, sets[dependent]))
-        j = int(ok.argmax())
-        u, lam = us[j], np.maximum(lams[j], 0.0)
+            return QpResult("infeasible", certificate=_certificate(
+                A, b, unit, N[:m], sets[indep], bS[indep], Q[indep], Rs[indep]))
+        k = int(ok.argmax())
+        j = feasible[k]
+        u = vs[j] if L is None else np.linalg.solve(L.T, vs[j])
+        lam = np.zeros(m + p)
+        lam[sets[j]] = 2.0 * mu[k] / unit[sets[j]]
+        lam = np.maximum(lam[:m], 0.0)
     viol = b - A @ u
     if (viol > tol).any():
         raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
                           "beyond the tolerance")
-    grad = 2.0 * (u if R is None else R @ u)
-    if np.abs(grad - A.T @ lam).max() > 1e-7 * max(1.0, np.abs(grad).max()):
-        raise SolverError("KKT stationarity residual out of tolerance")
     active = tuple(np.flatnonzero(np.abs(viol) <= tol).tolist())
     return QpResult("optimal", u=u, active=active, multipliers=lam)
 
@@ -236,7 +209,7 @@ def farkas_certificate(A: np.ndarray, Xi: np.ndarray) -> Optional[np.ndarray]:
 
     The returned y satisfies y >= 0, ||A^T y||_inf <= 1e-9 and Xi^T y = -1
     (scaled), is nonzero on at most p + 1 rows and is re-checked before
-    returning.
+    returning. A feasible verdict rests on a point that meets every row.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Xi = np.atleast_1d(np.asarray(Xi, dtype=float))
@@ -244,7 +217,7 @@ def farkas_certificate(A: np.ndarray, Xi: np.ndarray) -> Optional[np.ndarray]:
         raise ContractError("A and Xi row counts differ")
     if not (np.isfinite(A).all() and np.isfinite(Xi).all()):
         raise ContractError("non-finite entries in Farkas system")
-    return _solve(-A, -Xi, None).certificate
+    return _solve(-A, -Xi).certificate
 
 
 def _validate_certificate(A, Xi, y):
@@ -271,4 +244,9 @@ def solve_qp(prob: QpProblem) -> QpResult:
         raise ContractError("row length does not match R")
     if not (np.isfinite(rows).all() and np.isfinite(bounds).all()):
         raise ContractError("non-finite constraint data")
-    return _solve(rows, bounds, prob.R)
+    res = _solve(rows, bounds, prob._L)
+    if res.is_feasible:
+        grad = 2.0 * prob.R @ res.u
+        if np.abs(grad - rows.T @ res.multipliers).max() > 1e-7 * max(1.0, np.abs(grad).max()):
+            raise SolverError("KKT stationarity residual out of tolerance")
+    return res

@@ -29,9 +29,10 @@ import yaml
 
 from .barriers import HalfPlane, Poly, build_chain, ellipsoid_barrier
 from .clf import QuadraticClf, build_quadratic_clf, solve_lyapunov
-from .errors import (LyapunovError, RedundancyError, ScenarioValidationError,
+from .errors import (LyapunovError, RedundancyError, ScenarioValidationError, SolverError,
                      UncontrollableBarrierError)
 from .estimators import steady_state_gain
+from .optimizer import check_problem_size
 from .policy import PolicyConfig
 from .simulator import FaultScenario, SystemModel
 
@@ -413,6 +414,21 @@ def build_scenario(cfg: dict) -> Scenario:
                 notes.append("calibration: no gammas given, so estimator rows are unshrunk "
                              "(gamma = 0) and pairwise pruning is off (theta = inf); "
                              "run `ftcbf calibrate` and merge its calibration block")
+
+        # The most rows one control QP takes: every barrier under every
+        # failure pattern, or every barrier and the CLF at every estimate plus
+        # the input box. The verifier's systems are no larger.
+        if actuator:
+            qp_rows = len(chains) * len(af_patterns)
+        else:
+            with_clf = clf is not None and mode in ("sensor_ft_clf", "baseline")
+            qp_rows = len(bank_patterns) * (len(chains) + with_clf) \
+                + (2 * p if u_max is not None else 0)
+        try:
+            check_problem_size(qp_rows, p)
+        except SolverError as exc:
+            raise ScenarioValidationError(
+                f"barriers: the control QP takes up to {qp_rows} rows, and {exc}") from exc
 
         eblock = cfg.get("estimators") or {}
         R = np.eye(p) if sim.get("cost", "identity") == "identity" \

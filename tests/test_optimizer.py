@@ -123,9 +123,9 @@ def test_farkas_certificate_always_valid(seed):
 
 
 def _max_rows(p):
-    """Largest row count whose row sets fit the kernel's budget."""
+    """Largest row count whose sets of at most p rows fit the kernel's budget."""
     m = 1
-    while sum(comb(m + 1, k) for k in range(p + 2)) <= _SUBSET_BUDGET:
+    while sum(comb(m + 1, k) for k in range(p + 1)) <= _SUBSET_BUDGET:
         m += 1
     return m
 
@@ -166,7 +166,10 @@ def _lp_feasible(A, b):
     """HiGHS on the same rows scaled to unit norm, over the box |u| <= 1e3
     (every feasible system drawn above has a point in the unit box); a zero
     row is decided by the sign of its bound. On near-parallel rows one HiGHS
-    method can stop undecided (status 4), so the next one is tried."""
+    method can stop undecided (status 4), so the next one is tried; when all
+    do, HiGHS minimizes the largest violation t >= 0 of the rows instead, a
+    program that is always feasible and bounded, and the rows are feasible
+    when t is at most 1e-9."""
     norms = np.linalg.norm(A, axis=1)
     if np.any(b[norms == 0] > 0):
         return False
@@ -177,7 +180,10 @@ def _lp_feasible(A, b):
         lp = linprog(np.zeros(p), A_ub=-A, b_ub=-b, bounds=[(-1e3, 1e3)] * p, method=method)
         if lp.status in (0, 2):
             return lp.status == 0
-    raise AssertionError(f"every HiGHS method stopped undecided: {lp.message}")
+    lp = linprog(np.append(np.zeros(p), 1.0), A_ub=np.hstack([-A, -np.ones((len(b), 1))]),
+                 b_ub=-b, bounds=[(-1e3, 1e3)] * p + [(0.0, None)], method="highs")
+    assert lp.status == 0, lp.message
+    return lp.fun <= 1e-9
 
 
 def _assert_certificate(A, b, y):
@@ -267,8 +273,8 @@ def test_subset_budget_is_an_error(p):
 
 def test_far_vertex_of_nearly_antiparallel_rows():
     """Rows 1 and 3 are 6e-4 rad from antiparallel, so the only feasible
-    points lie near (2158, -2988): the Gram solve alone misses row 3 by 2e-9
-    there, and the system must still come out feasible."""
+    points lie near (2158, -2988), where a solve on the normal equations of
+    the two rows misses row 3 by 2e-9; the system must come out feasible."""
     rng = np.random.default_rng(3000)
     m, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     A = rng.uniform(-1, 1, (m, p))
@@ -279,3 +285,43 @@ def test_far_vertex_of_nearly_antiparallel_rows():
     assert res.is_feasible
     _assert_kkt(np.eye(2), -A, -Xi, res)
     assert np.allclose(res.u, [2158.38521584, -2988.57838288], rtol=1e-9)
+
+
+def test_vertex_of_rows_1e7_from_antiparallel():
+    """Each row alone misses the other by 1e-6, so the optimum is the vertex
+    (1, 10) where both are active; their unit rows have a pivot of 1e-7."""
+    A = np.array([[1.0, 0.0], [-1.0, 1e-7]])
+    b = np.array([1.0, -1.0 + 1e-6])
+    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    assert res.is_feasible and res.active == (0, 1)
+    _assert_kkt(np.eye(2), A, b, res)
+    assert np.allclose(res.u, [1.0, 10.0], rtol=1e-7)
+    assert farkas_certificate(-A, -b) is None
+
+
+def test_certificate_from_sets_of_p_plus_one_rows():
+    """Twelve rows in p = 2, as the WMR policy builds with three barriers:
+    only a set of three rows certifies that they are infeasible."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    A = np.column_stack([np.cos(angles), np.sin(angles)])
+    b = np.full(12, -1.0)
+    b[[0, 4, 8]] = 0.1
+    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    assert res.status == "infeasible"
+    _assert_certificate(A, b, res.certificate)
+    assert np.flatnonzero(res.certificate).tolist() == [0, 4, 8]
+
+
+def test_farkas_far_feasible_point_behind_nearly_dependent_rows():
+    """Rows 0, 2 and 5 have a last pivot of 3e-9, so the rows still meet,
+    about 2e5 from the origin. Farkas asks for feasibility only: the point
+    meets every row, and the multipliers of 1e14 that would fail the QP's
+    stationarity check do not matter."""
+    A = np.array([[0.61000585, 0.61588158, 0.03065112, -0.42839724, -0.8921386],
+                  [0.61000585, 0.61588158, 0.03065112, -0.42839724, -0.8921386],
+                  [0.30473822, -0.5309796, -0.1301049, 0.94837239, 0.79535522],
+                  [0.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0],
+                  [-0.35199628, 0.21019225, 0.08038099, -0.53669927, -0.32214538]])
+    b = np.array([0.2226919, 0.2226919, -0.25332343, -0.95102298, -0.93644206, 0.11812559])
+    assert farkas_certificate(-A, -b) is None

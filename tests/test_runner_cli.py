@@ -292,6 +292,32 @@ def test_cli_malformed_yaml_is_an_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_scenario_past_the_qp_budget_is_an_error(tmp_path, boeing_yaml, capsys):
+    """Four barriers under three failure patterns give a control QP of 12
+    rows in p = 3, more row sets than the optimizer enumerates."""
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["barriers"] += [{"type": "half_plane", "a": [1.0, 0.0, 0.0, 0.0], "b": 1.0},
+                        {"type": "half_plane", "a": [-1.0, 0.0, 0.0, 0.0], "b": 1.0}]
+    path = tmp_path / "four_barriers.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["run", "--scenario", str(path), "--seeds", "0", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "12 rows in p = 3" in err
+    assert "Traceback" not in err
+
+
+def test_wmr_with_three_barriers_runs(wmr_yaml):
+    """Three barriers at two estimates, two CLF rows and the input box: 12
+    rows in p = 2, whose infeasible steps need certificates of 3 rows."""
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    cfg["barriers"] += [{"type": "half_plane", "a": [0.0, -1.0, 0.0, 0.0], "b": 1.0},
+                        {"type": "half_plane", "a": [1.0, 0.0, 0.0, 0.0], "b": 2.0}]
+    res = run_scenario(build_scenario(cfg), 0)
+    assert res.metrics["steps"] == 600
+    assert not res.metrics["violated"]
+
+
 def test_cli_verify_zero_budget(tmp_path, boeing_yaml):
     rc = main(["verify", "--scenario", str(boeing_yaml), "--budget", "0",
                "--out", str(tmp_path / "r.json")])
