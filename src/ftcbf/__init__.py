@@ -6,8 +6,8 @@ sets solved as small quadratic programs, and checks constraint feasibility by
 Farkas certificates and counterexample sampling.
 """
 
-from .barriers import (BarrierChain, ConstraintRow, HalfPlane, Poly, af_rows,
-                       build_chain, ellipsoid_barrier, hoscbf_row)
+from .barriers import (BarrierChain, HalfPlane, Poly, af_rows, build_chain,
+                       ellipsoid_barrier, hoscbf_row)
 from .clf import QuadraticClf, build_quadratic_clf, clf_row, goal_reach_time, solve_lyapunov
 from .errors import FtcbfError
 from .estimators import (CalibrationResult, EstimatorBank, EstimatorState,

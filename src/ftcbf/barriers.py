@@ -10,7 +10,9 @@ are handled in closed form; general polynomial barriers go through a dense
 multi-index coefficient table with symbolic derivatives. Chains require an
 LTI model except in the degree-0 case.
 
-Rows are oriented row.u >= bound. The estimator-conditioned rows replace the
+Rows are oriented row.u >= bound. A single row is a (row, bound) pair and a
+row set is the arrays the QP takes, A (m x p) and b (m,), with a parallel
+list of source tags. The estimator-conditioned rows replace the
 unknown error term dh/dx K c z by its worst case over the ball ||z|| <= gamma,
 so a control satisfying the row satisfies the exact inequality for every
 admissible z. hoscbf_pair is the one place that formula lives: the policy
@@ -137,21 +139,6 @@ def ellipsoid_barrier(Phi, center) -> Poly:
             if Phi[i, j] != 0.0:
                 h = h - Phi[i, j] * (shifted[i] * shifted[j])
     return h
-
-
-@dataclass
-class ConstraintRow:
-    """One linear inequality row.u >= bound with a provenance tag."""
-
-    row: np.ndarray
-    bound: float
-    source: str = ""
-
-    def __post_init__(self):
-        self.row = np.asarray(self.row, dtype=float).ravel()
-        self.bound = float(self.bound)
-        if not (np.all(np.isfinite(self.row)) and np.isfinite(self.bound)):
-            raise ContractError("constraint row has non-finite entries")
 
 
 @dataclass
@@ -373,25 +360,24 @@ def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
     return row, bound
 
 
-def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float,
-               source: str = "hoscbf") -> ConstraintRow:
-    """Estimator-conditioned row at est.x_hat, robust over the gamma ball."""
-    row, bound = hoscbf_pair(chain, est, model, est.x_hat, gamma)
-    return ConstraintRow(row=row, bound=bound, source=source)
+def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float):
+    """Estimator-conditioned (row, bound) at est.x_hat, robust over the gamma ball."""
+    return hoscbf_pair(chain, est, model, est.x_hat, gamma)
 
 
 def af_rows(chains: Sequence[BarrierChain], x: np.ndarray,
             patterns: Sequence[np.ndarray], model: SystemModel,
             alpha: Callable[[float], float] = lambda s: s,
-            barrier_label: str = "") -> list:
-    """One noise-free row per failure pattern, evaluated at the true state.
+            barrier_label: str = ""):
+    """(A, b, sources): one noise-free row per failure pattern, evaluated at
+    the true state.
 
     chains[j] must be built with input_mask=patterns[j]; a pattern whose
     chain could not be built indicates missing actuator redundancy.
     """
     if len(chains) != len(patterns):
         raise RedundancyError("one chain per failure pattern is required")
-    rows = []
+    rows, bounds, sources = [], [], []
     gx = model.g(x)
     fx = model.f(x)
     for j, (chain, L) in enumerate(zip(chains, patterns)):
@@ -402,6 +388,7 @@ def af_rows(chains: Sequence[BarrierChain], x: np.ndarray,
             raise RedundancyError(f"pattern {j} has no control authority at this state")
         bound = -alpha(chain.value(d, x)) - float(w @ fx)
         kind = "af_cbf" if d == 0 else "af_hocbf"
-        tag = f"{kind}({j})" + (f"[{barrier_label}]" if barrier_label else "")
-        rows.append(ConstraintRow(row=row, bound=bound, source=tag))
-    return rows
+        rows.append(row)
+        bounds.append(bound)
+        sources.append(f"{kind}({j})" + (f"[{barrier_label}]" if barrier_label else ""))
+    return np.array(rows), np.array(bounds), sources

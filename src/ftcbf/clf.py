@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barriers import ConstraintRow, _estimator_terms
+from .barriers import _estimator_terms
 from .errors import ContractError, LyapunovError
 from .simulator import SystemModel
 
@@ -107,8 +107,8 @@ def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None,
 
 
 def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
-            decay: bool = False, source: str = "clf") -> Optional[ConstraintRow]:
-    """Decrease-condition row at est.x_hat, or None when degenerate.
+            decay: bool = False):
+    """Decrease-condition (row, bound) at est.x_hat, or None when degenerate.
 
     Degenerate means the gradient vanishes (estimate at the goal): the row
     would read 0.u >= positive and is flagged inactive instead of emitted.
@@ -126,7 +126,7 @@ def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
     bound += trace
     if decay:
         bound += clf.rho * clf.value(x_hat)
-    return ConstraintRow(row=row, bound=bound, source=source)
+    return row, bound
 
 
 def goal_reach_time(times: Sequence[float], states: np.ndarray, clf: QuadraticClf,

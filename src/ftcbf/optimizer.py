@@ -1,13 +1,15 @@
 """Per-step quadratic program and Farkas infeasibility certificates.
 
-Solves   minimize u^T R u   subject to   row_i . u >= bound_i
-by enumerating KKT active sets. With R = L L^T and v = L^T u the program is
-the projection of the origin onto the rows row_i L^-T, so the rows are taken
-in that metric, scaled to unit length. The problems here are tiny (the
-golden scenarios have p <= 3 and at most 8 rows), so one batched QR factors
-every set S of at most p rows at once, each padded to width p with unit
-rows in dimensions of their own. One rule decides dependence everywhere: a
-pivot of unit rows at or below _INDEP_TOL is zero. For an independent set,
+Solves   minimize u^T R u   subject to   A u >= b
+by enumerating KKT active sets. QpProblem holds the checked cost R and its
+Cholesky factor, built once per scenario and shared by every solve. With
+R = L L^T and v = L^T u the program is the projection of the origin onto the
+rows of A L^-T, so the rows are taken in that metric, scaled to unit length.
+The problems here are tiny (the golden scenarios have p <= 3 and at most 8
+rows), so one batched QR factors every set S of at most p rows at once, each
+padded to width p with unit rows in dimensions of their own. One rule
+decides dependence everywhere: a pivot of unit rows at or below _INDEP_TOL
+is zero. For an independent set,
 N_S^T = Q R gives the KKT point v = Q z with R^T z = b_S and the multipliers
 mu = R^-1 z. A strictly convex QP has exactly one KKT point, so the first
 independent set, by size and then lexicographically, whose multipliers are
@@ -30,11 +32,10 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .barriers import ConstraintRow
 from .errors import ContractError, SolverError
 
 _FEAS_TOL = 1e-9
@@ -61,10 +62,9 @@ def check_problem_size(m: int, p: int) -> None:
 
 @dataclass
 class QpProblem:
-    """Cost matrix R (symmetric PD) and linear rows row.u >= bound."""
+    """Cost matrix R, checked symmetric positive definite and factored once."""
 
     R: np.ndarray
-    rows: Sequence[ConstraintRow] = field(default_factory=list)
     # R = L L^T, the factor the kernel works in; None when R is the identity.
     _L: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
@@ -72,6 +72,8 @@ class QpProblem:
         self.R = np.asarray(self.R, dtype=float)
         if self.R.ndim != 2 or self.R.shape[0] != self.R.shape[1]:
             raise ContractError("R must be square")
+        if not np.isfinite(self.R).all():
+            raise ContractError("R must be finite")
         if np.max(np.abs(self.R - self.R.T)) > 1e-10:
             raise ContractError("R must be symmetric")
         try:
@@ -229,24 +231,23 @@ def _validate_certificate(A, Xi, y):
         raise SolverError("certificate fails Xi^T y < 0")
 
 
-def solve_qp(prob: QpProblem) -> QpResult:
-    """Solve min u^T R u s.t. row_i.u >= bound_i.
+def solve_qp(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> QpResult:
+    """Solve min u^T R u s.t. A u >= b, with R from qp.
 
     Returns the optimum with its active set, or an infeasibility result
-    carrying the Farkas certificate for the equivalent system A u <= Xi
-    (A = -rows, Xi = -bounds), scaled to Xi^T y = -1.
+    carrying the Farkas certificate for the equivalent system -A u <= -b,
+    scaled to -b^T y = -1.
     """
-    p = prob.p
-    rows = np.array([np.asarray(r.row, dtype=float) for r in prob.rows]) \
-        if prob.rows else np.zeros((0, p))
-    bounds = np.array([float(r.bound) for r in prob.rows])
-    if rows.ndim != 2 or rows.shape[1] != p:
-        raise ContractError("row length does not match R")
-    if not (np.isfinite(rows).all() and np.isfinite(bounds).all()):
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if A.ndim != 2 or A.shape[1] != qp.p or b.shape != A.shape[:1]:
+        raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
+                            f"do not match R of size {qp.p}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ContractError("non-finite constraint data")
-    res = _solve(rows, bounds, prob._L)
+    res = _solve(A, b, qp._L)
     if res.is_feasible:
-        grad = 2.0 * prob.R @ res.u
-        if np.abs(grad - rows.T @ res.multipliers).max() > 1e-7 * max(1.0, np.abs(grad).max()):
+        grad = 2.0 * qp.R @ res.u
+        if np.abs(grad - A.T @ res.multipliers).max() > 1e-7 * max(1.0, np.abs(grad).max()):
             raise SolverError("KKT stationarity residual out of tolerance")
     return res

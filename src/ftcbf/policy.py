@@ -6,7 +6,8 @@ On infeasibility the policy prunes outlier estimators: first by pairwise
 distances checked against the dedicated pairwise filters, then by largest
 smoothed residue, one at a time. Nothing is dropped silently; every removal
 is recorded with its reason, and total infeasibility is surfaced as an event
-(the simulation then applies u = 0).
+(the simulation then applies u = 0). Rows travel as the QP's arrays A u >= b
+with a parallel list of source tags.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierChain, ConstraintRow, af_rows, hoscbf_row
+from .barriers import BarrierChain, af_rows, hoscbf_row
 from .clf import QuadraticClf, clf_row
 from .errors import ContractError
 from .estimators import EstimatorBank
@@ -58,9 +59,13 @@ class PolicyConfig:
 
 @dataclass
 class ResolveOutcome:
+    """The accepted QP, its control and its rows A u >= b tagged by sources."""
+
     result: QpResult
     u: np.ndarray
-    rows: list
+    A: np.ndarray
+    b: np.ndarray
+    sources: list
     Z: list
     U: list
     removed: list = field(default_factory=list)  # (index, reason)
@@ -86,39 +91,36 @@ def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
 def assemble_constraints(cfg: PolicyConfig, model: SystemModel,
                          chains: Sequence[BarrierChain], bank: EstimatorBank,
                          clf: Optional[QuadraticClf],
-                         Z: Sequence[int], U: Sequence[int]) -> list:
-    """Sensor-fault rows: one row per (barrier, i in Z), one CLF row per
-    j in U (active_sets leaves U empty unless the mode carries a CLF), and
-    the input box when u_max is set. baseline is the same machinery over a
-    single-filter bank.
+                         Z: Sequence[int], U: Sequence[int]):
+    """Sensor-fault rows (A, b, sources): one row per (barrier, i in Z), one
+    CLF row per j in U (active_sets leaves U empty unless the mode carries a
+    CLF), and the input box when u_max is set. baseline is the same
+    machinery over a single-filter bank.
     """
-    rows: list = []
+    rows = []  # (row, bound, source)
     for i in Z:
-        est = bank.singles[i]
         for ch in chains:
-            rows.append(hoscbf_row(ch, est, model, bank.gamma(i), source=f"hoscbf({i})"))
+            rows.append((*hoscbf_row(ch, bank.singles[i], model, bank.gamma(i)), f"hoscbf({i})"))
     for j in U:
-        r = clf_row(clf, bank.singles[j], model, bank.gamma(j),
-                    decay=cfg.clf_decay, source=f"clf({j})")
+        r = clf_row(clf, bank.singles[j], model, bank.gamma(j), decay=cfg.clf_decay)
         if r is not None:
-            rows.append(r)
+            rows.append((*r, f"clf({j})"))
     if cfg.u_max is not None:
         # Input box: never pruned, turns outlier-driven control blowups
         # into infeasibilities the pruning steps can act on.
-        for i in range(model.p):
-            e = np.zeros(model.p)
-            e[i] = 1.0
-            rows.append(ConstraintRow(e, -cfg.u_max, source=f"ubox(+{i})"))
-            rows.append(ConstraintRow(-e, -cfg.u_max, source=f"ubox(-{i})"))
-    return rows
+        for i, e in enumerate(np.eye(model.p)):
+            rows += [(e, -cfg.u_max, f"ubox(+{i})"), (-e, -cfg.u_max, f"ubox(-{i})")]
+    A, b, sources = zip(*rows) if rows else ((), (), ())
+    return np.array(A).reshape(-1, model.p), np.array(b), list(sources)
 
 
 def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
-                      constraint_builder: Callable[[Sequence[int], Sequence[int]], list],
-                      R: np.ndarray) -> ResolveOutcome:
+                      constraint_builder: Callable[[Sequence[int], Sequence[int]], tuple],
+                      qp: QpProblem) -> ResolveOutcome:
     """Steps 1-3: full intersection, pairwise pruning, residue pruning.
 
-    Step 2 removes i from both Z and U only when some pairwise distance
+    constraint_builder(Z, U) returns the rows (A, b, sources) of the active
+    sets. Step 2 removes i from both Z and U only when some pairwise distance
     exceeds theta_ij and i disagrees with the dedicated (i, j) filter by more
     than theta_ij / 2; an estimator consistent with all active peers is never
     removed here. Step 3 removes by descending smoothed residue, ties broken
@@ -127,9 +129,9 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
     Z = sorted(Z)
     U = sorted(U)
     rows = constraint_builder(Z, U)
-    res = solve_qp(QpProblem(R, rows))
+    res = solve_qp(qp, *rows[:2])
     if res.is_feasible:
-        return ResolveOutcome(res, res.u, rows, Z, U, step=1)
+        return ResolveOutcome(res, res.u, *rows, Z, U, step=1)
 
     removed = []
     active = sorted(set(Z) | set(U))
@@ -151,9 +153,9 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
     Z = [i for i in Z if i not in drop]
     U = [i for i in U if i not in drop]
     rows = constraint_builder(Z, U)
-    res = solve_qp(QpProblem(R, rows))
+    res = solve_qp(qp, *rows[:2])
     if res.is_feasible:
-        return ResolveOutcome(res, res.u, rows, Z, U, removed=removed, step=2)
+        return ResolveOutcome(res, res.u, *rows, Z, U, removed=removed, step=2)
 
     residues = bank.residues()
     order = sorted(set(Z) | set(U), key=lambda i: (-residues[i], i))
@@ -162,38 +164,33 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
         Z = [i for i in Z if i != idx]
         U = [i for i in U if i != idx]
         rows = constraint_builder(Z, U)
-        res = solve_qp(QpProblem(R, rows))
+        res = solve_qp(qp, *rows[:2])
         if res.is_feasible:
-            return ResolveOutcome(res, res.u, rows, Z, U, removed=removed, step=3)
+            return ResolveOutcome(res, res.u, *rows, Z, U, removed=removed, step=3)
 
-    p = R.shape[0]
-    return ResolveOutcome(res, np.zeros(p), rows, Z, U, removed=removed, step=3,
+    return ResolveOutcome(res, np.zeros(qp.p), *rows, Z, U, removed=removed, step=3,
                           infeasible_event=True)
 
 
 def actuator_control(cfg: PolicyConfig, model: SystemModel, x: np.ndarray,
-                     af_chain_sets, patterns, R: np.ndarray) -> ResolveOutcome:
+                     af_chain_sets, patterns, qp: QpProblem) -> ResolveOutcome:
     """Actuator-failure policy: one QP over all pattern rows at the true state.
 
     af_chain_sets holds one chain list per barrier, aligned with patterns.
-    With a nominal gain the QP runs on the deviation v = u - u_nom (rows get
-    their bounds shifted by row . u_nom), acting as a safety filter around the
-    reference-tracking feedback.
+    With a nominal gain the QP runs on the deviation v = u - u_nom (the
+    bounds shift by A u_nom), acting as a safety filter around the
+    reference-tracking feedback. The outcome keeps the unshifted rows, which
+    hold for u itself.
     """
     alpha = (lambda s, k=cfg.alpha_kappa: k * s)
-    rows: list = []
-    for b_idx, chain_set in enumerate(af_chain_sets):
-        rows.extend(af_rows(chain_set, x, patterns, model, alpha=alpha,
-                            barrier_label=str(b_idx)))
-    u_nom = np.zeros(R.shape[0])
-    qp_rows = rows
+    As, bs, tags = zip(*(af_rows(chain_set, x, patterns, model, alpha=alpha, barrier_label=str(j))
+                         for j, chain_set in enumerate(af_chain_sets)))
+    A, b, sources = np.concatenate(As), np.concatenate(bs), sum(tags, [])
+    u_nom, b_qp = np.zeros(qp.p), b
     if cfg.nominal_gain is not None:
         u_nom = -np.asarray(cfg.nominal_gain) @ np.asarray(x, dtype=float)
-        qp_rows = [ConstraintRow(r.row, r.bound - float(r.row @ u_nom), r.source)
-                   for r in rows]
-    res = solve_qp(QpProblem(R, qp_rows))
-    if res.is_feasible:
-        return ResolveOutcome(res, u_nom + res.u, rows, [], [], step=1)
-    return ResolveOutcome(res, np.zeros(R.shape[0]), rows, [], [], step=1,
-                          infeasible_event=True)
-
+        b_qp = b - np.vecdot(A, u_nom)
+    res = solve_qp(qp, A, b_qp)
+    u = u_nom + res.u if res.is_feasible else np.zeros(qp.p)
+    return ResolveOutcome(res, u, A, b, sources, [], [], step=1,
+                          infeasible_event=not res.is_feasible)

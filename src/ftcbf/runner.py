@@ -6,7 +6,10 @@ everything the diagnostics need: per-estimator estimates and residues, active
 sets and removal reasons, barrier chain values on the true state, CLF value,
 minimum constraint slack, and policy events. Identical (scenario, seed)
 inputs produce byte-identical CSVs; floats are printed with 17 significant
-digits so files round-trip exactly.
+digits so files round-trip exactly. A non-finite measurement or estimate
+stops the run with a ContractError naming the step, its time and the filter,
+since NaN would otherwise fail every comparison and drop out of the active
+sets unseen.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .clf import goal_reach_time
+from .errors import ContractError
 from .estimators import make_bank
 from .policy import (ResolveOutcome, active_sets, actuator_control,
                      assemble_constraints, resolve_conflicts)
@@ -66,6 +70,16 @@ def _chain_labels(scn: Scenario) -> list:
     return labels
 
 
+def _estimates(bank, k: int, t: float) -> np.ndarray:
+    """The single filters' estimates at step k; a non-finite one is an error
+    naming the step and the filter."""
+    x_hats = np.array([est.x_hat for est in bank.singles])
+    bad = np.flatnonzero(~np.isfinite(x_hats).all(axis=1)).tolist()
+    if bad:
+        raise ContractError(f"step {k} (t = {t:.6g} s): the estimate of filter {bad} is non-finite")
+    return x_hats
+
+
 def run_scenario(scn: Scenario, seed: int) -> RunResult:
     rng = np.random.default_rng(seed)
     model = scn.model
@@ -95,6 +109,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     Z_log, U_log, removed_log = [], [], []
     omega = np.zeros((steps, 2)) if scn.compensator else None
     events = []
+    unfiltered = 0
 
     theta = 0.0
     omega1 = 0.0
@@ -110,25 +125,28 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         if V_vals is not None:
             V_vals[k] = scn.clf.value(x)
         if sensor_family:
-            for i in range(m):
-                estimates[k, i] = bank.singles[i].x_hat
+            estimates[k] = _estimates(bank, k, t)
             residues[k] = bank.residues()
             Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy)
             builder = lambda Zs, Us: assemble_constraints(  # noqa: E731
                 scn.policy, model, scn.chains, bank, scn.clf, Zs, Us)
-            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, builder, scn.R)
+            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, builder, scn.qp)
         else:
             outcome = actuator_control(scn.policy, model, x, scn.af_chain_sets,
-                                       scn.af_patterns, scn.R)
+                                       scn.af_patterns, scn.qp)
         u = outcome.u
         controls[k] = u
         Z_log.append(";".join(str(i) for i in outcome.Z))
         U_log.append(";".join(str(i) for i in outcome.U))
         removed_log.append(";".join(f"{i}:{why}" for i, why in outcome.removed))
-        if outcome.rows:
-            slack_min[k] = min(float(r.row @ u - r.bound) for r in outcome.rows)
+        if len(outcome.b):
+            slack_min[k] = np.min(np.vecdot(outcome.A, u) - outcome.b)
         if outcome.infeasible_event:
             events.append((k, "policy_infeasible"))
+        elif sensor_family and not outcome.Z:
+            # Z names the estimators whose safety rows the accepted QP holds;
+            # every actuator row is a safety row.
+            unfiltered += 1
 
         if scn.compensator:
             comp = wmr_compensator(u, theta, omega1, dt)
@@ -145,6 +163,11 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         y_inc = measure(model, x, t, scn.faults, v, dt)
         x = step_true_state(model, x, u_applied, dt, w)
         if sensor_family:
+            bad = np.flatnonzero(~np.isfinite(y_inc)).tolist()
+            if bad:
+                readers = [i for i, est in enumerate(bank.singles) if set(bad) & set(est.sensors)]
+                raise ContractError(f"step {k} (t = {t:.6g} s): measurement channel {bad} "
+                                    f"is non-finite; filter {readers} reads it")
             bank.step(model, u, y_inc, dt)
 
     states[steps] = x
@@ -152,8 +175,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     if V_vals is not None:
         V_vals[steps] = scn.clf.value(x)
     if sensor_family:
-        for i in range(m):
-            estimates[steps, i] = bank.singles[i].x_hat
+        estimates[steps] = _estimates(bank, steps, steps * dt)
 
     h0_cols = [_chain_labels(scn).index(f"h0_b{b}") for b in range(len(scn.chains))]
     min_h = float(np.min(h_values[:, h0_cols]))
@@ -167,6 +189,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         "goal_reach_time": reach,
         "final_state_norm": float(np.linalg.norm(x)),
         "policy_infeasible_steps": sum(1 for _, e in events if e == "policy_infeasible"),
+        "unfiltered_steps": unfiltered,
         "steps": steps,
     }
     return RunResult(seed=seed, scenario=scn.name, times=times, states=states,

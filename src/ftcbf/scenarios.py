@@ -29,10 +29,10 @@ import yaml
 
 from .barriers import HalfPlane, Poly, build_chain, ellipsoid_barrier
 from .clf import QuadraticClf, build_quadratic_clf, solve_lyapunov
-from .errors import (LyapunovError, RedundancyError, ScenarioValidationError, SolverError,
-                     UncontrollableBarrierError)
+from .errors import (ContractError, LyapunovError, RedundancyError, ScenarioValidationError,
+                     SolverError, UncontrollableBarrierError)
 from .estimators import steady_state_gain
-from .optimizer import check_problem_size
+from .optimizer import QpProblem, check_problem_size
 from .policy import PolicyConfig
 from .simulator import FaultScenario, SystemModel
 
@@ -110,7 +110,7 @@ class Scenario:
     faults: FaultScenario
     chains: list
     policy: PolicyConfig
-    R: np.ndarray
+    qp: QpProblem                     # the control cost, checked and factored
     dt: float
     horizon: float
     x0: np.ndarray
@@ -176,6 +176,21 @@ def _expect(value, types, where: str, what: str):
     if not isinstance(value, types):
         raise ScenarioValidationError(f"{where} must be {what}, got {value!r}")
     return value
+
+
+def _cost(value, p: int) -> QpProblem:
+    """The QP cost from `sim: cost`: "identity" or a p x p symmetric positive
+    definite matrix."""
+    if value == "identity":
+        return QpProblem(np.eye(p))
+    try:
+        R = np.asarray(_list_of_lists(value, "sim: cost"), dtype=float)
+        if R.shape != (p, p):
+            raise ContractError(f"got shape {R.shape}")
+        return QpProblem(R)
+    except (ContractError, TypeError, ValueError) as exc:
+        raise ScenarioValidationError(f"sim: cost must be \"identity\" or a {p} x {p} "
+                                      f"symmetric positive definite matrix: {exc}") from exc
 
 
 def _parse_thetas(block) -> dict:
@@ -431,11 +446,10 @@ def build_scenario(cfg: dict) -> Scenario:
                 f"barriers: the control QP takes up to {qp_rows} rows, and {exc}") from exc
 
         eblock = cfg.get("estimators") or {}
-        R = np.eye(p) if sim.get("cost", "identity") == "identity" \
-            else np.asarray(sim["cost"], dtype=float)
         return Scenario(
             name=cfg["name"], family="actuator" if actuator else "sensor",
-            model=model, faults=faults, chains=chains, policy=policy, R=R, dt=dt,
+            model=model, faults=faults, chains=chains, policy=policy,
+            qp=_cost(sim.get("cost", "identity"), p), dt=dt,
             horizon=float(sim["horizon"]), x0=np.asarray(sim.get("x0", np.zeros(n)), dtype=float),
             config=cfg, barrier_specs=barrier_specs, af_chain_sets=af_chain_sets,
             af_patterns=af_patterns, clf=clf, goal_radius=goal_radius, goal_indices=goal_indices,

@@ -173,16 +173,14 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
                     nrm2 = float(w @ w)
                     if nrm2 > 1e-14:
                         x = x - v * w / nrm2
-        A, Xi = [], []
         try:
-            for chain_set in af_chain_sets:
-                for r in af_rows(chain_set, x, patterns, model, alpha=alpha):
-                    A.append(-r.row)
-                    Xi.append(-r.bound)
+            rows = [af_rows(chain_set, x, patterns, model, alpha=alpha)
+                    for chain_set in af_chain_sets]
         except RedundancyError as exc:
             return {"feasible": False, "certificate": None,
                     "reason": str(exc), "point": {"x": x.tolist()}}
-        y = farkas_certificate(np.array(A), np.array(Xi))
+        A, b, _ = zip(*rows)
+        y = farkas_certificate(-np.concatenate(A), -np.concatenate(b))
         return {"feasible": y is None, "certificate": y,
                 "point": {"x": x.tolist()}}
 

@@ -1,8 +1,22 @@
-import numpy as np
-import pytest
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from ftcbf.simulator import SystemModel
+
+# Hypothesis imports libcst when it reports a failing example, and libcst's
+# import raises "mypy_extensions.TypedDict is deprecated". Under
+# filterwarnings = error that turns the report into an INTERNALERROR that
+# hides the example, so import libcst here once, with only that import's
+# deprecation warnings ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO / "scenarios"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ftcbf.barriers import ConstraintRow, HalfPlane, build_chain
+from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.estimators import calibrate_gammas, make_bank, steady_state_gain
 from ftcbf.optimizer import QpProblem, farkas_certificate, solve_qp
 from ftcbf.policy import resolve_conflicts
@@ -130,7 +130,7 @@ def test_qp_correctness_vs_projected_gradient():
         b = A @ u0 - rng.uniform(0.05, 1.0, n_rows)  # strictly feasible
         M = rng.uniform(-1, 1, (p, p))
         R = M @ M.T + np.eye(p)
-        res = solve_qp(QpProblem(R, [ConstraintRow(A[i], b[i]) for i in range(n_rows)]))
+        res = solve_qp(QpProblem(R), A, b)
         assert res.is_feasible
         ok_feas += np.min(A @ res.u - b) >= -1e-9
         f_mine = float(res.u @ R @ res.u)
@@ -241,10 +241,10 @@ def test_step2_pruning_fixture():
 
     def builder(Z, U):
         if list(Z) == [0, 1]:
-            return [ConstraintRow([1.0], 1.0), ConstraintRow([-1.0], 1.0)]
-        return []
+            return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), ["lo", "hi"]
+        return np.zeros((0, 1)), np.zeros(0), []
 
-    out = resolve_conflicts(bank, [0, 1], [], builder, np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], builder, QpProblem(np.eye(1)))
     report("Step-2 pruning removes exactly j",
            out.removed == [(1, "pairwise")] and out.Z == [0],
            f"removed={out.removed}")
@@ -277,7 +277,7 @@ def test_verifier_cross_check():
         assert rep["counterexample"] is not None, cfg["name"]
         checked += 1
         point = rep["counterexample"]["point"]
-        rows = []
+        rows, bounds = [], []
         for i, x_hat in enumerate(point["estimates"]):
             x_hat = np.asarray(x_hat)
             est = bank.singles[i]
@@ -288,8 +288,9 @@ def test_verifier_cross_check():
                 xi = float(w @ scn.model.f(x_hat)) + ch.shrunk(d, x_hat, 0.0)
                 if est.K is not None:
                     xi += float(w @ est.K @ est.c_r @ np.asarray(point["zs"][i]))
-                rows.append(ConstraintRow(row, -xi))
-        res = solve_qp(QpProblem(np.eye(scn.model.p), rows))
+                rows.append(row)
+                bounds.append(-xi)
+        res = solve_qp(QpProblem(np.eye(scn.model.p)), np.array(rows), np.array(bounds))
         agreed += res.status == "infeasible"
     report("Verifier cross-check: counterexamples give infeasible QPs",
            checked == len(degenerate_cases) and agreed == checked,

@@ -62,9 +62,9 @@ def test_scbf_row_plain():
     a, b = np.array([1.0, 2.0]), 0.4
     ch = build_chain(HalfPlane(tuple(a), b), model)
     est = StubEst([0.3, -0.1])
-    row = hoscbf_row(ch, est, model, gamma=0.0)
-    assert np.allclose(row.row, a)
-    assert row.bound == pytest.approx(-(a @ est.x_hat + b))
+    row, bound = hoscbf_row(ch, est, model, gamma=0.0)
+    assert np.allclose(row, a)
+    assert bound == pytest.approx(-(a @ est.x_hat + b))
 
 
 def test_scbf_row_gamma_terms():
@@ -75,23 +75,23 @@ def test_scbf_row_gamma_terms():
     K = np.array([[0.3, 0.0], [0.1, 0.2]])
     est = StubEst([0.3, -0.1], K=K, c_r=np.eye(2), nu_r=np.zeros((2, 2)))
     g = 0.25
-    b0 = hoscbf_row(ch, est, model, gamma=0.0).bound
-    b1 = hoscbf_row(ch, est, model, gamma=g).bound
+    b0 = hoscbf_row(ch, est, model, gamma=0.0)[1]
+    b1 = hoscbf_row(ch, est, model, gamma=g)[1]
     expected = g * np.linalg.norm(a) + g * np.linalg.norm(a @ K @ np.eye(2))
     assert b1 - b0 == pytest.approx(expected, abs=1e-12)
     # open-loop estimator: the z and trace terms vanish entirely
     est0 = StubEst([0.3, -0.1])
-    assert hoscbf_row(ch, est0, model, gamma=g).bound - b0 == pytest.approx(g * np.linalg.norm(a))
+    assert hoscbf_row(ch, est0, model, gamma=g)[1] - b0 == pytest.approx(g * np.linalg.norm(a))
 
 
 def test_hoscbf_row_wmr():
     model = wmr_model()
     ch = build_chain(HalfPlane((0, 1, 0, 0), 0.1), model)
     est = StubEst(np.array([0.2, -0.05, 0.1, 0.02]))
-    row = hoscbf_row(ch, est, model, gamma=0.0)
-    assert np.allclose(row.row, [0.0, 1.0])  # a^T (F+I) G: only u2 enters
+    row, bound = hoscbf_row(ch, est, model, gamma=0.0)
+    assert np.allclose(row, [0.0, 1.0])  # a^T (F+I) G: only u2 enters
     w1 = np.array([0, 1, 0, 1.0])
-    assert row.bound == pytest.approx(-(w1 @ est.x_hat + 0.1) - w1 @ (WMR_F @ est.x_hat))
+    assert bound == pytest.approx(-(w1 @ est.x_hat + 0.1) - w1 @ (WMR_F @ est.x_hat))
 
 
 def test_gamma_monotonicity():
@@ -100,7 +100,7 @@ def test_gamma_monotonicity():
     rng = np.random.default_rng(2)
     K = rng.uniform(-0.5, 0.5, (4, 6))
     est = StubEst(rng.standard_normal(4), K=K, c_r=WMR_C, nu_r=0.01 * np.eye(6))
-    bounds = [hoscbf_row(ch, est, model, g).bound for g in (0.0, 0.05, 0.1, 0.5)]
+    bounds = [hoscbf_row(ch, est, model, g)[1] for g in (0.0, 0.05, 0.1, 0.5)]
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
 
 
@@ -109,12 +109,11 @@ def test_af_rows_boeing():
     h0 = HalfPlane((0, 1, 0, 0), 0.025)
     patterns = [np.eye(3), np.diag([1.0, 0, 1]), np.diag([0.0, 1, 1])]
     chains = [build_chain(h0, model, input_mask=L) for L in patterns]
-    rows = af_rows(chains, np.zeros(4), patterns, model)
-    assert np.allclose(rows[1].row, [-0.475, 0.0, -0.3])
-    assert np.allclose(rows[0].row, [-0.475, -0.5, -0.3])
-    for r in rows:
-        assert r.bound == pytest.approx(-0.025)
-    assert rows[0].source.startswith("af_cbf(0)")
+    A, b, sources = af_rows(chains, np.zeros(4), patterns, model)
+    assert np.allclose(A[1], [-0.475, 0.0, -0.3])
+    assert np.allclose(A[0], [-0.475, -0.5, -0.3])
+    assert np.allclose(b, -0.025)
+    assert sources[0].startswith("af_cbf(0)")
 
 
 def test_af_rows_identity_patterns_identical():
@@ -122,9 +121,9 @@ def test_af_rows_identity_patterns_identical():
     h0 = HalfPlane((0, 1, 0, 0), 0.025)
     patterns = [np.eye(3)] * 3
     chains = [build_chain(h0, model, input_mask=L) for L in patterns]
-    rows = af_rows(chains, np.array([0.1, 0.01, 0.0, 0.0]), patterns, model)
-    for r in rows[1:]:
-        assert np.allclose(r.row, rows[0].row) and r.bound == pytest.approx(rows[0].bound)
+    A, b, _ = af_rows(chains, np.array([0.1, 0.01, 0.0, 0.0]), patterns, model)
+    for row, bound in zip(A[1:], b[1:]):
+        assert np.allclose(row, A[0]) and bound == pytest.approx(b[0])
 
 
 def test_af_redundancy_violation():
@@ -187,7 +186,7 @@ def test_row_soundness_over_gamma_ball():
     gamma = 0.2
     K = rng.uniform(-0.5, 0.5, (4, 6))
     est = StubEst(rng.standard_normal(4), K=K, c_r=WMR_C, nu_r=0.01 * np.eye(6))
-    r = hoscbf_row(ch, est, model, gamma)
+    r_row, r_bound = hoscbf_row(ch, est, model, gamma)
     d = ch.rel_degree
     w = ch.grad(d, est.x_hat)
     KN = est.K @ est.nu_r
@@ -195,9 +194,9 @@ def test_row_soundness_over_gamma_ball():
     hshrunk = ch.shrunk(d, est.x_hat, gamma)
     for _ in range(1000):
         u = rng.standard_normal(2)
-        gap = r.row @ u - r.bound
+        gap = r_row @ u - r_bound
         if gap < 0:
-            u = u + r.row * (-gap + 0.01) / (r.row @ r.row)
+            u = u + r_row * (-gap + 0.01) / (r_row @ r_row)
         z = rng.standard_normal(4)
         z = z / np.linalg.norm(z) * gamma * rng.random()
         lhs = (w @ (model.f(est.x_hat) + model.g(est.x_hat) @ u)
@@ -208,8 +207,8 @@ def test_row_soundness_over_gamma_ball():
     wKc = w @ est.K @ est.c_r
     z_star = -gamma * wKc / np.linalg.norm(wKc)
     row, bound = hoscbf_pair(ch, est, model, est.x_hat, gamma, z=z_star)
-    assert np.array_equal(row, r.row)
-    assert bound == pytest.approx(r.bound, abs=1e-12)
+    assert np.array_equal(row, r_row)
+    assert bound == pytest.approx(r_bound, abs=1e-12)
 
 
 def test_gamma_offset_affine_exact():

@@ -66,12 +66,12 @@ def test_clf_row_degenerate_at_goal():
 def test_clf_row_gradient_descent_direction():
     model = integrator_model()
     clf = QuadraticClf(Psi=np.eye(2), x_goal=np.zeros(2), rho=1.0)
-    r = clf_row(clf, StubEst([1.0, 0.0]), model, 0.0)
-    assert np.allclose(r.row, [-2.0, 0.0])
-    assert r.bound == pytest.approx(1e-9)
+    row, bound = clf_row(clf, StubEst([1.0, 0.0]), model, 0.0)
+    assert np.allclose(row, [-2.0, 0.0])
+    assert bound == pytest.approx(1e-9)
     # row.u >= bound forces u1 < 0, the direction that decreases V
-    assert r.row @ np.array([-1.0, 0.0]) >= r.bound
-    assert r.row @ np.array([+1.0, 0.0]) < r.bound
+    assert row @ np.array([-1.0, 0.0]) >= bound
+    assert row @ np.array([+1.0, 0.0]) < bound
 
 
 def test_clf_row_wmr_term_by_term():
@@ -84,17 +84,17 @@ def test_clf_row_wmr_term_by_term():
         x_hat = rng.standard_normal(4)
         est.x_hat = x_hat
         gamma = 0.07
-        r = clf_row(clf, est, model, gamma, decay=False)
+        row, bound = clf_row(clf, est, model, gamma, decay=False)
         dv = 2.0 * clf.Psi @ (x_hat - clf.x_goal)
         row_ref = -(dv @ model.G)
         KN = est.K @ est.nu_r
         bound_ref = (dv @ (model.F @ x_hat)
                      + gamma * np.linalg.norm(dv @ est.K @ est.c_r)
                      + 0.5 * np.trace(KN.T @ (2.0 * clf.Psi) @ KN) + 1e-9)
-        assert np.max(np.abs(r.row - row_ref)) < 1e-12 * max(1, np.max(np.abs(row_ref)))
-        assert r.bound == pytest.approx(bound_ref, rel=1e-12)
-        r2 = clf_row(clf, est, model, gamma, decay=True)
-        assert r2.bound == pytest.approx(bound_ref + clf.rho * clf.value(x_hat), rel=1e-12)
+        assert np.max(np.abs(row - row_ref)) < 1e-12 * max(1, np.max(np.abs(row_ref)))
+        assert bound == pytest.approx(bound_ref, rel=1e-12)
+        _, bound2 = clf_row(clf, est, model, gamma, decay=True)
+        assert bound2 == pytest.approx(bound_ref + clf.rho * clf.value(x_hat), rel=1e-12)
 
 
 def test_goal_reach_time():

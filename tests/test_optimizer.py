@@ -5,30 +5,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from ftcbf.barriers import ConstraintRow
 from ftcbf.errors import ContractError, SolverError
 from ftcbf.optimizer import _SUBSET_BUDGET, QpProblem, QpResult, farkas_certificate, solve_qp
 
 
-def rows_of(A, b):
-    return [ConstraintRow(A[i], b[i]) for i in range(len(b))]
-
-
 def test_single_row_projection():
-    res = solve_qp(QpProblem(np.eye(3), [ConstraintRow([1, 0, 0], 1.0)]))
+    res = solve_qp(QpProblem(np.eye(3)), np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
     assert res.is_feasible
     assert np.allclose(res.u, [1, 0, 0], atol=1e-9)
     assert res.active == (0,)
 
 
 def test_separable_rows():
-    res = solve_qp(QpProblem(np.eye(2), rows_of(np.eye(2), [1.0, 2.0])))
+    res = solve_qp(QpProblem(np.eye(2)), np.eye(2), [1.0, 2.0])
     assert np.allclose(res.u, [1, 2], atol=1e-9)
 
 
 def test_contradictory_bounds_certificate():
     # u <= 1 and u >= 2
-    res = solve_qp(QpProblem(np.eye(1), rows_of(np.array([[-1.0], [1.0]]), [-1.0, 2.0])))
+    res = solve_qp(QpProblem(np.eye(1)), np.array([[-1.0], [1.0]]), [-1.0, 2.0])
     assert res.status == "infeasible"
     y = res.certificate
     assert y is not None and np.all(y >= 0)
@@ -36,14 +31,15 @@ def test_contradictory_bounds_certificate():
 
 
 def test_empty_rows_returns_zero():
-    res = solve_qp(QpProblem(np.eye(4), []))
+    res = solve_qp(QpProblem(np.eye(4)), np.zeros((0, 4)), np.zeros(0))
     assert np.array_equal(res.u, np.zeros(4))
 
 
 def test_degenerate_zero_rows():
-    res = solve_qp(QpProblem(np.eye(2), [ConstraintRow([0, 0], -1.0), ConstraintRow([1, 0], -5.0)]))
+    res = solve_qp(QpProblem(np.eye(2)), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                   np.array([-1.0, -5.0]))
     assert res.is_feasible and np.allclose(res.u, 0.0)
-    res = solve_qp(QpProblem(np.eye(2), [ConstraintRow([0, 0], 0.5)]))
+    res = solve_qp(QpProblem(np.eye(2)), np.array([[0.0, 0.0]]), np.array([0.5]))
     assert res.status == "infeasible"
     y = res.certificate
     A, Xi = -np.array([[0.0, 0.0]]), -np.array([0.5])
@@ -55,6 +51,20 @@ def test_r_validation():
         QpProblem(np.array([[1.0, 0.0], [0.5, 1.0]]))
     with pytest.raises(ContractError):
         QpProblem(np.diag([1.0, 0.0]))
+    with pytest.raises(ContractError, match="finite"):
+        QpProblem(np.diag([1.0, np.inf]))
+
+
+def test_rows_must_be_finite_and_match_r():
+    qp = QpProblem(np.eye(2))
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_qp(qp, np.array([[1.0, np.nan]]), np.array([0.0]))
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_qp(qp, np.array([[1.0, 0.0]]), np.array([np.inf]))
+    with pytest.raises(ContractError, match="do not match R"):
+        solve_qp(qp, np.ones((1, 3)), np.zeros(1))
+    with pytest.raises(ContractError, match="do not match R"):
+        solve_qp(qp, np.ones((2, 2)), np.zeros(1))
 
 
 def test_farkas_examples():
@@ -71,8 +81,8 @@ def test_scale_equivariance():
     b = A @ rng.uniform(-1, 1, 3) - rng.uniform(0.1, 1.0, 4)
     M = rng.uniform(-1, 1, (3, 3))
     R = M @ M.T + np.eye(3)
-    u1 = solve_qp(QpProblem(R, rows_of(A, b))).u
-    u2 = solve_qp(QpProblem(7.5 * R, rows_of(A, b))).u
+    u1 = solve_qp(QpProblem(R), A, b).u
+    u2 = solve_qp(QpProblem(7.5 * R), A, b).u
     assert np.allclose(u1, u2, atol=1e-8)
 
 
@@ -82,7 +92,7 @@ def test_exactly_one_outcome_random():
         m, p = int(rng.integers(1, 6)), int(rng.integers(1, 5))
         A = rng.uniform(-1, 1, (m, p))
         b = rng.uniform(-1, 1, m)
-        res = solve_qp(QpProblem(np.eye(p), rows_of(A, b)))
+        res = solve_qp(QpProblem(np.eye(p)), A, b)
         if res.is_feasible:
             assert res.certificate is None
             assert np.min(A @ res.u - b) >= -1e-9
@@ -101,7 +111,7 @@ def test_kkt_stationarity_reported_solution():
         A = rng.uniform(-1, 1, (int(rng.integers(1, 7)), p))
         b = A @ rng.uniform(-1, 1, p) - rng.uniform(0.05, 0.5, A.shape[0])
         R = np.eye(p)
-        res = solve_qp(QpProblem(R, rows_of(A, b)))
+        res = solve_qp(QpProblem(R), A, b)
         lam = res.multipliers
         resid = 2 * R @ res.u - A.T @ lam
         assert np.max(np.abs(resid)) <= 1e-7 * max(1.0, np.max(np.abs(2 * R @ res.u)))
@@ -215,7 +225,7 @@ def test_solve_qp_fuzz_against_linprog(system, seed):
     m, p = A.shape
     M = np.random.default_rng(seed).uniform(-1, 1, (p, p))
     R = M @ M.T + np.eye(p)
-    res = solve_qp(QpProblem(R, rows_of(A, b)))
+    res = solve_qp(QpProblem(R), A, b)
     assert res.is_feasible == (not infeasible) == _lp_feasible(A, b)
     if not res.is_feasible:
         _assert_certificate(A, b, res.certificate)
@@ -241,7 +251,7 @@ def test_nearly_concurrent_rows_one_scaled_by_1e6():
                   [6.2905382146851416e+05, 1.5913501016264030e+05],
                   [-4.8702887050600435e-01, -8.0798230494553325e-01]])
     b = np.array([-1.2153510820459066e-02, -4.2564831141940318e+04, 7.9118022308427960e-02])
-    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    res = solve_qp(QpProblem(np.eye(2)), A, b)
     assert res.is_feasible
     assert np.allclose(res.u, [-0.0506108549, -0.0674136975], atol=1e-9)
     _assert_kkt(np.eye(2), A, b, res)
@@ -254,7 +264,7 @@ def test_certificate_for_a_small_margin():
     A = np.array([[0.0, 1.0], [0.05789282040902569, -0.6288869484362827],
                   [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     b = np.array([-0.21348554585459148, 0.8289799113384037, -12.0, -12.0, -12.0, -12.0])
-    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    res = solve_qp(QpProblem(np.eye(2)), A, b)
     assert res.status == "infeasible"
     _assert_certificate(A, b, res.certificate)
     assert np.flatnonzero(res.certificate).tolist() == [0, 1, 3]
@@ -265,10 +275,10 @@ def test_subset_budget_is_an_error(p):
     m = _max_rows(p) + 1
     A = np.ones((m, p))
     with pytest.raises(SolverError, match=rf"{m} rows in p = {p}"):
-        solve_qp(QpProblem(np.eye(p), rows_of(A, np.zeros(m))))
+        solve_qp(QpProblem(np.eye(p)), A, np.zeros(m))
     with pytest.raises(SolverError, match=rf"{m} rows in p = {p}"):
         farkas_certificate(A, np.zeros(m))
-    assert solve_qp(QpProblem(np.eye(p), rows_of(A[:-1], np.ones(m - 1)))).is_feasible
+    assert solve_qp(QpProblem(np.eye(p)), A[:-1], np.ones(m - 1)).is_feasible
 
 
 def test_far_vertex_of_nearly_antiparallel_rows():
@@ -281,7 +291,7 @@ def test_far_vertex_of_nearly_antiparallel_rows():
     Xi = rng.uniform(-1, 1, m)
     assert (m, p) == (4, 2)
     assert farkas_certificate(A, Xi) is None
-    res = solve_qp(QpProblem(np.eye(2), rows_of(-A, -Xi)))
+    res = solve_qp(QpProblem(np.eye(2)), -A, -Xi)
     assert res.is_feasible
     _assert_kkt(np.eye(2), -A, -Xi, res)
     assert np.allclose(res.u, [2158.38521584, -2988.57838288], rtol=1e-9)
@@ -292,7 +302,7 @@ def test_vertex_of_rows_1e7_from_antiparallel():
     (1, 10) where both are active; their unit rows have a pivot of 1e-7."""
     A = np.array([[1.0, 0.0], [-1.0, 1e-7]])
     b = np.array([1.0, -1.0 + 1e-6])
-    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    res = solve_qp(QpProblem(np.eye(2)), A, b)
     assert res.is_feasible and res.active == (0, 1)
     _assert_kkt(np.eye(2), A, b, res)
     assert np.allclose(res.u, [1.0, 10.0], rtol=1e-7)
@@ -306,7 +316,7 @@ def test_certificate_from_sets_of_p_plus_one_rows():
     A = np.column_stack([np.cos(angles), np.sin(angles)])
     b = np.full(12, -1.0)
     b[[0, 4, 8]] = 0.1
-    res = solve_qp(QpProblem(np.eye(2), rows_of(A, b)))
+    res = solve_qp(QpProblem(np.eye(2)), A, b)
     assert res.status == "infeasible"
     _assert_certificate(A, b, res.certificate)
     assert np.flatnonzero(res.certificate).tolist() == [0, 4, 8]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ftcbf.barriers import ConstraintRow, HalfPlane, build_chain
+from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.clf import QuadraticClf
 from ftcbf.errors import ContractError
 from ftcbf.estimators import EstimatorBank, EstimatorState, make_bank
+from ftcbf.optimizer import QpProblem
 from ftcbf.policy import (PolicyConfig, active_sets, actuator_control,
                           assemble_constraints, resolve_conflicts)
 from ftcbf.runner import run_scenario
@@ -64,20 +65,25 @@ def test_active_sets_single_estimator_near_boundary():
     assert Z == [1]
 
 
+# u >= 1 and -u >= 1 in p = 1
+CONTRADICTORY = (np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), ["lo", "hi"])
+SCALAR_QP = QpProblem(np.eye(1))
+
+
 def make_builder(infeasible_when):
     """Builder returning contradictory rows iff the active Z matches."""
 
     def build(Z, U):
         if list(Z) in [list(s) for s in infeasible_when]:
-            return [ConstraintRow([1.0], 1.0), ConstraintRow([-1.0], 1.0)]
-        return [ConstraintRow([1.0], -1.0)]
+            return CONTRADICTORY
+        return np.array([[1.0]]), np.array([-1.0]), ["lo"]
 
     return build
 
 
 def test_step1_feasible_no_removals():
     bank = stub_bank([[0.0, 0.0], [0.1, 0.0]], thetas={(0, 1): 1.0})
-    out = resolve_conflicts(bank, [0, 1], [], make_builder([]), np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], make_builder([]), SCALAR_QP)
     assert out.step == 1 and out.removed == [] and out.Z == [0, 1]
 
 
@@ -89,7 +95,7 @@ def test_step2_pruning_fixture():
     assert np.linalg.norm(np.array(x_i) - x_ij) == pytest.approx(0.2, abs=1e-12)
     assert np.linalg.norm(np.array(x_j) - x_ij) == pytest.approx(1.4, abs=1e-3)
     bank = stub_bank([x_i, x_j], pair_estimates={(0, 1): x_ij}, thetas={(0, 1): 1.0})
-    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), SCALAR_QP)
     assert out.removed == [(1, "pairwise")]
     assert out.Z == [0] and out.step == 2
     assert out.result.is_feasible
@@ -99,7 +105,7 @@ def test_step2_never_removes_consistent_estimator():
     # all pairwise distances <= theta: step 2 removes nothing, step 3 kicks in
     bank = stub_bank([[0.0, 0.0], [0.5, 0.0]], pair_estimates={(0, 1): [0.25, 0.0]},
                      thetas={(0, 1): 1.0}, residues=[0.3, 0.1])
-    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), np.eye(1))
+    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), SCALAR_QP)
     assert all(reason != "pairwise" for _, reason in out.removed)
     assert out.removed[0] == (0, "residue")  # largest smoothed residue first
     assert out.step == 3
@@ -110,7 +116,7 @@ def test_step3_order_descending_residue_ties_low_index():
                      thetas={(i, j): np.inf for i in range(3) for j in range(i + 1, 3)},
                      residues=[0.5, 0.9, 0.5])
     out = resolve_conflicts(bank, [0, 1, 2], [],
-                            make_builder([[0, 1, 2], [0, 2]]), np.eye(1))
+                            make_builder([[0, 1, 2], [0, 2]]), SCALAR_QP)
     assert out.removed == [(1, "residue"), (0, "residue")]
     assert out.Z == [2]
 
@@ -119,9 +125,9 @@ def test_total_infeasibility_event():
     bank = stub_bank([[0.0, 0.0]], thetas={})
 
     def always_bad(Z, U):
-        return [ConstraintRow([1.0], 1.0), ConstraintRow([-1.0], 1.0)]
+        return CONTRADICTORY
 
-    out = resolve_conflicts(bank, [0], [], always_bad, np.eye(1))
+    out = resolve_conflicts(bank, [0], [], always_bad, SCALAR_QP)
     assert out.infeasible_event
     assert np.array_equal(out.u, [0.0])
 
@@ -130,18 +136,18 @@ def test_assemble_sensor_clf_counts_and_tags():
     scn = build_scenario({"kind": "wmr", "policy": {"u_max": None}})
     bank = make_bank(scn.model, scn.bank_patterns, scn.x0, gammas=scn.gammas,
                      thetas=scn.thetas)
-    rows = assemble_constraints(scn.policy, scn.model, chains=scn.chains, bank=bank,
-                                clf=scn.clf, Z=[0], U=[0, 1])
-    tags = [r.source for r in rows]
+    A, b, tags = assemble_constraints(scn.policy, scn.model, chains=scn.chains, bank=bank,
+                                      clf=scn.clf, Z=[0], U=[0, 1])
     assert tags == ["hoscbf(0)", "clf(0)", "clf(1)"]
+    assert A.shape == (3, 2) and b.shape == (3,)
 
 
 def test_assemble_actuator_rows_per_pattern():
     scn = build_scenario({"kind": "boeing"})
-    rows = actuator_control(scn.policy, scn.model, np.zeros(4), scn.af_chain_sets,
-                            scn.af_patterns, scn.R).rows
-    assert len(rows) == 6  # 2 barrier sides x 3 patterns
-    assert sum(r.source.startswith("af_cbf") for r in rows) == 6
+    out = actuator_control(scn.policy, scn.model, np.zeros(4), scn.af_chain_sets,
+                           scn.af_patterns, scn.qp)
+    assert out.A.shape == (6, 3) and out.b.shape == (6,)  # 2 barrier sides x 3 patterns
+    assert sum(tag.startswith("af_cbf") for tag in out.sources) == 6
 
 
 def test_actuator_control_nominal_shift():
@@ -149,17 +155,16 @@ def test_actuator_control_nominal_shift():
     x = np.array([0.0, 0.002, 0.0, 0.0])
     u_nom = -scn.policy.nominal_gain @ x
     out = actuator_control(scn.policy, scn.model, x, scn.af_chain_sets,
-                           scn.af_patterns, scn.R)
+                           scn.af_patterns, scn.qp)
     # precondition: every row is strictly slack at the nominal here,
     # so the safety filter must pass the nominal through unchanged
-    assert all(r.row @ u_nom > r.bound + 1e-9 for r in out.rows)
+    assert np.all(out.A @ u_nom > out.b + 1e-9)
     assert np.allclose(out.u, u_nom, atol=1e-9)
     # near the barrier the filter deviates but still satisfies every row
     x2 = np.array([0.05, 0.0249, 0.0, 0.0])
     out2 = actuator_control(scn.policy, scn.model, x2, scn.af_chain_sets,
-                            scn.af_patterns, scn.R)
-    for r in out2.rows:
-        assert r.row @ out2.u >= r.bound - 1e-9
+                            scn.af_patterns, scn.qp)
+    assert np.all(out2.A @ out2.u >= out2.b - 1e-9)
 
 
 def test_pruned_estimator_is_the_attacked_one(wmr_yaml):

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 import yaml
 
 from ftcbf.cli import main
+from ftcbf.errors import ContractError
 from ftcbf.runner import run_scenario, run_sweep, sweep_metrics, write_csv
 from ftcbf.scenarios import build_scenario, load_scenario
 
@@ -45,20 +47,53 @@ def test_parallel_sweep_matches_serial():
         assert np.array_equal(a.controls, b.controls)
 
 
-def test_metrics_match_csv_recomputation(tmp_path):
+def _csv_rows(res, path):
+    write_csv(res, path)
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+def _unfiltered_from_csv(rows):
+    """Steps with an empty Z and no policy_infeasible event; the last line
+    holds no decision."""
+    return sum(r["Z"] == "" and "policy_infeasible" not in r["event"] for r in rows[:-1])
+
+
+def test_metrics_match_csv_recomputation(tmp_path, wmr_yaml):
     scn = build_scenario(FAST)
     results = [run_scenario(scn, s) for s in (0, 1, 2)]
     metrics = sweep_metrics(results)
     safe = 0
     for res in results:
-        path = tmp_path / f"s{res.seed}.csv"
-        write_csv(res, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _csv_rows(res, tmp_path / f"s{res.seed}.csv")
         min_h = min(float(r["h0_b0"]) for r in rows)
         assert min_h == pytest.approx(res.metrics["min_h"])
         safe += min_h >= 0
+        assert res.metrics["unfiltered_steps"] == _unfiltered_from_csv(rows)
     assert metrics["safety_rate"] == pytest.approx(safe / 3)
+    # FAST never empties Z in its 2 s; golden seed 0 does from t = 7.14 s.
+    res = run_scenario(load_scenario(wmr_yaml), 0)
+    unfiltered = _unfiltered_from_csv(_csv_rows(res, tmp_path / "golden.csv"))
+    assert res.metrics["unfiltered_steps"] == unfiltered > 0
+
+
+def test_infinite_attack_stops_the_run_at_its_step(wmr_yaml):
+    """An infinite bias on sensor 2 from t = 1 s would turn filter 0's
+    estimate to NaN, which then drops out of Z and U unseen because every
+    comparison with NaN is false. The run stops at the step instead."""
+    scn = load_scenario(wmr_yaml)
+    scn.faults.attack = lambda t: math.inf if t >= 1.0 else 0.0
+    with pytest.raises(ContractError, match=r"^step 50 \(t = 1 s\): measurement channel \[2\] "
+                                            r"is non-finite; filter \[0\] reads it$"):
+        run_scenario(scn, 0)
+
+
+def test_non_finite_estimate_stops_the_run():
+    scn = build_scenario(FAST)
+    scn.x0 = np.array([np.nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ContractError, match=r"^step 0 \(t = 0 s\): the estimate of filter "
+                                            r"\[0, 1\] is non-finite$"):
+        run_scenario(scn, 0)
 
 
 def test_cli_run_and_outputs(tmp_path, wmr_yaml):
@@ -245,6 +280,30 @@ def _text_dt(cfg):
     cfg["sim"]["dt"] = "x"
 
 
+def _indefinite_cost(cfg):
+    cfg["sim"]["cost"] = [[1.0, 0.0], [0.0, -1.0]]
+
+
+def _three_by_three_cost(cfg):
+    cfg["sim"]["cost"] = np.eye(3).tolist()
+
+
+def _text_cost(cfg):
+    cfg["sim"]["cost"] = [["a", 0.0], [0.0, 1.0]]
+
+
+def _infinite_attack_amplitude(cfg):
+    cfg["faults"]["attack"]["amplitude"] = float("inf")
+
+
+def _nan_attack_start(cfg):
+    cfg["faults"]["attack"]["start"] = float("nan")
+
+
+def _infinite_ramp_rate(cfg):
+    cfg["faults"]["attack"] = {"type": "ramp", "rate": float("-inf")}
+
+
 @pytest.mark.parametrize("edit, key", [(_without_model, "'model'"),
                                        (_without_half_plane_normal, "'a'"),
                                        (_misspelt_block, "'calibraton'"),
@@ -263,13 +322,24 @@ def _text_dt(cfg):
                                        (_scalar_attack, "faults: attack must be a mapping"),
                                        (_scalar_nominal, "policy: nominal must be a mapping"),
                                        (_scalar_goal_indices, "clf: goal_indices must be a list"),
-                                       (_text_dt, "sim: dt must be a number")],
+                                       (_text_dt, "sim: dt must be a number"),
+                                       (_indefinite_cost, "sim: cost"),
+                                       (_three_by_three_cost, "sim: cost"),
+                                       (_text_cost, "sim: cost"),
+                                       (_infinite_attack_amplitude,
+                                        "faults: attack amplitude must be a finite number"),
+                                       (_nan_attack_start,
+                                        "faults: attack start must be a finite number"),
+                                       (_infinite_ramp_rate,
+                                        "faults: attack rate must be a finite number")],
                          ids=["custom-without-model", "half-plane-without-a", "unknown-block",
                               "actuator-mode-without-patterns", "sensor-mode-with-patterns",
                               "one-gamma", "extra-fault-pattern", "null-sim", "scalar-gammas",
                               "list-thetas", "scalar-patterns", "bare-barrier-name",
                               "scalar-failure-patterns", "scalar-attack", "scalar-nominal",
-                              "scalar-goal-indices", "text-dt"])
+                              "scalar-goal-indices", "text-dt", "indefinite-cost",
+                              "three-by-three-cost", "text-cost", "infinite-attack-amplitude",
+                              "nan-attack-start", "infinite-ramp-rate"])
 def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key):
     cfg = yaml.safe_load(wmr_yaml.read_text())
     edit(cfg)
