@@ -178,6 +178,13 @@ def _expect(value, types, where: str, what: str):
     return value
 
 
+def _finite_number(value, where: str) -> float:
+    """A YAML number; `.inf` and `.nan` load as floats, so finiteness is checked too."""
+    if not math.isfinite(_expect(value, numbers.Real, where, "a number")):
+        raise ScenarioValidationError(f"{where} must be finite, got {value!r}")
+    return float(value)
+
+
 def _cost(value, p: int) -> QpProblem:
     """The QP cost from `sim: cost`: "identity" or a p x p symmetric positive
     definite matrix."""
@@ -330,17 +337,20 @@ def build_scenario(cfg: dict) -> Scenario:
                                    _scale_or_matrix(mblock.get("nu", 0.0), c.shape[0]))
 
         sim = cfg["sim"]
-        dt = float(_expect(sim["dt"], numbers.Real, "sim: dt", "a number"))
+        dt = _finite_number(sim["dt"], "sim: dt")
         fblock = cfg["faults"]
         schedule = [(float(item["time"]) if "time" in item else float(item["step"]) * dt,
                      np.diag([float(v) for v in item["L"]]))
                     for item in fblock.get("failure_schedule") or []]
+        attack_spec = _expect(fblock.get("attack"), (dict, type(None)), "faults: attack",
+                              "a mapping")
+        for key in ("amplitude", "rate", "start"):
+            if attack_spec is not None and key in attack_spec:
+                _finite_number(attack_spec[key], f"faults: attack {key}")
         faults = FaultScenario.from_attack_spec(
             q=c.shape[0], p=p,
             sensor_patterns=_list_of_lists(fblock["patterns"], "faults: patterns"),
-            active_fault=fblock.get("active"),
-            attack_spec=_expect(fblock.get("attack"), (dict, type(None)), "faults: attack",
-                                "a mapping"),
+            active_fault=fblock.get("active"), attack_spec=attack_spec,
             failure_schedule=schedule)
 
         barrier_specs = cfg["barriers"]

@@ -21,8 +21,6 @@ Sensor and actuator indices are 0-based throughout.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -181,21 +179,14 @@ class FaultScenario:
     def from_attack_spec(cls, q, p, sensor_patterns, active_fault=None, attack_spec=None,
                          failure_schedule=()) -> "FaultScenario":
         """Build from a declarative attack spec: {type: bias|ramp, amplitude|rate, start}."""
-        def number(key, default=None):
-            value = attack_spec[key] if default is None else attack_spec.get(key, default)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ScenarioValidationError(
-                    f"faults: attack {key} must be a finite number, got {value!r}")
-            return float(value)
-
         attack = None
         if attack_spec is not None:
             kind = attack_spec.get("type", "bias")
-            start = number("start", 0.0)
+            start = float(attack_spec.get("start", 0.0))
             if kind == "bias":
-                attack = _bias_attack(number("amplitude"), start)
+                attack = _bias_attack(float(attack_spec["amplitude"]), start)
             elif kind == "ramp":
-                attack = _ramp_attack(number("rate"), start)
+                attack = _ramp_attack(float(attack_spec["rate"]), start)
             else:
                 raise ScenarioValidationError(f"unknown attack type {kind!r}")
         return cls(q=q, p=p, sensor_patterns=list(sensor_patterns), active_fault=active_fault,

@@ -280,6 +280,14 @@ def _text_dt(cfg):
     cfg["sim"]["dt"] = "x"
 
 
+def _infinite_dt(cfg):
+    cfg["sim"]["dt"] = float("inf")
+
+
+def _text_attack_amplitude(cfg):
+    cfg["faults"]["attack"]["amplitude"] = "big"
+
+
 def _indefinite_cost(cfg):
     cfg["sim"]["cost"] = [[1.0, 0.0], [0.0, -1.0]]
 
@@ -323,23 +331,27 @@ def _infinite_ramp_rate(cfg):
                                        (_scalar_nominal, "policy: nominal must be a mapping"),
                                        (_scalar_goal_indices, "clf: goal_indices must be a list"),
                                        (_text_dt, "sim: dt must be a number"),
+                                       (_infinite_dt, "sim: dt must be finite"),
                                        (_indefinite_cost, "sim: cost"),
                                        (_three_by_three_cost, "sim: cost"),
                                        (_text_cost, "sim: cost"),
                                        (_infinite_attack_amplitude,
-                                        "faults: attack amplitude must be a finite number"),
+                                        "faults: attack amplitude must be finite"),
                                        (_nan_attack_start,
-                                        "faults: attack start must be a finite number"),
+                                        "faults: attack start must be finite"),
                                        (_infinite_ramp_rate,
-                                        "faults: attack rate must be a finite number")],
+                                        "faults: attack rate must be finite"),
+                                       (_text_attack_amplitude,
+                                        "faults: attack amplitude must be a number")],
                          ids=["custom-without-model", "half-plane-without-a", "unknown-block",
                               "actuator-mode-without-patterns", "sensor-mode-with-patterns",
                               "one-gamma", "extra-fault-pattern", "null-sim", "scalar-gammas",
                               "list-thetas", "scalar-patterns", "bare-barrier-name",
                               "scalar-failure-patterns", "scalar-attack", "scalar-nominal",
-                              "scalar-goal-indices", "text-dt", "indefinite-cost",
+                              "scalar-goal-indices", "text-dt", "infinite-dt", "indefinite-cost",
                               "three-by-three-cost", "text-cost", "infinite-attack-amplitude",
-                              "nan-attack-start", "infinite-ramp-rate"])
+                              "nan-attack-start", "infinite-ramp-rate",
+                              "text-attack-amplitude"])
 def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key):
     cfg = yaml.safe_load(wmr_yaml.read_text())
     edit(cfg)
