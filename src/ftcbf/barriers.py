@@ -17,7 +17,9 @@ unknown error term dh/dx K c z by its worst case over the ball ||z|| <= gamma,
 so a control satisfying the row satisfies the exact inequality for every
 admissible z. hoscbf_pair is the one place that formula lives: the policy
 takes the worst case, the verifier plugs in a sampled z, and the CLF row
-reuses its trace and error terms.
+reuses its trace and error terms. For an affine chain on an LTI model under a
+filter whose gain never changes, only h(x_hat) and dh/dx f(x_hat) move from
+step to step; fixed_terms computes the rest once per run.
 """
 
 from __future__ import annotations
@@ -324,45 +326,68 @@ def _degree_zero_chain(h: Poly, model: SystemModel, affine=None) -> BarrierChain
         "dh/dx g(x) vanished at all probed states; nonlinear models need relative degree 0")
 
 
-def _estimator_terms(est, w: np.ndarray, H: np.ndarray, gamma: float,
-                     z: Optional[np.ndarray] = None):
-    """(trace, err) of the row with gradient w and Hessian H under est.
-
-    trace = 1/2 tr(nu^T K^T H K nu). err is what the error term adds to the
-    bound: the worst case gamma ||w K c|| over ||z|| <= gamma when z is None,
-    the exact -w K c z otherwise. Both vanish for an estimator without a gain.
-    """
+def _trace_term(est, H: np.ndarray) -> float:
+    """1/2 tr(nu^T K^T H K nu) of a row with Hessian H under est; 0 for an
+    estimator without a gain."""
     if est is None or est.K is None:
-        return 0.0, 0.0
+        return 0.0
     KN = est.K @ est.nu_r
-    trace = 0.5 * float(np.trace(KN.T @ H @ KN))
+    return 0.5 * float(np.trace(KN.T @ H @ KN))
+
+
+def _error_term(est, w: np.ndarray, gamma: float, z: Optional[np.ndarray] = None) -> float:
+    """What the error term of a row with gradient w adds to the bound: the
+    worst case gamma ||w K c|| over ||z|| <= gamma when z is None, the exact
+    -w K c z otherwise; 0 for an estimator without a gain."""
+    if est is None or est.K is None:
+        return 0.0
     wKc = w @ est.K @ est.c_r
     if z is None:
-        return trace, gamma * float(np.linalg.norm(wKc))
-    return trace, -float(wKc @ np.asarray(z, dtype=float))
+        return gamma * float(np.linalg.norm(wKc))
+    return -float(wKc @ np.asarray(z, dtype=float))
+
+
+def _pair_terms(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
+                gamma: float, z: Optional[np.ndarray] = None):
+    """(w, row, trace, err) of the row at x_hat: the top-degree gradient, the
+    row vector w g, and the trace and error terms of its bound."""
+    d = chain.rel_degree
+    w = chain.grad(d, x_hat)
+    return (w, w @ model.g(x_hat), _trace_term(est, chain.hessian(d, x_hat)),
+            _error_term(est, w, gamma, z))
+
+
+def fixed_terms(chain: BarrierChain, est, model: SystemModel, gamma: float):
+    """The terms (w, row, trace, err) of the policy's row that stay fixed
+    through a run, or None when they change from step to step.
+
+    They stay fixed for an affine chain on an LTI model (constant gradient,
+    zero Hessian, constant g) under a filter whose gain never changes.
+    """
+    if chain.kind != "affine" or not model.is_linear or not est.fixed_gain:
+        return None
+    return _pair_terms(chain, est, model, est.x_hat, gamma)
 
 
 def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
-                gamma: float, z: Optional[np.ndarray] = None):
+                gamma: float, z: Optional[np.ndarray] = None, fixed=None):
     """(row, bound) of the estimator-conditioned row at the top degree d'.
 
     row.u >= bound encodes
         dh/dx (f + g u) + 1/2 tr(nu^T K^T H K nu) + dh/dx K c z >= -(h(x_hat) - gamma offset)
     at the estimate x_hat. With z None the error term is its worst case over
     ||z|| <= gamma (the policy's row); with z given it is exact (the
-    verifier's row at a sampled error).
+    verifier's row at a sampled error). fixed, from fixed_terms, stands in
+    for (w, row, trace, err) of the policy's row.
     """
-    d = chain.rel_degree
-    w = chain.grad(d, x_hat)
-    trace, err = _estimator_terms(est, w, chain.hessian(d, x_hat), gamma, z)
-    row = w @ model.g(x_hat)
-    bound = -chain.shrunk(d, x_hat, gamma) - float(w @ model.f(x_hat)) - trace + err
+    w, row, trace, err = _pair_terms(chain, est, model, x_hat, gamma, z) if fixed is None else fixed
+    bound = -chain.shrunk(chain.rel_degree, x_hat, gamma) - float(w @ model.f(x_hat)) - trace + err
     return row, bound
 
 
-def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float):
+def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float, fixed=None):
     """Estimator-conditioned (row, bound) at est.x_hat, robust over the gamma ball."""
-    return hoscbf_pair(chain, est, model, est.x_hat, gamma)
+    return hoscbf_pair(chain, est, model, est.x_hat, gamma, fixed=fixed)
 
 
 def af_rows(chains: Sequence[BarrierChain], x: np.ndarray,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barriers import _estimator_terms
+from .barriers import _error_term, _trace_term
 from .errors import ContractError, LyapunovError
 from .simulator import SystemModel
 
@@ -106,14 +106,21 @@ def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None,
     return QuadraticClf(Psi=Psi, x_goal=x_goal, rho=1.0 / (d * lam_max))
 
 
+def clf_trace(clf: QuadraticClf, est) -> Optional[float]:
+    """The trace term of clf_row under est when it stays fixed through a run
+    (the filter's gain never changes), else None."""
+    return _trace_term(est, clf.hessian()) if est.fixed_gain else None
+
+
 def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
-            decay: bool = False):
+            decay: bool = False, trace: Optional[float] = None):
     """Decrease-condition (row, bound) at est.x_hat, or None when degenerate.
 
     Degenerate means the gradient vanishes (estimate at the goal): the row
     would read 0.u >= positive and is flagged inactive instead of emitted.
     With decay=True the bound additionally includes rho V(x_hat), asking for
-    exponential descent rather than bare decrease.
+    exponential descent rather than bare decrease. trace, from clf_trace,
+    stands in for the trace term.
     """
     x_hat = est.x_hat
     dv = clf.grad(x_hat)
@@ -121,9 +128,8 @@ def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
         return None
     row = -(dv @ model.g(x_hat))
     bound = float(dv @ model.f(x_hat)) + STRICT_MARGIN
-    trace, err = _estimator_terms(est, dv, clf.hessian(), gamma)
-    bound += err
-    bound += trace
+    bound += _error_term(est, dv, gamma)
+    bound += _trace_term(est, clf.hessian()) if trace is None else trace
     if decay:
         bound += clf.rho * clf.value(x_hat)
     return row, bound

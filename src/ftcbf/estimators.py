@@ -61,6 +61,11 @@ class EstimatorState:
     residue: float = 0.0
     smoothing: float = 0.95
 
+    @property
+    def fixed_gain(self) -> bool:
+        """The gain never changes: frozen (constant_gain) or absent (open_loop)."""
+        return self.mode != "riccati_ode"
+
 
 def _sym_check(P: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(P - P.T))
@@ -193,11 +198,16 @@ class EstimatorBank:
         yield from self.pairs.values()
 
     def step(self, model: SystemModel, u: np.ndarray, y_inc: np.ndarray, dt: float) -> None:
-        """Advance every filter one step on the shared output increment."""
+        """Advance every filter one step on the shared output increment.
+
+        Each filter reads its retained channels by index, the same values
+        reduce_output leaves.
+        """
+        y_inc = np.asarray(y_inc, dtype=float)
         for k, est in enumerate(self.singles):
-            self.singles[k] = ekf_step(est, u, reduce_output(y_inc, est.removed), dt, model)
+            self.singles[k] = ekf_step(est, u, y_inc.take(est.sensors, axis=-1), dt, model)
         for key, est in self.pairs.items():
-            self.pairs[key] = ekf_step(est, u, reduce_output(y_inc, est.removed), dt, model)
+            self.pairs[key] = ekf_step(est, u, y_inc.take(est.sensors, axis=-1), dt, model)
 
     def estimate(self, i: int) -> np.ndarray:
         return self.singles[i].x_hat

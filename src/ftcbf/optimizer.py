@@ -24,6 +24,12 @@ row j whose pivot after S is zero. The same factors give its weights. Both
 outcomes are re-checked on the original data before they are returned, and
 a problem with more row sets than the budget below is an error rather than
 a long enumeration.
+
+A control step that prunes estimators solves again over a subset of the
+same rows. RowFactors (from factor_rows) factors a step's rows once: the
+factors are built at the first solve that needs them, every certificate the
+rows offer at the first infeasible one, and each solve selects over a mask
+of kept rows. solve_qp and farkas_certificate are the one-shot case.
 """
 
 from __future__ import annotations
@@ -115,95 +121,183 @@ def _row_sets(m: int, p: int) -> np.ndarray:
     return sets
 
 
-def _certificate(A: np.ndarray, b: np.ndarray, unit: np.ndarray, N: np.ndarray,
-                 sets: np.ndarray, bS: np.ndarray, Q: np.ndarray, Rs: np.ndarray) -> np.ndarray:
-    """y >= 0 on at most p + 1 rows with A^T y = 0 and b^T y = 1.
+def _metric_rows(A: np.ndarray, L: Optional[np.ndarray]) -> np.ndarray:
+    """A L^-T by forward substitution in elementwise steps, so that each row
+    comes out the same whatever other rows A holds."""
+    if L is None:
+        return A
+    AL = np.empty_like(A)
+    for i in range(A.shape[1]):
+        AL[:, i] = (A[:, i] - (AL[:, :i] * L[i, :i]).sum(axis=1)) / L[i, i]
+    return AL
 
-    Such a y lies on a minimal dependent row set: an independent set S and
-    a row j whose pivot after S is zero. With S's factors N_S^T = Q R, the
-    weights w = -R^-1 Q^T n_j on the unit rows of S and 1 on row j take them
-    to zero. sets holds the independent sets, with their bounds and factors;
-    N the m unit rows. Among the pairs whose weights are nonnegative and
-    meet _validate_certificate's bound, the certificate is the one with the
-    largest margin b^T y per unit of weight.
+
+@dataclass
+class _Factors:
+    """Every row set's factors and KKT point, over all rows of a RowFactors."""
+
+    unit: np.ndarray     # row norms in the metric, then 1 for the p padding rows
+    N: np.ndarray        # the unit rows, then the padding rows
+    bS: np.ndarray       # each set's bounds on its unit rows
+    Q: np.ndarray        # N_S^T = Q R, one pair per set
+    Rs: np.ndarray
+    indep: np.ndarray    # sets whose rows are independent
+    z: np.ndarray        # R^T z = b_S
+    vs: np.ndarray       # each set's KKT point v = Q z
+    meets: np.ndarray    # (set, row): the set's point meets the row
+
+
+class RowFactors:
+    """Rows A u >= b factored once for solves over any subset of them.
+
+    A control step that prunes estimators solves again over fewer of the
+    same rows. solve(keep) takes a mask of kept rows and returns what a fresh
+    solve over A[keep], b[keep] returns: the sets of kept rows come in the
+    same order, and each row enters the metric on its own (_metric_rows), so
+    a set's factors, point and multipliers are the same bits whatever rows
+    lie outside it. Only the test of each point against each row is one
+    product over all rows, which may round differently from a product over
+    fewer; it can change a decision only for a slack within rounding of the
+    1e-9 tolerance. The factors are built at the first solve that needs
+    them (none when u = 0 meets the kept rows), and every certificate the
+    rows offer at the first infeasible solve. With qp None the metric is the
+    identity and a feasible result is not checked for stationarity (the
+    Farkas check asks for feasibility only).
     """
-    m = A.shape[0]
-    # Every row in every set's basis, what the basis leaves of it, and the
-    # weights and the margin b^T y of the pair.
-    C = Q.transpose(0, 2, 1) @ N.T
-    left = N.T - Q @ C
-    W = -np.linalg.solve(Rs, C)
-    margin = b / unit[:m] + np.einsum("sk,skj->sj", bS, W)
-    dependent = np.einsum("sdj,sdj->sj", left, left) <= _INDEP_TOL ** 2
-    s, j = np.nonzero(dependent & (W >= 0.0).all(axis=1) & (margin > 0.0))
-    W, margin = W[s, :, j], margin[s, j]
-    ys = np.zeros((len(s), len(unit)))
-    ys[np.arange(len(s))[:, None], sets[s]] = W / unit[sets[s]]
-    ys[np.arange(len(s)), j] += 1.0 / unit[j]
-    ys = ys[:, :m] / margin[:, None]
-    ok = np.abs(ys @ A).max(axis=1, initial=0.0) \
-        <= _FEAS_TOL * np.maximum(1.0, ys.max(axis=1, initial=0.0))
-    if not ok.any():
-        raise SolverError("no KKT active set and no Farkas certificate")
-    y = ys[int(np.where(ok, margin / (1.0 + W.sum(axis=1)), -np.inf).argmax())]
-    _validate_certificate(-A, -b, y)
-    return y
 
+    def __init__(self, A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None):
+        self.A, self.b, self.qp = A, b, qp
+        self._L = None if qp is None else qp._L
+        self.sets = _row_sets(*A.shape)
+        # The tolerance is a distance, the same for a row and any multiple of it:
+        # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
+        # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
+        self.tol = _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
+        self._factors: Optional[_Factors] = None
+        self._pair_table = None
 
-def _solve(A: np.ndarray, b: np.ndarray, L: Optional[np.ndarray] = None) -> QpResult:
-    """minimize u^T R u s.t. A u >= b, for finite A and b, with R = L L^T,
-    or with L None for the identity.
+    def _factored(self) -> _Factors:
+        if self._factors is None:
+            A, b, sets = self.A, self.b, self.sets
+            m, p = A.shape
+            AL = _metric_rows(A, self._L)
+            # The unit rows in the metric, then p padding rows: unit vectors in
+            # dimensions of their own, with bound 0.
+            unit = np.ones(m + p)
+            unit[:m] = np.sqrt(np.einsum("ij,ij->i", AL, AL))
+            unit[unit == 0.0] = 1.0
+            N = np.zeros((m + p, 2 * p))
+            N[:m, :p] = AL / unit[:m, None]
+            N[m:, p:] = np.eye(p)
+            bN = np.zeros(m + p)
+            bN[:m] = b / unit[:m]
+            bS = bN[sets]
+            Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
+            indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
+            Rs[~indep] = np.eye(p)
+            # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
+            # A u = A L^-T v.
+            z = np.linalg.solve(Rs.transpose(0, 2, 1), bS[..., None])
+            vs = (Q @ z)[:, :p, 0]
+            meets = vs @ AL.T - b >= -self.tol
+            self._factors = _Factors(unit, N, bS, Q, Rs, indep, z, vs, meets)
+        return self._factors
 
-    The optimum is the first set of _row_sets whose rows are independent,
-    whose multipliers are nonnegative and whose point satisfies every row.
-    """
-    m, p = A.shape
-    sets = _row_sets(m, p)
-    # The tolerance is a distance, the same for a row and any multiple of it:
-    # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
-    # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
-    tol = _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
-    if (b <= tol).all():
-        # The empty set, u = 0, needs no factors.
-        u, lam = np.zeros(p), np.zeros(m)
-    else:
-        AL = A if L is None else np.linalg.solve(L, A.T).T
-        # The unit rows in the metric, then p padding rows: unit vectors in
-        # dimensions of their own, with bound 0.
-        unit = np.ones(m + p)
-        unit[:m] = np.sqrt(np.einsum("ij,ij->i", AL, AL))
-        unit[unit == 0.0] = 1.0
-        N = np.zeros((m + p, 2 * p))
-        N[:m, :p] = AL / unit[:m, None]
-        N[m:, p:] = np.eye(p)
-        bN = np.zeros(m + p)
-        bN[:m] = b / unit[:m]
-        bS = bN[sets]
-        Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
-        indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
-        Rs[~indep] = np.eye(p)
-        # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
-        # A u = A L^-T v. The multipliers are needed only where v is feasible.
-        z = np.linalg.solve(Rs.transpose(0, 2, 1), bS[..., None])
-        vs = (Q @ z)[:, :p, 0]
-        feasible = np.flatnonzero(indep & (vs @ AL.T - b >= -tol).all(axis=1))
-        mu = np.linalg.solve(Rs[feasible], z[feasible])[..., 0]
-        ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)
+    def solve(self, keep: Optional[np.ndarray] = None) -> QpResult:
+        """minimize u^T R u s.t. A[keep] u >= b[keep]; keep None keeps every row.
+
+        The optimum is the first set of _row_sets over the kept rows whose
+        rows are independent, whose multipliers are nonnegative and whose
+        point satisfies every kept row. Active sets, multipliers and the
+        certificate index the kept rows.
+        """
+        if keep is None:
+            rows, A, b, tol = slice(None), self.A, self.b, self.tol
+        else:
+            rows = keep = np.asarray(keep, dtype=bool)
+            A, b, tol = self.A[keep], self.b[keep], self.tol[keep]
+        m, p = A.shape
+        if (b <= tol).all():
+            # The empty set, u = 0, needs no factors.
+            u, lam = np.zeros(p), np.zeros(m)
+        else:
+            f = self._factored()
+            sets = self.sets
+            kept_sets = f.indep
+            if keep is not None:
+                kept_sets = kept_sets & np.append(keep, np.ones(p, dtype=bool))[sets].all(axis=1)
+            # The multipliers are needed only where v is feasible.
+            feasible = np.flatnonzero(kept_sets & f.meets[:, rows].all(axis=1))
+            mu = np.linalg.solve(f.Rs[feasible], f.z[feasible])[..., 0]
+            ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)
+            if not ok.any():
+                return QpResult("infeasible", certificate=self._certificate(keep, kept_sets))
+            k = int(ok.argmax())
+            j = feasible[k]
+            u = f.vs[j] if self._L is None else np.linalg.solve(self._L.T, f.vs[j])
+            lam = np.zeros(len(f.unit))
+            lam[sets[j]] = 2.0 * mu[k] / f.unit[sets[j]]
+            lam = np.maximum(lam[:len(self.b)][rows], 0.0)
+        viol = b - A @ u
+        if (viol > tol).any():
+            raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
+                              "beyond the tolerance")
+        if self.qp is not None:
+            grad = 2.0 * self.qp.R @ u
+            if np.abs(grad - A.T @ lam).max() > 1e-7 * max(1.0, np.abs(grad).max()):
+                raise SolverError("KKT stationarity residual out of tolerance")
+        active = tuple(np.flatnonzero(np.abs(viol) <= tol).tolist())
+        return QpResult("optimal", u=u, active=active, multipliers=lam)
+
+    def _pairs(self):
+        """Every certificate the rows offer, computed at the first infeasible
+        solve: for each pair of an independent set S and a row j whose pivot
+        after S is zero, with nonnegative weights and a positive margin, the
+        set, the row, y over all rows, whether y meets _validate_certificate's
+        bound, and the margin per unit of weight."""
+        if self._pair_table is None:
+            f = self._factored()
+            m = len(self.b)
+            sets = np.flatnonzero(f.indep)
+            Q = f.Q[sets]
+            # Every row in every set's basis, what the basis leaves of it, and
+            # the weights and the margin b^T y of the pair.
+            C = Q.transpose(0, 2, 1) @ f.N[:m].T
+            left = f.N[:m].T - Q @ C
+            W = -np.linalg.solve(f.Rs[sets], C)
+            margin = self.b / f.unit[:m] + np.einsum("sk,skj->sj", f.bS[sets], W)
+            dependent = np.einsum("sdj,sdj->sj", left, left) <= _INDEP_TOL ** 2
+            s, j = np.nonzero(dependent & (W >= 0.0).all(axis=1) & (margin > 0.0))
+            W, margin, s = W[s, :, j], margin[s, j], sets[s]
+            members = self.sets[s]
+            ys = np.zeros((len(s), len(f.unit)))
+            ys[np.arange(len(s))[:, None], members] = W / f.unit[members]
+            ys[np.arange(len(s)), j] += 1.0 / f.unit[j]
+            ys = ys[:, :m] / margin[:, None]
+            ok = np.abs(ys @ self.A).max(axis=1, initial=0.0) \
+                <= _FEAS_TOL * np.maximum(1.0, ys.max(axis=1, initial=0.0))
+            self._pair_table = (s, j, ys, ok, margin / (1.0 + W.sum(axis=1)))
+        return self._pair_table
+
+    def _certificate(self, keep: Optional[np.ndarray], kept_sets: np.ndarray) -> np.ndarray:
+        """y >= 0 on at most p + 1 kept rows with A^T y = 0 and b^T y = 1.
+
+        Such a y lies on a minimal dependent row set: an independent set S and
+        a row j whose pivot after S is zero. With S's factors N_S^T = Q R, the
+        weights w = -R^-1 Q^T n_j on the unit rows of S and 1 on row j take them
+        to zero. Among the pairs of a kept set and a kept row whose weights are
+        nonnegative and meet _validate_certificate's bound, the certificate is
+        the one with the largest margin b^T y per unit of weight.
+        """
+        s, j, ys, ok, score = self._pairs()
+        if keep is not None:
+            ok = ok & kept_sets[s] & keep[j]
         if not ok.any():
-            return QpResult("infeasible", certificate=_certificate(
-                A, b, unit, N[:m], sets[indep], bS[indep], Q[indep], Rs[indep]))
-        k = int(ok.argmax())
-        j = feasible[k]
-        u = vs[j] if L is None else np.linalg.solve(L.T, vs[j])
-        lam = np.zeros(m + p)
-        lam[sets[j]] = 2.0 * mu[k] / unit[sets[j]]
-        lam = np.maximum(lam[:m], 0.0)
-    viol = b - A @ u
-    if (viol > tol).any():
-        raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
-                          "beyond the tolerance")
-    active = tuple(np.flatnonzero(np.abs(viol) <= tol).tolist())
-    return QpResult("optimal", u=u, active=active, multipliers=lam)
+            raise SolverError("no KKT active set and no Farkas certificate")
+        rows = slice(None) if keep is None else keep
+        y = ys[int(np.where(ok, score, -np.inf).argmax())][rows]
+        _validate_certificate(-self.A[rows], -self.b[rows], y)
+        return y
 
 
 def farkas_certificate(A: np.ndarray, Xi: np.ndarray) -> Optional[np.ndarray]:
@@ -219,7 +313,7 @@ def farkas_certificate(A: np.ndarray, Xi: np.ndarray) -> Optional[np.ndarray]:
         raise ContractError("A and Xi row counts differ")
     if not (np.isfinite(A).all() and np.isfinite(Xi).all()):
         raise ContractError("non-finite entries in Farkas system")
-    return _solve(-A, -Xi).certificate
+    return RowFactors(-A, -Xi).solve().certificate
 
 
 def _validate_certificate(A, Xi, y):
@@ -231,13 +325,9 @@ def _validate_certificate(A, Xi, y):
         raise SolverError("certificate fails Xi^T y < 0")
 
 
-def solve_qp(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> QpResult:
-    """Solve min u^T R u s.t. A u >= b, with R from qp.
-
-    Returns the optimum with its active set, or an infeasibility result
-    carrying the Farkas certificate for the equivalent system -A u <= -b,
-    scaled to -b^T y = -1.
-    """
+def factor_rows(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> RowFactors:
+    """Check the rows A u >= b against qp and prepare them for solves over
+    subsets of them (RowFactors.solve)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[1] != qp.p or b.shape != A.shape[:1]:
@@ -245,9 +335,14 @@ def solve_qp(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> QpResult:
                             f"do not match R of size {qp.p}")
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ContractError("non-finite constraint data")
-    res = _solve(A, b, qp._L)
-    if res.is_feasible:
-        grad = 2.0 * qp.R @ res.u
-        if np.abs(grad - A.T @ res.multipliers).max() > 1e-7 * max(1.0, np.abs(grad).max()):
-            raise SolverError("KKT stationarity residual out of tolerance")
-    return res
+    return RowFactors(A, b, qp)
+
+
+def solve_qp(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> QpResult:
+    """Solve min u^T R u s.t. A u >= b, with R from qp.
+
+    Returns the optimum with its active set, or an infeasibility result
+    carrying the Farkas certificate for the equivalent system -A u <= -b,
+    scaled to -b^T y = -1.
+    """
+    return factor_rows(qp, A, b).solve()

@@ -7,21 +7,24 @@ distances checked against the dedicated pairwise filters, then by largest
 smoothed residue, one at a time. Nothing is dropped silently; every removal
 is recorded with its reason, and total infeasibility is surfaced as an event
 (the simulation then applies u = 0). Rows travel as the QP's arrays A u >= b
-with a parallel list of source tags.
+with parallel lists of source tags and owning estimators. A step's rows are
+assembled and factored once: pruning never changes a row, so each re-solve
+keeps the rows of the estimators still active and selects over the same
+factors (optimizer.RowFactors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierChain, af_rows, hoscbf_row
-from .clf import QuadraticClf, clf_row
+from .barriers import BarrierChain, af_rows, fixed_terms, hoscbf_row
+from .clf import QuadraticClf, clf_row, clf_trace
 from .errors import ContractError
 from .estimators import EstimatorBank
-from .optimizer import QpProblem, QpResult, solve_qp
+from .optimizer import QpProblem, QpResult, factor_rows, solve_qp
 from .simulator import SystemModel
 
 MODES = ("sensor_ft", "sensor_ft_clf", "actuator_ft", "baseline")
@@ -88,57 +91,93 @@ def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
     return Z, U
 
 
+@dataclass(frozen=True)
+class FixedTerms:
+    """Per filter, the row terms that no step of a run changes: hoscbf[i][c]
+    from barriers.fixed_terms for chain c, clf[i] from clf.clf_trace (None
+    where a term changes)."""
+
+    hoscbf: list
+    clf: list
+
+
+def fixed_row_terms(model: SystemModel, chains: Sequence[BarrierChain], bank: EstimatorBank,
+                    clf: Optional[QuadraticClf]) -> FixedTerms:
+    """The fixed row terms of a run over bank, computed once before its first step."""
+    return FixedTerms(
+        hoscbf=[[fixed_terms(ch, est, model, bank.gamma(i)) for ch in chains]
+                for i, est in enumerate(bank.singles)],
+        clf=[None if clf is None else clf_trace(clf, est) for est in bank.singles])
+
+
 def assemble_constraints(cfg: PolicyConfig, model: SystemModel,
                          chains: Sequence[BarrierChain], bank: EstimatorBank,
                          clf: Optional[QuadraticClf],
-                         Z: Sequence[int], U: Sequence[int]):
-    """Sensor-fault rows (A, b, sources): one row per (barrier, i in Z), one
-    CLF row per j in U (active_sets leaves U empty unless the mode carries a
-    CLF), and the input box when u_max is set. baseline is the same
-    machinery over a single-filter bank.
+                         Z: Sequence[int], U: Sequence[int],
+                         fixed: Optional[FixedTerms] = None):
+    """Sensor-fault rows (A, b, sources, owners): one row per (barrier, i in
+    Z), one CLF row per j in U (active_sets leaves U empty unless the mode
+    carries a CLF), and the input box when u_max is set. owners[r] is the
+    estimator row r belongs to, -1 for the input box. fixed, from
+    fixed_row_terms, spares recomputing the terms a run never changes.
+    baseline is the same machinery over a single-filter bank.
     """
-    rows = []  # (row, bound, source)
+    rows = []  # (row, bound, source, owner)
     for i in Z:
-        for ch in chains:
-            rows.append((*hoscbf_row(ch, bank.singles[i], model, bank.gamma(i)), f"hoscbf({i})"))
+        for c, ch in enumerate(chains):
+            terms = None if fixed is None else fixed.hoscbf[i][c]
+            rows.append((*hoscbf_row(ch, bank.singles[i], model, bank.gamma(i), terms),
+                         f"hoscbf({i})", i))
     for j in U:
-        r = clf_row(clf, bank.singles[j], model, bank.gamma(j), decay=cfg.clf_decay)
+        r = clf_row(clf, bank.singles[j], model, bank.gamma(j), decay=cfg.clf_decay,
+                    trace=None if fixed is None else fixed.clf[j])
         if r is not None:
-            rows.append((*r, f"clf({j})"))
+            rows.append((*r, f"clf({j})", j))
     if cfg.u_max is not None:
         # Input box: never pruned, turns outlier-driven control blowups
         # into infeasibilities the pruning steps can act on.
         for i, e in enumerate(np.eye(model.p)):
-            rows += [(e, -cfg.u_max, f"ubox(+{i})"), (-e, -cfg.u_max, f"ubox(-{i})")]
-    A, b, sources = zip(*rows) if rows else ((), (), ())
-    return np.array(A).reshape(-1, model.p), np.array(b), list(sources)
+            rows += [(e, -cfg.u_max, f"ubox(+{i})", -1), (-e, -cfg.u_max, f"ubox(-{i})", -1)]
+    A, b, sources, owners = zip(*rows) if rows else ((), (), (), ())
+    return (np.array(A).reshape(-1, model.p), np.array(b), list(sources),
+            np.array(owners, dtype=np.intp))
 
 
 def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
-                      constraint_builder: Callable[[Sequence[int], Sequence[int]], tuple],
-                      qp: QpProblem) -> ResolveOutcome:
+                      rows: tuple, qp: QpProblem) -> ResolveOutcome:
     """Steps 1-3: full intersection, pairwise pruning, residue pruning.
 
-    constraint_builder(Z, U) returns the rows (A, b, sources) of the active
-    sets. Step 2 removes i from both Z and U only when some pairwise distance
-    exceeds theta_ij and i disagrees with the dedicated (i, j) filter by more
-    than theta_ij / 2; an estimator consistent with all active peers is never
-    removed here. Step 3 removes by descending smoothed residue, ties broken
-    toward the lower index, re-solving after each removal.
+    rows = (A, b, sources, owners) are the rows of Z and U, as
+    assemble_constraints returns them; owners[r] is the estimator row r
+    belongs to, and a row owned by -1 (the input box) is never pruned. The
+    rows are factored once, and each re-solve keeps the rows of the
+    estimators still in Z or U. Step 2 removes i from both Z and U only when
+    some pairwise distance exceeds theta_ij and i disagrees with the
+    dedicated (i, j) filter by more than theta_ij / 2; an estimator
+    consistent with all active peers is never removed here. Step 3 removes
+    by descending smoothed residue, ties broken toward the lower index,
+    re-solving after each removal.
     """
     Z = sorted(Z)
     U = sorted(U)
-    rows = constraint_builder(Z, U)
-    res = solve_qp(qp, *rows[:2])
+    A, b, sources, owners = rows
+    factors = factor_rows(qp, A, b)
+    res = factors.solve()
     if res.is_feasible:
-        return ResolveOutcome(res, res.u, *rows, Z, U, step=1)
+        return ResolveOutcome(res, res.u, A, b, sources, Z, U, step=1)
 
     removed = []
-    active = sorted(set(Z) | set(U))
+    # By estimator; the extra last entry stands for owner -1 and stays False.
+    pruned = np.zeros(bank.m + 1, dtype=bool)
+    keep = np.ones(len(b), dtype=bool)
+
+    def kept(keep):
+        return A[keep], b[keep], [s for s, k in zip(sources, keep) if k]
+
     drop = set()
-    for a in range(len(active)):
-        for b in range(a + 1, len(active)):
-            i, j = active[a], active[b]
+    active = sorted(set(Z) | set(U))
+    for a, i in enumerate(active):
+        for j in active[a + 1:]:
             if (i, j) not in bank.pairs:
                 continue
             if np.linalg.norm(bank.estimate(i) - bank.estimate(j)) > bank.theta(i, j):
@@ -150,12 +189,15 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
                 if np.linalg.norm(bank.estimate(j) - x_ij) > half and j not in drop:
                     drop.add(j)
                     removed.append((j, "pairwise"))
-    Z = [i for i in Z if i not in drop]
-    U = [i for i in U if i not in drop]
-    rows = constraint_builder(Z, U)
-    res = solve_qp(qp, *rows[:2])
-    if res.is_feasible:
-        return ResolveOutcome(res, res.u, *rows, Z, U, removed=removed, step=2)
+    # With nothing dropped, step 2 would solve step 1's rows again.
+    if drop:
+        Z = [i for i in Z if i not in drop]
+        U = [i for i in U if i not in drop]
+        pruned[list(drop)] = True
+        keep = ~pruned[owners]
+        res = factors.solve(keep)
+        if res.is_feasible:
+            return ResolveOutcome(res, res.u, *kept(keep), Z, U, removed=removed, step=2)
 
     residues = bank.residues()
     order = sorted(set(Z) | set(U), key=lambda i: (-residues[i], i))
@@ -163,12 +205,13 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
         removed.append((idx, "residue"))
         Z = [i for i in Z if i != idx]
         U = [i for i in U if i != idx]
-        rows = constraint_builder(Z, U)
-        res = solve_qp(qp, *rows[:2])
+        pruned[idx] = True
+        keep = ~pruned[owners]
+        res = factors.solve(keep)
         if res.is_feasible:
-            return ResolveOutcome(res, res.u, *rows, Z, U, removed=removed, step=3)
+            return ResolveOutcome(res, res.u, *kept(keep), Z, U, removed=removed, step=3)
 
-    return ResolveOutcome(res, np.zeros(qp.p), *rows, Z, U, removed=removed, step=3,
+    return ResolveOutcome(res, np.zeros(qp.p), *kept(keep), Z, U, removed=removed, step=3,
                           infeasible_event=True)
 
 

@@ -6,10 +6,17 @@ everything the diagnostics need: per-estimator estimates and residues, active
 sets and removal reasons, barrier chain values on the true state, CLF value,
 minimum constraint slack, and policy events. Identical (scenario, seed)
 inputs produce byte-identical CSVs; floats are printed with 17 significant
-digits so files round-trip exactly. A non-finite measurement or estimate
-stops the run with a ContractError naming the step, its time and the filter,
-since NaN would otherwise fail every comparison and drop out of the active
-sets unseen.
+digits so files round-trip exactly.
+
+A sensor-fault step assembles the rows of its active sets once, with the row
+terms a run never changes computed before the first step
+(policy.fixed_row_terms), and hands them to the policy, whose pruning
+re-solves select from those rows. A non-finite measurement, estimate,
+smoothed residue or constraint row stops the run with a ContractError naming
+the step, its time and the filter or the row's source, since NaN would
+otherwise fail every comparison and drop out of the active sets unseen. A
+huge but finite measurement overflows to such a value; the overflow itself
+raises no floating-point warning.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .clf import goal_reach_time
 from .errors import ContractError
 from .estimators import make_bank
 from .policy import (ResolveOutcome, active_sets, actuator_control,
-                     assemble_constraints, resolve_conflicts)
+                     assemble_constraints, fixed_row_terms, resolve_conflicts)
 from .scenarios import Scenario, build_scenario, wmr_compensator
 from .simulator import apply_actuator_failure, measure, step_true_state
 
@@ -70,14 +77,26 @@ def _chain_labels(scn: Scenario) -> list:
     return labels
 
 
-def _estimates(bank, k: int, t: float) -> np.ndarray:
-    """The single filters' estimates at step k; a non-finite one is an error
-    naming the step and the filter."""
+def _filter_state(bank, k: int, t: float):
+    """The single filters' estimates and smoothed residues at step k; a
+    non-finite one is an error naming the step and the filter."""
     x_hats = np.array([est.x_hat for est in bank.singles])
-    bad = np.flatnonzero(~np.isfinite(x_hats).all(axis=1)).tolist()
-    if bad:
-        raise ContractError(f"step {k} (t = {t:.6g} s): the estimate of filter {bad} is non-finite")
-    return x_hats
+    residues = bank.residues()
+    if not (np.isfinite(x_hats).all() and np.isfinite(residues).all()):
+        for what, values in (("estimate", x_hats), ("residue", residues[:, None])):
+            bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
+            if bad:
+                raise ContractError(f"step {k} (t = {t:.6g} s): the {what} of filter {bad} "
+                                    "is non-finite")
+    return x_hats, residues
+
+
+def _check_rows(rows, k: int, t: float) -> None:
+    """A non-finite row is an error naming the step and the row's source."""
+    A, b, sources, _ = rows
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))[0]
+        raise ContractError(f"step {k} (t = {t:.6g} s): row {sources[bad]} is non-finite")
 
 
 def run_scenario(scn: Scenario, seed: int) -> RunResult:
@@ -96,6 +115,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
                          gammas=scn.gammas, thetas=scn.thetas, with_pairs=with_pairs,
                          smoothing=scn.estimator_smoothing)
         m = bank.m
+        fixed = fixed_row_terms(model, scn.chains, bank, scn.clf)
 
     x = scn.x0.copy()
     times = np.arange(steps + 1) * dt
@@ -125,12 +145,15 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         if V_vals is not None:
             V_vals[k] = scn.clf.value(x)
         if sensor_family:
-            estimates[k] = _estimates(bank, k, t)
-            residues[k] = bank.residues()
-            Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy)
-            builder = lambda Zs, Us: assemble_constraints(  # noqa: E731
-                scn.policy, model, scn.chains, bank, scn.clf, Zs, Us)
-            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, builder, scn.qp)
+            estimates[k], residues[k] = _filter_state(bank, k, t)
+            # A huge but finite estimate can overflow a CLF value or a row:
+            # the overflow is caught by the check below, which names it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy)
+                rows = assemble_constraints(scn.policy, model, scn.chains, bank, scn.clf,
+                                            Z0, U0, fixed)
+            _check_rows(rows, k, t)
+            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, rows, scn.qp)
         else:
             outcome = actuator_control(scn.policy, model, x, scn.af_chain_sets,
                                        scn.af_patterns, scn.qp)
@@ -168,14 +191,16 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
                 readers = [i for i, est in enumerate(bank.singles) if set(bad) & set(est.sensors)]
                 raise ContractError(f"step {k} (t = {t:.6g} s): measurement channel {bad} "
                                     f"is non-finite; filter {readers} reads it")
-            bank.step(model, u, y_inc, dt)
+            # An overflowing residue is named at the next step's check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                bank.step(model, u, y_inc, dt)
 
     states[steps] = x
     h_values[steps] = _chain_values(scn, x)
     if V_vals is not None:
         V_vals[steps] = scn.clf.value(x)
     if sensor_family:
-        estimates[steps] = _estimates(bank, steps, steps * dt)
+        estimates[steps] = _filter_state(bank, steps, steps * dt)[0]
 
     h0_cols = [_chain_labels(scn).index(f"h0_b{b}") for b in range(len(scn.chains))]
     min_h = float(np.min(h_values[:, h0_cols]))

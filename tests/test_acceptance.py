@@ -239,12 +239,9 @@ def test_step2_pruning_fixture():
                                       mode="open_loop")},
         gammas=np.zeros(2), thetas={(0, 1): 1.0})
 
-    def builder(Z, U):
-        if list(Z) == [0, 1]:
-            return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), ["lo", "hi"]
-        return np.zeros((0, 1)), np.zeros(0), []
-
-    out = resolve_conflicts(bank, [0, 1], [], builder, QpProblem(np.eye(1)))
+    # u >= 1 from estimator 0 contradicts -u >= 1 from estimator 1
+    rows = (np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), ["lo", "hi"], np.array([0, 1]))
+    out = resolve_conflicts(bank, [0, 1], [], rows, QpProblem(np.eye(1)))
     report("Step-2 pruning removes exactly j",
            out.removed == [(1, "pairwise")] and out.Z == [0],
            f"removed={out.removed}")

@@ -5,9 +5,10 @@ from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.clf import QuadraticClf
 from ftcbf.errors import ContractError
 from ftcbf.estimators import EstimatorBank, EstimatorState, make_bank
-from ftcbf.optimizer import QpProblem
-from ftcbf.policy import (PolicyConfig, active_sets, actuator_control,
+from ftcbf.optimizer import QpProblem, solve_qp
+from ftcbf.policy import (PolicyConfig, ResolveOutcome, active_sets, actuator_control,
                           assemble_constraints, resolve_conflicts)
+import ftcbf.runner as runner
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import build_scenario
 from ftcbf.simulator import SystemModel
@@ -65,25 +66,20 @@ def test_active_sets_single_estimator_near_boundary():
     assert Z == [1]
 
 
-# u >= 1 and -u >= 1 in p = 1
-CONTRADICTORY = (np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]), ["lo", "hi"])
 SCALAR_QP = QpProblem(np.eye(1))
 
 
-def make_builder(infeasible_when):
-    """Builder returning contradictory rows iff the active Z matches."""
-
-    def build(Z, U):
-        if list(Z) in [list(s) for s in infeasible_when]:
-            return CONTRADICTORY
-        return np.array([[1.0]]), np.array([-1.0]), ["lo"]
-
-    return build
+def scalar_rows(*rows):
+    """Rows A u >= b in p = 1 from (coefficient, bound, owner) triples."""
+    a, b, owners = zip(*rows)
+    return (np.array(a, dtype=float).reshape(-1, 1), np.array(b, dtype=float),
+            [f"row({i})" for i in range(len(rows))], np.array(owners, dtype=np.intp))
 
 
 def test_step1_feasible_no_removals():
     bank = stub_bank([[0.0, 0.0], [0.1, 0.0]], thetas={(0, 1): 1.0})
-    out = resolve_conflicts(bank, [0, 1], [], make_builder([]), SCALAR_QP)
+    out = resolve_conflicts(bank, [0, 1], [], scalar_rows((1.0, -1.0, 0), (1.0, -1.0, 1)),
+                            SCALAR_QP)
     assert out.step == 1 and out.removed == [] and out.Z == [0, 1]
 
 
@@ -95,17 +91,21 @@ def test_step2_pruning_fixture():
     assert np.linalg.norm(np.array(x_i) - x_ij) == pytest.approx(0.2, abs=1e-12)
     assert np.linalg.norm(np.array(x_j) - x_ij) == pytest.approx(1.4, abs=1e-3)
     bank = stub_bank([x_i, x_j], pair_estimates={(0, 1): x_ij}, thetas={(0, 1): 1.0})
-    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), SCALAR_QP)
+    # u >= 1 from estimator 0 contradicts -u >= 1 from estimator 1
+    out = resolve_conflicts(bank, [0, 1], [], scalar_rows((1.0, 1.0, 0), (-1.0, 1.0, 1)),
+                            SCALAR_QP)
     assert out.removed == [(1, "pairwise")]
     assert out.Z == [0] and out.step == 2
     assert out.result.is_feasible
+    assert out.sources == ["row(0)"]
 
 
 def test_step2_never_removes_consistent_estimator():
     # all pairwise distances <= theta: step 2 removes nothing, step 3 kicks in
     bank = stub_bank([[0.0, 0.0], [0.5, 0.0]], pair_estimates={(0, 1): [0.25, 0.0]},
                      thetas={(0, 1): 1.0}, residues=[0.3, 0.1])
-    out = resolve_conflicts(bank, [0, 1], [], make_builder([[0, 1]]), SCALAR_QP)
+    out = resolve_conflicts(bank, [0, 1], [], scalar_rows((1.0, 1.0, 0), (-1.0, 1.0, 1)),
+                            SCALAR_QP)
     assert all(reason != "pairwise" for _, reason in out.removed)
     assert out.removed[0] == (0, "residue")  # largest smoothed residue first
     assert out.step == 3
@@ -115,30 +115,111 @@ def test_step3_order_descending_residue_ties_low_index():
     bank = stub_bank([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                      thetas={(i, j): np.inf for i in range(3) for j in range(i + 1, 3)},
                      residues=[0.5, 0.9, 0.5])
+    # infeasible while 0 and 2 are both active, feasible with 2 alone
     out = resolve_conflicts(bank, [0, 1, 2], [],
-                            make_builder([[0, 1, 2], [0, 2]]), SCALAR_QP)
+                            scalar_rows((1.0, 1.0, 0), (1.0, 1.0, 1), (-1.0, 1.0, 2)),
+                            SCALAR_QP)
     assert out.removed == [(1, "residue"), (0, "residue")]
     assert out.Z == [2]
 
 
 def test_total_infeasibility_event():
     bank = stub_bank([[0.0, 0.0]], thetas={})
-
-    def always_bad(Z, U):
-        return CONTRADICTORY
-
-    out = resolve_conflicts(bank, [0], [], always_bad, SCALAR_QP)
+    # rows no estimator owns, like the input box, are never pruned
+    out = resolve_conflicts(bank, [0], [], scalar_rows((1.0, 1.0, -1), (-1.0, 1.0, -1)),
+                            SCALAR_QP)
     assert out.infeasible_event
     assert np.array_equal(out.u, [0.0])
+
+
+def reference_resolve_conflicts(bank, Z, U, constraint_builder, qp):
+    """Steps 1-3 as they were first written: constraint_builder(Z, U)
+    assembles the rows of each re-solve afresh and solve_qp solves them from
+    scratch. The reference for resolve_conflicts."""
+    Z = sorted(Z)
+    U = sorted(U)
+    rows = constraint_builder(Z, U)
+    res = solve_qp(qp, *rows[:2])
+    if res.is_feasible:
+        return ResolveOutcome(res, res.u, *rows, Z, U, step=1)
+
+    removed = []
+    active = sorted(set(Z) | set(U))
+    drop = set()
+    for a in range(len(active)):
+        for b in range(a + 1, len(active)):
+            i, j = active[a], active[b]
+            if (i, j) not in bank.pairs:
+                continue
+            if np.linalg.norm(bank.estimate(i) - bank.estimate(j)) > bank.theta(i, j):
+                x_ij = bank.pair_estimate(i, j)
+                half = bank.theta(i, j) / 2.0
+                if np.linalg.norm(bank.estimate(i) - x_ij) > half and i not in drop:
+                    drop.add(i)
+                    removed.append((i, "pairwise"))
+                if np.linalg.norm(bank.estimate(j) - x_ij) > half and j not in drop:
+                    drop.add(j)
+                    removed.append((j, "pairwise"))
+    Z = [i for i in Z if i not in drop]
+    U = [i for i in U if i not in drop]
+    rows = constraint_builder(Z, U)
+    res = solve_qp(qp, *rows[:2])
+    if res.is_feasible:
+        return ResolveOutcome(res, res.u, *rows, Z, U, removed=removed, step=2)
+
+    residues = bank.residues()
+    order = sorted(set(Z) | set(U), key=lambda i: (-residues[i], i))
+    for idx in order:
+        removed.append((idx, "residue"))
+        Z = [i for i in Z if i != idx]
+        U = [i for i in U if i != idx]
+        rows = constraint_builder(Z, U)
+        res = solve_qp(qp, *rows[:2])
+        if res.is_feasible:
+            return ResolveOutcome(res, res.u, *rows, Z, U, removed=removed, step=3)
+
+    return ResolveOutcome(res, np.zeros(qp.p), *rows, Z, U, removed=removed, step=3,
+                          infeasible_event=True)
+
+
+def test_factored_pruning_matches_the_rebuild_reference(wmr_yaml, monkeypatch):
+    """Golden WMR seed 0, with its steps of every kind: rows assembled with
+    the run's fixed terms and factored once per step give, at every step,
+    the outcome of rebuilding every term and solving afresh per re-solve."""
+    from ftcbf.scenarios import load_scenario
+    scn = load_scenario(wmr_yaml)
+    resolved_at = []
+
+    def checked(bank, Z, U, rows, qp):
+        out = resolve_conflicts(bank, Z, U, rows, qp)
+        ref = reference_resolve_conflicts(
+            bank, Z, U, lambda Zs, Us: assemble_constraints(
+                scn.policy, scn.model, scn.chains, bank, scn.clf, Zs, Us)[:3], qp)
+        assert np.array_equal(out.u, ref.u)
+        assert (out.Z, out.U, out.removed) == (ref.Z, ref.U, ref.removed)
+        assert (out.step, out.infeasible_event) == (ref.step, ref.infeasible_event)
+        assert np.array_equal(out.A, ref.A) and np.array_equal(out.b, ref.b)
+        assert out.sources == ref.sources
+        assert out.result.active == ref.result.active
+        assert np.array_equal(out.result.multipliers, ref.result.multipliers)
+        resolved_at.append(out.step)
+        return out
+
+    monkeypatch.setattr(runner, "resolve_conflicts", checked)
+    res = run_scenario(scn, 0)
+    assert len(resolved_at) == scn.n_steps
+    assert {1, 2, 3} <= set(resolved_at)
+    assert res.metrics["unfiltered_steps"] == 243
 
 
 def test_assemble_sensor_clf_counts_and_tags():
     scn = build_scenario({"kind": "wmr", "policy": {"u_max": None}})
     bank = make_bank(scn.model, scn.bank_patterns, scn.x0, gammas=scn.gammas,
                      thetas=scn.thetas)
-    A, b, tags = assemble_constraints(scn.policy, scn.model, chains=scn.chains, bank=bank,
-                                      clf=scn.clf, Z=[0], U=[0, 1])
+    A, b, tags, owners = assemble_constraints(scn.policy, scn.model, chains=scn.chains,
+                                              bank=bank, clf=scn.clf, Z=[0], U=[0, 1])
     assert tags == ["hoscbf(0)", "clf(0)", "clf(1)"]
+    assert owners.tolist() == [0, 0, 1]
     assert A.shape == (3, 2) and b.shape == (3,)
 
 

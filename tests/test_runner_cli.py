@@ -88,6 +88,21 @@ def test_infinite_attack_stops_the_run_at_its_step(wmr_yaml):
         run_scenario(scn, 0)
 
 
+@pytest.mark.parametrize("amplitude, message", [
+    (1e160, r"^step 51 \(t = 1.02 s\): the residue of filter \[0\] is non-finite$"),
+    (1e154, r"^step 51 \(t = 1.02 s\): row clf\(0\) is non-finite$")],
+    ids=["residue", "clf-row"])
+def test_huge_attack_stops_the_run_naming_what_overflowed(wmr_yaml, amplitude, message):
+    """A huge but finite bias on sensor 2 from t = 1 s leaves filter 0's
+    estimate finite but overflows its smoothed residue (1e160) or its CLF row
+    (1e154). The run stops at the first step that reads the overflowed
+    quantity and names it; no overflow warning escapes."""
+    scn = load_scenario(wmr_yaml)
+    scn.faults.attack = lambda t: amplitude if t >= 1.0 else 0.0
+    with pytest.raises(ContractError, match=message):
+        run_scenario(scn, 0)
+
+
 def test_non_finite_estimate_stops_the_run():
     scn = build_scenario(FAST)
     scn.x0 = np.array([np.nan, 0.0, 0.0, 0.0])
