@@ -17,7 +17,9 @@ unknown error term dh/dx K c z by its worst case over the ball ||z|| <= gamma,
 so a control satisfying the row satisfies the exact inequality for every
 admissible z. hoscbf_pair is the one place that formula lives: the policy
 takes the worst case, the verifier plugs in a sampled z, and the CLF row
-reuses its trace and error terms. For an affine chain on an LTI model under a
+reuses its trace and error terms. af_rows is the one place the
+actuator-failure rows of every barrier are assembled, for the policy and
+the verifier alike. For an affine chain on an LTI model under a
 filter whose gain never changes, only h(x_hat) and dh/dx f(x_hat) move from
 step to step; fixed_terms computes the rest once per run.
 """
@@ -390,30 +392,30 @@ def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float, fixed
     return hoscbf_pair(chain, est, model, est.x_hat, gamma, fixed=fixed)
 
 
-def af_rows(chains: Sequence[BarrierChain], x: np.ndarray,
+def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
             patterns: Sequence[np.ndarray], model: SystemModel,
-            alpha: Callable[[float], float] = lambda s: s,
-            barrier_label: str = ""):
-    """(A, b, sources): one noise-free row per failure pattern, evaluated at
-    the true state.
+            alpha: Callable[[float], float] = lambda s: s):
+    """(A, b, sources): one noise-free row per barrier and failure pattern,
+    evaluated at the true state, barrier by barrier.
 
-    chains[j] must be built with input_mask=patterns[j]; a pattern whose
-    chain could not be built indicates missing actuator redundancy.
+    chain_sets[k][j] is barrier k's chain built with input_mask=patterns[j];
+    row af_cbf(j)[k] (af_hocbf above degree 0) is its row. A pattern that
+    leaves a barrier no control authority indicates missing actuator
+    redundancy.
     """
-    if len(chains) != len(patterns):
-        raise RedundancyError("one chain per failure pattern is required")
     rows, bounds, sources = [], [], []
     gx = model.g(x)
     fx = model.f(x)
-    for j, (chain, L) in enumerate(zip(chains, patterns)):
-        d = chain.rel_degree
-        w = chain.grad(d, x)
-        row = w @ gx @ np.asarray(L, dtype=float)
-        if np.max(np.abs(row)) <= 1e-12:
-            raise RedundancyError(f"pattern {j} has no control authority at this state")
-        bound = -alpha(chain.value(d, x)) - float(w @ fx)
-        kind = "af_cbf" if d == 0 else "af_hocbf"
-        rows.append(row)
-        bounds.append(bound)
-        sources.append(f"{kind}({j})" + (f"[{barrier_label}]" if barrier_label else ""))
-    return np.array(rows), np.array(bounds), sources
+    for k, chains in enumerate(chain_sets):
+        if len(chains) != len(patterns):
+            raise RedundancyError("one chain per failure pattern is required")
+        for j, (chain, L) in enumerate(zip(chains, patterns)):
+            d = chain.rel_degree
+            w = chain.grad(d, x)
+            row = w @ gx @ np.asarray(L, dtype=float)
+            if np.max(np.abs(row)) <= 1e-12:
+                raise RedundancyError(f"pattern {j} has no control authority at this state")
+            rows.append(row)
+            bounds.append(-alpha(chain.value(d, x)) - float(w @ fx))
+            sources.append(f"{'af_cbf' if d == 0 else 'af_hocbf'}({j})[{k}]")
+    return np.array(rows).reshape(-1, model.p), np.array(bounds), sources

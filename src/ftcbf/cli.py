@@ -4,7 +4,8 @@
     ftcbf calibrate --scenario wmr.yaml --runs 200 --epsilon 0.05 --out calib.yaml
     ftcbf verify    --scenario boeing.yaml --budget 10000 --out report.json
 
---seeds takes either a count (seeds 0..n-1) or a comma list. Exit codes:
+--seeds takes either a count n >= 1 (seeds 0..n-1) or a comma list (`0,` is seed 0
+alone). Exit codes:
 0 success, 1 validation/parse error, 2 verify found a counterexample.
 FTCBF_THREADS caps the seed-sweep worker pool.
 """
@@ -26,8 +27,13 @@ from .verifier import falsify_actuator_region, falsify_sensor_region
 def _parse_seeds(spec: str) -> list:
     spec = spec.strip()
     if "," in spec:
-        return [int(s) for s in spec.split(",") if s.strip() != ""]
-    return list(range(int(spec)))
+        seeds = [int(s) for s in spec.split(",") if s.strip() != ""]
+    else:
+        seeds = list(range(int(spec)))
+    if not seeds:
+        raise FtcbfError(f"--seeds {spec} names no seed: a count must be at least 1, and "
+                         "a comma list names seeds, e.g. --seeds 0, for seed 0 alone")
+    return seeds
 
 
 def cmd_run(args) -> int:
@@ -35,8 +41,6 @@ def cmd_run(args) -> int:
     seeds = _parse_seeds(args.seeds)
     for note in scn.notes:
         print(f"note: {note}", file=sys.stderr)
-    if not seeds:
-        return 0
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = run_sweep(scn, seeds)

@@ -25,11 +25,14 @@ outcomes are re-checked on the original data before they are returned, and
 a problem with more row sets than the budget below is an error rather than
 a long enumeration.
 
-A control step that prunes estimators solves again over a subset of the
-same rows. RowFactors (from factor_rows) factors a step's rows once: the
-factors are built at the first solve that needs them, every certificate the
-rows offer at the first infeasible one, and each solve selects over a mask
-of kept rows. solve_qp and farkas_certificate are the one-shot case.
+Every row set, from the policy's QP to the verifier's Farkas check, is
+posed as A u >= b, in the orientation barriers.hoscbf_pair and
+barriers.af_rows build it. A control step that prunes estimators solves
+again over a subset of the same rows. RowFactors checks and factors a
+step's rows once: the factors are built at the first solve that needs them,
+every certificate the rows offer at the first infeasible one, and each solve
+selects over a mask of kept rows. solve_qp and farkas_certificate are the
+one-shot case.
 """
 
 from __future__ import annotations
@@ -110,15 +113,18 @@ class QpResult:
 
 
 @functools.cache
-def _row_sets(m: int, p: int) -> np.ndarray:
+def _row_sets(m: int, p: int) -> tuple:
     """The empty set and every set of at most p of m rows, by size and then
     lexicographically, padded in front to width p with the indices
-    m, m + 1, ..."""
+    m, m + 1, ...; and which of the m rows each set holds."""
     check_problem_size(m, p)
     sets = np.array([tuple(range(m, m + p - k)) + s for k in range(min(p, m) + 1)
                      for s in itertools.combinations(range(m), k)], dtype=np.intp)
-    sets.flags.writeable = False
-    return sets
+    holds = np.zeros((len(sets), m + p), dtype=bool)
+    holds[np.arange(len(sets))[:, None], sets] = True
+    holds = np.ascontiguousarray(holds[:, :m])
+    sets.flags.writeable = holds.flags.writeable = False
+    return sets, holds
 
 
 def _metric_rows(A: np.ndarray, L: Optional[np.ndarray]) -> np.ndarray:
@@ -144,11 +150,12 @@ class _Factors:
     indep: np.ndarray    # sets whose rows are independent
     z: np.ndarray        # R^T z = b_S
     vs: np.ndarray       # each set's KKT point v = Q z
-    meets: np.ndarray    # (set, row): the set's point meets the row
+    misses: np.ndarray   # (set, row): the set's point misses the row
 
 
 class RowFactors:
-    """Rows A u >= b factored once for solves over any subset of them.
+    """Rows A u >= b, checked for shape and finiteness and factored once for
+    solves over any subset of them.
 
     A control step that prunes estimators solves again over fewer of the
     same rows. solve(keep) takes a mask of kept rows and returns what a fresh
@@ -166,9 +173,16 @@ class RowFactors:
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None):
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if A.ndim != 2 or b.shape != A.shape[:1] or (qp is not None and A.shape[1] != qp.p):
+            raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
+                                "do not match" + ("" if qp is None else f" R of size {qp.p}"))
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ContractError("non-finite constraint data")
         self.A, self.b, self.qp = A, b, qp
         self._L = None if qp is None else qp._L
-        self.sets = _row_sets(*A.shape)
+        self.sets, self._holds = _row_sets(*A.shape)
         # The tolerance is a distance, the same for a row and any multiple of it:
         # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
         # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
@@ -199,8 +213,8 @@ class RowFactors:
             # A u = A L^-T v.
             z = np.linalg.solve(Rs.transpose(0, 2, 1), bS[..., None])
             vs = (Q @ z)[:, :p, 0]
-            meets = vs @ AL.T - b >= -self.tol
-            self._factors = _Factors(unit, N, bS, Q, Rs, indep, z, vs, meets)
+            misses = ~(vs @ AL.T - b >= -self.tol)
+            self._factors = _Factors(unit, N, bS, Q, Rs, indep, z, vs, misses)
         return self._factors
 
     def solve(self, keep: Optional[np.ndarray] = None) -> QpResult:
@@ -211,11 +225,8 @@ class RowFactors:
         point satisfies every kept row. Active sets, multipliers and the
         certificate index the kept rows.
         """
-        if keep is None:
-            rows, A, b, tol = slice(None), self.A, self.b, self.tol
-        else:
-            rows = keep = np.asarray(keep, dtype=bool)
-            A, b, tol = self.A[keep], self.b[keep], self.tol[keep]
+        keep = np.ones(len(self.b), dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
+        A, b, tol = self.A[keep], self.b[keep], self.tol[keep]
         m, p = A.shape
         if (b <= tol).all():
             # The empty set, u = 0, needs no factors.
@@ -223,11 +234,10 @@ class RowFactors:
         else:
             f = self._factored()
             sets = self.sets
-            kept_sets = f.indep
-            if keep is not None:
-                kept_sets = kept_sets & np.append(keep, np.ones(p, dtype=bool))[sets].all(axis=1)
-            # The multipliers are needed only where v is feasible.
-            feasible = np.flatnonzero(kept_sets & f.meets[:, rows].all(axis=1))
+            # Sets of kept rows only, and among them those whose point meets
+            # every kept row: the multipliers are needed only there.
+            kept_sets = f.indep & ~(self._holds @ ~keep)
+            feasible = np.flatnonzero(kept_sets & ~(f.misses @ keep))
             mu = np.linalg.solve(f.Rs[feasible], f.z[feasible])[..., 0]
             ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)
             if not ok.any():
@@ -237,7 +247,7 @@ class RowFactors:
             u = f.vs[j] if self._L is None else np.linalg.solve(self._L.T, f.vs[j])
             lam = np.zeros(len(f.unit))
             lam[sets[j]] = 2.0 * mu[k] / f.unit[sets[j]]
-            lam = np.maximum(lam[:len(self.b)][rows], 0.0)
+            lam = np.maximum(lam[:len(self.b)][keep], 0.0)
         viol = b - A @ u
         if (viol > tol).any():
             raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
@@ -279,7 +289,7 @@ class RowFactors:
             self._pair_table = (s, j, ys, ok, margin / (1.0 + W.sum(axis=1)))
         return self._pair_table
 
-    def _certificate(self, keep: Optional[np.ndarray], kept_sets: np.ndarray) -> np.ndarray:
+    def _certificate(self, keep: np.ndarray, kept_sets: np.ndarray) -> np.ndarray:
         """y >= 0 on at most p + 1 kept rows with A^T y = 0 and b^T y = 1.
 
         Such a y lies on a minimal dependent row set: an independent set S and
@@ -290,59 +300,38 @@ class RowFactors:
         the one with the largest margin b^T y per unit of weight.
         """
         s, j, ys, ok, score = self._pairs()
-        if keep is not None:
-            ok = ok & kept_sets[s] & keep[j]
+        ok = ok & kept_sets[s] & keep[j]
         if not ok.any():
             raise SolverError("no KKT active set and no Farkas certificate")
-        rows = slice(None) if keep is None else keep
-        y = ys[int(np.where(ok, score, -np.inf).argmax())][rows]
-        _validate_certificate(-self.A[rows], -self.b[rows], y)
+        y = ys[int(np.where(ok, score, -np.inf).argmax())][keep]
+        _validate_certificate(self.A[keep], self.b[keep], y)
         return y
 
 
-def farkas_certificate(A: np.ndarray, Xi: np.ndarray) -> Optional[np.ndarray]:
-    """Farkas certificate for A u <= Xi, or None when the system is feasible.
+def farkas_certificate(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """Farkas certificate for the rows A u >= b, or None when they are feasible.
 
-    The returned y satisfies y >= 0, ||A^T y||_inf <= 1e-9 and Xi^T y = -1
+    The returned y satisfies y >= 0, ||A^T y||_inf <= 1e-9 and b^T y = 1
     (scaled), is nonzero on at most p + 1 rows and is re-checked before
     returning. A feasible verdict rests on a point that meets every row.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    Xi = np.atleast_1d(np.asarray(Xi, dtype=float))
-    if A.shape[0] != Xi.shape[0]:
-        raise ContractError("A and Xi row counts differ")
-    if not (np.isfinite(A).all() and np.isfinite(Xi).all()):
-        raise ContractError("non-finite entries in Farkas system")
-    return RowFactors(-A, -Xi).solve().certificate
+    return RowFactors(A, b).solve().certificate
 
 
-def _validate_certificate(A, Xi, y):
+def _validate_certificate(A, b, y):
+    """Raise SolverError unless y certifies that A u >= b has no solution."""
     if np.min(y) < -1e-12:
         raise SolverError("certificate has negative multipliers")
     if np.max(np.abs(A.T @ y)) > 1e-9 * max(1.0, np.max(np.abs(y))):
         raise SolverError("certificate fails A^T y = 0")
-    if Xi @ y >= 0.0:
-        raise SolverError("certificate fails Xi^T y < 0")
-
-
-def factor_rows(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> RowFactors:
-    """Check the rows A u >= b against qp and prepare them for solves over
-    subsets of them (RowFactors.solve)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[1] != qp.p or b.shape != A.shape[:1]:
-        raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
-                            f"do not match R of size {qp.p}")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ContractError("non-finite constraint data")
-    return RowFactors(A, b, qp)
+    if b @ y <= 0.0:
+        raise SolverError("certificate fails b^T y > 0")
 
 
 def solve_qp(qp: QpProblem, A: np.ndarray, b: np.ndarray) -> QpResult:
     """Solve min u^T R u s.t. A u >= b, with R from qp.
 
     Returns the optimum with its active set, or an infeasibility result
-    carrying the Farkas certificate for the equivalent system -A u <= -b,
-    scaled to -b^T y = -1.
+    carrying the Farkas certificate of the same rows (farkas_certificate).
     """
-    return factor_rows(qp, A, b).solve()
+    return RowFactors(A, b, qp).solve()

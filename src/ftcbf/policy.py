@@ -24,7 +24,7 @@ from .barriers import BarrierChain, af_rows, fixed_terms, hoscbf_row
 from .clf import QuadraticClf, clf_row, clf_trace
 from .errors import ContractError
 from .estimators import EstimatorBank
-from .optimizer import QpProblem, QpResult, factor_rows, solve_qp
+from .optimizer import QpProblem, QpResult, RowFactors, solve_qp
 from .simulator import SystemModel
 
 MODES = ("sensor_ft", "sensor_ft_clf", "actuator_ft", "baseline")
@@ -161,7 +161,7 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
     Z = sorted(Z)
     U = sorted(U)
     A, b, sources, owners = rows
-    factors = factor_rows(qp, A, b)
+    factors = RowFactors(A, b, qp)
     res = factors.solve()
     if res.is_feasible:
         return ResolveOutcome(res, res.u, A, b, sources, Z, U, step=1)
@@ -225,10 +225,8 @@ def actuator_control(cfg: PolicyConfig, model: SystemModel, x: np.ndarray,
     reference-tracking feedback. The outcome keeps the unshifted rows, which
     hold for u itself.
     """
-    alpha = (lambda s, k=cfg.alpha_kappa: k * s)
-    As, bs, tags = zip(*(af_rows(chain_set, x, patterns, model, alpha=alpha, barrier_label=str(j))
-                         for j, chain_set in enumerate(af_chain_sets)))
-    A, b, sources = np.concatenate(As), np.concatenate(bs), sum(tags, [])
+    A, b, sources = af_rows(af_chain_sets, x, patterns, model,
+                            alpha=lambda s, k=cfg.alpha_kappa: k * s)
     u_nom, b_qp = np.zeros(qp.p), b
     if cfg.nominal_gain is not None:
         u_nom = -np.asarray(cfg.nominal_gain) @ np.asarray(x, dtype=float)

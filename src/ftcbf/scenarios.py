@@ -5,8 +5,10 @@ feedback linearization under a false-data injection on one redundant position
 sensor, and the Boeing 747 lateral axis under a scheduled loss of two rudder
 servos. Scenario files are declarative YAML documents with the top-level keys
 name / kind and the blocks model / faults / barriers / clf / policy / sim /
-estimators / calibration / verify / seeds; any other key is rejected, and a
-null optional block (clf, estimators, calibration, verify) is an absent one.
+estimators / calibration / verify / seeds; a null optional block (clf,
+estimators, calibration, verify) is an absent one. Every mapping may hold
+only the keys SCHEMA lists, and every value must have the type SCHEMA gives
+it, so a misspelt key or a wrong-typed value is an error naming it.
 
 One builder reads every block for every kind. `kind` (wmr | boeing | custom)
 only picks an entry of PRESETS, a plain-data document of defaults that the
@@ -33,7 +35,7 @@ from .errors import (ContractError, LyapunovError, RedundancyError, ScenarioVali
                      SolverError, UncontrollableBarrierError)
 from .estimators import steady_state_gain
 from .optimizer import QpProblem, check_problem_size
-from .policy import PolicyConfig
+from .policy import MODES, PolicyConfig
 from .simulator import FaultScenario, SystemModel
 
 WMR_F = np.array([
@@ -159,17 +161,8 @@ def _barrier_from_spec(spec: dict, n: int):
     if kind == "ellipsoid":
         return ellipsoid_barrier(np.asarray(spec["Phi"], dtype=float),
                                  np.asarray(spec["center"], dtype=float))
-    if kind == "polynomial":
-        terms = {tuple(int(e) for e in t["exponents"]): float(t["coeff"])
-                 for t in spec["terms"]}
-        return Poly(n, terms)
-    raise ScenarioValidationError(f"unknown barrier type {kind!r}")
-
-
-def _list_of_lists(value, where: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
-        raise ScenarioValidationError(f"{where} must be a list of lists, got {value!r}")
-    return value
+    terms = {tuple(int(e) for e in t["exponents"]): float(t["coeff"]) for t in spec["terms"]}
+    return Poly(n, terms)
 
 
 def _expect(value, types, where: str, what: str):
@@ -178,11 +171,72 @@ def _expect(value, types, where: str, what: str):
     return value
 
 
-def _finite_number(value, where: str) -> float:
-    """A YAML number; `.inf` and `.nan` load as floats, so finiteness is checked too."""
-    if not math.isfinite(_expect(value, numbers.Real, where, "a number")):
+def _finite_number(value, where: str, inf_ok: bool = False) -> float:
+    """A YAML number; `.inf` and `.nan` load as floats, so finiteness is
+    checked too (inf_ok lets `.inf` pass)."""
+    if not math.isfinite(_expect(value, numbers.Real, where, "a number")) \
+            and not (inf_ok and math.isinf(value)):
         raise ScenarioValidationError(f"{where} must be finite, got {value!r}")
     return float(value)
+
+
+def _number(value, where: str) -> float:
+    return _finite_number(value, where, inf_ok=True)
+
+
+def _positive_number(value, where: str) -> float:
+    if _finite_number(value, where) <= 0.0:
+        raise ScenarioValidationError(f"{where} must be positive, got {value!r}")
+    return float(value)
+
+
+def _index(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioValidationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value, where: str) -> str:
+    return _expect(value, str, where, "a string")
+
+
+def _flag(value, where: str) -> bool:
+    return _expect(value, bool, where, "true or false")
+
+
+def _check(value, schema, where: str) -> None:
+    """Raise ScenarioValidationError, naming where, unless value fits schema.
+
+    A schema is a check function (value, where), a set of allowed strings, a
+    one-entry list (a list of values that fit its entry), a mapping of the
+    keys a mapping may hold to their schemas, or a tuple of alternatives: None
+    admits null, a list or mapping schema takes a value of its own type, and
+    the last alternative takes any other value. A key or entry is named after
+    its parent: `sim: dt`, `faults: attack start`, `barriers: entry 0`.
+    """
+    inner = f"{where}{' ' if ':' in where else ': '}"
+    if isinstance(schema, tuple):
+        if value is None and None in schema:
+            return
+        options = [s for s in schema if s is not None]
+        schema = next((s for s in options if isinstance(s, (list, dict))
+                       and isinstance(value, type(s))), options[-1])
+    if isinstance(schema, (set, frozenset)):
+        if not isinstance(value, str) or value not in schema:
+            raise ScenarioValidationError(
+                f"{where} must be one of {', '.join(sorted(schema))}, got {value!r}")
+    elif isinstance(schema, list):
+        for i, v in enumerate(_expect(value, list, where, "a list")):
+            _check(v, schema[0], f"{inner}entry {i}")
+    elif isinstance(schema, dict):
+        unknown = [k for k in _expect(value, dict, where, "a mapping") if k not in schema]
+        if unknown:
+            raise ScenarioValidationError(f"{where}: unknown key {', '.join(map(repr, unknown))} "
+                                          f"(allowed: {', '.join(schema)})")
+        for k, v in value.items():
+            _check(v, schema[k], f"{inner}{k}")
+    else:
+        schema(value, where)
 
 
 def _cost(value, p: int) -> QpProblem:
@@ -191,11 +245,11 @@ def _cost(value, p: int) -> QpProblem:
     if value == "identity":
         return QpProblem(np.eye(p))
     try:
-        R = np.asarray(_list_of_lists(value, "sim: cost"), dtype=float)
+        R = np.asarray(value, dtype=float)
         if R.shape != (p, p):
             raise ContractError(f"got shape {R.shape}")
         return QpProblem(R)
-    except (ContractError, TypeError, ValueError) as exc:
+    except (ContractError, ValueError) as exc:
         raise ScenarioValidationError(f"sim: cost must be \"identity\" or a {p} x {p} "
                                       f"symmetric positive definite matrix: {exc}") from exc
 
@@ -206,8 +260,12 @@ def _parse_thetas(block) -> dict:
             f'calibration: thetas must be a mapping like {{"0,1": 0.02}}, got {block!r}')
     out = {}
     for key, val in (block or {}).items():
-        i, j = (int(s) for s in str(key).split(","))
-        out[(min(i, j), max(i, j))] = float(val)
+        try:
+            i, j = (int(s) for s in str(key).split(","))
+        except ValueError as exc:
+            raise ScenarioValidationError(
+                f'calibration: thetas key {key!r} must name a pair like "0,1"') from exc
+        out[(min(i, j), max(i, j))] = _number(val, f"calibration: thetas {key}")
     return out
 
 
@@ -272,6 +330,58 @@ REQUIRED_BLOCKS = ("model", "faults", "policy", "sim")
 OPTIONAL_BLOCKS = ("clf", "estimators", "calibration", "verify")
 BLOCKS = ("name", "kind", "barriers", "seeds") + REQUIRED_BLOCKS + OPTIONAL_BLOCKS
 
+_NUMBERS = [_finite_number]
+_MATRIX = [_NUMBERS]
+# A barrier entry holds type, force_degree and the keys of its type.
+BARRIER_KEYS = {
+    "half_plane": {"a": _NUMBERS, "b": _finite_number},
+    "ellipsoid": {"Phi": _MATRIX, "center": _NUMBERS},
+    "polynomial": {"terms": [{"exponents": [_index], "coeff": _finite_number}]},
+}
+
+
+def _barrier_entry(spec, where: str) -> None:
+    kind = _expect(spec, dict, where, "a mapping").get("type", "half_plane")
+    if not isinstance(kind, str) or kind not in BARRIER_KEYS:
+        raise ScenarioValidationError(f"{where}: unknown barrier type {kind!r}")
+    _check(spec, {"type": _text, "force_degree": (None, _index), **BARRIER_KEYS[kind]}, where)
+
+
+# Every key the builder reads, with the schema (_check) of its value. Any
+# other key is an error, so a misspelt key cannot leave a preset value in
+# force. calibration: epsilon and n_runs are not read: `ftcbf calibrate`
+# writes them as a record of how the radii were found.
+SCHEMA = {
+    "name": _text,
+    "kind": _text,
+    "model": {"F": _MATRIX, "G": _MATRIX, "c": _MATRIX,
+              "sigma": (_MATRIX, _finite_number), "nu": (_MATRIX, _finite_number)},
+    "faults": {"patterns": [[_index]], "active": (None, _index),
+               "attack": (None, {"type": {"bias", "ramp"}, "amplitude": _finite_number,
+                                 "rate": _finite_number, "start": _finite_number}),
+               "failure_schedule": (None, [{"step": _finite_number, "time": _finite_number,
+                                            "L": _NUMBERS}])},
+    "barriers": [_barrier_entry],
+    "clf": (None, {"goal": (None, _NUMBERS), "radius": _positive_number,
+                   "pos_dim": (None, _index), "goal_indices": [_index], "decay": _flag,
+                   "v_bar": (None, _finite_number), "v_bar_fraction": _finite_number,
+                   "F_cl": (None, _MATRIX)}),
+    "policy": {"mode": set(MODES), "delta": _number, "u_max": (None, _positive_number),
+               "baseline_gamma": _finite_number, "alpha_kappa": _positive_number,
+               "patterns": (None, [_NUMBERS]),
+               "nominal": (None, {"type": {"lqr", "gain"}, "q": (_NUMBERS, _finite_number),
+                                  "r": _finite_number, "K": _MATRIX})},
+    "sim": {"dt": _positive_number, "horizon": _positive_number, "x0": _NUMBERS,
+            "cost": (_MATRIX, {"identity"})},
+    "estimators": (None, {"mode": {"constant_gain", "riccati_ode", "open_loop"},
+                          "smoothing": _finite_number}),
+    "calibration": (None, {"gammas": (None, _NUMBERS),
+                           "thetas": (None, lambda value, where: _parse_thetas(value)),
+                           "epsilon": _finite_number, "n_runs": _index}),
+    "verify": (None, {"box": _positive_number}),
+    "seeds": [_index],
+}
+
 
 def _stabilized_F(F: np.ndarray, G: np.ndarray, notes: list) -> np.ndarray:
     """F when F^T P + P F = -I is solvable; otherwise (the WMR double
@@ -304,7 +414,9 @@ def build_scenario(cfg: dict) -> Scenario:
     `kind` only picks defaults (and the WMR wheel-command compensator): every
     block is read the same way for every kind. A policy block that declares
     failure `patterns` makes an actuator-failure scenario, anything else a
-    sensor-fault one; its mode must then be actuator_ft or baseline.
+    sensor-fault one; its mode must then be actuator_ft or baseline. cfg
+    must fit SCHEMA, so a misspelt key or a value of the wrong type is a
+    ScenarioValidationError that names it.
     """
     unknown = [k for k in cfg if k not in BLOCKS]
     if unknown:
@@ -312,9 +424,9 @@ def build_scenario(cfg: dict) -> Scenario:
             f"unknown top-level key {', '.join(map(repr, unknown))} "
             f"(allowed: {', '.join(BLOCKS)})")
     kind = cfg.get("kind")
-    if kind not in PRESETS:
+    if not isinstance(kind, str) or kind not in PRESETS:
         raise ScenarioValidationError(f"unknown scenario kind {kind!r}")
-    cfg = _deep_merge(copy.deepcopy(PRESETS[kind]), cfg)
+    doc, cfg = cfg, _deep_merge(copy.deepcopy(PRESETS[kind]), cfg)
     notes: list = []
     # Every required key of every block is read below, so a KeyError here
     # is a key the scenario leaves out.
@@ -323,13 +435,11 @@ def build_scenario(cfg: dict) -> Scenario:
             block = cfg[key] if key in REQUIRED_BLOCKS else cfg.get(key) or {}
             if not isinstance(block, dict):
                 raise ScenarioValidationError(f"{key}: block must be a mapping")
+        # The presets fit SCHEMA, so the merge of a document that fits it does too.
+        for key, value in doc.items():
+            _check(value, SCHEMA[key], key)
         if not cfg["barriers"]:
             raise ScenarioValidationError("barriers: at least one barrier is required")
-        for key in ("barriers", "seeds"):
-            if not isinstance(cfg[key], list):
-                raise ScenarioValidationError(f"{key}: must be a list")
-        for i, spec in enumerate(cfg["barriers"]):
-            _expect(spec, dict, f"barriers: entry {i}", "a mapping")
         mblock = cfg["model"]
         F, G, c = (np.asarray(mblock[k], dtype=float) for k in ("F", "G", "c"))
         n, p = G.shape
@@ -337,20 +447,14 @@ def build_scenario(cfg: dict) -> Scenario:
                                    _scale_or_matrix(mblock.get("nu", 0.0), c.shape[0]))
 
         sim = cfg["sim"]
-        dt = _finite_number(sim["dt"], "sim: dt")
+        dt = float(sim["dt"])
         fblock = cfg["faults"]
         schedule = [(float(item["time"]) if "time" in item else float(item["step"]) * dt,
                      np.diag([float(v) for v in item["L"]]))
                     for item in fblock.get("failure_schedule") or []]
-        attack_spec = _expect(fblock.get("attack"), (dict, type(None)), "faults: attack",
-                              "a mapping")
-        for key in ("amplitude", "rate", "start"):
-            if attack_spec is not None and key in attack_spec:
-                _finite_number(attack_spec[key], f"faults: attack {key}")
         faults = FaultScenario.from_attack_spec(
-            q=c.shape[0], p=p,
-            sensor_patterns=_list_of_lists(fblock["patterns"], "faults: patterns"),
-            active_fault=fblock.get("active"), attack_spec=attack_spec,
+            q=c.shape[0], p=p, sensor_patterns=fblock["patterns"],
+            active_fault=fblock.get("active"), attack_spec=fblock.get("attack"),
             failure_schedule=schedule)
 
         barrier_specs = cfg["barriers"]
@@ -368,8 +472,7 @@ def build_scenario(cfg: dict) -> Scenario:
             raise ScenarioValidationError("policy: mode 'actuator_ft' needs failure patterns")
         af_patterns, af_chain_sets = [], []
         if actuator:
-            pattern_diags = [[1.0] * p] if mode == "baseline" \
-                else _list_of_lists(pblock["patterns"], "policy: patterns")
+            pattern_diags = [[1.0] * p] if mode == "baseline" else pblock["patterns"]
             af_patterns = [np.diag([float(v) for v in diag]) for diag in pattern_diags]
             try:
                 af_chain_sets = [[build_chain(h, model, input_mask=L,
@@ -388,15 +491,15 @@ def build_scenario(cfg: dict) -> Scenario:
             goal_radius = float(cblock["radius"])
             clf = build_quadratic_clf(F_cl, goal_radius, x_goal=cblock.get("goal"),
                                       pos_dim=cblock.get("pos_dim"))
-            goal_indices = list(_expect(cblock["goal_indices"], (list, tuple),
-                                        "clf: goal_indices", "a list"))
+            goal_indices = list(cblock["goal_indices"])
+            if not all(0 <= i < n for i in goal_indices):
+                raise ScenarioValidationError(f"clf: goal_indices must lie in 0..{n - 1}")
             v_bar = cblock.get("v_bar")
             if v_bar is None:
                 v_bar = cblock["v_bar_fraction"] * _clf_level_inside_goal(
                     clf, goal_radius, goal_indices)
 
-        nominal = _expect(pblock.get("nominal"), (dict, type(None)), "policy: nominal",
-                          "a mapping") or {}
+        nominal = pblock.get("nominal") or {}
         gain = None
         if nominal.get("type") == "lqr":
             q_w = nominal.get("q", 1.0)
@@ -421,8 +524,7 @@ def build_scenario(cfg: dict) -> Scenario:
         else:
             bank_patterns = [list(pat) for pat in fblock["patterns"]]
             m = len(bank_patterns)
-            given = _expect(calib.get("gammas"), (list, type(None)), "calibration: gammas",
-                            "a list")
+            given = calib.get("gammas")
             gammas = np.array([float(g) for g in given]) if given else np.zeros(m)
             pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
             given_thetas = calib.get("thetas")

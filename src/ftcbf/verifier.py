@@ -27,11 +27,11 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
                             thetas: Optional[dict] = None) -> dict:
     """Farkas check of the m-estimator constraint set at given estimates/errors.
 
-    Assembles A u <= Xi from the policy's own rows (hoscbf_pair) at each
-    estimate x_hat_i, with the supplied z_i in place of the worst case:
-    A = -row, Xi = -bound. Then asks for a certificate. When pairwise estimate
-    distances violate theta_ij the premise of the feasibility condition fails
-    and the check is reported vacuous (feasible by premise).
+    Assembles the policy's own rows A u >= b (hoscbf_pair) at each estimate
+    x_hat_i, with the supplied z_i in place of the worst case, and asks for
+    a certificate y >= 0 with A^T y = 0 and b^T y = 1. When pairwise
+    estimate distances violate theta_ij the premise of the feasibility
+    condition fails and the check is reported vacuous (feasible by premise).
     """
     m = len(estimates)
     if not (len(ests) == len(zs) == len(gammas) == m):
@@ -42,14 +42,11 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
                 lim = thetas.get((i, j), np.inf)
                 if np.linalg.norm(np.asarray(estimates[i]) - np.asarray(estimates[j])) > lim:
                     return {"feasible": True, "vacuous": True, "certificate": None}
-    A, Xi = [], []
-    for i in range(m):
-        x_hat = np.asarray(estimates[i], dtype=float)
-        for chain in chains:
-            row, bound = hoscbf_pair(chain, ests[i], model, x_hat, gammas[i], z=zs[i])
-            A.append(-row)
-            Xi.append(-bound)
-    y = farkas_certificate(np.array(A), np.array(Xi))
+    rows = [hoscbf_pair(chain, ests[i], model, np.asarray(estimates[i], dtype=float),
+                        gammas[i], z=zs[i])
+            for i in range(m) for chain in chains]
+    A, b = zip(*rows)
+    y = farkas_certificate(np.array(A), np.array(b))
     return {"feasible": y is None, "vacuous": False, "certificate": y}
 
 
@@ -147,8 +144,9 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
                             box: float, budget: int, seed: int = 0,
                             alpha: Callable[[float], float] = lambda s: s) -> dict:
     """Sample states in the safe part of the box and Farkas-check the
-    per-pattern row system (all barriers jointly). Half the samples are pushed
-    to a barrier boundary, where the constraints bind."""
+    policy's rows A u >= b at each (af_rows, all barriers under every
+    pattern jointly). Half the samples are pushed to a barrier boundary,
+    where the constraints bind."""
     rng = np.random.default_rng(seed)
     pts = latin_hypercube(rng, budget, model.n, -box, box)
     barrier_chains = [cs[0] for cs in af_chain_sets]  # unmasked member per barrier
@@ -174,13 +172,11 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
                     if nrm2 > 1e-14:
                         x = x - v * w / nrm2
         try:
-            rows = [af_rows(chain_set, x, patterns, model, alpha=alpha)
-                    for chain_set in af_chain_sets]
+            A, b, _ = af_rows(af_chain_sets, x, patterns, model, alpha=alpha)
         except RedundancyError as exc:
             return {"feasible": False, "certificate": None,
                     "reason": str(exc), "point": {"x": x.tolist()}}
-        A, b, _ = zip(*rows)
-        y = farkas_certificate(-np.concatenate(A), -np.concatenate(b))
+        y = farkas_certificate(A, b)
         return {"feasible": y is None, "certificate": y,
                 "point": {"x": x.tolist()}}
 

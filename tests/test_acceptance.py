@@ -90,9 +90,9 @@ def test_farkas_oracle_equivalence():
     for _ in range(100):
         m, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         A = rng.uniform(-1, 1, (m, p))
-        Xi = rng.uniform(-1, 1, m)
-        mine_feasible = farkas_certificate(A, Xi) is None
-        lp = linprog(np.zeros(p), A_ub=A, b_ub=Xi, bounds=[(None, None)] * p,
+        b = rng.uniform(-1, 1, m)
+        mine_feasible = farkas_certificate(A, b) is None
+        lp = linprog(np.zeros(p), A_ub=-A, b_ub=-b, bounds=[(None, None)] * p,
                      method="highs")
         agree += mine_feasible == (lp.status == 0)
     report("Farkas oracle equivalence 100/100", agree == 100, f"{agree}/100")
@@ -265,6 +265,7 @@ def test_verifier_cross_check():
         })
     checked = 0
     agreed = 0
+    certified = 0
     for cfg in degenerate_cases:
         scn = build_scenario(cfg)
         bank = make_bank(scn.model, scn.bank_patterns, scn.x0, with_pairs=False)
@@ -287,8 +288,16 @@ def test_verifier_cross_check():
                     xi += float(w @ est.K @ est.c_r @ np.asarray(point["zs"][i]))
                 rows.append(row)
                 bounds.append(-xi)
-        res = solve_qp(QpProblem(np.eye(scn.model.p)), np.array(rows), np.array(bounds))
+        A, b = np.array(rows), np.array(bounds)
+        res = solve_qp(QpProblem(np.eye(scn.model.p)), A, b)
         agreed += res.status == "infeasible"
+        # The reported certificate is one for these rows as they stand.
+        y = rep["counterexample"]["certificate"]
+        certified += bool(np.min(y) >= 0.0
+                          and np.max(np.abs(A.T @ y)) <= 1e-9 * max(1.0, np.max(y))
+                          and b @ y > 0.0)
     report("Verifier cross-check: counterexamples give infeasible QPs",
            checked == len(degenerate_cases) and agreed == checked,
            f"{agreed}/{checked}")
+    report("Verifier cross-check: certificates y >= 0, A^T y = 0, b^T y > 0",
+           certified == checked, f"{certified}/{checked}")

@@ -109,12 +109,12 @@ def test_af_rows_boeing():
     h0 = HalfPlane((0, 1, 0, 0), 0.025)
     patterns = [np.eye(3), np.diag([1.0, 0, 1]), np.diag([0.0, 1, 1])]
     chains = [build_chain(h0, model, input_mask=L) for L in patterns]
-    A, b, sources = af_rows(chains, np.zeros(4), patterns, model)
+    A, b, sources = af_rows([chains], np.zeros(4), patterns, model)
     assert np.allclose(A[1], [-0.475, 0.0, -0.3])
     assert np.allclose(A[0], [-0.475, -0.5, -0.3])
     for bound in b:
         assert bound == pytest.approx(-0.025)
-    assert sources[0].startswith("af_cbf(0)")
+    assert sources == ["af_cbf(0)[0]", "af_cbf(1)[0]", "af_cbf(2)[0]"]
 
 
 def test_af_rows_identity_patterns_identical():
@@ -122,7 +122,7 @@ def test_af_rows_identity_patterns_identical():
     h0 = HalfPlane((0, 1, 0, 0), 0.025)
     patterns = [np.eye(3)] * 3
     chains = [build_chain(h0, model, input_mask=L) for L in patterns]
-    A, b, _ = af_rows(chains, np.array([0.1, 0.01, 0.0, 0.0]), patterns, model)
+    A, b, _ = af_rows([chains], np.array([0.1, 0.01, 0.0, 0.0]), patterns, model)
     for row, bound in zip(A[1:], b[1:]):
         assert np.allclose(row, A[0]) and bound == pytest.approx(b[0])
 
@@ -134,7 +134,7 @@ def test_af_redundancy_violation():
         build_chain(HalfPlane((0, 1, 0, 0), 0.025), model, input_mask=dead)
     ch = build_chain(HalfPlane((0, 1, 0, 0), 0.025), model, input_mask=dead, force_degree=0)
     with pytest.raises(RedundancyError):
-        af_rows([ch], np.zeros(4), [dead], model)
+        af_rows([[ch]], np.zeros(4), [dead], model)
 
 
 def test_chain_recursion_against_finite_differences():

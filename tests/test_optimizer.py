@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from ftcbf.errors import ContractError, SolverError
-from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, _validate_certificate,
-                             factor_rows, farkas_certificate, solve_qp)
+from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors,
+                             _validate_certificate, farkas_certificate, solve_qp)
 
 
 def test_single_row_projection():
@@ -44,8 +44,8 @@ def test_degenerate_zero_rows():
     res = solve_qp(QpProblem(np.eye(2)), np.array([[0.0, 0.0]]), np.array([0.5]))
     assert res.status == "infeasible"
     y = res.certificate
-    A, Xi = -np.array([[0.0, 0.0]]), -np.array([0.5])
-    assert np.max(np.abs(A.T @ y)) <= 1e-9 and Xi @ y < 0
+    A, b = np.array([[0.0, 0.0]]), np.array([0.5])
+    assert np.max(np.abs(A.T @ y)) <= 1e-9 and b @ y > 0
 
 
 def test_r_validation():
@@ -70,11 +70,12 @@ def test_rows_must_be_finite_and_match_r():
 
 
 def test_farkas_examples():
-    assert farkas_certificate(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])) is None
-    y = farkas_certificate(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))
+    # -u >= -1 and u >= -1 meet; -u >= -1 and u >= 2 do not.
+    assert farkas_certificate(np.array([[-1.0], [1.0]]), np.array([-1.0, -1.0])) is None
+    y = farkas_certificate(np.array([[-1.0], [1.0]]), np.array([-1.0, 2.0]))
     assert y is not None
     assert abs(y[0] - y[1]) < 1e-9
-    assert np.isclose(np.array([1.0, -2.0]) @ y, -1.0)
+    assert np.isclose(np.array([-1.0, 2.0]) @ y, 1.0)
 
 
 def test_scale_equivariance():
@@ -102,8 +103,8 @@ def test_exactly_one_outcome_random():
             y = res.certificate
             assert res.u is None
             assert np.min(y) >= -1e-12
-            assert np.max(np.abs((-A).T @ y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
-            assert (-b) @ y < 0
+            assert np.max(np.abs(A.T @ y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
+            assert b @ y > 0
 
 
 def test_kkt_stationarity_reported_solution():
@@ -126,12 +127,12 @@ def test_farkas_certificate_always_valid(seed):
     rng = np.random.default_rng(seed)
     m, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
     A = rng.uniform(-1, 1, (m, p))
-    Xi = rng.uniform(-1, 1, m)
-    y = farkas_certificate(A, Xi)
+    b = rng.uniform(-1, 1, m)
+    y = farkas_certificate(A, b)
     if y is not None:
         assert np.min(y) >= -1e-12
         assert np.max(np.abs(A.T @ y)) <= 1e-9 * max(1.0, np.max(np.abs(y)))
-        assert Xi @ y < 0
+        assert b @ y > 0
 
 
 def _max_rows(p):
@@ -239,7 +240,7 @@ def test_solve_qp_fuzz_against_linprog(system, seed):
 @given(degenerate_systems())
 def test_farkas_certificate_fuzz_against_linprog(system):
     A, b, infeasible = system
-    y = farkas_certificate(-A, -b)
+    y = farkas_certificate(A, b)
     assert (y is None) == (not infeasible) == _lp_feasible(A, b)
     if y is not None:
         _assert_certificate(A, b, y)
@@ -258,7 +259,7 @@ def test_masked_solve_equals_fresh_solve(system, identity, seed):
     rng = np.random.default_rng(seed)
     M = rng.uniform(-1, 1, (p, p))
     qp = QpProblem(np.eye(p) if identity else M @ M.T + np.eye(p))
-    factors = factor_rows(qp, A, b)
+    factors = RowFactors(A, b, qp)
     for keep in [None] + [rng.random(m) < 0.7 for _ in range(4)]:
         kept = slice(None) if keep is None else keep
         try:
@@ -278,7 +279,7 @@ def test_masked_solve_equals_fresh_solve(system, identity, seed):
             assert masked.active == fresh.active
             assert np.array_equal(masked.multipliers, fresh.multipliers)
         else:
-            _validate_certificate(-A[kept], -b[kept], masked.certificate)
+            _validate_certificate(A[kept], b[kept], masked.certificate)
 
 
 def test_nearly_concurrent_rows_one_scaled_by_1e6():
@@ -324,13 +325,13 @@ def test_far_vertex_of_nearly_antiparallel_rows():
     the two rows misses row 3 by 2e-9; the system must come out feasible."""
     rng = np.random.default_rng(3000)
     m, p = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    A = rng.uniform(-1, 1, (m, p))
-    Xi = rng.uniform(-1, 1, m)
+    A = -rng.uniform(-1, 1, (m, p))
+    b = -rng.uniform(-1, 1, m)
     assert (m, p) == (4, 2)
-    assert farkas_certificate(A, Xi) is None
-    res = solve_qp(QpProblem(np.eye(2)), -A, -Xi)
+    assert farkas_certificate(A, b) is None
+    res = solve_qp(QpProblem(np.eye(2)), A, b)
     assert res.is_feasible
-    _assert_kkt(np.eye(2), -A, -Xi, res)
+    _assert_kkt(np.eye(2), A, b, res)
     assert np.allclose(res.u, [2158.38521584, -2988.57838288], rtol=1e-9)
 
 
@@ -343,7 +344,7 @@ def test_vertex_of_rows_1e7_from_antiparallel():
     assert res.is_feasible and res.active == (0, 1)
     _assert_kkt(np.eye(2), A, b, res)
     assert np.allclose(res.u, [1.0, 10.0], rtol=1e-7)
-    assert farkas_certificate(-A, -b) is None
+    assert farkas_certificate(A, b) is None
 
 
 def test_certificate_from_sets_of_p_plus_one_rows():
@@ -371,4 +372,4 @@ def test_farkas_far_feasible_point_behind_nearly_dependent_rows():
                   [0.0, 0.0, 0.0, 0.0, 0.0],
                   [-0.35199628, 0.21019225, 0.08038099, -0.53669927, -0.32214538]])
     b = np.array([0.2226919, 0.2226919, -0.25332343, -0.95102298, -0.93644206, 0.11812559])
-    assert farkas_certificate(-A, -b) is None
+    assert farkas_certificate(A, b) is None

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from ftcbf.cli import main
-from ftcbf.errors import ContractError
+from ftcbf.errors import ContractError, ScenarioValidationError
 from ftcbf.runner import run_scenario, run_sweep, sweep_metrics, write_csv
 from ftcbf.scenarios import build_scenario, load_scenario
 
@@ -124,11 +124,17 @@ def test_cli_run_and_outputs(tmp_path, wmr_yaml):
     assert "omega1" in header and "slack_min" in header and "removed" in header
 
 
-def test_cli_run_empty_seeds(tmp_path, wmr_yaml):
+def test_cli_run_empty_seeds(tmp_path, wmr_yaml, capsys):
+    """A seed count below 1, or a comma list without a seed, runs nothing: it
+    is an error that names the comma-list form, and nothing is written."""
     out = tmp_path / "none"
-    rc = main(["run", "--scenario", str(wmr_yaml), "--seeds", "0", "--out", str(out)])
-    assert rc == 0
-    assert not out.exists()
+    for spec in ("0", "-1", ","):
+        rc = main(["run", "--scenario", str(wmr_yaml), "--seeds", spec, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "--seeds 0," in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def test_cli_seed_list_parsing(tmp_path, boeing_yaml):
@@ -214,14 +220,14 @@ def test_cli_verify_uncalibrated_sensor_scenario(tmp_path, wmr_yaml, capsys):
 
 def test_cli_run_notes_uncalibrated_sensor_scenario(tmp_path, wmr_yaml, capsys):
     """`run` keeps going without a calibration block but says what that costs."""
-    assert main(["run", "--scenario", str(wmr_yaml), "--seeds", "0",
+    assert main(["run", "--scenario", str(wmr_yaml), "--seeds", "0,",
                  "--out", str(tmp_path / "golden")]) == 0
     assert "ftcbf calibrate" not in capsys.readouterr().err
     cfg = yaml.safe_load(wmr_yaml.read_text())
     del cfg["calibration"]
     path = tmp_path / "uncalibrated.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    assert main(["run", "--scenario", str(path), "--seeds", "0",
+    assert main(["run", "--scenario", str(path), "--seeds", "0,",
                  "--out", str(tmp_path / "out")]) == 0
     assert "ftcbf calibrate" in capsys.readouterr().err
 
@@ -377,6 +383,69 @@ def test_cli_bad_scenario_keys_are_errors(tmp_path, wmr_yaml, capsys, edit, key)
     assert rc == 1
     assert err.startswith("error:") and key in err
     assert "Traceback" not in err
+
+
+def _set(*path_and_value):
+    """An edit that sets the value at the path of keys, creating mappings
+    on the way."""
+    *path, last, value = path_and_value
+
+    def edit(cfg):
+        node = cfg
+        for key in path:
+            node = node.setdefault(key, {})
+        node[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("policy", "u_mx", 3.0), "policy: unknown key 'u_mx' (allowed: mode, delta, u_max"),
+    (_set("sim", "horizn", 3.0), "sim: unknown key 'horizn'"),
+    (_set("clf", "radus", 0.1), "clf: unknown key 'radus'"),
+    (_set("faults", "attack", "amplitud", 0.1), "faults: attack: unknown key 'amplitud'"),
+    (_set("policy", "nominal", {"type": "lqr", "qq": 1.0}),
+     "policy: nominal: unknown key 'qq'"),
+    (_set("barriers", [{"type": "half_plane", "a": [0.0, 1.0, 0.0, 0.0], "b": 0.1, "bb": 1.0}]),
+     "barriers: entry 0: unknown key 'bb' (allowed: type, force_degree, a, b)"),
+    (_set("calibration", "epsilom", 0.05), "calibration: unknown key 'epsilom'"),
+    (_set("policy", "u_max", -1.0), "policy: u_max must be positive"),
+    (_set("policy", "u_max", 0.0), "policy: u_max must be positive"),
+    (_set("sim", "dt", -0.02), "sim: dt must be positive"),
+    (_set("sim", "horizon", float("nan")), "sim: horizon must be finite"),
+    (_set("sim", "horizon", 0.0), "sim: horizon must be positive"),
+    (_set("clf", "radius", [1]), "clf: radius must be a number"),
+    (_set("faults", "active", "1"), "faults: active must be an integer"),
+    (_set("policy", "mode", "sensor-ft"),
+     "policy: mode must be one of actuator_ft, baseline, sensor_ft, sensor_ft_clf, "
+     "got 'sensor-ft'"),
+    (_set("estimators", "mode", "kalman"),
+     "estimators: mode must be one of constant_gain, open_loop, riccati_ode, got 'kalman'"),
+    (_set("seeds", ["0"]), "seeds: entry 0 must be an integer")],
+    ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
+         "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
+         "zero-horizon", "list-radius", "text-active", "unknown-mode",
+         "unknown-estimator-mode", "text-seed"])
+def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
+                                                         message):
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    edit(cfg)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["run", "--scenario", str(path), "--seeds", "0,", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failure_schedule_entry_keys_are_checked(boeing_yaml):
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["faults"]["failure_schedule"][1]["stpe"] = 100
+    with pytest.raises(ScenarioValidationError,
+                       match=r"faults: failure_schedule entry 1: unknown key 'stpe' "
+                             r"\(allowed: step, time, L\)"):
+        build_scenario(cfg)
 
 
 def test_cli_malformed_yaml_is_an_error(tmp_path, capsys):

@@ -1,11 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 import yaml
 
 from ftcbf.errors import ScenarioValidationError
 from ftcbf.runner import run_scenario
-from ftcbf.scenarios import (BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G, build_scenario,
-                             load_scenario, wmr_compensator)
+from ftcbf.scenarios import (BOEING_F, BOEING_G, PRESETS, SCHEMA, WMR_C, WMR_F, WMR_G, Scenario,
+                             _check, build_scenario, load_scenario, wmr_compensator)
 
 
 def test_wmr_matrices_golden():
@@ -201,3 +203,46 @@ def test_baseline_variants():
     assert boe_b.family == "actuator"
     unscheduled = build_scenario({"kind": "boeing", "faults": {"failure_schedule": []}})
     assert unscheduled.family == "actuator"
+
+
+def test_presets_fit_the_schema():
+    """build_scenario checks the document it is given, not the merge, so
+    every preset must fit SCHEMA on its own."""
+    for preset in PRESETS.values():
+        for key, value in preset.items():
+            _check(value, SCHEMA[key], key)
+
+
+def _scalar_leaves(node, path=()):
+    """The key path of every scalar leaf of a parsed YAML document, list
+    entries included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _scalar_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _scalar_leaves(value, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("replacement", [[1.0], {"x": 1.0}, "x", None],
+                         ids=["list", "mapping", "string", "null"])
+def test_wrong_typed_leaves_are_validation_errors(wmr_yaml, replacement):
+    """Each scalar leaf of the golden WMR file, replaced by a value of the
+    wrong type, builds a scenario or raises ScenarioValidationError."""
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    leaves = list(_scalar_leaves(cfg))
+    assert len(leaves) > 60
+    for path in leaves:
+        edited = copy.deepcopy(cfg)
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(replacement)
+        try:
+            assert isinstance(build_scenario(edited), Scenario)
+        except ScenarioValidationError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{path} = {replacement!r}: {type(exc).__name__}: {exc}")

@@ -67,7 +67,7 @@ def test_ft_set_parallel_vs_antiparallel():
                                   zs, [0.0, 0.0])
     assert out["feasible"]
     # anti-parallel with conflicting bounds via direct Farkas assembly
-    y = farkas_certificate(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0]))
+    y = farkas_certificate(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
     assert y is not None and abs(y[0] - y[1]) < 1e-9
 
 
