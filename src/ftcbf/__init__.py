@@ -11,8 +11,7 @@ from .barriers import (BarrierChain, HalfPlane, Poly, af_rows, build_chain,
 from .clf import QuadraticClf, build_quadratic_clf, clf_row, goal_reach_time, solve_lyapunov
 from .errors import FtcbfError
 from .estimators import (CalibrationResult, EstimatorBank, EstimatorState,
-                         calibrate_gammas, ekf_step, make_bank, reduce_output,
-                         residue, steady_state_gain)
+                         calibrate_gammas, ekf_step, make_bank, steady_state_gain)
 from .optimizer import QpProblem, QpResult, farkas_certificate, solve_qp
 from .policy import PolicyConfig, active_sets, assemble_constraints, resolve_conflicts
 from .runner import RunResult, run_scenario, run_sweep, sweep_metrics, write_csv

@@ -87,12 +87,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else -float(other))
-
     def diff(self, i: int) -> "Poly":
         out = {}
         for e, c in self.terms.items():
@@ -141,7 +135,7 @@ def ellipsoid_barrier(Phi, center) -> Poly:
     for i in range(n):
         for j in range(n):
             if Phi[i, j] != 0.0:
-                h = h - Phi[i, j] * (shifted[i] * shifted[j])
+                h = h + (-Phi[i, j]) * (shifted[i] * shifted[j])
     return h
 
 
@@ -236,19 +230,20 @@ def _grad_dot_g_nonzero(grad_row: np.ndarray, G_eff: np.ndarray) -> bool:
     return np.max(np.abs(grad_row @ G_eff)) > 1e-9 * scale
 
 
-def build_chain(h, model: SystemModel, max_degree: Optional[int] = None,
-                input_mask: Optional[np.ndarray] = None,
+def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
                 force_degree: Optional[int] = None) -> BarrierChain:
     """Build h^0..h^{d'} with d' minimal such that dh^{d'}/dx g != 0.
 
-    input_mask restricts the relative-degree test to g L (actuator-failure
-    chains); the recursion itself never involves u below d' because the
-    masked input column is identically zero there. force_degree pins d'
-    without the controllability test (used to express deliberately degenerate
+    The search stops at degree n + 2. input_mask restricts the
+    relative-degree test to g L (actuator-failure chains); the recursion
+    itself never involves u below d' because the masked input column is
+    identically zero there. force_degree pins d' without the
+    controllability test (used to express deliberately degenerate
     verification scenarios where no valid degree exists).
     """
-    if max_degree is None:
-        max_degree = model.n + 2
+    if force_degree is not None and force_degree < 0:
+        raise ContractError(f"force_degree must be nonnegative, got {force_degree}")
+    top = model.n + 2 if force_degree is None else force_degree
     G_eff = None
     if model.is_linear:
         G_eff = model.G if input_mask is None else model.G @ np.asarray(input_mask, dtype=float)
@@ -257,24 +252,19 @@ def build_chain(h, model: SystemModel, max_degree: Optional[int] = None,
         a = np.asarray(h.a, dtype=float)
         if a.shape != (model.n,):
             raise ContractError("half-plane normal has wrong dimension")
-        if force_degree is not None:
-            if not model.is_linear and force_degree > 0:
+        if not model.is_linear:
+            if force_degree is None:
+                return _degree_zero_chain(h.to_poly(), model, affine=(a, float(h.b)))
+            if force_degree > 0:
                 raise ContractError("force_degree > 0 needs an LTI model")
-            weights, offsets = [a], [float(h.b)]
-            for d in range(force_degree):
-                weights.append(weights[d] @ model.F + weights[d])
-                offsets.append(offsets[d])
-            return BarrierChain("affine", force_degree, weights=weights, offsets=offsets)
-        if model.is_linear:
-            weights, offsets = [a], [float(h.b)]
-            for d in range(max_degree + 1):
-                if _grad_dot_g_nonzero(weights[d], G_eff):
-                    return BarrierChain("affine", d, weights=weights, offsets=offsets)
-                weights.append(weights[d] @ model.F + weights[d])
-                offsets.append(offsets[d])
-            raise UncontrollableBarrierError(
-                f"no relative degree <= {max_degree}: a^T F^d G == 0 throughout")
-        return _degree_zero_chain(h.to_poly(), model, affine=(a, float(h.b)))
+        weights, offsets = [a], [float(h.b)]
+        for d in range(top + 1):
+            if d == force_degree or force_degree is None and _grad_dot_g_nonzero(weights[d], G_eff):
+                return BarrierChain("affine", d, weights=weights, offsets=offsets)
+            weights.append(weights[d] @ model.F + weights[d])
+            offsets.append(offsets[d])
+        raise UncontrollableBarrierError(
+            f"no relative degree <= {top}: a^T F^d G == 0 throughout")
 
     if isinstance(h, Poly):
         if not model.is_linear:
@@ -284,7 +274,6 @@ def build_chain(h, model: SystemModel, max_degree: Optional[int] = None,
         polys = [h]
         grads = [[h.diff(i) for i in range(model.n)]]
         hessians = [[[grads[0][i].diff(j) for j in range(model.n)] for i in range(model.n)]]
-        top = force_degree if force_degree is not None else max_degree
         for d in range(top + 1):
             if force_degree is not None:
                 if d == force_degree:
@@ -306,7 +295,7 @@ def build_chain(h, model: SystemModel, max_degree: Optional[int] = None,
             polys.append(nxt)
             grads.append([nxt.diff(i) for i in range(model.n)])
             hessians.append([[grads[-1][i].diff(j) for j in range(model.n)] for i in range(model.n)])
-        raise UncontrollableBarrierError(f"no relative degree <= {max_degree} for polynomial barrier")
+        raise UncontrollableBarrierError(f"no relative degree <= {top} for polynomial barrier")
 
     raise ContractError(f"unsupported barrier type {type(h).__name__}")
 

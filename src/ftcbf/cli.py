@@ -5,7 +5,7 @@
     ftcbf verify    --scenario boeing.yaml --budget 10000 --out report.json
 
 --seeds takes either a count n >= 1 (seeds 0..n-1) or a comma list (`0,` is seed 0
-alone). Exit codes:
+alone); without it, run takes the scenario file's `seeds:` list. Exit codes:
 0 success, 1 validation/parse error, 2 verify found a counterexample.
 FTCBF_THREADS caps the seed-sweep worker pool.
 """
@@ -38,7 +38,7 @@ def _parse_seeds(spec: str) -> list:
 
 def cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
-    seeds = _parse_seeds(args.seeds)
+    seeds = scn.seeds if args.seeds is None else _parse_seeds(args.seeds)
     for note in scn.notes:
         print(f"note: {note}", file=sys.stderr)
     out = Path(args.out)
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate a scenario over seeds")
     run.add_argument("--scenario", required=True)
-    run.add_argument("--seeds", default="1", help="count or comma list")
+    run.add_argument("--seeds", help="count or comma list (default: the scenario's seeds)")
     run.add_argument("--out", required=True)
     run.set_defaults(fn=cmd_run)
 

@@ -32,7 +32,7 @@ class LyapunovError(FtcbfError):
 
 
 class UncontrollableBarrierError(FtcbfError):
-    """No relative degree found up to max_degree: control never enters the
+    """No relative degree found up to n + 2: control never enters the
     barrier derivative chain."""
 
 

@@ -26,20 +26,6 @@ from .errors import ContractError, DetectabilityError, EstimatorConfigError
 from .simulator import FaultScenario, SystemModel, matvec, measure, step_true_state
 
 
-def reduce_output(y_inc: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
-    """Delete the trailing-axis entries indexed by pattern, preserving the order of the rest."""
-    y_inc = np.asarray(y_inc, dtype=float)
-    if not pattern:
-        return y_inc.copy()
-    return np.delete(y_inc, list(pattern), axis=-1)
-
-
-def reduce_model_rows(c: np.ndarray, nu: np.ndarray, pattern: Sequence[int]):
-    """c with pattern rows removed; nu with pattern rows and columns removed."""
-    idx = [i for i in range(c.shape[0]) if i not in set(pattern)]
-    return c[idx, :], nu[np.ix_(idx, idx)]
-
-
 @dataclass
 class EstimatorState:
     """One filter: estimate, covariance, gain, and its retained sensor set.
@@ -74,29 +60,16 @@ def _sym_check(P: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def residue(est: EstimatorState, y_reduced: np.ndarray, dt: float,
-            smoothing: Optional[float] = None):
-    """Smoothed innovation norm ||y_reduced - c_r x_hat dt||, one per run.
-
-    smoothing = 0 gives the instantaneous value. The raw per-step innovation
-    is noise-dominated at small dt, so the policy compares smoothed values.
-    """
-    if est.mode == "open_loop" or est.c_r is None:
-        return est.residue
-    lam = est.smoothing if smoothing is None else smoothing
-    d = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, est.x_hat) * dt
-    return _smoothed_residue(est, d, lam)
-
-
-def _smoothed_residue(est: EstimatorState, innov: np.ndarray, lam: float):
-    return lam * est.residue + (1.0 - lam) * np.sqrt(np.vecdot(innov, innov))
-
-
 def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: float,
              model: SystemModel) -> EstimatorState:
     """Advance one Euler step of the filter SDE.
 
     dx_hat = (f(x_hat) + g(x_hat) u) dt + K (dy_r - c_r x_hat dt)
+
+    The residue smooths the innovation norm, one per run: residue <-
+    s residue + (1 - s) ||dy_r - c_r x_hat dt|| with s = smoothing, since the
+    raw innovation is noise-dominated at small dt. An open_loop filter has
+    no innovation and keeps its residue.
 
     In riccati_ode mode the covariance follows
     dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P and the gain is recomputed
@@ -112,7 +85,8 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
 
     innov = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, x) * dt
     x_new = x + drift + matvec(est.K, innov)
-    res = _smoothed_residue(est, innov, est.smoothing)
+    s = est.smoothing
+    res = s * est.residue + (1.0 - s) * np.sqrt(np.vecdot(innov, innov))
 
     if est.mode == "constant_gain":
         return replace(est, x_hat=x_new, residue=res)
@@ -177,7 +151,6 @@ def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray, R_r: np.nda
 class EstimatorBank:
     """Single-pattern and pairwise filters plus their calibrated radii."""
 
-    patterns: list
     singles: list
     pairs: dict
     gammas: np.ndarray
@@ -193,16 +166,9 @@ class EstimatorBank:
     def gamma(self, i: int) -> float:
         return float(self.gammas[i])
 
-    def all_states(self):
-        yield from self.singles
-        yield from self.pairs.values()
-
     def step(self, model: SystemModel, u: np.ndarray, y_inc: np.ndarray, dt: float) -> None:
-        """Advance every filter one step on the shared output increment.
-
-        Each filter reads its retained channels by index, the same values
-        reduce_output leaves.
-        """
+        """Advance every filter one step on the shared output increment,
+        each on its retained channels."""
         y_inc = np.asarray(y_inc, dtype=float)
         for k, est in enumerate(self.singles):
             self.singles[k] = ekf_step(est, u, y_inc.take(est.sensors, axis=-1), dt, model)
@@ -226,7 +192,7 @@ def _make_state(model: SystemModel, ident: tuple, removed: tuple, x0: np.ndarray
     if not sensors or mode == "open_loop":
         return EstimatorState(id=ident, removed=removed, sensors=sensors, x_hat=x0.copy(),
                               P=np.eye(model.n), mode="open_loop", smoothing=smoothing)
-    c_r, nu_r = reduce_model_rows(model.c, model.nu, removed)
+    c_r, nu_r = model.c[sensors, :], model.nu[np.ix_(sensors, sensors)]
     R_r = nu_r @ nu_r.T
     if np.min(np.linalg.svd(R_r, compute_uv=False)) <= 1e-12:
         raise EstimatorConfigError(
@@ -270,7 +236,7 @@ def make_bank(model: SystemModel, patterns: Sequence[Sequence[int]], x0: np.ndar
     m = len(pats)
     g = np.zeros(m) if gammas is None else np.asarray(gammas, dtype=float)
     th = dict(thetas) if thetas else {}
-    return EstimatorBank(patterns=pats, singles=singles, pairs=pairs, gammas=g, thetas=th)
+    return EstimatorBank(singles=singles, pairs=pairs, gammas=g, thetas=th)
 
 
 @dataclass

@@ -225,8 +225,11 @@ class RowFactors:
         point satisfies every kept row. Active sets, multipliers and the
         certificate index the kept rows.
         """
-        keep = np.ones(len(self.b), dtype=bool) if keep is None else np.asarray(keep, dtype=bool)
-        A, b, tol = self.A[keep], self.b[keep], self.tol[keep]
+        every = keep is None
+        keep = np.ones(len(self.b), dtype=bool) if every else np.asarray(keep, dtype=bool)
+        # With every row kept, the stored arrays serve uncopied and every set is kept.
+        A, b, tol = ((self.A, self.b, self.tol) if every
+                     else (self.A[keep], self.b[keep], self.tol[keep]))
         m, p = A.shape
         if (b <= tol).all():
             # The empty set, u = 0, needs no factors.
@@ -236,7 +239,7 @@ class RowFactors:
             sets = self.sets
             # Sets of kept rows only, and among them those whose point meets
             # every kept row: the multipliers are needed only there.
-            kept_sets = f.indep & ~(self._holds @ ~keep)
+            kept_sets = f.indep if every else f.indep & ~(self._holds @ ~keep)
             feasible = np.flatnonzero(kept_sets & ~(f.misses @ keep))
             mu = np.linalg.solve(f.Rs[feasible], f.z[feasible])[..., 0]
             ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)

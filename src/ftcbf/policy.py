@@ -150,13 +150,14 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
     rows = (A, b, sources, owners) are the rows of Z and U, as
     assemble_constraints returns them; owners[r] is the estimator row r
     belongs to, and a row owned by -1 (the input box) is never pruned. The
-    rows are factored once, and each re-solve keeps the rows of the
-    estimators still in Z or U. Step 2 removes i from both Z and U only when
-    some pairwise distance exceeds theta_ij and i disagrees with the
-    dedicated (i, j) filter by more than theta_ij / 2; an estimator
-    consistent with all active peers is never removed here. Step 3 removes
-    by descending smoothed residue, ties broken toward the lower index,
-    re-solving after each removal.
+    rows are factored once. One mask of pruned estimators is the whole
+    pruning state: each re-solve keeps the rows of the estimators not yet
+    pruned, and the outcome's Z, U and rows are read from it. Step 2 removes
+    i from both Z and U only when some pairwise distance exceeds theta_ij
+    and i disagrees with the dedicated (i, j) filter by more than
+    theta_ij / 2; an estimator consistent with all active peers is never
+    removed here. Step 3 removes by descending smoothed residue, ties
+    broken toward the lower index, re-solving after each removal.
     """
     Z = sorted(Z)
     U = sorted(U)
@@ -169,12 +170,14 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
     removed = []
     # By estimator; the extra last entry stands for owner -1 and stays False.
     pruned = np.zeros(bank.m + 1, dtype=bool)
-    keep = np.ones(len(b), dtype=bool)
 
-    def kept(keep):
-        return A[keep], b[keep], [s for s, k in zip(sources, keep) if k]
+    def outcome(res, step):
+        keep = ~pruned[owners]
+        return ResolveOutcome(res, res.u if res.is_feasible else np.zeros(qp.p),
+                              A[keep], b[keep], [s for s, k in zip(sources, keep) if k],
+                              [i for i in Z if not pruned[i]], [i for i in U if not pruned[i]],
+                              removed=removed, step=step, infeasible_event=not res.is_feasible)
 
-    drop = set()
     active = sorted(set(Z) | set(U))
     for a, i in enumerate(active):
         for j in active[a + 1:]:
@@ -183,36 +186,24 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
             if np.linalg.norm(bank.estimate(i) - bank.estimate(j)) > bank.theta(i, j):
                 x_ij = bank.pair_estimate(i, j)
                 half = bank.theta(i, j) / 2.0
-                if np.linalg.norm(bank.estimate(i) - x_ij) > half and i not in drop:
-                    drop.add(i)
-                    removed.append((i, "pairwise"))
-                if np.linalg.norm(bank.estimate(j) - x_ij) > half and j not in drop:
-                    drop.add(j)
-                    removed.append((j, "pairwise"))
-    # With nothing dropped, step 2 would solve step 1's rows again.
-    if drop:
-        Z = [i for i in Z if i not in drop]
-        U = [i for i in U if i not in drop]
-        pruned[list(drop)] = True
-        keep = ~pruned[owners]
-        res = factors.solve(keep)
+                for k in (i, j):
+                    if np.linalg.norm(bank.estimate(k) - x_ij) > half and not pruned[k]:
+                        pruned[k] = True
+                        removed.append((k, "pairwise"))
+    # With nothing pruned, step 2 would solve step 1's rows again.
+    if removed:
+        res = factors.solve(~pruned[owners])
         if res.is_feasible:
-            return ResolveOutcome(res, res.u, *kept(keep), Z, U, removed=removed, step=2)
+            return outcome(res, 2)
 
     residues = bank.residues()
-    order = sorted(set(Z) | set(U), key=lambda i: (-residues[i], i))
-    for idx in order:
+    for idx in sorted((i for i in active if not pruned[i]), key=lambda i: (-residues[i], i)):
         removed.append((idx, "residue"))
-        Z = [i for i in Z if i != idx]
-        U = [i for i in U if i != idx]
         pruned[idx] = True
-        keep = ~pruned[owners]
-        res = factors.solve(keep)
+        res = factors.solve(~pruned[owners])
         if res.is_feasible:
-            return ResolveOutcome(res, res.u, *kept(keep), Z, U, removed=removed, step=3)
-
-    return ResolveOutcome(res, np.zeros(qp.p), *kept(keep), Z, U, removed=removed, step=3,
-                          infeasible_event=True)
+            break
+    return outcome(res, 3)
 
 
 def actuator_control(cfg: PolicyConfig, model: SystemModel, x: np.ndarray,

@@ -148,19 +148,42 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _scale_or_matrix(value, size: int) -> np.ndarray:
+def _shaped(value, shape: tuple, where: str) -> np.ndarray:
+    """value as a float array of shape, where None is any length, or an
+    error naming where."""
+    if len(shape) == 1:
+        want = f"have {shape[0]} entries"
+    elif shape[0] is not None:
+        want = f"be a {shape[0]} x {shape[1]} matrix"
+    else:
+        want = "be a matrix" + ("" if shape[1] is None else f" with {shape[1]} columns")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except ValueError:  # rows of unequal length
+        arr = None
+    if arr is None or arr.ndim != len(shape) \
+            or any(k is not None and k != a for k, a in zip(shape, arr.shape)):
+        got = "rows of unequal length" if arr is None else f"shape {arr.shape}"
+        raise ScenarioValidationError(f"{where} must {want}, got {got}")
+    return arr
+
+
+def _scale_or_matrix(value, size: int, where: str) -> np.ndarray:
     if np.isscalar(value):
         return float(value) * np.eye(size)
-    return np.asarray(value, dtype=float)
+    return _shaped(value, (size, size), where)
 
 
-def _barrier_from_spec(spec: dict, n: int):
+def _barrier_from_spec(spec: dict, n: int, where: str):
     kind = spec.get("type", "half_plane")
     if kind == "half_plane":
-        return HalfPlane(a=tuple(float(v) for v in spec["a"]), b=float(spec["b"]))
+        return HalfPlane(a=tuple(float(v) for v in _shaped(spec["a"], (n,), f"{where} a")),
+                         b=float(spec["b"]))
     if kind == "ellipsoid":
-        return ellipsoid_barrier(np.asarray(spec["Phi"], dtype=float),
-                                 np.asarray(spec["center"], dtype=float))
+        return ellipsoid_barrier(_shaped(spec["Phi"], (n, n), f"{where} Phi"),
+                                 _shaped(spec["center"], (n,), f"{where} center"))
+    for k, t in enumerate(spec["terms"]):
+        _shaped(t["exponents"], (n,), f"{where} terms entry {k} exponents")
     terms = {tuple(int(e) for e in t["exponents"]): float(t["coeff"]) for t in spec["terms"]}
     return Poly(n, terms)
 
@@ -194,6 +217,21 @@ def _index(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ScenarioValidationError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _nonnegative(check):
+    """The check, and the value must not be negative."""
+    def nonnegative(value, where: str):
+        if check(value, where) < 0:
+            raise ScenarioValidationError(f"{where} must be nonnegative, got {value!r}")
+        return value
+    return nonnegative
+
+
+def _fraction(value, where: str) -> float:
+    if not 0.0 <= _finite_number(value, where) <= 1.0:
+        raise ScenarioValidationError(f"{where} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _text(value, where: str) -> str:
@@ -265,7 +303,7 @@ def _parse_thetas(block) -> dict:
         except ValueError as exc:
             raise ScenarioValidationError(
                 f'calibration: thetas key {key!r} must name a pair like "0,1"') from exc
-        out[(min(i, j), max(i, j))] = _number(val, f"calibration: thetas {key}")
+        out[(min(i, j), max(i, j))] = _nonnegative(_number)(val, f"calibration: thetas {key}")
     return out
 
 
@@ -336,7 +374,7 @@ _MATRIX = [_NUMBERS]
 BARRIER_KEYS = {
     "half_plane": {"a": _NUMBERS, "b": _finite_number},
     "ellipsoid": {"Phi": _MATRIX, "center": _NUMBERS},
-    "polynomial": {"terms": [{"exponents": [_index], "coeff": _finite_number}]},
+    "polynomial": {"terms": [{"exponents": [_nonnegative(_index)], "coeff": _finite_number}]},
 }
 
 
@@ -344,7 +382,8 @@ def _barrier_entry(spec, where: str) -> None:
     kind = _expect(spec, dict, where, "a mapping").get("type", "half_plane")
     if not isinstance(kind, str) or kind not in BARRIER_KEYS:
         raise ScenarioValidationError(f"{where}: unknown barrier type {kind!r}")
-    _check(spec, {"type": _text, "force_degree": (None, _index), **BARRIER_KEYS[kind]}, where)
+    _check(spec, {"type": _text, "force_degree": (None, _nonnegative(_index)),
+                  **BARRIER_KEYS[kind]}, where)
 
 
 # Every key the builder reads, with the schema (_check) of its value. Any
@@ -363,8 +402,10 @@ SCHEMA = {
                                             "L": _NUMBERS}])},
     "barriers": [_barrier_entry],
     "clf": (None, {"goal": (None, _NUMBERS), "radius": _positive_number,
-                   "pos_dim": (None, _index), "goal_indices": [_index], "decay": _flag,
-                   "v_bar": (None, _finite_number), "v_bar_fraction": _finite_number,
+                   "pos_dim": (None, _nonnegative(_index)), "goal_indices": [_index],
+                   "decay": _flag,
+                   "v_bar": (None, _nonnegative(_finite_number)),
+                   "v_bar_fraction": _nonnegative(_finite_number),
                    "F_cl": (None, _MATRIX)}),
     "policy": {"mode": set(MODES), "delta": _number, "u_max": (None, _positive_number),
                "baseline_gamma": _finite_number, "alpha_kappa": _positive_number,
@@ -374,8 +415,8 @@ SCHEMA = {
     "sim": {"dt": _positive_number, "horizon": _positive_number, "x0": _NUMBERS,
             "cost": (_MATRIX, {"identity"})},
     "estimators": (None, {"mode": {"constant_gain", "riccati_ode", "open_loop"},
-                          "smoothing": _finite_number}),
-    "calibration": (None, {"gammas": (None, _NUMBERS),
+                          "smoothing": _fraction}),
+    "calibration": (None, {"gammas": (None, [_nonnegative(_finite_number)]),
                            "thetas": (None, lambda value, where: _parse_thetas(value)),
                            "epsilon": _finite_number, "n_runs": _index}),
     "verify": (None, {"box": _positive_number}),
@@ -438,27 +479,37 @@ def build_scenario(cfg: dict) -> Scenario:
         # The presets fit SCHEMA, so the merge of a document that fits it does too.
         for key, value in doc.items():
             _check(value, SCHEMA[key], key)
-        if not cfg["barriers"]:
-            raise ScenarioValidationError("barriers: at least one barrier is required")
+        for key in ("barriers", "seeds"):
+            if not cfg[key]:
+                raise ScenarioValidationError(f"{key}: at least one entry is required")
+        # The model gives n, p and q; every size below is checked against them.
         mblock = cfg["model"]
-        F, G, c = (np.asarray(mblock[k], dtype=float) for k in ("F", "G", "c"))
+        G = _shaped(mblock["G"], (None, None), "model: G")
         n, p = G.shape
-        model = SystemModel.linear(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n),
-                                   _scale_or_matrix(mblock.get("nu", 0.0), c.shape[0]))
+        F = _shaped(mblock["F"], (n, n), "model: F")
+        c = _shaped(mblock["c"], (None, n), "model: c")
+        q = c.shape[0]
+        model = SystemModel.linear(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n,
+                                                             "model: sigma"),
+                                   _scale_or_matrix(mblock.get("nu", 0.0), q, "model: nu"))
 
         sim = cfg["sim"]
         dt = float(sim["dt"])
+        if sim["horizon"] < dt:
+            raise ScenarioValidationError(
+                f"sim: horizon {sim['horizon']!r} is shorter than one step of dt = {dt!r}")
         fblock = cfg["faults"]
         schedule = [(float(item["time"]) if "time" in item else float(item["step"]) * dt,
-                     np.diag([float(v) for v in item["L"]]))
-                    for item in fblock.get("failure_schedule") or []]
+                     np.diag(_shaped(item["L"], (p,), f"faults: failure_schedule entry {k} L")))
+                    for k, item in enumerate(fblock.get("failure_schedule") or [])]
         faults = FaultScenario.from_attack_spec(
-            q=c.shape[0], p=p, sensor_patterns=fblock["patterns"],
+            q=q, p=p, sensor_patterns=fblock["patterns"],
             active_fault=fblock.get("active"), attack_spec=fblock.get("attack"),
             failure_schedule=schedule)
 
         barrier_specs = cfg["barriers"]
-        barriers = [_barrier_from_spec(s, n) for s in barrier_specs]
+        barriers = [_barrier_from_spec(s, n, f"barriers: entry {k}")
+                    for k, s in enumerate(barrier_specs)]
         chains = [build_chain(h, model, force_degree=s.get("force_degree"))
                   for h, s in zip(barriers, barrier_specs)]
 
@@ -473,7 +524,8 @@ def build_scenario(cfg: dict) -> Scenario:
         af_patterns, af_chain_sets = [], []
         if actuator:
             pattern_diags = [[1.0] * p] if mode == "baseline" else pblock["patterns"]
-            af_patterns = [np.diag([float(v) for v in diag]) for diag in pattern_diags]
+            af_patterns = [np.diag(_shaped(diag, (p,), f"policy: patterns entry {k}"))
+                           for k, diag in enumerate(pattern_diags)]
             try:
                 af_chain_sets = [[build_chain(h, model, input_mask=L,
                                               force_degree=s.get("force_degree"))
@@ -486,11 +538,15 @@ def build_scenario(cfg: dict) -> Scenario:
         cblock = cfg.get("clf")
         clf, goal_radius, goal_indices, v_bar = None, None, None, 0.0
         if cblock:
-            F_cl = np.asarray(cblock["F_cl"], dtype=float) if cblock.get("F_cl") \
+            F_cl = _shaped(cblock["F_cl"], (n, n), "clf: F_cl") if cblock.get("F_cl") \
                 else _stabilized_F(F, G, notes)
             goal_radius = float(cblock["radius"])
-            clf = build_quadratic_clf(F_cl, goal_radius, x_goal=cblock.get("goal"),
-                                      pos_dim=cblock.get("pos_dim"))
+            goal, pos_dim = cblock.get("goal"), cblock.get("pos_dim")
+            if goal is not None:
+                goal = _shaped(goal, (n,), "clf: goal")
+            if pos_dim is not None and pos_dim > n:
+                raise ScenarioValidationError(f"clf: pos_dim must lie in 0..{n}, got {pos_dim}")
+            clf = build_quadratic_clf(F_cl, goal_radius, x_goal=goal, pos_dim=pos_dim)
             goal_indices = list(cblock["goal_indices"])
             if not all(0 <= i < n for i in goal_indices):
                 raise ScenarioValidationError(f"clf: goal_indices must lie in 0..{n - 1}")
@@ -503,10 +559,11 @@ def build_scenario(cfg: dict) -> Scenario:
         gain = None
         if nominal.get("type") == "lqr":
             q_w = nominal.get("q", 1.0)
-            Q_lqr = float(q_w) * np.eye(n) if np.isscalar(q_w) else np.diag([float(v) for v in q_w])
+            Q_lqr = float(q_w) * np.eye(n) if np.isscalar(q_w) \
+                else np.diag(_shaped(q_w, (n,), "policy: nominal q"))
             gain = steady_state_gain(F.T, G.T, Q_lqr, float(nominal.get("r", 1.0)) * np.eye(p)).T
         elif nominal.get("type") == "gain":
-            gain = np.asarray(nominal["K"], dtype=float)
+            gain = _shaped(nominal["K"], (p, n), "policy: nominal K")
         u_max = pblock.get("u_max")
         # A baseline actuator scenario is the actuator policy over the
         # healthy pattern alone; a baseline sensor one is the all-sensor filter.
@@ -562,7 +619,8 @@ def build_scenario(cfg: dict) -> Scenario:
             name=cfg["name"], family="actuator" if actuator else "sensor",
             model=model, faults=faults, chains=chains, policy=policy,
             qp=_cost(sim.get("cost", "identity"), p), dt=dt,
-            horizon=float(sim["horizon"]), x0=np.asarray(sim.get("x0", np.zeros(n)), dtype=float),
+            horizon=float(sim["horizon"]),
+            x0=_shaped(sim["x0"], (n,), "sim: x0") if "x0" in sim else np.zeros(n),
             config=cfg, barrier_specs=barrier_specs, af_chain_sets=af_chain_sets,
             af_patterns=af_patterns, clf=clf, goal_radius=goal_radius, goal_indices=goal_indices,
             estimator_mode=eblock.get("mode", "constant_gain"),

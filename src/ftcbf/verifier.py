@@ -67,6 +67,15 @@ def _ball_sample(rng: np.random.Generator, dims: int, radius: float) -> np.ndarr
     return v / n * radius * rng.random() ** (1.0 / dims)
 
 
+def _to_level(x: np.ndarray, value: float, w: np.ndarray) -> np.ndarray:
+    """x moved along the gradient w by one Newton step toward the zero level
+    of a function worth value at x; x itself where w vanishes."""
+    nrm2 = float(w @ w)
+    if nrm2 <= 1e-14:
+        return x
+    return x - value * w / nrm2
+
+
 def falsify_region(check: Callable[[int], dict], sampler_info: dict, budget: int) -> dict:
     """Run `check(k)` for k = 0..budget-1; first infeasible point wins.
 
@@ -115,19 +124,12 @@ def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
     theta_min = min(thetas.values()) if thetas else 0.0
     base_pts = latin_hypercube(rng, budget, model.n, -box, box)
 
-    def push_to_boundary(x, chain, gamma):
-        d = chain.rel_degree
-        w = chain.grad(d, x)
-        nrm2 = float(w @ w)
-        if nrm2 < 1e-14:
-            return x
-        return x - chain.shrunk(d, x, gamma) * w / nrm2
-
     def check(k):
         base = base_pts[k].copy()
         if k % 2 == 1:
             chain = chains[k // 2 % len(chains)]
-            base = push_to_boundary(base, chain, max(gammas))
+            d = chain.rel_degree
+            base = _to_level(base, chain.shrunk(d, base, max(gammas)), chain.grad(d, base))
         estimates = [base + _ball_sample(rng, model.n, theta_min / 2.0) for _ in range(m)]
         zs = [_ball_sample(rng, model.n, gammas[i]) for i in range(m)]
         out = verify_ft_set_pointwise(chains, model, ests, estimates, zs, gammas, thetas)
@@ -151,26 +153,16 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
     pts = latin_hypercube(rng, budget, model.n, -box, box)
     barrier_chains = [cs[0] for cs in af_chain_sets]  # unmasked member per barrier
 
-    def safe(x):
-        return all(cs[0].value(0, x) >= 0.0 for cs in af_chain_sets)
-
     def check(k):
         x = pts[k].copy()
         if k % 2 == 1 and barrier_chains:
             ch = barrier_chains[k // 2 % len(barrier_chains)]
-            w = ch.grad(0, x)
-            nrm2 = float(w @ w)
-            if nrm2 > 1e-14:
-                x = x - ch.value(0, x) * w / nrm2
-        if not safe(x):
-            for cs in af_chain_sets:
-                ch = cs[0]
-                v = ch.value(0, x)
-                if v < 0.0:
-                    w = ch.grad(0, x)
-                    nrm2 = float(w @ w)
-                    if nrm2 > 1e-14:
-                        x = x - v * w / nrm2
+            x = _to_level(x, ch.value(0, x), ch.grad(0, x))
+        # Then back into the safe set, barrier by barrier.
+        for ch in barrier_chains:
+            v = ch.value(0, x)
+            if v < 0.0:
+                x = _to_level(x, v, ch.grad(0, x))
         try:
             A, b, _ = af_rows(af_chain_sets, x, patterns, model, alpha=alpha)
         except RedundancyError as exc:

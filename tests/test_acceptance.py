@@ -232,7 +232,6 @@ def test_step2_pruning_fixture():
 
     x_ij = [0.11, float(np.sqrt(0.2 ** 2 - 0.11 ** 2))]
     bank = EstimatorBank(
-        patterns=[(), ()],
         singles=[est(0, [0.0, 0.0]), est(1, [1.5, 0.0])],
         pairs={(0, 1): EstimatorState(id=("pair", 0, 1), removed=(), sensors=(),
                                       x_hat=np.asarray(x_ij), P=np.eye(2),

@@ -3,7 +3,7 @@ import pytest
 
 from ftcbf.barriers import (BarrierChain, HalfPlane, Poly, af_rows, build_chain,
                             ellipsoid_barrier, hoscbf_pair, hoscbf_row)
-from ftcbf.errors import RedundancyError, UncontrollableBarrierError
+from ftcbf.errors import ContractError, RedundancyError, UncontrollableBarrierError
 from ftcbf.scenarios import BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G
 from ftcbf.simulator import SystemModel
 
@@ -55,6 +55,26 @@ def test_no_relative_degree_raises():
         build_chain(HalfPlane((1.0, 0.0), 0.0), model)
     forced = build_chain(HalfPlane((1.0, 0.0), 0.0), model, force_degree=0)
     assert forced.rel_degree == 0
+
+
+def test_forcing_the_natural_degree_builds_the_same_chain():
+    """The forced and the tested recursion are one loop: pinning a
+    half-plane chain at its natural degree gives the same weights and
+    offsets, bit for bit."""
+    for h, model, natural in [(HalfPlane((0, 1, 0, 0), 0.1), wmr_model(), 1),
+                              (HalfPlane((0, 1, 0, 0), 0.025), boeing_model(), 0)]:
+        free = build_chain(h, model)
+        forced = build_chain(h, model, force_degree=natural)
+        assert free.rel_degree == forced.rel_degree == natural
+        assert len(free.weights) == len(forced.weights) == natural + 1
+        for w_free, w_forced in zip(free.weights, forced.weights):
+            assert w_free.tobytes() == w_forced.tobytes()
+        assert free.offsets == forced.offsets
+
+
+def test_negative_force_degree_is_rejected():
+    with pytest.raises(ContractError, match="force_degree"):
+        build_chain(HalfPlane((0, 1, 0, 0), 0.1), wmr_model(), force_degree=-1)
 
 
 def test_scbf_row_plain():

@@ -3,8 +3,7 @@ import pytest
 from dataclasses import replace
 
 from ftcbf.errors import ContractError, DetectabilityError, EstimatorConfigError
-from ftcbf.estimators import (calibrate_gammas, ekf_step, make_bank, reduce_output,
-                              residue, steady_state_gain)
+from ftcbf.estimators import calibrate_gammas, ekf_step, make_bank, steady_state_gain
 from ftcbf.scenarios import WMR_C, WMR_F, WMR_G, load_scenario
 from ftcbf.simulator import FaultScenario, SystemModel, measure, step_true_state
 
@@ -15,22 +14,17 @@ def wmr_model(sigma=0.01, nu=0.01):
     return SystemModel.linear(WMR_F, WMR_G, WMR_C, sigma * np.eye(4), nu * np.eye(6))
 
 
-def test_reduce_output():
-    assert np.array_equal(reduce_output(np.array([1.0, 2, 3]), (1,)), [1, 3])
-    assert np.array_equal(reduce_output(np.array([1.0, 2, 3]), ()), [1, 2, 3])
-    y = np.arange(1.0, 7.0)
-    assert np.array_equal(reduce_output(y, (0,)), [2, 3, 4, 5, 6])
-
-
 def test_reduce_then_measure_commutes():
     model = wmr_model(nu=0.0)
     scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
+    sensors = make_bank(model, scen.sensor_patterns, np.zeros(4),
+                        mode="open_loop").singles[0].sensors
     rng = np.random.default_rng(4)
     c_r = np.delete(WMR_C, [0], axis=0)
     for _ in range(10):
         x = rng.standard_normal(4)
         full = measure(model, x, 0.0, scen, np.zeros(6), 0.05)
-        assert np.array_equal(reduce_output(full, (0,)), c_r @ x * 0.05)
+        assert np.array_equal(full.take(sensors, axis=-1), c_r @ x * 0.05)
 
 
 def test_ekf_noop_without_dynamics_or_gain():
@@ -65,7 +59,7 @@ def test_exact_init_zero_noise_tracks_truth():
         y_inc = measure(model, x, k * 0.01, scen, np.zeros(6), 0.01)
         x = step_true_state(model, x, u, 0.01, np.zeros(4))
         bank.step(model, u, y_inc, 0.01)
-    for est in bank.all_states():
+    for est in bank.singles + list(bank.pairs.values()):
         assert np.max(np.abs(est.x_hat - x)) < 1e-10
         assert est.residue < 1e-10
 
@@ -80,7 +74,7 @@ def test_covariance_stays_symmetric_psd():
         y_inc = measure(model, x, k * 0.01, scen, rng.standard_normal(6), 0.01)
         x = step_true_state(model, x, np.zeros(2), 0.01, rng.standard_normal(4))
         bank.step(model, np.zeros(2), y_inc, 0.01)
-        for est in bank.all_states():
+        for est in bank.singles + list(bank.pairs.values()):
             assert np.max(np.abs(est.P - est.P.T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(est.P)) >= -1e-9
 
@@ -137,9 +131,11 @@ def test_residue_examples():
                                np.eye(1), np.eye(1))
     bank = make_bank(model, [[]], np.array([1.0]))
     est = bank.singles[0]
-    assert residue(est, np.array([3.0]), 1.0, smoothing=0.0) == pytest.approx(2.0)
-    sm = residue(est, np.array([3.0]), 1.0)  # default factor 0.95 from zero history
-    assert sm == pytest.approx(0.05 * 2.0)
+    u = np.zeros(1)
+    instant = ekf_step(replace(est, smoothing=0.0), u, np.array([3.0]), 1.0, model)
+    assert instant.residue == pytest.approx(2.0)
+    sm = ekf_step(est, u, np.array([3.0]), 1.0, model)  # default factor 0.95 from zero history
+    assert sm.residue == pytest.approx(0.05 * 2.0)
 
 
 def test_calibration_noise_free_gives_zero():

@@ -29,8 +29,8 @@ def stub_bank(estimates, pair_estimates=None, thetas=None, residues=None):
         pairs[key] = EstimatorState(id=("pair",) + key, removed=(), sensors=(),
                                     x_hat=np.asarray(x, dtype=float),
                                     P=np.eye(len(x)), mode="open_loop")
-    return EstimatorBank(patterns=[() for _ in estimates], singles=singles, pairs=pairs,
-                         gammas=np.zeros(len(estimates)), thetas=thetas or {})
+    return EstimatorBank(singles=singles, pairs=pairs, gammas=np.zeros(len(estimates)),
+                         thetas=thetas or {})
 
 
 def test_policy_config_validation():

@@ -11,6 +11,8 @@ from ftcbf.errors import ContractError, ScenarioValidationError
 from ftcbf.runner import run_scenario, run_sweep, sweep_metrics, write_csv
 from ftcbf.scenarios import build_scenario, load_scenario
 
+from conftest import SCENARIO_DIR
+
 
 FAST = {"kind": "wmr", "sim": {"horizon": 2.0}, "model": {"sigma": 0.002, "nu": 0.002}}
 
@@ -135,6 +137,20 @@ def test_cli_run_empty_seeds(tmp_path, wmr_yaml, capsys):
         assert err.startswith("error:") and "--seeds 0," in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_cli_run_defaults_to_the_scenario_seeds(tmp_path, boeing_yaml):
+    """Without --seeds, run takes the file's seeds: list."""
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["seeds"] = [3, 5]
+    path = tmp_path / "two_seeds.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "b"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    names = {p.name for p in out.glob("*.csv")}
+    assert names == {"boeing-actuator-failure_seed3.csv", "boeing-actuator-failure_seed5.csv"}
+    metrics = json.loads((out / "boeing-actuator-failure_metrics.json").read_text())
+    assert metrics["seeds"] == [3, 5]
 
 
 def test_cli_seed_list_parsing(tmp_path, boeing_yaml):
@@ -398,6 +414,17 @@ def _set(*path_and_value):
     return edit
 
 
+def _on_boeing(*edits):
+    """An edit that replaces the document by the Boeing scenario, then
+    applies edits to it."""
+    def edit(cfg):
+        cfg.clear()
+        cfg.update(yaml.safe_load((SCENARIO_DIR / "boeing.yaml").read_text()))
+        for e in edits:
+            e(cfg)
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("policy", "u_mx", 3.0), "policy: unknown key 'u_mx' (allowed: mode, delta, u_max"),
     (_set("sim", "horizn", 3.0), "sim: unknown key 'horizn'"),
@@ -420,11 +447,39 @@ def _set(*path_and_value):
      "got 'sensor-ft'"),
     (_set("estimators", "mode", "kalman"),
      "estimators: mode must be one of constant_gain, open_loop, riccati_ode, got 'kalman'"),
-    (_set("seeds", ["0"]), "seeds: entry 0 must be an integer")],
+    (_set("seeds", ["0"]), "seeds: entry 0 must be an integer"),
+    (_set("clf", "pos_dim", 9), "clf: pos_dim must lie in 0..4, got 9"),
+    (_on_boeing(_set("policy", "patterns", [[1, 1, 1], [1, 0, 1], [0, 1]])),
+     "policy: patterns entry 2 must have 3 entries"),
+    (_on_boeing(_set("policy", "nominal", "q", [1.0, 200.0])),
+     "policy: nominal q must have 4 entries"),
+    (_set("sim", "x0", [-1.0, -0.05, 0.15]), "sim: x0 must have 4 entries"),
+    (_set("calibration", "gammas", [-0.01, 0.01]),
+     "calibration: gammas entry 0 must be nonnegative"),
+    (_set("calibration", "thetas", {"0,1": -0.02}), "calibration: thetas 0,1 must be nonnegative"),
+    (_set("estimators", "smoothing", 2.0), "estimators: smoothing must lie in [0, 1]"),
+    (_set("barriers", [{"type": "half_plane", "a": [0.0, 1.0, 0.0, 0.0], "b": 0.1,
+                        "force_degree": -1}]),
+     "barriers: entry 0 force_degree must be nonnegative"),
+    (_set("barriers", [{"type": "half_plane", "a": [0.0, 1.0, 0.0], "b": 0.1}]),
+     "barriers: entry 0 a must have 4 entries"),
+    (_set("barriers", [{"type": "ellipsoid", "Phi": [[1.0, 0.0], [0.0, 1.0]],
+                        "center": [0.0, 0.0, 0.0, 0.0]}]),
+     "barriers: entry 0 Phi must be a 4 x 4 matrix"),
+    (_set("model", "c", [[1.0, 0.0, 0.0]]), "model: c must be a matrix with 4 columns"),
+    (_set("barriers", [{"type": "polynomial",
+                        "terms": [{"exponents": [0, -1, 0, 0], "coeff": 1.0}]}]),
+     "barriers: entry 0 terms entry 0 exponents entry 1 must be nonnegative"),
+    (_set("clf", "v_bar_fraction", -1.0), "clf: v_bar_fraction must be nonnegative"),
+    (_set("sim", "horizon", 0.001), "sim: horizon 0.001 is shorter than one step")],
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
-         "unknown-estimator-mode", "text-seed"])
+         "unknown-estimator-mode", "text-seed", "pos-dim-past-n", "short-failure-pattern",
+         "short-nominal-q", "short-x0", "negative-gamma", "negative-theta",
+         "smoothing-above-one", "negative-force-degree", "short-barrier-normal",
+         "small-ellipsoid", "narrow-output-matrix", "negative-exponent",
+         "negative-v-bar-fraction", "horizon-below-dt"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())
