@@ -239,10 +239,13 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
     itself never involves u below d' because the masked input column is
     identically zero there. force_degree pins d' without the
     controllability test (used to express deliberately degenerate
-    verification scenarios where no valid degree exists).
+    verification scenarios where no valid degree exists); a force_degree
+    above 0 needs an LTI model, for a half-plane and a polynomial alike.
     """
     if force_degree is not None and force_degree < 0:
         raise ContractError(f"force_degree must be nonnegative, got {force_degree}")
+    if force_degree and not model.is_linear:
+        raise ContractError("force_degree > 0 needs an LTI model")
     top = model.n + 2 if force_degree is None else force_degree
     G_eff = None
     if model.is_linear:
@@ -252,11 +255,8 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
         a = np.asarray(h.a, dtype=float)
         if a.shape != (model.n,):
             raise ContractError("half-plane normal has wrong dimension")
-        if not model.is_linear:
-            if force_degree is None:
-                return _degree_zero_chain(h.to_poly(), model, affine=(a, float(h.b)))
-            if force_degree > 0:
-                raise ContractError("force_degree > 0 needs an LTI model")
+        if not model.is_linear and force_degree is None:
+            return _degree_zero_chain(h.to_poly(), model, affine=(a, float(h.b)))
         weights, offsets = [a], [float(h.b)]
         for d in range(top + 1):
             if d == force_degree or force_degree is None and _grad_dot_g_nonzero(weights[d], G_eff):

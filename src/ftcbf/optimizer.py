@@ -28,11 +28,22 @@ a long enumeration.
 Every row set, from the policy's QP to the verifier's Farkas check, is
 posed as A u >= b, in the orientation barriers.hoscbf_pair and
 barriers.af_rows build it. A control step that prunes estimators solves
-again over a subset of the same rows. RowFactors checks and factors a
-step's rows once: the factors are built at the first solve that needs them,
-every certificate the rows offer at the first infeasible one, and each solve
-selects over a mask of kept rows. solve_qp and farkas_certificate are the
-one-shot case.
+again over a subset of the same rows. RowFactors checks a step's rows once
+and solves over any mask of kept rows; solve_qp and farkas_certificate are
+the one-shot case. The work splits by what it reads:
+- once per distinct A (and metric L): the unit rows, every set's QR
+  factors and which sets are independent, and, at the first infeasible
+  solve, every (set, row) pair's certificate weights and whether the pair
+  is dependent with nonnegative weights (_RowBasis). The module keeps the
+  last row matrix's basis, keyed by the bytes of A and L. A Boeing run and
+  every verify loop pose one A and factor once; a WMR step poses a new A.
+- once per b (each RowFactors): every set's KKT point and the rows it
+  misses, and, at the first infeasible solve, each pair's margin b^T y.
+- per solve: the multipliers of the sets that meet the kept rows, the
+  checks of the optimum on the original rows, and the certificate's
+  validation.
+The same bytes pass through the same arithmetic whether the basis is
+fresh or kept, so a kept basis changes no bit of any result.
 """
 
 from __future__ import annotations
@@ -139,15 +150,84 @@ def _metric_rows(A: np.ndarray, L: Optional[np.ndarray]) -> np.ndarray:
 
 
 @dataclass
-class _Factors:
-    """Every row set's factors and KKT point, over all rows of a RowFactors."""
+class _RowBasis:
+    """Every row set's factors in the metric: the terms that depend on A and
+    L alone, read-only and shared by every b posed on the same A."""
 
+    key: tuple           # (A.shape, A.tobytes(), L.tobytes() or None)
+    AL: np.ndarray       # A L^-T
     unit: np.ndarray     # row norms in the metric, then 1 for the p padding rows
     N: np.ndarray        # the unit rows, then the padding rows
-    bS: np.ndarray       # each set's bounds on its unit rows
     Q: np.ndarray        # N_S^T = Q R, one pair per set
     Rs: np.ndarray
     indep: np.ndarray    # sets whose rows are independent
+    # The independent sets, each row's weights W on each of them, and which
+    # (set, row) pairs have a zero pivot and nonnegative weights; computed at
+    # the first infeasible solve.
+    _pair_terms: Optional[tuple] = field(default=None, repr=False)
+
+    @classmethod
+    def factor(cls, key: tuple, A: np.ndarray, L: Optional[np.ndarray]) -> "_RowBasis":
+        m, p = A.shape
+        sets, _ = _row_sets(m, p)
+        # A copy, so that the record neither aliases nor pins the caller's rows.
+        AL = _metric_rows(np.array(A), L)
+        # The unit rows in the metric, then p padding rows: unit vectors in
+        # dimensions of their own, with bound 0.
+        unit = np.ones(m + p)
+        unit[:m] = np.sqrt(np.einsum("ij,ij->i", AL, AL))
+        unit[unit == 0.0] = 1.0
+        N = np.zeros((m + p, 2 * p))
+        N[:m, :p] = AL / unit[:m, None]
+        N[m:, p:] = np.eye(p)
+        Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
+        indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
+        Rs[~indep] = np.eye(p)
+        return cls(key, *_read_only(AL, unit, N, Q, Rs, indep))
+
+    def pair_terms(self) -> tuple:
+        """For every independent set S and row j: the weights w = -R^-1 Q^T n_j
+        of S's unit rows, and whether j's pivot after S is zero and w >= 0."""
+        if self._pair_terms is None:
+            m = len(self.AL)
+            sets = np.flatnonzero(self.indep)
+            Q = self.Q[sets]
+            # Every row in every set's basis, and what the basis leaves of it.
+            C = Q.transpose(0, 2, 1) @ self.N[:m].T
+            left = self.N[:m].T - Q @ C
+            W = -np.linalg.solve(self.Rs[sets], C)
+            dependent = np.einsum("sdj,sdj->sj", left, left) <= _INDEP_TOL ** 2
+            self._pair_terms = _read_only(sets, W, dependent & (W >= 0.0).all(axis=1))
+        return self._pair_terms
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# The basis of the last row matrix factored; a miss replaces it. One record
+# serves every caller: a run or a verify loop poses one A throughout or a
+# new A at each step, and then a miss costs only the key.
+_basis: Optional[_RowBasis] = None
+
+
+def _row_basis(A: np.ndarray, L: Optional[np.ndarray]) -> _RowBasis:
+    global _basis
+    key = (A.shape, A.tobytes(), None if L is None else L.tobytes())
+    basis = _basis
+    if basis is None or basis.key != key:
+        basis = _basis = _RowBasis.factor(key, A, L)
+    return basis
+
+
+@dataclass
+class _Factors:
+    """What every row set's factors give for the bounds b of one RowFactors."""
+
+    basis: _RowBasis
+    bS: np.ndarray       # each set's bounds on its unit rows
     z: np.ndarray        # R^T z = b_S
     vs: np.ndarray       # each set's KKT point v = Q z
     misses: np.ndarray   # (set, row): the set's point misses the row
@@ -167,9 +247,12 @@ class RowFactors:
     fewer; it can change a decision only for a slack within rounding of the
     1e-9 tolerance. The factors are built at the first solve that needs
     them (none when u = 0 meets the kept rows), and every certificate the
-    rows offer at the first infeasible solve. With qp None the metric is the
-    identity and a feasible result is not checked for stationarity (the
-    Farkas check asks for feasibility only).
+    rows offer at the first infeasible solve. What of them depends on A
+    and the metric alone comes from the module's basis of the last row
+    matrix, factored again only when A or the metric differs from it; the
+    points, misses and margins, which read b, are this object's. With qp
+    None the metric is the identity and a feasible result is not checked
+    for stationarity (the Farkas check asks for feasibility only).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None):
@@ -192,29 +275,17 @@ class RowFactors:
 
     def _factored(self) -> _Factors:
         if self._factors is None:
-            A, b, sets = self.A, self.b, self.sets
-            m, p = A.shape
-            AL = _metric_rows(A, self._L)
-            # The unit rows in the metric, then p padding rows: unit vectors in
-            # dimensions of their own, with bound 0.
-            unit = np.ones(m + p)
-            unit[:m] = np.sqrt(np.einsum("ij,ij->i", AL, AL))
-            unit[unit == 0.0] = 1.0
-            N = np.zeros((m + p, 2 * p))
-            N[:m, :p] = AL / unit[:m, None]
-            N[m:, p:] = np.eye(p)
-            bN = np.zeros(m + p)
-            bN[:m] = b / unit[:m]
-            bS = bN[sets]
-            Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
-            indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
-            Rs[~indep] = np.eye(p)
+            B = _row_basis(self.A, self._L)
+            m, p = self.A.shape
+            bN = np.zeros(len(B.unit))
+            bN[:m] = self.b / B.unit[:m]
+            bS = bN[self.sets]
             # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
             # A u = A L^-T v.
-            z = np.linalg.solve(Rs.transpose(0, 2, 1), bS[..., None])
-            vs = (Q @ z)[:, :p, 0]
-            misses = ~(vs @ AL.T - b >= -self.tol)
-            self._factors = _Factors(unit, N, bS, Q, Rs, indep, z, vs, misses)
+            z = np.linalg.solve(B.Rs.transpose(0, 2, 1), bS[..., None])
+            vs = (B.Q @ z)[:, :p, 0]
+            misses = ~(vs @ B.AL.T - self.b >= -self.tol)
+            self._factors = _Factors(B, bS, z, vs, misses)
         return self._factors
 
     def solve(self, keep: Optional[np.ndarray] = None) -> QpResult:
@@ -236,20 +307,20 @@ class RowFactors:
             u, lam = np.zeros(p), np.zeros(m)
         else:
             f = self._factored()
-            sets = self.sets
+            B, sets = f.basis, self.sets
             # Sets of kept rows only, and among them those whose point meets
             # every kept row: the multipliers are needed only there.
-            kept_sets = f.indep if every else f.indep & ~(self._holds @ ~keep)
+            kept_sets = B.indep if every else B.indep & ~(self._holds @ ~keep)
             feasible = np.flatnonzero(kept_sets & ~(f.misses @ keep))
-            mu = np.linalg.solve(f.Rs[feasible], f.z[feasible])[..., 0]
+            mu = np.linalg.solve(B.Rs[feasible], f.z[feasible])[..., 0]
             ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)
             if not ok.any():
                 return QpResult("infeasible", certificate=self._certificate(keep, kept_sets))
             k = int(ok.argmax())
             j = feasible[k]
             u = f.vs[j] if self._L is None else np.linalg.solve(self._L.T, f.vs[j])
-            lam = np.zeros(len(f.unit))
-            lam[sets[j]] = 2.0 * mu[k] / f.unit[sets[j]]
+            lam = np.zeros(len(B.unit))
+            lam[sets[j]] = 2.0 * mu[k] / B.unit[sets[j]]
             lam = np.maximum(lam[:len(self.b)][keep], 0.0)
         viol = b - A @ u
         if (viol > tol).any():
@@ -270,22 +341,16 @@ class RowFactors:
         bound, and the margin per unit of weight."""
         if self._pair_table is None:
             f = self._factored()
-            m = len(self.b)
-            sets = np.flatnonzero(f.indep)
-            Q = f.Q[sets]
-            # Every row in every set's basis, what the basis leaves of it, and
-            # the weights and the margin b^T y of the pair.
-            C = Q.transpose(0, 2, 1) @ f.N[:m].T
-            left = f.N[:m].T - Q @ C
-            W = -np.linalg.solve(f.Rs[sets], C)
-            margin = self.b / f.unit[:m] + np.einsum("sk,skj->sj", f.bS[sets], W)
-            dependent = np.einsum("sdj,sdj->sj", left, left) <= _INDEP_TOL ** 2
-            s, j = np.nonzero(dependent & (W >= 0.0).all(axis=1) & (margin > 0.0))
+            B, m = f.basis, len(self.b)
+            sets, W, candidates = B.pair_terms()
+            # The margin b^T y of each pair.
+            margin = self.b / B.unit[:m] + np.einsum("sk,skj->sj", f.bS[sets], W)
+            s, j = np.nonzero(candidates & (margin > 0.0))
             W, margin, s = W[s, :, j], margin[s, j], sets[s]
             members = self.sets[s]
-            ys = np.zeros((len(s), len(f.unit)))
-            ys[np.arange(len(s))[:, None], members] = W / f.unit[members]
-            ys[np.arange(len(s)), j] += 1.0 / f.unit[j]
+            ys = np.zeros((len(s), len(B.unit)))
+            ys[np.arange(len(s))[:, None], members] = W / B.unit[members]
+            ys[np.arange(len(s)), j] += 1.0 / B.unit[j]
             ys = ys[:, :m] / margin[:, None]
             ok = np.abs(ys @ self.A).max(axis=1, initial=0.0) \
                 <= _FEAS_TOL * np.maximum(1.0, ys.max(axis=1, initial=0.0))

@@ -229,8 +229,10 @@ def _nonnegative(check):
 
 
 def _fraction(value, where: str) -> float:
-    if not 0.0 <= _finite_number(value, where) <= 1.0:
-        raise ScenarioValidationError(f"{where} must lie in [0, 1], got {value!r}")
+    # 1 is out: a smoothing of 1 keeps every residue at its initial 0, and
+    # pruning by residue would fall back to the estimator's index.
+    if not 0.0 <= _finite_number(value, where) < 1.0:
+        raise ScenarioValidationError(f"{where} must lie in [0, 1), got {value!r}")
     return float(value)
 
 

@@ -77,6 +77,22 @@ def test_negative_force_degree_is_rejected():
         build_chain(HalfPlane((0, 1, 0, 0), 0.1), wmr_model(), force_degree=-1)
 
 
+def _pendulum():
+    return SystemModel(n=2, p=1, q=1, f=lambda x: np.array([x[1], -np.sin(x[0])]),
+                       g=lambda x: np.array([[0.0], [1.0]]), c=np.eye(2)[:1],
+                       sigma=np.zeros((2, 2)), nu=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("h", [HalfPlane((0.0, 1.0), 0.5), Poly.affine((0.0, 1.0), 0.5)],
+                         ids=["half-plane", "poly"])
+def test_force_degree_above_zero_needs_an_lti_model(h):
+    """On a pendulum, pinning a degree above 0 is an error for a half-plane
+    and a polynomial barrier alike; the free search still builds degree 0."""
+    with pytest.raises(ContractError, match="force_degree > 0 needs an LTI model"):
+        build_chain(h, _pendulum(), force_degree=2)
+    assert build_chain(h, _pendulum()).rel_degree == 0
+
+
 def test_scbf_row_plain():
     model = integrator_model()
     a, b = np.array([1.0, 2.0]), 0.4

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+import ftcbf.optimizer as optimizer
 from ftcbf.errors import ContractError, SolverError
 from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors,
                              _validate_certificate, farkas_certificate, solve_qp)
@@ -280,6 +281,77 @@ def test_masked_solve_equals_fresh_solve(system, identity, seed):
             assert np.array_equal(masked.multipliers, fresh.multipliers)
         else:
             _validate_certificate(A[kept], b[kept], masked.certificate)
+
+
+def _outcome(factors, keep):
+    """A solve's status, active set and the bits of its arrays, or the error."""
+    try:
+        res = factors.solve(keep)
+    except SolverError as exc:
+        return "error", str(exc)
+    return (res.status, res.active,
+            *(None if a is None else a.tobytes() for a in (res.u, res.multipliers,
+                                                           res.certificate)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_systems(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_kept_basis_solves_bit_for_bit_as_a_fresh_one(system, identity, seed):
+    """Bounds posed on rows whose basis another b factored (warm) give the
+    bits that a fresh factorization gives (cold): the optimum, active set,
+    multipliers and certificate, over every row and over a mask."""
+    A, b1, _ = system
+    m, p = A.shape
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1, 1, (p, p))
+    qp = QpProblem(np.eye(p) if identity else M @ M.T + np.eye(p))
+    # A second bound on the same rows, each row moved by up to its norm.
+    b2 = b1 + rng.uniform(-1.0, 1.0, m) * np.linalg.norm(A, axis=1)
+    keep = rng.random(m) < 0.7
+    for first, second in ((b1, b2), (b2, b1)):
+        optimizer._basis = None
+        _outcome(RowFactors(A, first, qp), None)
+        kept = optimizer._basis
+        factors = RowFactors(A, second, qp)
+        warm = [_outcome(factors, None), _outcome(factors, keep)]
+        assert kept is None or optimizer._basis is kept
+        optimizer._basis = None
+        factors = RowFactors(A, second, qp)
+        assert [_outcome(factors, None), _outcome(factors, keep)] == warm
+
+
+def test_basis_is_kept_for_the_same_bytes_and_read_only():
+    """The basis is kept for rows and a metric of the same bytes, and
+    factored again when one bit of A or the cost R differs. Its arrays are
+    read-only, and a change to the caller's rows does not reach them."""
+    rng = np.random.default_rng(3)
+    # u0 >= 1 and -u0 >= 1 are infeasible, so the certificate terms are built too.
+    A = np.vstack([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], rng.uniform(-1, 1, (3, 3))])
+    b = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    M = rng.uniform(-1, 1, (3, 3))
+    qp, other = QpProblem(np.eye(3)), QpProblem(M @ M.T + np.eye(3))
+    assert solve_qp(qp, A, b).status == "infeasible"
+    basis = optimizer._basis
+    assert solve_qp(qp, A.copy(), -b).is_feasible
+    assert farkas_certificate(A, b) is not None
+    assert optimizer._basis is basis
+    flipped = A.copy()
+    flipped.view(np.uint64)[3, 1] ^= 1
+    solve_qp(qp, flipped, b)
+    assert optimizer._basis is not basis
+    solve_qp(qp, A, b)
+    basis = optimizer._basis
+    solve_qp(other, A, b)
+    assert optimizer._basis is not basis
+    basis = optimizer._basis
+    arrays = [basis.AL, basis.unit, basis.N, basis.Q, basis.Rs, basis.indep,
+              *basis._pair_terms]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+    AL = basis.AL.copy()
+    A[3, 1] += 1.0
+    assert np.array_equal(basis.AL, AL)
 
 
 def test_nearly_concurrent_rows_one_scaled_by_1e6():

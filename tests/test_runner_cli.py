@@ -457,7 +457,8 @@ def _on_boeing(*edits):
     (_set("calibration", "gammas", [-0.01, 0.01]),
      "calibration: gammas entry 0 must be nonnegative"),
     (_set("calibration", "thetas", {"0,1": -0.02}), "calibration: thetas 0,1 must be nonnegative"),
-    (_set("estimators", "smoothing", 2.0), "estimators: smoothing must lie in [0, 1]"),
+    (_set("estimators", "smoothing", 2.0), "estimators: smoothing must lie in [0, 1)"),
+    (_set("estimators", "smoothing", 1.0), "estimators: smoothing must lie in [0, 1), got 1.0"),
     (_set("barriers", [{"type": "half_plane", "a": [0.0, 1.0, 0.0, 0.0], "b": 0.1,
                         "force_degree": -1}]),
      "barriers: entry 0 force_degree must be nonnegative"),
@@ -477,7 +478,7 @@ def _on_boeing(*edits):
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
          "unknown-estimator-mode", "text-seed", "pos-dim-past-n", "short-failure-pattern",
          "short-nominal-q", "short-x0", "negative-gamma", "negative-theta",
-         "smoothing-above-one", "negative-force-degree", "short-barrier-normal",
+         "smoothing-above-one", "smoothing-of-one", "negative-force-degree", "short-barrier-normal",
          "small-ellipsoid", "narrow-output-matrix", "negative-exponent",
          "negative-v-bar-fraction", "horizon-below-dt"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,

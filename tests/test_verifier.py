@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ftcbf.optimizer as optimizer
 from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.estimators import make_bank
 from ftcbf.optimizer import farkas_certificate
@@ -149,6 +150,24 @@ def test_falsify_actuator_boeing_full_budget():
                                   box=1.0, budget=10_000, seed=0)
     assert rep["counterexample"] is None
     assert "10000 samples" in rep["verdict"]
+
+
+def test_boeing_verify_factors_its_rows_once(monkeypatch):
+    """Every sample of a golden Boeing verify poses the same rows A, so the
+    batched QR of every row set runs once for all 200 samples."""
+    scn = build_scenario({"kind": "boeing"})
+    qr, shapes = np.linalg.qr, []
+
+    def counted_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_basis", None)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    rep = falsify_actuator_region(scn.af_chain_sets, scn.af_patterns, scn.model,
+                                  box=1.0, budget=200, seed=0)
+    assert rep["counterexample"] is None
+    assert shapes == [(42, 6, 3)]
 
 
 def test_falsify_sensor_wmr_full_budget(wmr_yaml):
