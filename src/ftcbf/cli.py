@@ -5,9 +5,11 @@
     ftcbf verify    --scenario boeing.yaml --budget 10000 --out report.json
 
 --seeds takes either a count n >= 1 (seeds 0..n-1) or a comma list (`0,` is seed 0
-alone); without it, run takes the scenario file's `seeds:` list. Exit codes:
-0 success, 1 validation/parse error, 2 verify found a counterexample.
-FTCBF_THREADS caps the seed-sweep worker pool.
+alone); without it, run takes the scenario file's `seeds:` list. Seeds, and
+the --seed of calibrate and verify, are distinct nonnegative integers. run
+spreads its seeds over one worker process per usable CPU (taskset limits
+them). Exit codes: 0 success, 1 validation/parse error, 2 verify found a
+counterexample.
 """
 
 from __future__ import annotations
@@ -20,20 +22,20 @@ from pathlib import Path
 from .errors import FtcbfError
 from .estimators import calibrate_gammas
 from .runner import run_sweep, sweep_metrics, write_csv, write_metrics
-from .scenarios import load_scenario, save_config
+from .scenarios import check_seed, check_seeds, load_scenario, save_config
 from .verifier import falsify_actuator_region, falsify_sensor_region
 
 
 def _parse_seeds(spec: str) -> list:
-    spec = spec.strip()
-    if "," in spec:
-        seeds = [int(s) for s in spec.split(",") if s.strip() != ""]
-    else:
-        seeds = list(range(int(spec)))
+    try:
+        numbers = [int(s) for s in spec.split(",") if s.strip() != ""]
+    except ValueError:
+        raise FtcbfError(f"--seeds {spec} must be a count or a comma list of integers") from None
+    seeds = numbers if "," in spec else list(range(numbers[0] if numbers else 0))
     if not seeds:
         raise FtcbfError(f"--seeds {spec} names no seed: a count must be at least 1, and "
                          "a comma list names seeds, e.g. --seeds 0, for seed 0 alone")
-    return seeds
+    return check_seeds(seeds, "--seeds")
 
 
 def cmd_run(args) -> int:
@@ -54,6 +56,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    check_seed(args.seed, "--seed")
     scn = load_scenario(args.scenario)
     if scn.family != "sensor":
         raise FtcbfError("calibration applies to sensor-fault scenarios")
@@ -67,6 +70,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_seed(args.seed, "--seed")
     scn = load_scenario(args.scenario)
     if args.budget < 1:
         raise FtcbfError("verification budget must be positive")
@@ -89,17 +93,9 @@ def cmd_verify(args) -> int:
 
 
 def _report_json(report: dict) -> str:
-    def clean(obj):
-        if hasattr(obj, "tolist"):
-            return obj.tolist()
-        if isinstance(obj, dict):
-            return {k: clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (bool, int, float, str)) or obj is None:
-            return obj
-        return str(obj)
-    return json.dumps(clean(report), indent=2, sort_keys=True)
+    """The report as JSON: arrays as lists, any other non-JSON value as its str."""
+    return json.dumps(report, indent=2, sort_keys=True,
+                      default=lambda obj: obj.tolist() if hasattr(obj, "tolist") else str(obj))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,6 @@ class EstimatorState:
     (empty sensor set) there is no gain and the innovation term is dropped.
     """
 
-    id: tuple
     removed: tuple
     sensors: tuple
     x_hat: np.ndarray
@@ -190,7 +189,7 @@ def _make_state(model: SystemModel, ident: tuple, removed: tuple, x0: np.ndarray
     q = model.q
     sensors = tuple(i for i in range(q) if i not in set(removed))
     if not sensors or mode == "open_loop":
-        return EstimatorState(id=ident, removed=removed, sensors=sensors, x_hat=x0.copy(),
+        return EstimatorState(removed=removed, sensors=sensors, x_hat=x0.copy(),
                               P=np.eye(model.n), mode="open_loop", smoothing=smoothing)
     c_r, nu_r = model.c[sensors, :], model.nu[np.ix_(sensors, sensors)]
     R_r = nu_r @ nu_r.T
@@ -207,7 +206,7 @@ def _make_state(model: SystemModel, ident: tuple, removed: tuple, x0: np.ndarray
     else:
         P = np.eye(model.n)
         K = P @ c_r.T @ R_inv
-    return EstimatorState(id=ident, removed=removed, sensors=sensors, x_hat=x0.copy(),
+    return EstimatorState(removed=removed, sensors=sensors, x_hat=x0.copy(),
                           P=P, mode=mode, K=K, c_r=c_r, nu_r=nu_r, R_r_inv=R_inv,
                           smoothing=smoothing)
 

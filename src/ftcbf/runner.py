@@ -36,7 +36,7 @@ from .errors import ContractError
 from .estimators import make_bank
 from .policy import (ResolveOutcome, active_sets, actuator_control,
                      assemble_constraints, fixed_row_terms, resolve_conflicts)
-from .scenarios import Scenario, build_scenario, wmr_compensator
+from .scenarios import Scenario, wmr_compensator
 from .simulator import apply_actuator_failure, measure, step_true_state
 
 
@@ -295,32 +295,21 @@ def sweep_metrics(results: list) -> dict:
     }
 
 
-def _run_from_config(args) -> RunResult:
-    cfg, seed = args
-    return run_scenario(build_scenario(cfg), seed)
+def run_sweep(scn: Scenario, seeds) -> list:
+    """Run one scenario over seeds, in seed order.
 
-
-def worker_count(n_jobs: int) -> int:
-    cap = os.environ.get("FTCBF_THREADS")
-    cap = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
-def run_sweep(scn: Scenario, seeds, workers: Optional[int] = None) -> list:
-    """Run one scenario over seeds; parallel across processes when allowed.
-
-    Workers rebuild the scenario from its config dict (model callables do not
-    cross process boundaries). Results come back in seed order regardless of
-    scheduling.
+    The seeds are spread over a process pool with one worker per CPU this
+    process may use, at most one per seed; each worker runs a pickled copy
+    of scn itself, so a scenario edited after its build runs as edited. With
+    one usable CPU, or one seed, the seeds run in this process.
     """
     seeds = list(seeds)
-    if not seeds:
-        return []
-    w = worker_count(len(seeds)) if workers is None else workers
-    if w <= 1 or len(seeds) == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(seeds))
+    if workers <= 1:
         return [run_scenario(scn, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(_run_from_config, [(scn.config, s) for s in seeds]))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_scenario, [scn] * len(seeds), seeds))
 
 
 def write_metrics(metrics: dict, path) -> None:

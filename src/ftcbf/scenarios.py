@@ -117,7 +117,6 @@ class Scenario:
     horizon: float
     x0: np.ndarray
     config: dict
-    barrier_specs: list = field(default_factory=list)
     af_chain_sets: list = field(default_factory=list)
     af_patterns: list = field(default_factory=list)
     clf: Optional[QuadraticClf] = None
@@ -226,6 +225,19 @@ def _nonnegative(check):
             raise ScenarioValidationError(f"{where} must be nonnegative, got {value!r}")
         return value
     return nonnegative
+
+
+check_seed = _nonnegative(_index)
+
+
+def check_seeds(value, where: str) -> list:
+    """Seeds are distinct nonnegative integers: a repeated seed would run one
+    run twice and count it twice in the sweep's rates."""
+    _check(value, [check_seed], where)
+    for i, s in enumerate(value):
+        if s in value[:i]:
+            raise ScenarioValidationError(f"{where} lists seed {s} twice")
+    return value
 
 
 def _fraction(value, where: str) -> float:
@@ -422,7 +434,7 @@ SCHEMA = {
                            "thetas": (None, lambda value, where: _parse_thetas(value)),
                            "epsilon": _finite_number, "n_runs": _index}),
     "verify": (None, {"box": _positive_number}),
-    "seeds": [_index],
+    "seeds": check_seeds,
 }
 
 
@@ -623,7 +635,7 @@ def build_scenario(cfg: dict) -> Scenario:
             qp=_cost(sim.get("cost", "identity"), p), dt=dt,
             horizon=float(sim["horizon"]),
             x0=_shaped(sim["x0"], (n,), "sim: x0") if "x0" in sim else np.zeros(n),
-            config=cfg, barrier_specs=barrier_specs, af_chain_sets=af_chain_sets,
+            config=cfg, af_chain_sets=af_chain_sets,
             af_patterns=af_patterns, clf=clf, goal_radius=goal_radius, goal_indices=goal_indices,
             estimator_mode=eblock.get("mode", "constant_gain"),
             estimator_smoothing=float(eblock.get("smoothing", 0.95)),

@@ -22,6 +22,7 @@ Sensor and actuator indices are 0-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,11 @@ _LIN_TOL = 1e-12
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x over the trailing axis of x; for one vector it equals A @ x bit for bit."""
     return (A @ x[..., None])[..., 0]
+
+
+def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The g of an LTI model: the same G at every state."""
+    return value
 
 
 def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
@@ -93,8 +99,8 @@ class SystemModel:
         c = np.asarray(c, dtype=float)
         return cls(
             n=n, p=p, q=c.shape[0],
-            f=lambda x, _F=F: matvec(_F, x),
-            g=lambda x, _G=G: _G,
+            f=partial(matvec, F),
+            g=partial(_constant, G),
             c=c, sigma=np.asarray(sigma, dtype=float), nu=np.asarray(nu, dtype=float),
             F=F, G=G, is_linear=True,
         )
@@ -113,16 +119,12 @@ class SystemModel:
         return J
 
 
-def _bias_attack(amplitude, start):
-    def a(t):
-        return amplitude if t >= start else 0.0
-    return a
+def _bias_attack(amplitude: float, start: float, t: float) -> float:
+    return amplitude if t >= start else 0.0
 
 
-def _ramp_attack(rate, start):
-    def a(t):
-        return rate * (t - start) if t >= start else 0.0
-    return a
+def _ramp_attack(rate: float, start: float, t: float) -> float:
+    return rate * (t - start) if t >= start else 0.0
 
 
 @dataclass
@@ -184,9 +186,9 @@ class FaultScenario:
             kind = attack_spec.get("type", "bias")
             start = float(attack_spec.get("start", 0.0))
             if kind == "bias":
-                attack = _bias_attack(float(attack_spec["amplitude"]), start)
+                attack = partial(_bias_attack, float(attack_spec["amplitude"]), start)
             elif kind == "ramp":
-                attack = _ramp_attack(float(attack_spec["rate"]), start)
+                attack = partial(_ramp_attack, float(attack_spec["rate"]), start)
             else:
                 raise ScenarioValidationError(f"unknown attack type {kind!r}")
         return cls(q=q, p=p, sensor_patterns=list(sensor_patterns), active_fault=active_fault,

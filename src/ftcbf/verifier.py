@@ -87,21 +87,15 @@ def falsify_region(check: Callable[[int], dict], sampler_info: dict, budget: int
     for k in range(budget):
         out = check(k)
         if not out["feasible"]:
-            return {
-                "checked_conditions": sampler_info.get("conditions", ""),
-                "samples": k + 1,
-                "budget": budget,
-                "counterexample": out,
-                "seeds": sampler_info.get("seeds", []),
-                "verdict": "counterexample",
-            }
+            break
+    found = not out["feasible"]
     return {
         "checked_conditions": sampler_info.get("conditions", ""),
-        "samples": budget,
+        "samples": k + 1,
         "budget": budget,
-        "counterexample": None,
+        "counterexample": out if found else None,
         "seeds": sampler_info.get("seeds", []),
-        "verdict": f"no counterexample in {budget} samples",
+        "verdict": "counterexample" if found else f"no counterexample in {budget} samples",
     }
 
 

@@ -14,7 +14,7 @@ from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.estimators import calibrate_gammas, make_bank, steady_state_gain
 from ftcbf.optimizer import QpProblem, farkas_certificate, solve_qp
 from ftcbf.policy import resolve_conflicts
-from ftcbf.runner import run_scenario
+from ftcbf.runner import run_scenario, run_sweep
 from ftcbf.scenarios import (BOEING_F, BOEING_G, WMR_C, WMR_F, build_scenario,
                              load_scenario)
 from ftcbf.simulator import SystemModel
@@ -41,14 +41,14 @@ def test_wmr_reproduction(wmr_golden):
     assert len(seeds) == 20
     safe = 0
     reached = 0
-    for s in seeds:
-        m = run_scenario(scn, s).metrics
+    for res in run_sweep(scn, seeds):
+        m = res.metrics
         safe += m["min_h"] >= 0.0
         reached += m["goal_reach_time"] is not None
     bl_cfg = dict(scn.config)
     bl_cfg["policy"] = dict(scn.config["policy"], mode="baseline")
     baseline = build_scenario(bl_cfg)
-    violations = sum(run_scenario(baseline, s).metrics["violated"] for s in seeds)
+    violations = sum(res.metrics["violated"] for res in run_sweep(baseline, seeds))
     wall = time.time() - t0
     report("WMR reproduction: FT safety 20/20",
            safe == 20, f"safe={safe}/20")
@@ -213,7 +213,7 @@ def test_safety_probability_each_pattern(wmr_golden):
         cfg["faults"] = dict(base["faults"], active=active)
         cfg["calibration"] = cal.as_config()
         scn = build_scenario(cfg)
-        safe = sum(not run_scenario(scn, s).metrics["violated"] for s in range(200))
+        safe = sum(not res.metrics["violated"] for res in run_sweep(scn, range(200)))
         rates[active] = safe / 200.0
     wall = time.time() - t0
     for active, rate in rates.items():
@@ -227,13 +227,13 @@ def test_step2_pruning_fixture():
     from ftcbf.estimators import EstimatorBank, EstimatorState
 
     def est(i, x):
-        return EstimatorState(id=("single", i), removed=(), sensors=(0,),
+        return EstimatorState(removed=(), sensors=(0,),
                               x_hat=np.asarray(x, float), P=np.eye(2), mode="open_loop")
 
     x_ij = [0.11, float(np.sqrt(0.2 ** 2 - 0.11 ** 2))]
     bank = EstimatorBank(
         singles=[est(0, [0.0, 0.0]), est(1, [1.5, 0.0])],
-        pairs={(0, 1): EstimatorState(id=("pair", 0, 1), removed=(), sensors=(),
+        pairs={(0, 1): EstimatorState(removed=(), sensors=(),
                                       x_hat=np.asarray(x_ij), P=np.eye(2),
                                       mode="open_loop")},
         gammas=np.zeros(2), thetas={(0, 1): 1.0})

@@ -20,13 +20,13 @@ def stub_bank(estimates, pair_estimates=None, thetas=None, residues=None):
     """Bank with hand-placed estimates for policy fixtures."""
     singles = []
     for i, x in enumerate(estimates):
-        singles.append(EstimatorState(id=("single", i), removed=(), sensors=(0,),
+        singles.append(EstimatorState(removed=(), sensors=(0,),
                                       x_hat=np.asarray(x, dtype=float), P=np.eye(len(x)),
                                       mode="open_loop",
                                       residue=0.0 if residues is None else residues[i]))
     pairs = {}
     for key, x in (pair_estimates or {}).items():
-        pairs[key] = EstimatorState(id=("pair",) + key, removed=(), sensors=(),
+        pairs[key] = EstimatorState(removed=(), sensors=(),
                                     x_hat=np.asarray(x, dtype=float),
                                     P=np.eye(len(x)), mode="open_loop")
     return EstimatorBank(singles=singles, pairs=pairs, gammas=np.zeros(len(estimates)),

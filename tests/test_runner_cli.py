@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import yaml
 
 from ftcbf.cli import main
 from ftcbf.errors import ContractError, ScenarioValidationError
-from ftcbf.runner import run_scenario, run_sweep, sweep_metrics, write_csv
+from ftcbf.runner import csv_lines, run_scenario, run_sweep, sweep_metrics, write_csv
 from ftcbf.scenarios import build_scenario, load_scenario
 
 from conftest import SCENARIO_DIR
@@ -40,13 +42,27 @@ def test_csv_byte_identical(tmp_path):
     assert p1.read_bytes() != (tmp_path / "c.csv").read_bytes()
 
 
-def test_parallel_sweep_matches_serial():
-    scn = build_scenario(FAST)
-    serial = run_sweep(scn, [0, 1], workers=1)
-    par = run_sweep(scn, [0, 1], workers=2)
-    for a, b in zip(serial, par):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.controls, b.controls)
+def test_parallel_sweep_matches_serial(monkeypatch):
+    """Two workers run the scenario they are handed, edited after its build:
+    the attack moves to pattern 0, and from this x0 the control is nonzero
+    at every step, so a worker that ran another attack would write other
+    lines."""
+    scn = build_scenario(dict(FAST, sim={"horizon": 2.0, "x0": [-1.0, -0.05, 0.0, -0.1]}))
+    scn.faults.active_fault = 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = run_sweep(scn, [0, 1])
+    assert [res.seed for res in pooled] == [0, 1]
+    for res in pooled:
+        assert np.max(np.abs(res.controls)) > 0.0
+        assert csv_lines(res) == csv_lines(run_scenario(scn, res.seed))
+
+
+@pytest.mark.parametrize("name", ["wmr", "boeing"])
+def test_golden_scenarios_survive_pickling(name):
+    """A built scenario crosses a process boundary as it is."""
+    scn = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    copy = pickle.loads(pickle.dumps(scn))
+    assert csv_lines(run_scenario(copy, 0)) == csv_lines(run_scenario(scn, 0))
 
 
 def _csv_rows(res, path):
@@ -137,6 +153,26 @@ def test_cli_run_empty_seeds(tmp_path, wmr_yaml, capsys):
         assert err.startswith("error:") and "--seeds 0," in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--seeds", "2,-1"], "--seeds: entry 1 must be nonnegative, got -1"),
+    (["run", "--seeds", "1,1"], "--seeds lists seed 1 twice"),
+    (["run", "--seeds", "1.5"], "--seeds 1.5 must be a count or a comma list of integers"),
+    (["verify", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+    (["calibrate", "--seed", "-3"], "--seed must be nonnegative, got -3")],
+    ids=["negative-seed", "repeated-seed", "fractional-seed", "negative-verify-seed",
+         "negative-calibrate-seed"])
+def test_cli_bad_seeds_are_errors(tmp_path, wmr_yaml, capsys, argv, message):
+    """Seeds are distinct nonnegative integers; anything else is an error that
+    names the flag, and nothing is written."""
+    out = tmp_path / "out"
+    rc = main(argv + ["--scenario", str(wmr_yaml), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_run_defaults_to_the_scenario_seeds(tmp_path, boeing_yaml):
@@ -448,6 +484,8 @@ def _on_boeing(*edits):
     (_set("estimators", "mode", "kalman"),
      "estimators: mode must be one of constant_gain, open_loop, riccati_ode, got 'kalman'"),
     (_set("seeds", ["0"]), "seeds: entry 0 must be an integer"),
+    (_set("seeds", [-1, 0, 0]), "seeds: entry 0 must be nonnegative, got -1"),
+    (_set("seeds", [0, 1, 0]), "seeds lists seed 0 twice"),
     (_set("clf", "pos_dim", 9), "clf: pos_dim must lie in 0..4, got 9"),
     (_on_boeing(_set("policy", "patterns", [[1, 1, 1], [1, 0, 1], [0, 1]])),
      "policy: patterns entry 2 must have 3 entries"),
@@ -476,7 +514,8 @@ def _on_boeing(*edits):
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
-         "unknown-estimator-mode", "text-seed", "pos-dim-past-n", "short-failure-pattern",
+         "unknown-estimator-mode", "text-seed", "negative-seed", "repeated-seed",
+         "pos-dim-past-n", "short-failure-pattern",
          "short-nominal-q", "short-x0", "negative-gamma", "negative-theta",
          "smoothing-above-one", "smoothing-of-one", "negative-force-degree", "short-barrier-normal",
          "small-ellipsoid", "narrow-output-matrix", "negative-exponent",

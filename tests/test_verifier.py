@@ -184,7 +184,7 @@ def test_falsify_actuator_dead_pattern_counterexample():
     dead = [np.zeros((3, 3))]
     chain_sets = [[build_chain(HalfPlane(tuple(s["a"]), s["b"]), scn.model,
                                input_mask=dead[0], force_degree=0)]
-                  for s in scn.barrier_specs]
+                  for s in scn.config["barriers"]]
     rep = falsify_actuator_region(chain_sets, dead, scn.model, box=1.0,
                                   budget=50, seed=0)
     assert rep["counterexample"] is not None
