@@ -44,9 +44,8 @@ def test_csv_byte_identical(tmp_path):
 
 def test_parallel_sweep_matches_serial(monkeypatch):
     """Two workers run the scenario they are handed, edited after its build:
-    the attack moves to pattern 0, and from this x0 the control is nonzero
-    at every step, so a worker that ran another attack would write other
-    lines."""
+    the attack moves to pattern 0, and from this x0 the control reads the
+    estimates, so a worker that ran another attack would write other lines."""
     scn = build_scenario(dict(FAST, sim={"horizon": 2.0, "x0": [-1.0, -0.05, 0.0, -0.1]}))
     scn.faults.active_fault = 0
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
