@@ -135,9 +135,9 @@ def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
     return row, bound
 
 
-def goal_reach_time(times: Sequence[float], states: np.ndarray, clf: QuadraticClf,
-                    d: float, indices: Optional[Sequence[int]] = None) -> Optional[float]:
-    """First sample time with ||x - x_goal|| <= d, or None.
+def goal_distances(states: np.ndarray, clf: QuadraticClf,
+                   indices: Optional[Sequence[int]] = None) -> np.ndarray:
+    """||x - x_goal|| for each row x of states.
 
     indices restricts the norm to a coordinate subset (e.g. positions only).
     """
@@ -147,6 +147,11 @@ def goal_reach_time(times: Sequence[float], states: np.ndarray, clf: QuadraticCl
         idx = list(indices)
         states = states[:, idx]
         goal = goal[idx]
-    dist = np.linalg.norm(states - goal, axis=1)
-    hit = np.nonzero(dist <= d)[0]
+    return np.linalg.norm(states - goal, axis=1)
+
+
+def goal_reach_time(times: Sequence[float], states: np.ndarray, clf: QuadraticClf,
+                    d: float, indices: Optional[Sequence[int]] = None) -> Optional[float]:
+    """First sample time with goal distance <= d, or None."""
+    hit = np.nonzero(goal_distances(states, clf, indices) <= d)[0]
     return float(times[hit[0]]) if hit.size else None

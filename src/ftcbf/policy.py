@@ -28,6 +28,7 @@ from .optimizer import QpProblem, QpResult, RowFactors, solve_qp
 from .simulator import SystemModel
 
 MODES = ("sensor_ft", "sensor_ft_clf", "actuator_ft", "baseline")
+CLF_MODES = ("sensor_ft_clf", "baseline")     # the modes that carry a CLF row
 
 
 @dataclass
@@ -86,7 +87,7 @@ def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
         if worst < cfg.delta:
             Z.append(i)
     U = []
-    if clf is not None and cfg.mode in ("sensor_ft_clf", "baseline"):
+    if clf is not None and cfg.mode in CLF_MODES:
         U = [j for j, est in enumerate(bank.singles) if clf.value(est.x_hat) > cfg.V_bar]
     return Z, U
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clf import goal_reach_time
+from .clf import goal_distances, goal_reach_time
 from .errors import ContractError
 from .estimators import make_bank
 from .policy import (ResolveOutcome, active_sets, actuator_control,
@@ -57,6 +58,7 @@ class RunResult:
     residues: Optional[np.ndarray]
     slack_min: np.ndarray
     omega: Optional[np.ndarray]
+    goal_radius: Optional[float]      # the scenario's, for the sweep's hold_rate
     events: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
 
@@ -110,10 +112,8 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     bank = None
     m = 0
     if sensor_family:
-        with_pairs = len(scn.bank_patterns) > 1
         bank = make_bank(model, scn.bank_patterns, scn.x0, mode=scn.estimator_mode,
-                         gammas=scn.gammas, thetas=scn.thetas, with_pairs=with_pairs,
-                         smoothing=scn.estimator_smoothing)
+                         gammas=scn.gammas, thetas=scn.thetas, smoothing=scn.estimator_smoothing)
         m = bank.m
         fixed = fixed_row_terms(model, scn.chains, bank, scn.clf)
 
@@ -122,14 +122,14 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     states = np.zeros((steps + 1, n))
     estimates = np.zeros((steps + 1, m, n)) if sensor_family else None
     controls = np.zeros((steps, p))
-    h_values = np.zeros((steps + 1, len(_chain_labels(scn))))
+    h_labels = _chain_labels(scn)
+    h_values = np.zeros((steps + 1, len(h_labels)))
     V_vals = np.zeros(steps + 1) if scn.clf is not None else None
     residues = np.zeros((steps, m)) if sensor_family else None
     slack_min = np.full(steps, np.nan)
     Z_log, U_log, removed_log = [], [], []
     omega = np.zeros((steps, 2)) if scn.compensator else None
     events = []
-    unfiltered = 0
 
     theta = 0.0
     omega1 = 0.0
@@ -169,7 +169,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         elif sensor_family and not outcome.Z:
             # Z names the estimators whose safety rows the accepted QP holds;
             # every actuator row is a safety row.
-            unfiltered += 1
+            events.append((k, "safety_unfiltered"))
 
         if scn.compensator:
             comp = wmr_compensator(u, theta, omega1, dt)
@@ -202,26 +202,30 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     if sensor_family:
         estimates[steps] = _filter_state(bank, steps, steps * dt)[0]
 
-    h0_cols = [_chain_labels(scn).index(f"h0_b{b}") for b in range(len(scn.chains))]
+    # each chain's columns start with its h0
+    h0_cols = np.cumsum([0] + [len(ch) for ch in scn.chains[:-1]])
     min_h = float(np.min(h_values[:, h0_cols]))
-    reach = None
-    if scn.clf is not None and scn.goal_radius is not None:
+    reach = final_distance = None
+    if scn.clf is not None:
         reach = goal_reach_time(times, states, scn.clf, scn.goal_radius,
                                 indices=scn.goal_indices)
+        final_distance = float(goal_distances(states[-1:], scn.clf, scn.goal_indices)[0])
+    counts = Counter(e for _, e in events)
     metrics = {
         "min_h": min_h,
         "violated": bool(min_h < 0.0),
         "goal_reach_time": reach,
+        "final_goal_distance": final_distance,
         "final_state_norm": float(np.linalg.norm(x)),
-        "policy_infeasible_steps": sum(1 for _, e in events if e == "policy_infeasible"),
-        "unfiltered_steps": unfiltered,
+        "policy_infeasible_steps": counts["policy_infeasible"],
+        "unfiltered_steps": counts["safety_unfiltered"],
         "steps": steps,
     }
     return RunResult(seed=seed, scenario=scn.name, times=times, states=states,
                      estimates=estimates, controls=controls, h_values=h_values,
-                     h_labels=_chain_labels(scn), V=V_vals, Z_log=Z_log, U_log=U_log,
+                     h_labels=h_labels, V=V_vals, Z_log=Z_log, U_log=U_log,
                      removed_log=removed_log, residues=residues, slack_min=slack_min,
-                     omega=omega, events=events, metrics=metrics)
+                     omega=omega, goal_radius=scn.goal_radius, events=events, metrics=metrics)
 
 
 def _fmt(v: float) -> str:
@@ -275,6 +279,7 @@ def write_csv(res: RunResult, path) -> None:
 def sweep_metrics(results: list) -> dict:
     per_seed = {}
     reach_times = []
+    held = []
     violations = 0
     for r in results:
         per_seed[str(r.seed)] = r.metrics
@@ -282,6 +287,8 @@ def sweep_metrics(results: list) -> dict:
             violations += 1
         if r.metrics["goal_reach_time"] is not None:
             reach_times.append(r.metrics["goal_reach_time"])
+        if r.metrics["final_goal_distance"] is not None:
+            held.append(r.metrics["final_goal_distance"] <= r.goal_radius)
     n = len(results)
     return {
         "scenario": results[0].scenario if results else "",
@@ -291,6 +298,7 @@ def sweep_metrics(results: list) -> dict:
         "safety_rate": (n - violations) / n if n else None,
         "mean_reach_time": float(np.mean(reach_times)) if reach_times else None,
         "reach_rate": len(reach_times) / n if n else None,
+        "hold_rate": sum(held) / n if held else None,
         "min_h": min((r.metrics["min_h"] for r in results), default=None),
     }
 

@@ -6,9 +6,10 @@ sensor, and the Boeing 747 lateral axis under a scheduled loss of two rudder
 servos. Scenario files are declarative YAML documents with the top-level keys
 name / kind and the blocks model / faults / barriers / clf / policy / sim /
 estimators / calibration / verify / seeds; a null optional block (clf,
-estimators, calibration, verify) is an absent one. Every mapping may hold
-only the keys SCHEMA lists, and every value must have the type SCHEMA gives
-it, so a misspelt key or a wrong-typed value is an error naming it.
+estimators, calibration, verify) is an absent one. SCHEMA is the one list
+of those keys: every mapping may hold only the keys it lists, and every
+value must have the type and range it gives, so a misspelt key or a
+wrong-typed value is an error naming it.
 
 One builder reads every block for every kind. `kind` (wmr | boeing | custom)
 only picks an entry of PRESETS, a plain-data document of defaults that the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,7 +36,7 @@ from .errors import (ContractError, LyapunovError, RedundancyError, ScenarioVali
                      SolverError, UncontrollableBarrierError)
 from .estimators import steady_state_gain
 from .optimizer import QpProblem, check_problem_size
-from .policy import MODES, PolicyConfig
+from .policy import CLF_MODES, MODES, PolicyConfig
 from .simulator import FaultScenario, SystemModel
 
 WMR_F = np.array([
@@ -104,10 +105,9 @@ def wmr_compensator(u, theta: float, omega1_prev: float, dt: float,
 
 @dataclass
 class Scenario:
-    """Everything a run needs, plus the merged config that rebuilds it."""
+    """Everything a run needs, as the builder derived it from the document."""
 
     name: str
-    family: str                       # "sensor" | "actuator"
     model: SystemModel
     faults: FaultScenario
     chains: list
@@ -116,21 +116,26 @@ class Scenario:
     dt: float
     horizon: float
     x0: np.ndarray
-    config: dict
-    af_chain_sets: list = field(default_factory=list)
-    af_patterns: list = field(default_factory=list)
-    clf: Optional[QuadraticClf] = None
-    goal_radius: Optional[float] = None
-    goal_indices: Optional[list] = None
-    estimator_mode: str = "constant_gain"
-    estimator_smoothing: float = 0.95
-    bank_patterns: list = field(default_factory=list)
-    gammas: Optional[np.ndarray] = None
-    thetas: dict = field(default_factory=dict)
-    seeds: list = field(default_factory=list)
-    verify_box: float = 1.0
-    compensator: bool = False
-    notes: list = field(default_factory=list)
+    af_chain_sets: list
+    af_patterns: list
+    clf: Optional[QuadraticClf]
+    goal_radius: Optional[float]
+    goal_indices: Optional[list]
+    estimator_mode: str
+    estimator_smoothing: float
+    bank_patterns: list
+    gammas: np.ndarray
+    thetas: dict
+    seeds: list
+    verify_box: float
+    compensator: bool
+    notes: list
+
+    @property
+    def family(self) -> str:
+        """The fault family: "actuator" when the policy filters failure
+        patterns, else "sensor"."""
+        return "actuator" if self.policy.mode == "actuator_ft" else "sensor"
 
     @property
     def n_steps(self) -> int:
@@ -206,27 +211,29 @@ def _number(value, where: str) -> float:
     return _finite_number(value, where, inf_ok=True)
 
 
-def _positive_number(value, where: str) -> float:
-    if _finite_number(value, where) <= 0.0:
-        raise ScenarioValidationError(f"{where} must be positive, got {value!r}")
-    return float(value)
-
-
 def _index(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ScenarioValidationError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 
-def _nonnegative(check):
-    """The check, and the value must not be negative."""
-    def nonnegative(value, where: str):
-        if check(value, where) < 0:
-            raise ScenarioValidationError(f"{where} must be nonnegative, got {value!r}")
+def _such(check, test, what: str):
+    """The check, and test must hold for the value it returns: the value
+    must be what."""
+    def checked(value, where: str):
+        if not test(check(value, where)):
+            raise ScenarioValidationError(f"{where} must be {what}, got {value!r}")
         return value
-    return nonnegative
+    return checked
 
 
+def _nonnegative(check):
+    return _such(check, lambda v: v >= 0, "nonnegative")
+
+
+_positive_number = _such(_finite_number, lambda v: v > 0, "positive")
+# an entry of a failure pattern or an effectiveness diagonal: lost or healthy
+_switch = _such(_finite_number, lambda v: v in (0.0, 1.0), "0 or 1")
 check_seed = _nonnegative(_index)
 
 
@@ -248,6 +255,15 @@ def _fraction(value, where: str) -> float:
     return float(value)
 
 
+def _nonempty(schema):
+    """A list that fits schema and holds at least one entry."""
+    def nonempty(value, where: str):
+        _check(value, schema, where)
+        if not value:
+            raise ScenarioValidationError(f"{where}: at least one entry is required")
+    return nonempty
+
+
 def _text(value, where: str) -> str:
     return _expect(value, str, where, "a string")
 
@@ -264,9 +280,10 @@ def _check(value, schema, where: str) -> None:
     keys a mapping may hold to their schemas, or a tuple of alternatives: None
     admits null, a list or mapping schema takes a value of its own type, and
     the last alternative takes any other value. A key or entry is named after
-    its parent: `sim: dt`, `faults: attack start`, `barriers: entry 0`.
+    its parent: `sim: dt`, `faults: attack start`, `barriers: entry 0`; the
+    document itself is where "", and its keys go by their own names.
     """
-    inner = f"{where}{' ' if ':' in where else ': '}"
+    inner = f"{where}{' ' if ':' in where else ': '}" if where else ""
     if isinstance(schema, tuple):
         if value is None and None in schema:
             return
@@ -281,9 +298,11 @@ def _check(value, schema, where: str) -> None:
         for i, v in enumerate(_expect(value, list, where, "a list")):
             _check(v, schema[0], f"{inner}entry {i}")
     elif isinstance(schema, dict):
-        unknown = [k for k in _expect(value, dict, where, "a mapping") if k not in schema]
+        unknown = [k for k in _expect(value, dict, where or "the scenario", "a mapping")
+                   if k not in schema]
         if unknown:
-            raise ScenarioValidationError(f"{where}: unknown key {', '.join(map(repr, unknown))} "
+            owner = f"{where}: unknown" if where else "unknown top-level"
+            raise ScenarioValidationError(f"{owner} key {', '.join(map(repr, unknown))} "
                                           f"(allowed: {', '.join(schema)})")
         for k, v in value.items():
             _check(v, schema[k], f"{inner}{k}")
@@ -378,10 +397,6 @@ PRESETS = {
     },
 }
 
-REQUIRED_BLOCKS = ("model", "faults", "policy", "sim")
-OPTIONAL_BLOCKS = ("clf", "estimators", "calibration", "verify")
-BLOCKS = ("name", "kind", "barriers", "seeds") + REQUIRED_BLOCKS + OPTIONAL_BLOCKS
-
 _NUMBERS = [_finite_number]
 _MATRIX = [_NUMBERS]
 # A barrier entry holds type, force_degree and the keys of its type.
@@ -400,32 +415,41 @@ def _barrier_entry(spec, where: str) -> None:
                   **BARRIER_KEYS[kind]}, where)
 
 
+def _failure_entry(item, where: str) -> None:
+    """A failure_schedule entry: its start as a step or a time, and L."""
+    _check(item, {"step": _finite_number, "time": _finite_number, "L": [_switch]}, where)
+    if ("step" in item) == ("time" in item):
+        raise ScenarioValidationError(f"{where} must name exactly one of step and time")
+
+
 # Every key the builder reads, with the schema (_check) of its value. Any
 # other key is an error, so a misspelt key cannot leave a preset value in
 # force. calibration: epsilon and n_runs are not read: `ftcbf calibrate`
 # writes them as a record of how the radii were found.
 SCHEMA = {
     "name": _text,
-    "kind": _text,
+    "kind": set(PRESETS),
     "model": {"F": _MATRIX, "G": _MATRIX, "c": _MATRIX,
               "sigma": (_MATRIX, _finite_number), "nu": (_MATRIX, _finite_number)},
     "faults": {"patterns": [[_index]], "active": (None, _index),
                "attack": (None, {"type": {"bias", "ramp"}, "amplitude": _finite_number,
                                  "rate": _finite_number, "start": _finite_number}),
-               "failure_schedule": (None, [{"step": _finite_number, "time": _finite_number,
-                                            "L": _NUMBERS}])},
-    "barriers": [_barrier_entry],
+               "failure_schedule": (None, [_failure_entry])},
+    "barriers": _nonempty([_barrier_entry]),
     "clf": (None, {"goal": (None, _NUMBERS), "radius": _positive_number,
-                   "pos_dim": (None, _nonnegative(_index)), "goal_indices": [_index],
+                   "pos_dim": (None, _nonnegative(_index)), "goal_indices": _nonempty([_index]),
                    "decay": _flag,
                    "v_bar": (None, _nonnegative(_finite_number)),
                    "v_bar_fraction": _nonnegative(_finite_number),
                    "F_cl": (None, _MATRIX)}),
-    "policy": {"mode": set(MODES), "delta": _number, "u_max": (None, _positive_number),
+    "policy": {"mode": set(MODES), "delta": _such(_number, lambda v: v > 0, "positive or .inf"),
+               "u_max": (None, _positive_number),
                "baseline_gamma": _finite_number, "alpha_kappa": _positive_number,
-               "patterns": (None, [_NUMBERS]),
-               "nominal": (None, {"type": {"lqr", "gain"}, "q": (_NUMBERS, _finite_number),
-                                  "r": _finite_number, "K": _MATRIX})},
+               "patterns": (None, [[_switch]]),
+               "nominal": (None, {"type": {"lqr", "gain"},
+                                  "q": ([_nonnegative(_finite_number)],
+                                        _nonnegative(_finite_number)),
+                                  "r": _positive_number, "K": _MATRIX})},
     "sim": {"dt": _positive_number, "horizon": _positive_number, "x0": _NUMBERS,
             "cost": (_MATRIX, {"identity"})},
     "estimators": (None, {"mode": {"constant_gain", "riccati_ode", "open_loop"},
@@ -434,7 +458,7 @@ SCHEMA = {
                            "thetas": (None, lambda value, where: _parse_thetas(value)),
                            "epsilon": _finite_number, "n_runs": _index}),
     "verify": (None, {"box": _positive_number}),
-    "seeds": check_seeds,
+    "seeds": _nonempty(check_seeds),
 }
 
 
@@ -473,29 +497,14 @@ def build_scenario(cfg: dict) -> Scenario:
     must fit SCHEMA, so a misspelt key or a value of the wrong type is a
     ScenarioValidationError that names it.
     """
-    unknown = [k for k in cfg if k not in BLOCKS]
-    if unknown:
-        raise ScenarioValidationError(
-            f"unknown top-level key {', '.join(map(repr, unknown))} "
-            f"(allowed: {', '.join(BLOCKS)})")
-    kind = cfg.get("kind")
-    if not isinstance(kind, str) or kind not in PRESETS:
-        raise ScenarioValidationError(f"unknown scenario kind {kind!r}")
-    doc, cfg = cfg, _deep_merge(copy.deepcopy(PRESETS[kind]), cfg)
+    _check(cfg, SCHEMA, "")
     notes: list = []
     # Every required key of every block is read below, so a KeyError here
     # is a key the scenario leaves out.
     try:
-        for key in REQUIRED_BLOCKS + OPTIONAL_BLOCKS:
-            block = cfg[key] if key in REQUIRED_BLOCKS else cfg.get(key) or {}
-            if not isinstance(block, dict):
-                raise ScenarioValidationError(f"{key}: block must be a mapping")
         # The presets fit SCHEMA, so the merge of a document that fits it does too.
-        for key, value in doc.items():
-            _check(value, SCHEMA[key], key)
-        for key in ("barriers", "seeds"):
-            if not cfg[key]:
-                raise ScenarioValidationError(f"{key}: at least one entry is required")
+        kind = cfg["kind"]
+        cfg = _deep_merge(copy.deepcopy(PRESETS[kind]), cfg)
         # The model gives n, p and q; every size below is checked against them.
         mblock = cfg["model"]
         G = _shaped(mblock["G"], (None, None), "model: G")
@@ -619,7 +628,7 @@ def build_scenario(cfg: dict) -> Scenario:
         if actuator:
             qp_rows = len(chains) * len(af_patterns)
         else:
-            with_clf = clf is not None and mode in ("sensor_ft_clf", "baseline")
+            with_clf = clf is not None and mode in CLF_MODES
             qp_rows = len(bank_patterns) * (len(chains) + with_clf) \
                 + (2 * p if u_max is not None else 0)
         try:
@@ -630,12 +639,11 @@ def build_scenario(cfg: dict) -> Scenario:
 
         eblock = cfg.get("estimators") or {}
         return Scenario(
-            name=cfg["name"], family="actuator" if actuator else "sensor",
-            model=model, faults=faults, chains=chains, policy=policy,
+            name=cfg["name"], model=model, faults=faults, chains=chains, policy=policy,
             qp=_cost(sim.get("cost", "identity"), p), dt=dt,
             horizon=float(sim["horizon"]),
             x0=_shaped(sim["x0"], (n,), "sim: x0") if "x0" in sim else np.zeros(n),
-            config=cfg, af_chain_sets=af_chain_sets,
+            af_chain_sets=af_chain_sets,
             af_patterns=af_patterns, clf=clf, goal_radius=goal_radius, goal_indices=goal_indices,
             estimator_mode=eblock.get("mode", "constant_gain"),
             estimator_smoothing=float(eblock.get("smoothing", 0.95)),

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 from scipy.optimize import linprog
 
 from ftcbf.barriers import HalfPlane, build_chain
@@ -45,8 +46,9 @@ def test_wmr_reproduction(wmr_golden):
         m = res.metrics
         safe += m["min_h"] >= 0.0
         reached += m["goal_reach_time"] is not None
-    bl_cfg = dict(scn.config)
-    bl_cfg["policy"] = dict(scn.config["policy"], mode="baseline")
+    doc = yaml.safe_load((SCENARIO_DIR / "wmr.yaml").read_text())
+    bl_cfg = dict(doc)
+    bl_cfg["policy"] = dict(doc["policy"], mode="baseline")
     baseline = build_scenario(bl_cfg)
     violations = sum(res.metrics["violated"] for res in run_sweep(baseline, seeds))
     wall = time.time() - t0
@@ -67,8 +69,9 @@ def test_boeing_reproduction():
     res = run_scenario(scn, 0)
     margin = float(np.min(0.025 - np.abs(res.states[:, 1])))
     final = res.metrics["final_state_norm"]
-    bl_cfg = dict(scn.config)
-    bl_cfg["policy"] = dict(scn.config["policy"], mode="baseline")
+    doc = yaml.safe_load((SCENARIO_DIR / "boeing.yaml").read_text())
+    bl_cfg = dict(doc)
+    bl_cfg["policy"] = dict(doc["policy"], mode="baseline")
     res_b = run_scenario(build_scenario(bl_cfg), 0)
     viol_idx = np.nonzero(np.abs(res_b.states[:, 1]) > 0.025)[0]
     onset = scn.faults.failure_schedule[0][0]
@@ -204,7 +207,7 @@ def test_safety_probability_each_pattern(wmr_golden):
     """Calibrated gamma/theta at eps=0.05; >= 0.92 safety over 200 seeds per
     single fault pattern."""
     t0 = time.time()
-    base = wmr_golden.config
+    base = yaml.safe_load((SCENARIO_DIR / "wmr.yaml").read_text())
     cal = calibrate_gammas(wmr_golden.model, wmr_golden.faults, 200,
                            wmr_golden.horizon, 0.05, dt=wmr_golden.dt, seed=1000)
     rates = {}

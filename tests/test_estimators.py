@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 from dataclasses import replace
 
 from ftcbf.errors import ContractError, DetectabilityError, EstimatorConfigError
@@ -235,7 +236,7 @@ def test_calibration_rejects_bad_epsilon(epsilon):
 def test_stored_wmr_calibration_reproduces(wmr_yaml):
     """scenarios/wmr.yaml says `calibrate --runs 200 --seed 1000` gives its block."""
     scn = load_scenario(wmr_yaml)
-    block = scn.config["calibration"]
+    block = yaml.safe_load(wmr_yaml.read_text())["calibration"]
     cal = calibrate_gammas(scn.model, scn.faults, block["n_runs"], scn.horizon,
                            block["epsilon"], dt=scn.dt, seed=1000, mode=scn.estimator_mode)
     assert np.max(np.abs(cal.gammas - np.asarray(block["gammas"]))) <= 1e-7

@@ -56,6 +56,25 @@ def test_parallel_sweep_matches_serial(monkeypatch):
         assert csv_lines(res) == csv_lines(run_scenario(scn, res.seed))
 
 
+def test_unfiltered_steps_are_events_and_final_goal_distance(wmr_yaml):
+    """Each step that falls back to the unfiltered control is a
+    safety_unfiltered event, and final_goal_distance is the goal norm at the
+    last state."""
+    scn = load_scenario(wmr_yaml)
+    res = run_scenario(scn, 0)
+    unfiltered = [k for k, e in res.events if e == "safety_unfiltered"]
+    assert len(unfiltered) == res.metrics["unfiltered_steps"] > 0
+    assert all(res.Z_log[k] == "" for k in unfiltered)
+    idx = scn.goal_indices
+    distance = np.linalg.norm(res.states[-1, idx] - scn.clf.x_goal[idx])
+    assert res.metrics["final_goal_distance"] == pytest.approx(distance, rel=1e-12)
+    metrics = sweep_metrics([res])
+    assert metrics["hold_rate"] == float(distance <= scn.goal_radius)
+    boeing = sweep_metrics([run_scenario(load_scenario(SCENARIO_DIR / "boeing.yaml"), 0)])
+    assert boeing["hold_rate"] is None
+    assert boeing["per_seed"]["0"]["final_goal_distance"] is None
+
+
 @pytest.mark.parametrize("name", ["wmr", "boeing"])
 def test_golden_scenarios_survive_pickling(name):
     """A built scenario crosses a process boundary as it is."""
@@ -391,7 +410,7 @@ def _infinite_ramp_rate(cfg):
                                        (_sensor_mode_with_patterns, "'sensor_ft_clf'"),
                                        (_one_gamma, "1 gammas given for 2 fault patterns"),
                                        (_extra_fault_pattern, "2 gammas given for 3 fault patterns"),
-                                       (_null_sim, "sim: block must be a mapping"),
+                                       (_null_sim, "sim must be a mapping"),
                                        (_scalar_gammas, "calibration: gammas must be a list"),
                                        (_list_thetas, "calibration: thetas must be a mapping"),
                                        (_scalar_patterns, "faults: patterns must be a list"),
@@ -509,7 +528,18 @@ def _on_boeing(*edits):
                         "terms": [{"exponents": [0, -1, 0, 0], "coeff": 1.0}]}]),
      "barriers: entry 0 terms entry 0 exponents entry 1 must be nonnegative"),
     (_set("clf", "v_bar_fraction", -1.0), "clf: v_bar_fraction must be nonnegative"),
-    (_set("sim", "horizon", 0.001), "sim: horizon 0.001 is shorter than one step")],
+    (_set("sim", "horizon", 0.001), "sim: horizon 0.001 is shorter than one step"),
+    (_on_boeing(_set("policy", "patterns", [[1, 1, 1], [0.5, 0, 1]])),
+     "policy: patterns entry 1 entry 0 must be 0 or 1, got 0.5"),
+    (_on_boeing(_set("faults", "failure_schedule", [{"step": 10, "time": 50.0, "L": [1, 0, 1]}])),
+     "faults: failure_schedule entry 0 must name exactly one of step and time"),
+    (_on_boeing(_set("policy", "nominal", "r", 0)), "policy: nominal r must be positive, got 0"),
+    (_on_boeing(_set("policy", "nominal", "q", -1)),
+     "policy: nominal q must be nonnegative, got -1"),
+    (_set("policy", "delta", 0), "policy: delta must be positive or .inf, got 0"),
+    (_set("clf", "goal_indices", []), "clf: goal_indices: at least one entry is required"),
+    (_set("clf", {"radius": 0.05, "goal_indices": [], "v_bar": 0.1}),
+     "clf: goal_indices: at least one entry is required")],
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
@@ -518,7 +548,9 @@ def _on_boeing(*edits):
          "short-nominal-q", "short-x0", "negative-gamma", "negative-theta",
          "smoothing-above-one", "smoothing-of-one", "negative-force-degree", "short-barrier-normal",
          "small-ellipsoid", "narrow-output-matrix", "negative-exponent",
-         "negative-v-bar-fraction", "horizon-below-dt"])
+         "negative-v-bar-fraction", "horizon-below-dt", "fractional-failure-pattern",
+         "step-and-time", "zero-lqr-r", "negative-lqr-q", "zero-delta", "empty-goal-indices",
+         "empty-goal-indices-with-v-bar"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())

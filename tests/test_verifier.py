@@ -5,7 +5,7 @@ import ftcbf.optimizer as optimizer
 from ftcbf.barriers import HalfPlane, build_chain
 from ftcbf.estimators import make_bank
 from ftcbf.optimizer import farkas_certificate
-from ftcbf.scenarios import build_scenario, load_scenario
+from ftcbf.scenarios import PRESETS, build_scenario, load_scenario
 from ftcbf.simulator import SystemModel
 from ftcbf.verifier import (falsify_actuator_region, falsify_region,
                             falsify_sensor_region, latin_hypercube,
@@ -184,7 +184,7 @@ def test_falsify_actuator_dead_pattern_counterexample():
     dead = [np.zeros((3, 3))]
     chain_sets = [[build_chain(HalfPlane(tuple(s["a"]), s["b"]), scn.model,
                                input_mask=dead[0], force_degree=0)]
-                  for s in scn.config["barriers"]]
+                  for s in PRESETS["boeing"]["barriers"]]
     rep = falsify_actuator_region(chain_sets, dead, scn.model, box=1.0,
                                   budget=50, seed=0)
     assert rep["counterexample"] is not None
