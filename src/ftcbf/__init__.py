@@ -12,7 +12,7 @@ from .clf import QuadraticClf, build_quadratic_clf, clf_row, goal_reach_time, so
 from .errors import FtcbfError
 from .estimators import (CalibrationResult, EstimatorBank, EstimatorState,
                          calibrate_gammas, ekf_step, make_bank, steady_state_gain)
-from .optimizer import QpProblem, QpResult, farkas_certificate, solve_qp
+from .optimizer import QpProblem, QpResult, farkas_certificate, farkas_verdicts, solve_qp
 from .policy import PolicyConfig, active_sets, assemble_constraints, resolve_conflicts
 from .runner import RunResult, run_scenario, run_sweep, sweep_metrics, write_csv
 from .scenarios import Scenario, build_scenario, load_scenario, wmr_compensator

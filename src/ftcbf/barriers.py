@@ -156,14 +156,24 @@ class BarrierChain:
     def __len__(self) -> int:
         return self.rel_degree + 1
 
-    def value(self, d: int, x: np.ndarray) -> float:
+    def value(self, d: int, x: np.ndarray):
+        """h^d at the state x, or at each state of a stack x, an array (..., n)."""
+        if isinstance(x, np.ndarray) and x.ndim > 1:
+            if self.kind == "affine":
+                # np.vecdot gives each state the bits of w @ x for that state alone.
+                return np.vecdot(self.weights[d], x) + self.offsets[d]
+            return _each_state(x, lambda xi: self.value(d, xi))
         if self.kind == "affine":
             return float(self.weights[d] @ x + self.offsets[d])
         return self.polys[d].eval(x)
 
     def grad(self, d: int, x: np.ndarray) -> np.ndarray:
+        """dh^d/dx at x, or at each state of a stack; an affine member's is one
+        vector for every state."""
         if self.kind == "affine":
             return np.array(self.weights[d], dtype=float)
+        if isinstance(x, np.ndarray) and x.ndim > 1:
+            return _each_state(x, lambda xi: self.grad(d, xi))
         return np.array([g.eval(x) for g in self.grads[d]])
 
     def hessian(self, d: int, x: np.ndarray) -> np.ndarray:
@@ -192,6 +202,13 @@ class BarrierChain:
     def shrunk(self, d: int, x: np.ndarray, gamma: float) -> float:
         """hat h^d(x) = h^d(x) - gamma offset."""
         return self.value(d, x) - self.gamma_offset(d, gamma)
+
+
+def _each_state(x: np.ndarray, fn: Callable) -> np.ndarray:
+    """fn at each state of a stack x (..., n), one state at a time, so that
+    each result is the bits of fn at that state alone."""
+    out = np.array([fn(xi) for xi in x.reshape(-1, x.shape[-1])])
+    return out.reshape(x.shape[:-1] + out.shape[1:])
 
 
 def _poly_gamma_offset(poly: Poly, grads, gamma: float, box: float,
@@ -390,21 +407,29 @@ def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
     chain_sets[k][j] is barrier k's chain built with input_mask=patterns[j];
     row af_cbf(j)[k] (af_hocbf above degree 0) is its row. A pattern that
     leaves a barrier no control authority indicates missing actuator
-    redundancy.
+    redundancy. x may be a stack of states (..., n); then A and b carry its
+    leading axes, alpha acts elementwise, and each state's rows are the bits
+    that state alone gives (np.vecdot and a matmul per state). A stack needs
+    an LTI model, as in simulator: a user-supplied f or g sees the whole
+    stack.
     """
-    rows, bounds, sources = [], [], []
-    gx = model.g(x)
-    fx = model.f(x)
+    x = np.asarray(x, dtype=float)
+    if any(len(chains) != len(patterns) for chains in chain_sets):
+        raise RedundancyError("one chain per failure pattern is required")
+    stack, m = x.shape[:-1], len(chain_sets) * len(patterns)
+    gx, fx = model.g(x), model.f(x)
+    A, W = np.empty(stack + (m, model.p)), np.empty(stack + (m, model.n))
+    values, sources = [], []
     for k, chains in enumerate(chain_sets):
-        if len(chains) != len(patterns):
-            raise RedundancyError("one chain per failure pattern is required")
         for j, (chain, L) in enumerate(zip(chains, patterns)):
-            d = chain.rel_degree
-            w = chain.grad(d, x)
-            row = w @ gx @ np.asarray(L, dtype=float)
-            if np.max(np.abs(row)) <= 1e-12:
-                raise RedundancyError(f"pattern {j} has no control authority at this state")
-            rows.append(row)
-            bounds.append(-alpha(chain.value(d, x)) - float(w @ fx))
+            i, d = len(sources), chain.rel_degree
+            W[..., i, :] = chain.grad(d, x)
+            A[..., i, :] = (W[..., i, None, :] @ gx @ np.asarray(L, dtype=float))[..., 0, :]
+            values.append(chain.value(d, x))
             sources.append(f"{'af_cbf' if d == 0 else 'af_hocbf'}({j})[{k}]")
-    return np.array(rows).reshape(-1, model.p), np.array(bounds), sources
+    dead = (np.abs(A) <= 1e-12).all(axis=-1).any(axis=tuple(range(len(stack))))
+    if dead.any():
+        raise RedundancyError(f"pattern {int(dead.argmax()) % len(patterns)} has no control "
+                              "authority at this state")
+    values = np.moveaxis(np.array(values).reshape((m,) + stack), 0, -1)
+    return A, -alpha(values) - np.vecdot(W, fx[..., None, :]), sources

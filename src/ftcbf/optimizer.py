@@ -30,20 +30,24 @@ posed as A u >= b, in the orientation barriers.hoscbf_pair and
 barriers.af_rows build it. A control step that prunes estimators solves
 again over a subset of the same rows. RowFactors checks a step's rows once
 and solves over any mask of kept rows; solve_qp and farkas_certificate are
-the one-shot case. The work splits by what it reads:
+the one-shot case. farkas_verdicts decides a stack of bounds on one A at
+once, as a verify loop poses them. The work splits by what it reads:
 - once per distinct A (and metric L): the unit rows, every set's QR
   factors and which sets are independent, and, at the first infeasible
   solve, every (set, row) pair's certificate weights and whether the pair
   is dependent with nonnegative weights (_RowBasis). The module keeps the
   last row matrix's basis, keyed by the bytes of A and L. A Boeing run and
   every verify loop pose one A and factor once; a WMR step poses a new A.
-- once per b (each RowFactors): every set's KKT point and the rows it
-  misses, and, at the first infeasible solve, each pair's margin b^T y.
-- per solve: the multipliers of the sets that meet the kept rows, the
-  checks of the optimum on the original rows, and the certificate's
-  validation.
+- once per stack of bounds (_Factors, with a leading sample axis; a
+  RowFactors holds a stack of one b): every set's KKT point and the rows
+  it misses for each b, and, at a RowFactors' first infeasible solve, each
+  pair's margin b^T y.
+- per solve, for every b of the stack: the multipliers of the sets that
+  meet the kept rows and the check of the chosen point on the original
+  rows; then, for one b, the certificate and its validation.
 The same bytes pass through the same arithmetic whether the basis is
-fresh or kept, so a kept basis changes no bit of any result.
+fresh or kept, and each b of a stack through its own solves and products,
+so neither a kept basis nor the stack changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, SolverError
+from .simulator import matvec
 
 _FEAS_TOL = 1e-9
 # A pivot of unit rows at or below this counts as zero, both when a set is
@@ -161,6 +166,8 @@ class _RowBasis:
     Q: np.ndarray        # N_S^T = Q R, one pair per set
     Rs: np.ndarray
     indep: np.ndarray    # sets whose rows are independent
+    solved: np.ndarray   # their indices, and their R^T, the systems solved for z
+    RsT: np.ndarray
     # The independent sets, each row's weights W on each of them, and which
     # (set, row) pairs have a zero pivot and nonnegative weights; computed at
     # the first infeasible solve.
@@ -183,7 +190,9 @@ class _RowBasis:
         Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
         indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
         Rs[~indep] = np.eye(p)
-        return cls(key, *_read_only(AL, unit, N, Q, Rs, indep))
+        solved = np.flatnonzero(indep)
+        RsT = np.ascontiguousarray(Rs[solved].transpose(0, 2, 1))
+        return cls(key, *_read_only(AL, unit, N, Q, Rs, indep, solved, RsT))
 
     def pair_terms(self) -> tuple:
         """For every independent set S and row j: the weights w = -R^-1 Q^T n_j
@@ -224,13 +233,73 @@ def _row_basis(A: np.ndarray, L: Optional[np.ndarray]) -> _RowBasis:
 
 @dataclass
 class _Factors:
-    """What every row set's factors give for the bounds b of one RowFactors."""
+    """What every row set's factors give for a stack of bounds posed on one
+    row matrix: each array's leading axis is the stack's."""
 
     basis: _RowBasis
     bS: np.ndarray       # each set's bounds on its unit rows
     z: np.ndarray        # R^T z = b_S
     vs: np.ndarray       # each set's KKT point v = Q z
-    misses: np.ndarray   # (set, row): the set's point misses the row
+    misses: np.ndarray   # (sample, set, row): the set's point misses the row
+
+    @classmethod
+    def build(cls, A: np.ndarray, bs: np.ndarray, tol: np.ndarray,
+              L: Optional[np.ndarray]) -> "_Factors":
+        B = _row_basis(A, L)
+        m, p = A.shape
+        bN = np.zeros((len(bs), len(B.unit)))
+        bN[:, :m] = bs / B.unit[:m]
+        bS = bN[:, _row_sets(m, p)[0]]
+        # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
+        # A u = A L^-T v. Each sample's products and solves are its own
+        # calls, so its bits do not depend on the stack. No solve picks a
+        # dependent set, so their z stays 0.
+        z = np.zeros(bS.shape + (1,))
+        z[:, B.solved] = np.linalg.solve(B.RsT, bS[:, B.solved, :, None])
+        vs = (B.Q @ z)[..., :p, 0]
+        misses = ~(vs @ B.AL.T - bs[:, None] >= -tol)
+        return cls(B, bS, z, vs, misses)
+
+    def first_kkt(self, kept_sets: np.ndarray, keep: np.ndarray) -> tuple:
+        """For each sample that has a KKT point: the sample, its pick (the
+        first kept set whose point meets every kept row and whose multipliers
+        mu = R^-1 z are nonnegative) and the pick's mu. Multipliers are
+        solved for only where a set's point meets the kept rows."""
+        s, j = np.nonzero(kept_sets & ~(self.misses @ keep))
+        mu = np.linalg.solve(self.basis.Rs[j], self.z[s, j])[..., 0]
+        ok = np.flatnonzero((mu >= -_FEAS_TOL / 2.0).all(axis=1))
+        # The pairs run by sample, then by set: a sample's first passing pair is its pick.
+        s_ok = s[ok]
+        first = np.ones(len(ok), dtype=bool)
+        first[1:] = s_ok[1:] != s_ok[:-1]
+        first = ok[first]
+        return s[first], j[first], mu[first]
+
+
+def _checked(A, b, stacked: bool, qp: Optional[QpProblem] = None) -> tuple:
+    """A and the bounds as float arrays, b one vector or (stacked) a stack of
+    them; ContractError on mismatched shapes or non-finite data."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if (A.ndim != 2 or b.ndim != 1 + stacked or b.shape[-1:] != A.shape[:1]
+            or (qp is not None and A.shape[1] != qp.p)):
+        raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
+                            "do not match" + ("" if qp is None else f" R of size {qp.p}"))
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ContractError("non-finite constraint data")
+    # The tolerance is a distance, the same for a row and any multiple of it:
+    # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
+    # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
+    return A, b, _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
+
+
+def _slack(A: np.ndarray, b: np.ndarray, u: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """b - A u, by how much u misses each row; SolverError beyond the tolerance."""
+    viol = b - matvec(A, u)
+    if (viol > tol).any():
+        raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
+                          "beyond the tolerance")
+    return viol
 
 
 class RowFactors:
@@ -250,42 +319,23 @@ class RowFactors:
     rows offer at the first infeasible solve. What of them depends on A
     and the metric alone comes from the module's basis of the last row
     matrix, factored again only when A or the metric differs from it; the
-    points, misses and margins, which read b, are this object's. With qp
-    None the metric is the identity and a feasible result is not checked
-    for stationarity (the Farkas check asks for feasibility only).
+    points, misses and margins, which read b, are this object's, a stack of
+    one. With qp None the metric is the identity and a feasible result is
+    not checked for stationarity (the Farkas check asks for feasibility
+    only).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != A.shape[:1] or (qp is not None and A.shape[1] != qp.p):
-            raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
-                                "do not match" + ("" if qp is None else f" R of size {qp.p}"))
-        if not (np.isfinite(A).all() and np.isfinite(b).all()):
-            raise ContractError("non-finite constraint data")
-        self.A, self.b, self.qp = A, b, qp
+        self.A, self.b, self.tol = _checked(A, b, False, qp)
+        self.qp = qp
         self._L = None if qp is None else qp._L
-        self.sets, self._holds = _row_sets(*A.shape)
-        # The tolerance is a distance, the same for a row and any multiple of it:
-        # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
-        # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
-        self.tol = _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
+        self.sets, self._holds = _row_sets(*self.A.shape)
         self._factors: Optional[_Factors] = None
         self._pair_table = None
 
     def _factored(self) -> _Factors:
         if self._factors is None:
-            B = _row_basis(self.A, self._L)
-            m, p = self.A.shape
-            bN = np.zeros(len(B.unit))
-            bN[:m] = self.b / B.unit[:m]
-            bS = bN[self.sets]
-            # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
-            # A u = A L^-T v.
-            z = np.linalg.solve(B.Rs.transpose(0, 2, 1), bS[..., None])
-            vs = (B.Q @ z)[:, :p, 0]
-            misses = ~(vs @ B.AL.T - self.b >= -self.tol)
-            self._factors = _Factors(B, bS, z, vs, misses)
+            self._factors = _Factors.build(self.A, self.b[None], self.tol, self._L)
         return self._factors
 
     def solve(self, keep: Optional[np.ndarray] = None) -> QpResult:
@@ -308,24 +358,17 @@ class RowFactors:
         else:
             f = self._factored()
             B, sets = f.basis, self.sets
-            # Sets of kept rows only, and among them those whose point meets
-            # every kept row: the multipliers are needed only there.
+            # Sets of kept rows only.
             kept_sets = B.indep if every else B.indep & ~(self._holds @ ~keep)
-            feasible = np.flatnonzero(kept_sets & ~(f.misses @ keep))
-            mu = np.linalg.solve(B.Rs[feasible], f.z[feasible])[..., 0]
-            ok = (mu >= -_FEAS_TOL / 2.0).all(axis=1)
-            if not ok.any():
+            found, picks, mus = f.first_kkt(kept_sets, keep)
+            if not len(found):
                 return QpResult("infeasible", certificate=self._certificate(keep, kept_sets))
-            k = int(ok.argmax())
-            j = feasible[k]
-            u = f.vs[j] if self._L is None else np.linalg.solve(self._L.T, f.vs[j])
+            j, mu = picks[0], mus[0]
+            u = f.vs[0, j] if self._L is None else np.linalg.solve(self._L.T, f.vs[0, j])
             lam = np.zeros(len(B.unit))
-            lam[sets[j]] = 2.0 * mu[k] / B.unit[sets[j]]
+            lam[sets[j]] = 2.0 * mu / B.unit[sets[j]]
             lam = np.maximum(lam[:len(self.b)][keep], 0.0)
-        viol = b - A @ u
-        if (viol > tol).any():
-            raise SolverError(f"active-set solution violates a row by {np.max(viol - tol):.2e} "
-                              "beyond the tolerance")
+        viol = _slack(A, b, u, tol)
         if self.qp is not None:
             grad = 2.0 * self.qp.R @ u
             if np.abs(grad - A.T @ lam).max() > 1e-7 * max(1.0, np.abs(grad).max()):
@@ -344,7 +387,7 @@ class RowFactors:
             B, m = f.basis, len(self.b)
             sets, W, candidates = B.pair_terms()
             # The margin b^T y of each pair.
-            margin = self.b / B.unit[:m] + np.einsum("sk,skj->sj", f.bS[sets], W)
+            margin = self.b / B.unit[:m] + np.einsum("sk,skj->sj", f.bS[0, sets], W)
             s, j = np.nonzero(candidates & (margin > 0.0))
             W, margin, s = W[s, :, j], margin[s, j], sets[s]
             members = self.sets[s]
@@ -384,6 +427,33 @@ def farkas_certificate(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     returning. A feasible verdict rests on a point that meets every row.
     """
     return RowFactors(A, b).solve().certificate
+
+
+def farkas_verdicts(A: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """Whether the rows A u >= b have a solution, for each row b of bs: the
+    verdict RowFactors(A, b).solve() reaches, True where it finds a point.
+    Where a row's solve raises SolverError, this raises the error of the
+    first such row.
+
+    One pass over the stack decides every row that u = 0 or a KKT point
+    serves, with the bits of a one-row solve. A row left without a point is
+    infeasible, and its certificate search, which decides whether the solve
+    raises, is its own solve.
+    """
+    A, bs, tol = _checked(A, bs, True)
+    verdicts = (bs <= tol).all(axis=1)
+    rest = np.flatnonzero(~verdicts)
+    if rest.size:
+        f = _Factors.build(A, bs[rest], tol, None)
+        found, picks, _ = f.first_kkt(f.basis.indep, np.ones(len(A), dtype=bool))
+        points = rest[found]
+        over = (bs[points] - matvec(A, f.vs[found, picks]) > tol).any(axis=1)
+        verdicts[points] = True
+        # The rows that are infeasible or whose point misses a row, in order:
+        # the first whose solve raises ends the pass (a missed row raises).
+        for i in np.sort(np.append(np.delete(rest, found), points[over][:1])):
+            RowFactors(A, bs[i]).solve()
+    return verdicts
 
 
 def _validate_certificate(A, b, y):

@@ -32,8 +32,8 @@ import yaml
 
 from .barriers import HalfPlane, Poly, build_chain, ellipsoid_barrier
 from .clf import QuadraticClf, build_quadratic_clf, solve_lyapunov
-from .errors import (ContractError, LyapunovError, RedundancyError, ScenarioValidationError,
-                     SolverError, UncontrollableBarrierError)
+from .errors import (ContractError, FtcbfError, LyapunovError, RedundancyError,
+                     ScenarioValidationError, SolverError, UncontrollableBarrierError)
 from .estimators import steady_state_gain
 from .optimizer import QpProblem, check_problem_size
 from .policy import CLF_MODES, MODES, PolicyConfig
@@ -417,7 +417,7 @@ def _barrier_entry(spec, where: str) -> None:
 
 def _failure_entry(item, where: str) -> None:
     """A failure_schedule entry: its start as a step or a time, and L."""
-    _check(item, {"step": _finite_number, "time": _finite_number, "L": [_switch]}, where)
+    _check(item, {"step": _nonnegative(_index), "time": _finite_number, "L": [_switch]}, where)
     if ("step" in item) == ("time" in item):
         raise ScenarioValidationError(f"{where} must name exactly one of step and time")
 
@@ -460,6 +460,18 @@ SCHEMA = {
     "verify": (None, {"box": _positive_number}),
     "seeds": _nonempty(check_seeds),
 }
+
+
+def _lqr_gain(F: np.ndarray, G: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The LQR gain of the weights Q and R (the Riccati fixed point of the
+    dual filter); an error naming policy: nominal when the weights give
+    none, an overflow included."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return steady_state_gain(F.T, G.T, Q, R).T
+    except (FloatingPointError, FtcbfError) as exc:
+        raise ScenarioValidationError(
+            f"policy: nominal: the LQR weights q and r give no gain ({exc})") from exc
 
 
 def _stabilized_F(F: np.ndarray, G: np.ndarray, notes: list) -> np.ndarray:
@@ -584,7 +596,7 @@ def build_scenario(cfg: dict) -> Scenario:
             q_w = nominal.get("q", 1.0)
             Q_lqr = float(q_w) * np.eye(n) if np.isscalar(q_w) \
                 else np.diag(_shaped(q_w, (n,), "policy: nominal q"))
-            gain = steady_state_gain(F.T, G.T, Q_lqr, float(nominal.get("r", 1.0)) * np.eye(p)).T
+            gain = _lqr_gain(F, G, Q_lqr, float(nominal.get("r", 1.0)) * np.eye(p))
         elif nominal.get("type") == "gain":
             gain = _shaped(nominal["K"], (p, n), "policy: nominal K")
         u_max = pblock.get("u_max")

@@ -7,6 +7,11 @@ of estimates and estimation errors (sensor case) or states in the safe box
 (actuator case). A clean report therefore says "no counterexample in N
 samples", never "verified"; a returned counterexample is a sound witness of
 infeasibility and reproduces as an infeasible QP on the same rows.
+
+Samples are checked in blocks, in the order they are drawn: one stacked
+verdict per block (optimizer.farkas_verdicts, over the row basis the
+block's samples share), and farkas_certificate only at the first infeasible
+sample, whose report is then the bits a sample-by-sample loop gives.
 """
 
 from __future__ import annotations
@@ -16,9 +21,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barriers import BarrierChain, af_rows, hoscbf_pair
-from .errors import ContractError, RedundancyError
-from .optimizer import farkas_certificate
+from .errors import ContractError, FtcbfError, RedundancyError
+from .optimizer import farkas_certificate, farkas_verdicts
 from .simulator import SystemModel
+
+# Samples decided by one stacked Farkas pass. Larger blocks run no faster on
+# the golden scenarios and hold more memory; the block of the first
+# counterexample is decided whole.
+_BLOCK = 64
 
 
 def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
@@ -33,6 +43,16 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
     estimate distances violate theta_ij the premise of the feasibility
     condition fails and the check is reported vacuous (feasible by premise).
     """
+    rows = _ft_rows(chains, model, ests, estimates, zs, gammas, thetas)
+    if rows is None:
+        return {"feasible": True, "vacuous": True, "certificate": None}
+    y = farkas_certificate(*rows)
+    return {"feasible": y is None, "vacuous": False, "certificate": y}
+
+
+def _ft_rows(chains, model, ests, estimates, zs, gammas, thetas) -> Optional[tuple]:
+    """The rows (A, b) that verify_ft_set_pointwise checks, or None when the
+    premise fails."""
     m = len(estimates)
     if not (len(ests) == len(zs) == len(gammas) == m):
         raise ContractError("estimates, ests, zs, gammas must have equal length")
@@ -41,13 +61,12 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
             for j in range(i + 1, m):
                 lim = thetas.get((i, j), np.inf)
                 if np.linalg.norm(np.asarray(estimates[i]) - np.asarray(estimates[j])) > lim:
-                    return {"feasible": True, "vacuous": True, "certificate": None}
+                    return None
     rows = [hoscbf_pair(chain, ests[i], model, np.asarray(estimates[i], dtype=float),
                         gammas[i], z=zs[i])
             for i in range(m) for chain in chains]
     A, b = zip(*rows)
-    y = farkas_certificate(np.array(A), np.array(b))
-    return {"feasible": y is None, "vacuous": False, "certificate": y}
+    return np.array(A), np.array(b)
 
 
 def latin_hypercube(rng: np.random.Generator, count: int, dims: int,
@@ -67,36 +86,77 @@ def _ball_sample(rng: np.random.Generator, dims: int, radius: float) -> np.ndarr
     return v / n * radius * rng.random() ** (1.0 / dims)
 
 
-def _to_level(x: np.ndarray, value: float, w: np.ndarray) -> np.ndarray:
+def _to_level(x: np.ndarray, value, w: np.ndarray) -> np.ndarray:
     """x moved along the gradient w by one Newton step toward the zero level
-    of a function worth value at x; x itself where w vanishes."""
-    nrm2 = float(w @ w)
-    if nrm2 <= 1e-14:
-        return x
-    return x - value * w / nrm2
+    of a function worth value at x; x itself where w vanishes. Over a stack
+    of states x (S, n) too, with value (S,) and w (n,) or (S, n), each state
+    moved with the bits of its own step."""
+    nrm2 = np.vecdot(w, w)
+    flat = nrm2 <= 1e-14
+    step = np.asarray(value)[..., None] * w / np.where(flat, 1.0, nrm2)[..., None]
+    return np.where(flat[..., None], x, x - step)
 
 
-def falsify_region(check: Callable[[int], dict], sampler_info: dict, budget: int) -> dict:
-    """Run `check(k)` for k = 0..budget-1; first infeasible point wins.
+def _stacked_verdicts(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """farkas_verdicts over a stack of row sets (A (S, m, p), b (S, m)),
+    one call per run of samples whose row matrices are the same bits."""
+    bits = np.ascontiguousarray(A).reshape(len(A), -1).view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    ends = np.r_[starts[1:], len(A)]
+    return np.concatenate([farkas_verdicts(A[i], b[i:j]) for i, j in zip(starts, ends)])
 
-    check returns the pointwise dict (with a "point" entry describing the
-    sampled configuration). Deterministic given the sampler seed.
+
+def _first_infeasible(verdicts: Callable, lo: int, hi: int) -> int:
+    """The first sample in lo..hi-1 whose verdict is not feasible, or hi.
+
+    A block whose verdict raises is halved until the raising sample stands
+    alone. That sample counts as infeasible, and its report raises or
+    reports it as a check of that sample alone does, so every sample before
+    it is decided as a sample-by-sample loop decides it."""
+    try:
+        ok = verdicts(lo, hi)
+    except FtcbfError:
+        if hi - lo == 1:
+            return lo
+        mid = (lo + hi) // 2
+        k = _first_infeasible(verdicts, lo, mid)
+        return k if k < mid else _first_infeasible(verdicts, mid, hi)
+    return hi if ok.all() else lo + int(np.argmin(ok))
+
+
+def falsify_region(verdicts: Callable[[int, int], np.ndarray], report: Callable[[int], dict],
+                   sampler_info: dict, budget: int) -> dict:
+    """Check samples 0..budget-1 in blocks of _BLOCK; first infeasible one wins.
+
+    verdicts(lo, hi) gives the feasibility of samples lo..hi-1 at once, and
+    report(k) the pointwise dict of sample k (with a "point" entry
+    describing the sampled configuration), built for the first infeasible
+    sample only. Deterministic given the sampler seed.
     """
     if budget < 1:
         raise ContractError("falsification budget must be positive")
-    for k in range(budget):
-        out = check(k)
-        if not out["feasible"]:
+    out = None
+    for lo in range(0, budget, _BLOCK):
+        hi = min(lo + _BLOCK, budget)
+        k = _first_infeasible(verdicts, lo, hi)
+        if k < hi:
+            out = report(k)
             break
-    found = not out["feasible"]
     return {
         "checked_conditions": sampler_info.get("conditions", ""),
-        "samples": k + 1,
+        "samples": budget if out is None else k + 1,
         "budget": budget,
-        "counterexample": out if found else None,
+        "counterexample": out,
         "seeds": sampler_info.get("seeds", []),
-        "verdict": "counterexample" if found else f"no counterexample in {budget} samples",
+        "verdict": ("counterexample" if out is not None
+                    else f"no counterexample in {budget} samples"),
     }
+
+
+def _pushed(k: np.ndarray, chains: Sequence) -> list:
+    """For each chain, which of the samples k are pushed to its boundary:
+    the odd ones, taken in turn."""
+    return [(k % 2 == 1) & (k // 2 % len(chains) == c) for c in range(len(chains))]
 
 
 def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
@@ -117,22 +177,41 @@ def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
     rng = np.random.default_rng(seed)
     theta_min = min(thetas.values()) if thetas else 0.0
     base_pts = latin_hypercube(rng, budget, model.n, -box, box)
+    # Each sample's estimate offsets, then its errors, drawn sample by sample.
+    radii = [theta_min / 2.0] * m + [gammas[i] for i in range(m)]
+    draws = np.empty((budget, 2 * m, model.n))
+    for k in range(budget):
+        for i, radius in enumerate(radii):
+            draws[k, i] = _ball_sample(rng, model.n, radius)
 
-    def check(k):
-        base = base_pts[k].copy()
-        if k % 2 == 1:
-            chain = chains[k // 2 % len(chains)]
-            d = chain.rel_degree
-            base = _to_level(base, chain.shrunk(d, base, max(gammas)), chain.grad(d, base))
-        estimates = [base + _ball_sample(rng, model.n, theta_min / 2.0) for _ in range(m)]
-        zs = [_ball_sample(rng, model.n, gammas[i]) for i in range(m)]
-        out = verify_ft_set_pointwise(chains, model, ests, estimates, zs, gammas, thetas)
-        out["point"] = {"estimates": [e.tolist() for e in estimates],
-                        "zs": [z.tolist() for z in zs]}
+    def sample(lo, hi):
+        base = base_pts[lo:hi].copy()
+        for chain, pushed in zip(chains, _pushed(np.arange(lo, hi), chains)):
+            if pushed.any():
+                d, at = chain.rel_degree, base[pushed]
+                base[pushed] = _to_level(at, chain.shrunk(d, at, max(gammas)), chain.grad(d, at))
+        return base[:, None] + draws[lo:hi, :m], draws[lo:hi, m:]
+
+    def verdicts(lo, hi):
+        rows = [_ft_rows(chains, model, ests, e, z, gammas, thetas)
+                for e, z in zip(*sample(lo, hi))]
+        # A sample whose premise fails is feasible by premise.
+        posed = np.array([r is not None for r in rows])
+        ok = ~posed
+        if posed.any():
+            A, b = map(np.array, zip(*(r for r in rows if r is not None)))
+            ok[posed] = _stacked_verdicts(A, b)
+        return ok
+
+    def report(k):
+        (estimates,), (zs,) = sample(k, k + 1)
+        out = verify_ft_set_pointwise(chains, model, ests, list(estimates), list(zs), gammas,
+                                      thetas)
+        out["point"] = {"estimates": estimates.tolist(), "zs": zs.tolist()}
         return out
 
     info = {"conditions": f"sensor FT-HOSCBF set, m={m}, box={box}", "seeds": [seed]}
-    return falsify_region(check, info, budget)
+    return falsify_region(verdicts, report, info, budget)
 
 
 def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
@@ -142,21 +221,31 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
     """Sample states in the safe part of the box and Farkas-check the
     policy's rows A u >= b at each (af_rows, all barriers under every
     pattern jointly). Half the samples are pushed to a barrier boundary,
-    where the constraints bind."""
+    where the constraints bind. alpha acts elementwise on a stack."""
     rng = np.random.default_rng(seed)
     pts = latin_hypercube(rng, budget, model.n, -box, box)
     barrier_chains = [cs[0] for cs in af_chain_sets]  # unmasked member per barrier
 
-    def check(k):
-        x = pts[k].copy()
-        if k % 2 == 1 and barrier_chains:
-            ch = barrier_chains[k // 2 % len(barrier_chains)]
-            x = _to_level(x, ch.value(0, x), ch.grad(0, x))
+    def states(lo, hi):
+        x = pts[lo:hi].copy()
+        for ch, pushed in zip(barrier_chains, _pushed(np.arange(lo, hi), barrier_chains)):
+            if pushed.any():
+                at = x[pushed]
+                x[pushed] = _to_level(at, ch.value(0, at), ch.grad(0, at))
         # Then back into the safe set, barrier by barrier.
         for ch in barrier_chains:
             v = ch.value(0, x)
-            if v < 0.0:
-                x = _to_level(x, v, ch.grad(0, x))
+            unsafe = v < 0.0
+            if unsafe.any():
+                x[unsafe] = _to_level(x[unsafe], v[unsafe], ch.grad(0, x[unsafe]))
+        return x
+
+    def verdicts(lo, hi):
+        A, b, _ = af_rows(af_chain_sets, states(lo, hi), patterns, model, alpha=alpha)
+        return _stacked_verdicts(A, b)
+
+    def report(k):
+        x = states(k, k + 1)[0]
         try:
             A, b, _ = af_rows(af_chain_sets, x, patterns, model, alpha=alpha)
         except RedundancyError as exc:
@@ -168,4 +257,4 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
 
     info = {"conditions": f"actuator CBF set, patterns={len(patterns)}, box={box}",
             "seeds": [seed]}
-    return falsify_region(check, info, budget)
+    return falsify_region(verdicts, report, info, budget)

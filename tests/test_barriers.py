@@ -163,6 +163,30 @@ def test_af_rows_identity_patterns_identical():
         assert np.allclose(row, A[0]) and bound == pytest.approx(b[0])
 
 
+def test_af_rows_over_a_stack_are_each_state_alone():
+    """A stack of states gives each state the rows and bounds, bit for bit,
+    that af_rows gives that state alone: for a half-plane (one row vector
+    for every state) and an ellipsoid (a gradient that moves with the
+    state). One state without control authority makes the stack an error."""
+    model = boeing_model()
+    patterns = [np.eye(3), np.diag([1.0, 0, 1]), np.diag([0.0, 1, 1])]
+    barriers = [HalfPlane((0, 1, 0, 0), 0.025),
+                ellipsoid_barrier(np.diag([1.0, 4.0, 1.0, 1.0]), np.zeros(4))]
+    chain_sets = [[build_chain(h, model, input_mask=L, force_degree=0) for L in patterns]
+                  for h in barriers]
+    X = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 7, 4))
+    alpha = lambda s: 2.0 * s  # noqa: E731
+    A, b, sources = af_rows(chain_sets, X, patterns, model, alpha=alpha)
+    assert A.shape == (2, 7, 6, 3) and b.shape == (2, 7, 6)
+    for idx in np.ndindex(2, 7):
+        A1, b1, s1 = af_rows(chain_sets, X[idx], patterns, model, alpha=alpha)
+        assert A[idx].tobytes() == A1.tobytes() and b[idx].tobytes() == b1.tobytes()
+        assert s1 == sources
+    X[1, 3] = 0.0
+    with pytest.raises(RedundancyError, match="pattern 0 has no control authority"):
+        af_rows(chain_sets, X, patterns, model, alpha=alpha)
+
+
 def test_af_redundancy_violation():
     model = boeing_model()
     dead = np.zeros((3, 3))

@@ -8,8 +8,9 @@ from scipy.optimize import linprog
 
 import ftcbf.optimizer as optimizer
 from ftcbf.errors import ContractError, SolverError
-from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors,
-                             _validate_certificate, farkas_certificate, solve_qp)
+from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors, _checked,
+                             _Factors, _validate_certificate, farkas_certificate,
+                             farkas_verdicts, solve_qp)
 
 
 def test_single_row_projection():
@@ -318,6 +319,51 @@ def test_kept_basis_solves_bit_for_bit_as_a_fresh_one(system, identity, seed):
         optimizer._basis = None
         factors = RowFactors(A, second, qp)
         assert [_outcome(factors, None), _outcome(factors, keep)] == warm
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_systems(), st.integers(0, 2 ** 32 - 1))
+def test_stacked_verdicts_equal_one_row_solves(system, seed):
+    """Bounds stacked on one row matrix, feasible and infeasible ones mixed:
+    the stacked verdict of each row is what a solve of that row alone
+    reaches, or the stack raises the first raising row's SolverError. Each
+    row's points and misses are the bits of its own factorization."""
+    A, b, _ = system
+    m, p = A.shape
+    rng = np.random.default_rng(seed)
+    norms = np.linalg.norm(A, axis=1)
+    bs = np.vstack([b, b + rng.uniform(-1.0, 1.0, (5, m)) * norms,
+                    rng.uniform(-1.0, 1.0, (4, p)) @ A.T - rng.uniform(0.0, 1.0, (4, m)) * norms])
+    bs = bs[rng.permutation(len(bs))]
+    outcomes = []
+    for row in bs:
+        try:
+            outcomes.append(RowFactors(A, row).solve().is_feasible)
+        except SolverError as exc:
+            outcomes.append(str(exc))
+    errors = [o for o in outcomes if isinstance(o, str)]
+    if errors:
+        with pytest.raises(SolverError, match=re.escape(errors[0])):
+            farkas_verdicts(A, bs)
+    else:
+        assert farkas_verdicts(A, bs).tolist() == outcomes
+    _, _, tol = _checked(A, bs, True)
+    stacked = _Factors.build(A, bs, tol, None)
+    for i, row in enumerate(bs):
+        one = _Factors.build(A, row[None], tol, None)
+        for name in ("z", "vs", "misses"):
+            assert getattr(stacked, name)[i].tobytes() == getattr(one, name)[0].tobytes()
+
+
+def test_stacked_verdicts_check_their_input():
+    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert farkas_verdicts(A, np.zeros((0, 2))).shape == (0,)
+    verdicts = farkas_verdicts(A, [[1.0, -2.0], [1.0, 1.0], [-1.0, -1.0]])
+    assert verdicts.tolist() == [True, False, True]
+    with pytest.raises(ContractError, match="do not match"):
+        farkas_verdicts(A, np.zeros(2))
+    with pytest.raises(ContractError, match="non-finite"):
+        farkas_verdicts(A, [[0.0, 0.0], [np.nan, 0.0]])
 
 
 def test_basis_is_kept_for_the_same_bytes_and_read_only():

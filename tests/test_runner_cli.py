@@ -536,6 +536,14 @@ def _on_boeing(*edits):
     (_on_boeing(_set("policy", "nominal", "r", 0)), "policy: nominal r must be positive, got 0"),
     (_on_boeing(_set("policy", "nominal", "q", -1)),
      "policy: nominal q must be nonnegative, got -1"),
+    (_on_boeing(_set("faults", "failure_schedule", [{"step": 0.5, "L": [1, 0, 1]}])),
+     "faults: failure_schedule entry 0 step must be an integer, got 0.5"),
+    (_on_boeing(_set("faults", "failure_schedule", [{"step": -5, "L": [1, 0, 1]}])),
+     "faults: failure_schedule entry 0 step must be nonnegative, got -5"),
+    (_on_boeing(_set("policy", "nominal", "r", 1e308)),
+     "policy: nominal: the LQR weights q and r give no gain"),
+    (_on_boeing(_set("policy", "nominal", "q", 1e308)),
+     "policy: nominal: the LQR weights q and r give no gain"),
     (_set("policy", "delta", 0), "policy: delta must be positive or .inf, got 0"),
     (_set("clf", "goal_indices", []), "clf: goal_indices: at least one entry is required"),
     (_set("clf", {"radius": 0.05, "goal_indices": [], "v_bar": 0.1}),
@@ -549,8 +557,9 @@ def _on_boeing(*edits):
          "smoothing-above-one", "smoothing-of-one", "negative-force-degree", "short-barrier-normal",
          "small-ellipsoid", "narrow-output-matrix", "negative-exponent",
          "negative-v-bar-fraction", "horizon-below-dt", "fractional-failure-pattern",
-         "step-and-time", "zero-lqr-r", "negative-lqr-q", "zero-delta", "empty-goal-indices",
-         "empty-goal-indices-with-v-bar"])
+         "step-and-time", "zero-lqr-r", "negative-lqr-q", "fractional-failure-step",
+         "negative-failure-step", "huge-lqr-r", "huge-lqr-q", "zero-delta",
+         "empty-goal-indices", "empty-goal-indices-with-v-bar"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())

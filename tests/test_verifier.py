@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ftcbf.optimizer as optimizer
-from ftcbf.barriers import HalfPlane, build_chain
+import ftcbf.verifier as verifier
+from ftcbf.barriers import HalfPlane, af_rows, build_chain
+from ftcbf.cli import _report_json
+from ftcbf.errors import RedundancyError, SolverError
 from ftcbf.estimators import make_bank
 from ftcbf.optimizer import farkas_certificate
 from ftcbf.scenarios import PRESETS, build_scenario, load_scenario
@@ -118,17 +123,51 @@ def test_latin_hypercube_stratified():
 
 
 def test_falsify_region_deterministic_and_counts():
-    calls = []
+    reported = []
 
-    def check(k):
-        calls.append(k)
-        return {"feasible": k < 5}
+    def verdicts(lo, hi):
+        return np.arange(lo, hi) < 5
 
-    rep = falsify_region(check, {"seeds": [0]}, budget=20)
+    def report(k):
+        reported.append(k)
+        return {"feasible": False}
+
+    rep = falsify_region(verdicts, report, {"seeds": [0]}, budget=20)
     assert rep["counterexample"] is not None
-    assert rep["samples"] == 6
+    assert rep["samples"] == 6 and reported == [5]
+    rep = falsify_region(lambda lo, hi: np.ones(hi - lo, dtype=bool), report, {}, budget=200)
+    assert rep["counterexample"] is None and rep["samples"] == 200 and reported == [5]
     with pytest.raises(Exception):
-        falsify_region(check, {}, budget=0)
+        falsify_region(verdicts, report, {}, budget=0)
+
+
+@pytest.mark.parametrize("infeasible, raising, first", [
+    (None, 70, 70), (100, 70, 70), (66, 70, 66), (70, 66, 66), (None, 0, 0), (127, 64, 64)])
+def test_falsify_region_decides_a_raising_block_sample_by_sample(infeasible, raising, first):
+    """A block whose stacked verdict raises is decided as a sample-by-sample
+    loop decides it: the first infeasible or raising sample is reported, and
+    its report raises or not as that sample's own check does."""
+    asked = []
+
+    def verdicts(lo, hi):
+        asked.append((lo, hi))
+        if lo <= raising < hi:
+            raise SolverError("no KKT active set and no Farkas certificate")
+        return np.arange(lo, hi) != infeasible
+
+    def report(k):
+        if k == raising:
+            raise SolverError(f"sample {k}")
+        return {"feasible": False, "k": k}
+
+    if first == raising:
+        with pytest.raises(SolverError, match=f"sample {first}"):
+            falsify_region(verdicts, report, {}, budget=500)
+    else:
+        rep = falsify_region(verdicts, report, {}, budget=500)
+        assert rep["counterexample"] == {"feasible": False, "k": first}
+        assert rep["samples"] == first + 1
+    assert all(hi - lo <= verifier._BLOCK for lo, hi in asked)
 
 
 def test_falsify_sensor_no_counterexample_on_golden_wmr(wmr_yaml):
@@ -188,3 +227,96 @@ def test_falsify_actuator_dead_pattern_counterexample():
     rep = falsify_actuator_region(chain_sets, dead, scn.model, box=1.0,
                                   budget=50, seed=0)
     assert rep["counterexample"] is not None
+
+
+def _reference_to_level(x, value, w):
+    nrm2 = float(w @ w)
+    if nrm2 <= 1e-14:
+        return x
+    return x - value * w / nrm2
+
+
+def reference_actuator_region(af_chain_sets, patterns, model, box, budget, seed):
+    """falsify_actuator_region as a sample-by-sample loop: one state, one
+    af_rows and one farkas_certificate per sample."""
+    pts = latin_hypercube(np.random.default_rng(seed), budget, model.n, -box, box)
+    chains = [cs[0] for cs in af_chain_sets]
+    for k in range(budget):
+        x = pts[k].copy()
+        if k % 2 == 1:
+            ch = chains[k // 2 % len(chains)]
+            x = _reference_to_level(x, ch.value(0, x), ch.grad(0, x))
+        for ch in chains:
+            v = ch.value(0, x)
+            if v < 0.0:
+                x = _reference_to_level(x, v, ch.grad(0, x))
+        try:
+            A, b, _ = af_rows(af_chain_sets, x, patterns, model)
+        except RedundancyError as exc:
+            out = {"feasible": False, "certificate": None, "reason": str(exc),
+                   "point": {"x": x.tolist()}}
+            break
+        y = farkas_certificate(A, b)
+        out = {"feasible": y is None, "certificate": y, "point": {"x": x.tolist()}}
+        if y is not None:
+            break
+    found = not out["feasible"]
+    return {"checked_conditions": f"actuator CBF set, patterns={len(patterns)}, box={box}",
+            "samples": k + 1, "budget": budget, "counterexample": out if found else None,
+            "seeds": [seed],
+            "verdict": "counterexample" if found else f"no counterexample in {budget} samples"}
+
+
+def slab_region():
+    """One input moving x1 between two barriers whose rows oppose each other.
+    Their bounds meet unless x2 is above about 0.95, so counterexamples lie
+    in a thin strip of the box [-1, 1]^2."""
+    model = SystemModel.linear(np.diag([0.0, -3.0]), np.array([[1.0], [0.0]]), np.eye(2),
+                               np.zeros((2, 2)), np.eye(2))
+    barriers = [HalfPlane((1.0, 0.0), 1.0), HalfPlane((-1.0, 0.5), -0.05)]
+    L = np.eye(1)
+    return [[build_chain(h, model, input_mask=L)] for h in barriers], [L], model
+
+
+@pytest.mark.parametrize("seed, first", [(12, 0), (470, 63), (77, 64), (2454, 127)])
+def test_falsify_actuator_block_edges_match_the_sample_loop(seed, first):
+    """The first counterexample at a block's first sample, at its last and
+    at the next block's first: each report is the sample loop's, bytes and
+    all."""
+    assert verifier._BLOCK == 64
+    chain_sets, patterns, model = slab_region()
+    ref = reference_actuator_region(chain_sets, patterns, model, 1.0, 200, seed)
+    assert ref["samples"] == first + 1
+    rep = falsify_actuator_region(chain_sets, patterns, model, box=1.0, budget=200, seed=seed)
+    assert _report_json(rep) == _report_json(ref)
+
+
+def test_falsify_actuator_golden_and_dead_pattern_match_the_sample_loop():
+    scn = build_scenario({"kind": "boeing"})
+    dead = [np.zeros((3, 3))]
+    dead_sets = [[build_chain(HalfPlane(tuple(s["a"]), s["b"]), scn.model,
+                              input_mask=dead[0], force_degree=0)]
+                 for s in PRESETS["boeing"]["barriers"]]
+    for chain_sets, patterns, budget in ((scn.af_chain_sets, scn.af_patterns, 300),
+                                         (dead_sets, dead, 50)):
+        rep = falsify_actuator_region(chain_sets, patterns, scn.model, 1.0, budget, seed=3)
+        ref = reference_actuator_region(chain_sets, patterns, scn.model, 1.0, budget, 3)
+        assert _report_json(rep) == _report_json(ref)
+
+
+def test_boeing_verify_allocation_peak_is_bounded(boeing_yaml):
+    """A 2000-sample verify of the golden Boeing scenario holds one block of
+    samples at a time: its traced allocation peak stays under 2 MB (0.7 MB
+    with blocks of 64; blocks of 256 reach 2.2 MB)."""
+    scn = load_scenario(boeing_yaml)
+    alpha = lambda s, k=scn.policy.alpha_kappa: k * s  # noqa: E731
+    args = (scn.af_chain_sets, scn.af_patterns, scn.model, scn.verify_box)
+    falsify_actuator_region(*args, 100, seed=0, alpha=alpha)
+    tracemalloc.start()
+    try:
+        rep = falsify_actuator_region(*args, 2000, seed=0, alpha=alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["counterexample"] is None
+    assert peak < 2_000_000
