@@ -30,18 +30,21 @@ posed as A u >= b, in the orientation barriers.hoscbf_pair and
 barriers.af_rows build it. A control step that prunes estimators solves
 again over a subset of the same rows. RowFactors checks a step's rows once
 and solves over any mask of kept rows; solve_qp and farkas_certificate are
-the one-shot case. farkas_verdicts decides a stack of bounds on one A at
-once, as a verify loop poses them. The work splits by what it reads:
-- once per distinct A (and metric L): the unit rows, every set's QR
-  factors and which sets are independent, and, at the first infeasible
-  solve, every (set, row) pair's certificate weights and whether the pair
-  is dependent with nonnegative weights (_RowBasis). The module keeps the
-  last row matrix's basis, keyed by the bytes of A and L. A Boeing run and
-  every verify loop pose one A and factor once; a WMR step poses a new A.
-- once per stack of bounds (_Factors, with a leading sample axis; a
-  RowFactors holds a stack of one b): every set's KKT point and the rows
-  it misses for each b, and, at a RowFactors' first infeasible solve, each
-  pair's margin b^T y.
+the one-shot case. farkas_verdicts takes a stack of row sets, as a verify
+loop poses them, and settles each that a point shows feasible; the rest,
+infeasible or undecidable, are left to farkas_certificate. The work splits
+by what it reads:
+- once per distinct A (and metric L): the unit rows, the QR factors of
+  every set, of which only the independent sets are kept, and, at the first
+  infeasible solve, every (set, row) pair's certificate weights and whether
+  the pair is dependent with nonnegative weights (_RowBasis). The module
+  keeps the last row matrix's basis, keyed by the bytes of A and L. A Boeing
+  run and every verify loop pose one A and factor once; a WMR step poses a
+  new A.
+- once per stack of bounds on one A (_Factors, with a leading sample axis; a
+  RowFactors holds a stack of one b): every independent set's KKT point and
+  the rows it misses for each b, and, at a RowFactors' first infeasible
+  solve, each pair's margin b^T y.
 - per solve, for every b of the stack: the multipliers of the sets that
   meet the kept rows and the check of the chosen point on the original
   rows; then, for one b, the certificate and its validation.
@@ -156,27 +159,26 @@ def _metric_rows(A: np.ndarray, L: Optional[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class _RowBasis:
-    """Every row set's factors in the metric: the terms that depend on A and
-    L alone, read-only and shared by every b posed on the same A."""
+    """The independent row sets' factors in the metric: the terms that depend
+    on A and L alone, read-only and shared by every b posed on the same A."""
 
     key: tuple           # (A.shape, A.tobytes(), L.tobytes() or None)
     AL: np.ndarray       # A L^-T
     unit: np.ndarray     # row norms in the metric, then 1 for the p padding rows
     N: np.ndarray        # the unit rows, then the padding rows
+    sets: np.ndarray     # the sets of _row_sets whose rows are independent, in its order
+    holds: np.ndarray    # which of the m rows each of them holds
     Q: np.ndarray        # N_S^T = Q R, one pair per set
     Rs: np.ndarray
-    indep: np.ndarray    # sets whose rows are independent
-    solved: np.ndarray   # their indices, and their R^T, the systems solved for z
-    RsT: np.ndarray
-    # The independent sets, each row's weights W on each of them, and which
-    # (set, row) pairs have a zero pivot and nonnegative weights; computed at
-    # the first infeasible solve.
+    # Each row's weights W on each set, and which (set, row) pairs have a
+    # zero pivot and nonnegative weights; computed at the first infeasible
+    # solve.
     _pair_terms: Optional[tuple] = field(default=None, repr=False)
 
     @classmethod
     def factor(cls, key: tuple, A: np.ndarray, L: Optional[np.ndarray]) -> "_RowBasis":
         m, p = A.shape
-        sets, _ = _row_sets(m, p)
+        sets, holds = _row_sets(m, p)
         # A copy, so that the record neither aliases nor pins the caller's rows.
         AL = _metric_rows(np.array(A), L)
         # The unit rows in the metric, then p padding rows: unit vectors in
@@ -189,24 +191,19 @@ class _RowBasis:
         N[m:, p:] = np.eye(p)
         Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
         indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
-        Rs[~indep] = np.eye(p)
-        solved = np.flatnonzero(indep)
-        RsT = np.ascontiguousarray(Rs[solved].transpose(0, 2, 1))
-        return cls(key, *_read_only(AL, unit, N, Q, Rs, indep, solved, RsT))
+        return cls(key, *_read_only(AL, unit, N, sets[indep], holds[indep], Q[indep], Rs[indep]))
 
     def pair_terms(self) -> tuple:
-        """For every independent set S and row j: the weights w = -R^-1 Q^T n_j
-        of S's unit rows, and whether j's pivot after S is zero and w >= 0."""
+        """For every set S and row j: the weights w = -R^-1 Q^T n_j of S's
+        unit rows, and whether j's pivot after S is zero and w >= 0."""
         if self._pair_terms is None:
             m = len(self.AL)
-            sets = np.flatnonzero(self.indep)
-            Q = self.Q[sets]
             # Every row in every set's basis, and what the basis leaves of it.
-            C = Q.transpose(0, 2, 1) @ self.N[:m].T
-            left = self.N[:m].T - Q @ C
-            W = -np.linalg.solve(self.Rs[sets], C)
+            C = self.Q.transpose(0, 2, 1) @ self.N[:m].T
+            left = self.N[:m].T - self.Q @ C
+            W = -np.linalg.solve(self.Rs, C)
             dependent = np.einsum("sdj,sdj->sj", left, left) <= _INDEP_TOL ** 2
-            self._pair_terms = _read_only(sets, W, dependent & (W >= 0.0).all(axis=1))
+            self._pair_terms = _read_only(W, dependent & (W >= 0.0).all(axis=1))
         return self._pair_terms
 
 
@@ -233,8 +230,8 @@ def _row_basis(A: np.ndarray, L: Optional[np.ndarray]) -> _RowBasis:
 
 @dataclass
 class _Factors:
-    """What every row set's factors give for a stack of bounds posed on one
-    row matrix: each array's leading axis is the stack's."""
+    """What the independent sets' factors give for a stack of bounds posed
+    on one row matrix: each array's leading axis is the stack's."""
 
     basis: _RowBasis
     bS: np.ndarray       # each set's bounds on its unit rows
@@ -249,23 +246,24 @@ class _Factors:
         m, p = A.shape
         bN = np.zeros((len(bs), len(B.unit)))
         bN[:, :m] = bs / B.unit[:m]
-        bS = bN[:, _row_sets(m, p)[0]]
+        bS = bN[:, B.sets]
         # N_S v = b_S with v = N_S^T mu: R^T z = b_S, v = Q z, R mu = z; and
         # A u = A L^-T v. Each sample's products and solves are its own
-        # calls, so its bits do not depend on the stack. No solve picks a
-        # dependent set, so their z stays 0.
-        z = np.zeros(bS.shape + (1,))
-        z[:, B.solved] = np.linalg.solve(B.RsT, bS[:, B.solved, :, None])
+        # calls, so its bits do not depend on the stack.
+        z = np.linalg.solve(B.Rs.transpose(0, 2, 1), bS[..., None])
         vs = (B.Q @ z)[..., :p, 0]
         misses = ~(vs @ B.AL.T - bs[:, None] >= -tol)
         return cls(B, bS, z, vs, misses)
 
-    def first_kkt(self, kept_sets: np.ndarray, keep: np.ndarray) -> tuple:
-        """For each sample that has a KKT point: the sample, its pick (the
-        first kept set whose point meets every kept row and whose multipliers
-        mu = R^-1 z are nonnegative) and the pick's mu. Multipliers are
-        solved for only where a set's point meets the kept rows."""
-        s, j = np.nonzero(kept_sets & ~(self.misses @ keep))
+    def first_kkt(self, keep: Optional[np.ndarray] = None) -> tuple:
+        """For each sample that has a KKT point over the kept rows (keep None
+        keeps every row): the sample, its pick (the first set of kept rows
+        whose point meets every kept row and whose multipliers mu = R^-1 z
+        are nonnegative) and the pick's mu. Multipliers are solved for only
+        where a set's point meets the kept rows."""
+        meets = (~self.misses.any(axis=2) if keep is None
+                 else ~(self.misses @ keep) & ~(self.basis.holds @ ~keep))
+        s, j = np.nonzero(meets)
         mu = np.linalg.solve(self.basis.Rs[j], self.z[s, j])[..., 0]
         ok = np.flatnonzero((mu >= -_FEAS_TOL / 2.0).all(axis=1))
         # The pairs run by sample, then by set: a sample's first passing pair is its pick.
@@ -277,20 +275,23 @@ class _Factors:
 
 
 def _checked(A, b, stacked: bool, qp: Optional[QpProblem] = None) -> tuple:
-    """A and the bounds as float arrays, b one vector or (stacked) a stack of
-    them; ContractError on mismatched shapes or non-finite data."""
+    """A and the bounds as float arrays, one row matrix and its bounds or
+    (stacked) a stack of each, A (S, m, p) and b (S, m), and each row's
+    tolerance; ContractError on mismatched shapes or non-finite data, and
+    SolverError beyond the row-set budget, whatever the bounds."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if (A.ndim != 2 or b.ndim != 1 + stacked or b.shape[-1:] != A.shape[:1]
+    if (A.ndim != 2 + stacked or b.shape != A.shape[:-1]
             or (qp is not None and A.shape[1] != qp.p)):
         raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
                             "do not match" + ("" if qp is None else f" R of size {qp.p}"))
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ContractError("non-finite constraint data")
+    _row_sets(*A.shape[-2:])
     # The tolerance is a distance, the same for a row and any multiple of it:
     # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
     # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
-    return A, b, _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A))
+    return A, b, _FEAS_TOL * np.sqrt(np.einsum("...ij,...ij->...i", A, A))
 
 
 def _slack(A: np.ndarray, b: np.ndarray, u: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -316,20 +317,19 @@ class RowFactors:
     fewer; it can change a decision only for a slack within rounding of the
     1e-9 tolerance. The factors are built at the first solve that needs
     them (none when u = 0 meets the kept rows), and every certificate the
-    rows offer at the first infeasible solve. What of them depends on A
-    and the metric alone comes from the module's basis of the last row
-    matrix, factored again only when A or the metric differs from it; the
-    points, misses and margins, which read b, are this object's, a stack of
-    one. With qp None the metric is the identity and a feasible result is
-    not checked for stationarity (the Farkas check asks for feasibility
-    only).
+    rows offer at the first infeasible solve. The independent sets and
+    what of them depends on A and the metric alone come from the module's
+    basis of the last row matrix, factored again only when A or the metric
+    differs from it; the points, misses and margins, which read b, are this
+    object's, a stack of one. With qp None the metric is the identity and a
+    feasible result is not checked for stationarity (the Farkas check asks
+    for feasibility only).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None):
         self.A, self.b, self.tol = _checked(A, b, False, qp)
         self.qp = qp
         self._L = None if qp is None else qp._L
-        self.sets, self._holds = _row_sets(*self.A.shape)
         self._factors: Optional[_Factors] = None
         self._pair_table = None
 
@@ -348,7 +348,7 @@ class RowFactors:
         """
         every = keep is None
         keep = np.ones(len(self.b), dtype=bool) if every else np.asarray(keep, dtype=bool)
-        # With every row kept, the stored arrays serve uncopied and every set is kept.
+        # With every row kept, the stored arrays serve uncopied.
         A, b, tol = ((self.A, self.b, self.tol) if every
                      else (self.A[keep], self.b[keep], self.tol[keep]))
         m, p = A.shape
@@ -357,16 +357,13 @@ class RowFactors:
             u, lam = np.zeros(p), np.zeros(m)
         else:
             f = self._factored()
-            B, sets = f.basis, self.sets
-            # Sets of kept rows only.
-            kept_sets = B.indep if every else B.indep & ~(self._holds @ ~keep)
-            found, picks, mus = f.first_kkt(kept_sets, keep)
+            found, picks, mus = f.first_kkt(None if every else keep)
             if not len(found):
-                return QpResult("infeasible", certificate=self._certificate(keep, kept_sets))
-            j, mu = picks[0], mus[0]
+                return QpResult("infeasible", certificate=self._certificate(keep))
+            B, j, mu = f.basis, picks[0], mus[0]
             u = f.vs[0, j] if self._L is None else np.linalg.solve(self._L.T, f.vs[0, j])
             lam = np.zeros(len(B.unit))
-            lam[sets[j]] = 2.0 * mu / B.unit[sets[j]]
+            lam[B.sets[j]] = 2.0 * mu / B.unit[B.sets[j]]
             lam = np.maximum(lam[:len(self.b)][keep], 0.0)
         viol = _slack(A, b, u, tol)
         if self.qp is not None:
@@ -385,12 +382,11 @@ class RowFactors:
         if self._pair_table is None:
             f = self._factored()
             B, m = f.basis, len(self.b)
-            sets, W, candidates = B.pair_terms()
+            W, candidates = B.pair_terms()
             # The margin b^T y of each pair.
-            margin = self.b / B.unit[:m] + np.einsum("sk,skj->sj", f.bS[0, sets], W)
+            margin = self.b / B.unit[:m] + np.einsum("sk,skj->sj", f.bS[0], W)
             s, j = np.nonzero(candidates & (margin > 0.0))
-            W, margin, s = W[s, :, j], margin[s, j], sets[s]
-            members = self.sets[s]
+            W, margin, members = W[s, :, j], margin[s, j], B.sets[s]
             ys = np.zeros((len(s), len(B.unit)))
             ys[np.arange(len(s))[:, None], members] = W / B.unit[members]
             ys[np.arange(len(s)), j] += 1.0 / B.unit[j]
@@ -400,7 +396,7 @@ class RowFactors:
             self._pair_table = (s, j, ys, ok, margin / (1.0 + W.sum(axis=1)))
         return self._pair_table
 
-    def _certificate(self, keep: np.ndarray, kept_sets: np.ndarray) -> np.ndarray:
+    def _certificate(self, keep: np.ndarray) -> np.ndarray:
         """y >= 0 on at most p + 1 kept rows with A^T y = 0 and b^T y = 1.
 
         Such a y lies on a minimal dependent row set: an independent set S and
@@ -411,7 +407,7 @@ class RowFactors:
         the one with the largest margin b^T y per unit of weight.
         """
         s, j, ys, ok, score = self._pairs()
-        ok = ok & kept_sets[s] & keep[j]
+        ok = ok & ~(self._factored().basis.holds[s] @ ~keep) & keep[j]
         if not ok.any():
             raise SolverError("no KKT active set and no Farkas certificate")
         y = ys[int(np.where(ok, score, -np.inf).argmax())][keep]
@@ -430,29 +426,31 @@ def farkas_certificate(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
 
 
 def farkas_verdicts(A: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """Whether the rows A u >= b have a solution, for each row b of bs: the
-    verdict RowFactors(A, b).solve() reaches, True where it finds a point.
-    Where a row's solve raises SolverError, this raises the error of the
-    first such row.
+    """Whether a point shows the rows A[i] u >= bs[i] feasible, for each i
+    of a stack (A (S, m, p), bs (S, m)): True where u = 0 or the KKT point
+    that RowFactors(A[i], bs[i]).solve() picks meets every row, with the
+    bits of that solve; False otherwise. A False settles nothing: the rows
+    are infeasible, or their solve raises, and farkas_certificate on them
+    tells which.
 
-    One pass over the stack decides every row that u = 0 or a KKT point
-    serves, with the bits of a one-row solve. A row left without a point is
-    infeasible, and its certificate search, which decides whether the solve
-    raises, is its own solve.
+    Each run of samples whose row matrices are the same bytes takes one
+    _Factors pass over the basis of that matrix.
     """
-    A, bs, tol = _checked(A, bs, True)
-    verdicts = (bs <= tol).all(axis=1)
-    rest = np.flatnonzero(~verdicts)
-    if rest.size:
-        f = _Factors.build(A, bs[rest], tol, None)
-        found, picks, _ = f.first_kkt(f.basis.indep, np.ones(len(A), dtype=bool))
-        points = rest[found]
-        over = (bs[points] - matvec(A, f.vs[found, picks]) > tol).any(axis=1)
-        verdicts[points] = True
-        # The rows that are infeasible or whose point misses a row, in order:
-        # the first whose solve raises ends the pass (a missed row raises).
-        for i in np.sort(np.append(np.delete(rest, found), points[over][:1])):
-            RowFactors(A, bs[i]).solve()
+    A, bs, tols = _checked(A, bs, True)
+    verdicts = np.zeros(len(bs), dtype=bool)
+    bits = np.ascontiguousarray(A).view(np.int64)
+    new = np.ones(len(A), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
+    runs = np.append(np.flatnonzero(new), len(A))
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        b, tol, ok = bs[lo:hi], tols[lo], verdicts[lo:hi]
+        ok[:] = (b <= tol).all(axis=1)
+        rest = np.flatnonzero(~ok)
+        if rest.size:
+            f = _Factors.build(A[lo], b[rest], tol, None)
+            found, picks, _ = f.first_kkt()
+            points = rest[found]
+            ok[points] = (b[points] - matvec(A[lo], f.vs[found, picks]) <= tol).all(axis=1)
     return verdicts
 
 

@@ -8,10 +8,12 @@ of estimates and estimation errors (sensor case) or states in the safe box
 samples", never "verified"; a returned counterexample is a sound witness of
 infeasibility and reproduces as an infeasible QP on the same rows.
 
-Samples are checked in blocks, in the order they are drawn: one stacked
-verdict per block (optimizer.farkas_verdicts, over the row basis the
-block's samples share), and farkas_certificate only at the first infeasible
-sample, whose report is then the bits a sample-by-sample loop gives.
+Samples are checked in blocks, in the order they are drawn. One
+optimizer.farkas_verdicts pass per block settles every sample that a point
+shows feasible, over the row basis its samples share. The first sample left
+unsettled gets a report: its farkas_certificate is the one check that
+certifies it or raises, and the report is the bits a sample-by-sample loop
+gives.
 """
 
 from __future__ import annotations
@@ -97,25 +99,16 @@ def _to_level(x: np.ndarray, value, w: np.ndarray) -> np.ndarray:
     return np.where(flat[..., None], x, x - step)
 
 
-def _stacked_verdicts(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """farkas_verdicts over a stack of row sets (A (S, m, p), b (S, m)),
-    one call per run of samples whose row matrices are the same bits."""
-    bits = np.ascontiguousarray(A).reshape(len(A), -1).view(np.int64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    ends = np.r_[starts[1:], len(A)]
-    return np.concatenate([farkas_verdicts(A[i], b[i:j]) for i, j in zip(starts, ends)])
-
-
 def _first_infeasible(verdicts: Callable, lo: int, hi: int) -> int:
-    """The first sample in lo..hi-1 whose verdict is not feasible, or hi.
+    """The first sample in lo..hi-1 that no point shows feasible, or hi.
 
-    A block whose verdict raises is halved until the raising sample stands
-    alone. That sample counts as infeasible, and its report raises or
-    reports it as a check of that sample alone does, so every sample before
-    it is decided as a sample-by-sample loop decides it."""
+    A block whose rows cannot be assembled (RedundancyError) is halved until
+    the failing sample stands alone. That sample counts as unsettled too, so
+    every sample before it is decided as a sample-by-sample loop decides it,
+    and its report says why."""
     try:
         ok = verdicts(lo, hi)
-    except FtcbfError:
+    except RedundancyError:
         if hi - lo == 1:
             return lo
         mid = (lo + hi) // 2
@@ -128,26 +121,34 @@ def falsify_region(verdicts: Callable[[int, int], np.ndarray], report: Callable[
                    sampler_info: dict, budget: int) -> dict:
     """Check samples 0..budget-1 in blocks of _BLOCK; first infeasible one wins.
 
-    verdicts(lo, hi) gives the feasibility of samples lo..hi-1 at once, and
-    report(k) the pointwise dict of sample k (with a "point" entry
-    describing the sampled configuration), built for the first infeasible
-    sample only. Deterministic given the sampler seed.
+    verdicts(lo, hi) tells for samples lo..hi-1 at once whether a point
+    shows each feasible, and report(k) gives the pointwise dict of sample k
+    (with a "point" entry describing the sampled configuration). The report
+    of the first unsettled sample is the one check that certifies it or
+    raises; an FtcbfError it raises comes out as the same class with the
+    sample index and sampler seed before its message. Deterministic given
+    the sampler seed.
     """
     if budget < 1:
         raise ContractError("falsification budget must be positive")
     out = None
+    seeds = sampler_info.get("seeds", [])
     for lo in range(0, budget, _BLOCK):
         hi = min(lo + _BLOCK, budget)
         k = _first_infeasible(verdicts, lo, hi)
         if k < hi:
-            out = report(k)
+            try:
+                out = report(k)
+            except FtcbfError as exc:
+                raise type(exc)(f"sample {k} of sampler seed "
+                                f"{', '.join(map(str, seeds))}: {exc}") from exc
             break
     return {
         "checked_conditions": sampler_info.get("conditions", ""),
         "samples": budget if out is None else k + 1,
         "budget": budget,
         "counterexample": out,
-        "seeds": sampler_info.get("seeds", []),
+        "seeds": seeds,
         "verdict": ("counterexample" if out is not None
                     else f"no counterexample in {budget} samples"),
     }
@@ -200,7 +201,7 @@ def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
         ok = ~posed
         if posed.any():
             A, b = map(np.array, zip(*(r for r in rows if r is not None)))
-            ok[posed] = _stacked_verdicts(A, b)
+            ok[posed] = farkas_verdicts(A, b)
         return ok
 
     def report(k):
@@ -242,7 +243,7 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
 
     def verdicts(lo, hi):
         A, b, _ = af_rows(af_chain_sets, states(lo, hi), patterns, model, alpha=alpha)
-        return _stacked_verdicts(A, b)
+        return farkas_verdicts(A, b)
 
     def report(k):
         x = states(k, k + 1)[0]

@@ -8,9 +8,11 @@ from scipy.optimize import linprog
 
 import ftcbf.optimizer as optimizer
 from ftcbf.errors import ContractError, SolverError
+from ftcbf.barriers import af_rows
 from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors, _checked,
                              _Factors, _validate_certificate, farkas_certificate,
                              farkas_verdicts, solve_qp)
+from ftcbf.scenarios import build_scenario
 
 
 def test_single_row_projection():
@@ -325,9 +327,10 @@ def test_kept_basis_solves_bit_for_bit_as_a_fresh_one(system, identity, seed):
 @given(degenerate_systems(), st.integers(0, 2 ** 32 - 1))
 def test_stacked_verdicts_equal_one_row_solves(system, seed):
     """Bounds stacked on one row matrix, feasible and infeasible ones mixed:
-    the stacked verdict of each row is what a solve of that row alone
-    reaches, or the stack raises the first raising row's SolverError. Each
-    row's points and misses are the bits of its own factorization."""
+    each verdict is True exactly where a solve of that row alone returns a
+    point, and False where that solve returns infeasible or raises; the
+    stack itself never raises. Each row's points and misses over the
+    independent sets are the bits of its own factorization."""
     A, b, _ = system
     m, p = A.shape
     rng = np.random.default_rng(seed)
@@ -339,16 +342,12 @@ def test_stacked_verdicts_equal_one_row_solves(system, seed):
     for row in bs:
         try:
             outcomes.append(RowFactors(A, row).solve().is_feasible)
-        except SolverError as exc:
-            outcomes.append(str(exc))
-    errors = [o for o in outcomes if isinstance(o, str)]
-    if errors:
-        with pytest.raises(SolverError, match=re.escape(errors[0])):
-            farkas_verdicts(A, bs)
-    else:
-        assert farkas_verdicts(A, bs).tolist() == outcomes
-    _, _, tol = _checked(A, bs, True)
+        except SolverError:
+            outcomes.append(False)
+    assert farkas_verdicts(np.broadcast_to(A, (len(bs), m, p)), bs).tolist() == outcomes
+    _, _, tol = _checked(A, b, False)
     stacked = _Factors.build(A, bs, tol, None)
+    assert stacked.z.shape == (len(bs), len(stacked.basis.sets), p, 1)
     for i, row in enumerate(bs):
         one = _Factors.build(A, row[None], tol, None)
         for name in ("z", "vs", "misses"):
@@ -357,13 +356,22 @@ def test_stacked_verdicts_equal_one_row_solves(system, seed):
 
 def test_stacked_verdicts_check_their_input():
     A = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    assert farkas_verdicts(A, np.zeros((0, 2))).shape == (0,)
-    verdicts = farkas_verdicts(A, [[1.0, -2.0], [1.0, 1.0], [-1.0, -1.0]])
+    assert farkas_verdicts(np.zeros((0, 2, 2)), np.zeros((0, 2))).shape == (0,)
+    verdicts = farkas_verdicts([A] * 3, [[1.0, -2.0], [1.0, 1.0], [-1.0, -1.0]])
     assert verdicts.tolist() == [True, False, True]
-    with pytest.raises(ContractError, match="do not match"):
-        farkas_verdicts(A, np.zeros(2))
+    # Two row matrices in one stack, in three runs: u0 >= 1 with -u0 >= 1
+    # is infeasible, and with u0 >= 1 feasible.
+    B = np.array([[1.0, 0.0], [1.0, 0.0]])
+    stack, bs = [A, A, B, B, A], [[1.0, 1.0], [1.0, -2.0], [1.0, 1.0], [2.0, -1.0], [1.0, 1.0]]
+    assert farkas_verdicts(stack, bs).tolist() == [False, True, True, True, False]
+    for a, b in zip(stack, bs):
+        assert farkas_verdicts([a], [b])[0] == (farkas_certificate(a, b) is None)
+    for rows, bounds in ((A, np.zeros((1, 2))), ([A, A], np.zeros((3, 2))),
+                         ([A, A], np.zeros((2, 3))), ([A, A], np.zeros(2))):
+        with pytest.raises(ContractError, match="do not match"):
+            farkas_verdicts(rows, bounds)
     with pytest.raises(ContractError, match="non-finite"):
-        farkas_verdicts(A, [[0.0, 0.0], [np.nan, 0.0]])
+        farkas_verdicts([A, A], [[0.0, 0.0], [np.nan, 0.0]])
 
 
 def test_basis_is_kept_for_the_same_bytes_and_read_only():
@@ -390,7 +398,7 @@ def test_basis_is_kept_for_the_same_bytes_and_read_only():
     solve_qp(other, A, b)
     assert optimizer._basis is not basis
     basis = optimizer._basis
-    arrays = [basis.AL, basis.unit, basis.N, basis.Q, basis.Rs, basis.indep,
+    arrays = [basis.AL, basis.unit, basis.N, basis.sets, basis.holds, basis.Q, basis.Rs,
               *basis._pair_terms]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -398,6 +406,20 @@ def test_basis_is_kept_for_the_same_bytes_and_read_only():
     AL = basis.AL.copy()
     A[3, 1] += 1.0
     assert np.array_equal(basis.AL, AL)
+
+
+def test_golden_boeing_basis_holds_the_independent_sets():
+    """The golden Boeing rows pair each yaw-rate bound with its opposite
+    under three patterns: 27 of the 42 sets of at most 3 of the 6 rows have
+    independent rows, and the basis holds those, in _row_sets order."""
+    scn = build_scenario({"kind": "boeing"})
+    A, _, _ = af_rows(scn.af_chain_sets, scn.x0, scn.af_patterns, scn.model)
+    sets, holds = optimizer._row_sets(*A.shape)
+    rank = [np.linalg.matrix_rank(A[h]) == h.sum() for h in holds]
+    basis = optimizer._row_basis(A, None)
+    assert (len(basis.sets), len(sets)) == (27, 42)
+    assert np.array_equal(basis.sets, sets[rank])
+    assert np.array_equal(basis.holds, holds[rank])
 
 
 def test_nearly_concurrent_rows_one_scaled_by_1e6():

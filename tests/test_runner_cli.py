@@ -221,6 +221,24 @@ def test_cli_missing_scenario_is_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("case", ["run-out-is-a-file", "calibrate-out-below-a-file",
+                                  "run-scenario-is-a-directory"])
+def test_cli_file_errors_are_error_lines(tmp_path, wmr_yaml, capsys, case):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"run-out-is-a-file": ["run", "--scenario", str(wmr_yaml), "--seeds", "0,",
+                                  "--out", str(taken)],
+            "calibrate-out-below-a-file": ["calibrate", "--scenario", str(wmr_yaml),
+                                           "--runs", "50", "--out", str(taken / "x.yaml")],
+            "run-scenario-is-a-directory": ["run", "--scenario", str(tmp_path), "--seeds", "0,",
+                                            "--out", str(tmp_path / "out")]}[case]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 def test_cli_calibrate_block_merges(tmp_path, wmr_yaml):
     out = tmp_path / "calib.yaml"
     rc = main(["calibrate", "--scenario", str(wmr_yaml), "--runs", "50",

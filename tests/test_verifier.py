@@ -144,30 +144,94 @@ def test_falsify_region_deterministic_and_counts():
 @pytest.mark.parametrize("infeasible, raising, first", [
     (None, 70, 70), (100, 70, 70), (66, 70, 66), (70, 66, 66), (None, 0, 0), (127, 64, 64)])
 def test_falsify_region_decides_a_raising_block_sample_by_sample(infeasible, raising, first):
-    """A block whose stacked verdict raises is decided as a sample-by-sample
-    loop decides it: the first infeasible or raising sample is reported, and
-    its report raises or not as that sample's own check does."""
+    """A block whose rows cannot be assembled is decided as a sample-by-sample
+    loop decides it: the first infeasible or failing sample is reported, and
+    an error its report raises comes out as the same class, named by the
+    sample and the sampler seed and chained to the report's own."""
     asked = []
 
     def verdicts(lo, hi):
         asked.append((lo, hi))
         if lo <= raising < hi:
-            raise SolverError("no KKT active set and no Farkas certificate")
+            raise RedundancyError("pattern 0 has no control authority")
         return np.arange(lo, hi) != infeasible
 
     def report(k):
         if k == raising:
-            raise SolverError(f"sample {k}")
+            raise SolverError("no KKT active set and no Farkas certificate")
         return {"feasible": False, "k": k}
 
     if first == raising:
-        with pytest.raises(SolverError, match=f"sample {first}"):
-            falsify_region(verdicts, report, {}, budget=500)
+        with pytest.raises(SolverError) as err:
+            falsify_region(verdicts, report, {"seeds": [5]}, budget=500)
+        assert str(err.value) == (f"sample {first} of sampler seed 5: "
+                                  "no KKT active set and no Farkas certificate")
+        assert str(err.value.__cause__) == "no KKT active set and no Farkas certificate"
     else:
-        rep = falsify_region(verdicts, report, {}, budget=500)
+        rep = falsify_region(verdicts, report, {"seeds": [5]}, budget=500)
         assert rep["counterexample"] == {"feasible": False, "k": first}
         assert rep["samples"] == first + 1
     assert all(hi - lo <= verifier._BLOCK for lo, hi in asked)
+
+
+# Infeasible rows (HiGHS agrees) whose Farkas solve raises: rows 0 and 2 are
+# 5e-10 rad from antiparallel, a pivot above the kernel's 1e-10 rule, so
+# they do not count as dependent and no pair of them gives a certificate.
+UNDECIDED = (np.array([[0.6737036996966224, 0.6386870411332577],
+                       [0.6737036996966224, 0.6386870411332577],
+                       [-1.0919374273080213, -1.0351825076201726]]),
+             np.array([-0.6250016982731227, -0.6250016982731227, 1.4337627928084473]))
+
+
+def reference_region(rows, budget):
+    """falsify_region over a list of (A, b) samples as a sample-by-sample
+    loop: one farkas_certificate per sample, its error or its counterexample."""
+    for k in range(budget):
+        try:
+            y = farkas_certificate(*rows[k])
+        except SolverError as exc:
+            return k, str(exc)
+        if y is not None:
+            return k, y.tobytes()
+    return None
+
+
+@pytest.mark.parametrize("infeasible, undecided", [(None, 70), (66, 70), (100, 70), (70, 64)])
+def test_falsify_region_reports_a_real_undecided_sample(infeasible, undecided):
+    """A sample whose Farkas solve raises, before, after or without an
+    infeasible one, among feasible samples on its own row matrix: the
+    stacked verdicts leave it unsettled without raising, and its report
+    raises as the sample loop does, named by its index."""
+    A, b = UNDECIDED
+    with pytest.raises(SolverError, match="no KKT active set and no Farkas certificate"):
+        farkas_certificate(A, b)
+    rng = np.random.default_rng(4)
+    # Feasible bounds on the same rows, and an infeasible pair on other rows.
+    rows = [(A, A @ rng.uniform(-1, 1, 2) - rng.uniform(0, 1, 3)) for _ in range(200)]
+    rows[undecided] = UNDECIDED
+    if infeasible is not None:
+        rows[infeasible] = (np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                            np.array([1.0, 1.0, -1.0]))
+    stack_A, stack_b = map(np.array, zip(*rows))
+
+    def verdicts(lo, hi):
+        return optimizer.farkas_verdicts(stack_A[lo:hi], stack_b[lo:hi])
+
+    def report(k):
+        return {"certificate": farkas_certificate(*rows[k])}
+
+    unsettled = sorted(i for i in (infeasible, undecided) if i is not None)
+    assert np.flatnonzero(~verdicts(0, len(rows))).tolist() == unsettled
+    k, ref = reference_region(rows, len(rows))
+    assert k == unsettled[0]
+    if isinstance(ref, str):
+        with pytest.raises(SolverError) as err:
+            falsify_region(verdicts, report, {"seeds": [9]}, budget=len(rows))
+        assert str(err.value) == f"sample {k} of sampler seed 9: {ref}"
+    else:
+        rep = falsify_region(verdicts, report, {"seeds": [9]}, budget=len(rows))
+        assert rep["samples"] == k + 1
+        assert rep["counterexample"]["certificate"].tobytes() == ref
 
 
 def test_falsify_sensor_no_counterexample_on_golden_wmr(wmr_yaml):
