@@ -150,7 +150,6 @@ class BarrierChain:
     polys: Optional[list] = None
     grads: Optional[list] = None       # poly: per-degree [dh/dx_i]
     hessians: Optional[list] = None    # poly: per-degree [[d2h/dx_i dx_j]]
-    gamma_box: float = 10.0            # search radius for numeric offsets
     _offset_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -185,18 +184,17 @@ class BarrierChain:
     def gamma_offset(self, d: int, gamma: float) -> float:
         """sup{h^d(x) : x within gamma of the zero level set}.
 
-        Exact gamma * ||grad|| for affine members; sampled estimate for
-        polynomial chains (deterministic, gradient-projected boundary points).
+        Exactly gamma * ||grad|| for an affine member. No bound is known for
+        a polynomial one, so a polynomial chain under gamma > 0 is an error.
         """
         if gamma == 0.0:
             return 0.0
+        if self.kind != "affine":
+            raise ContractError(f"gamma = {gamma!r} > 0 cannot shrink a polynomial barrier: "
+                                "its gamma offset is exact for half-planes only")
         key = (d, float(gamma))
         if key not in self._offset_cache:
-            if self.kind == "affine":
-                off = gamma * float(np.linalg.norm(self.weights[d]))
-            else:
-                off = _poly_gamma_offset(self.polys[d], self.grads[d], gamma, self.gamma_box)
-            self._offset_cache[key] = off
+            self._offset_cache[key] = gamma * float(np.linalg.norm(self.weights[d]))
         return self._offset_cache[key]
 
     def shrunk(self, d: int, x: np.ndarray, gamma: float) -> float:
@@ -209,37 +207,6 @@ def _each_state(x: np.ndarray, fn: Callable) -> np.ndarray:
     each result is the bits of fn at that state alone."""
     out = np.array([fn(xi) for xi in x.reshape(-1, x.shape[-1])])
     return out.reshape(x.shape[:-1] + out.shape[1:])
-
-
-def _poly_gamma_offset(poly: Poly, grads, gamma: float, box: float,
-                       samples: int = 256, newton_steps: int = 12) -> float:
-    """Estimate sup of h over the gamma-tube around h = 0 by projecting random
-    box samples onto the zero set and probing the gamma-ball along the
-    gradient. An estimate, not a certificate; exact offsets exist only for
-    the affine path."""
-    rng = np.random.default_rng(0xB0FF)
-    n = poly.n
-    best = 0.0
-    pts = rng.uniform(-box, box, size=(samples, n))
-    for x in pts:
-        for _ in range(newton_steps):
-            v = poly.eval(x)
-            g = np.array([gp.eval(x) for gp in grads])
-            gn = g @ g
-            if gn < 1e-14:
-                break
-            x = x - v * g / gn
-            if abs(poly.eval(x)) < 1e-12:
-                break
-        if abs(poly.eval(x)) > 1e-6:
-            continue
-        g = np.array([gp.eval(x) for gp in grads])
-        norm = np.linalg.norm(g)
-        if norm < 1e-12:
-            continue
-        for direction in (g / norm, -g / norm):
-            best = max(best, poly.eval(x + gamma * direction))
-    return best
 
 
 def _grad_dot_g_nonzero(grad_row: np.ndarray, G_eff: np.ndarray) -> bool:

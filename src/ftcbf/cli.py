@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .errors import FtcbfError
-from .estimators import calibrate_gammas
+from .estimators import calibrate_gammas, make_bank
 from .runner import run_sweep, sweep_metrics, write_csv, write_metrics
 from .scenarios import check_seed, check_seeds, load_scenario, save_config
 from .verifier import falsify_actuator_region, falsify_sensor_region
@@ -36,6 +36,16 @@ def _parse_seeds(spec: str) -> list:
         raise FtcbfError(f"--seeds {spec} names no seed: a count must be at least 1, and "
                          "a comma list names seeds, e.g. --seeds 0, for seed 0 alone")
     return check_seeds(seeds, "--seeds")
+
+
+def _out_file(path: str) -> Path:
+    """--out as a file path that can be written, checked before the work."""
+    out = Path(path)
+    if out.is_dir():
+        raise FtcbfError(f"--out {path} is a directory")
+    if not out.parent.is_dir():
+        raise FtcbfError(f"--out {path}: {out.parent} is not an existing directory")
+    return out
 
 
 def cmd_run(args) -> int:
@@ -57,6 +67,7 @@ def cmd_run(args) -> int:
 
 def cmd_calibrate(args) -> int:
     check_seed(args.seed, "--seed")
+    out = _out_file(args.out)
     scn = load_scenario(args.scenario)
     if scn.family != "sensor":
         raise FtcbfError("calibration applies to sensor-fault scenarios")
@@ -64,13 +75,14 @@ def cmd_calibrate(args) -> int:
                              args.epsilon, dt=scn.dt, seed=args.seed,
                              mode=scn.estimator_mode)
     block = {"calibration": calib.as_config()}
-    save_config(block, args.out)
+    save_config(block, out)
     print(f"gammas={[round(float(g), 6) for g in calib.gammas]} -> {args.out}")
     return 0
 
 
 def cmd_verify(args) -> int:
     check_seed(args.seed, "--seed")
+    out = _out_file(args.out)
     scn = load_scenario(args.scenario)
     if args.budget < 1:
         raise FtcbfError("verification budget must be positive")
@@ -80,14 +92,13 @@ def cmd_verify(args) -> int:
             args.budget, seed=args.seed,
             alpha=lambda s, k=scn.policy.alpha_kappa: k * s)
     else:
-        from .estimators import make_bank
         bank = make_bank(scn.model, scn.bank_patterns, scn.x0,
                          mode=scn.estimator_mode, with_pairs=False)
         gammas = [float(g) for g in scn.gammas]
         report = falsify_sensor_region(scn.chains, scn.model, bank.singles, gammas,
                                        scn.thetas, scn.verify_box, args.budget,
                                        seed=args.seed)
-    Path(args.out).write_text(_report_json(report) + "\n", encoding="utf-8")
+    out.write_text(_report_json(report) + "\n", encoding="utf-8")
     print(report["verdict"])
     return 2 if report["counterexample"] is not None else 0
 

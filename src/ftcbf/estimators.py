@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ContractError, DetectabilityError, EstimatorConfigError
 from .simulator import FaultScenario, SystemModel, matvec, measure, step_true_state
 
+_RICCATI_TOL = 1e-10  # steady_state_gain's relative residual
+
 
 @dataclass
 class EstimatorState:
@@ -111,14 +113,14 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
 
 
 def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray, R_r: np.ndarray,
-                      tol: float = 1e-10, max_iter: int = 400_000) -> np.ndarray:
+                      max_iter: int = 400_000) -> np.ndarray:
     """Constant Kalman gain K = P c_r^T R_r^-1 at the Riccati fixed point.
 
     Integrates dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P with an
-    adaptive Euler step until ||dP/dt||_inf <= tol * scale, where scale is
-    the magnitude of the problem (max of ||Q|| and ||P||): small-noise models
-    need the residual driven proportionally further because the gain
-    multiplies P by R^-1. Non-convergence within the budget is reported as a
+    adaptive Euler step until ||dP/dt||_inf <= _RICCATI_TOL * scale, where
+    scale is the magnitude of the problem (max of ||Q|| and ||P||):
+    small-noise models need the residual driven proportionally further
+    because the gain multiplies P by R^-1. Non-convergence within the budget is reported as a
     detectability failure.
     """
     F = np.asarray(F, dtype=float)
@@ -136,7 +138,7 @@ def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray, R_r: np.nda
     for _ in range(max_iter):
         dP = F @ P + P @ F.T + Q - P @ S @ P
         scale = max(q0, np.max(np.abs(P)), 1e-12)
-        if np.max(np.abs(dP)) <= tol * scale:
+        if np.max(np.abs(dP)) <= _RICCATI_TOL * scale:
             return P @ c_r.T @ R_inv
         if not np.all(np.isfinite(dP)) or np.max(np.abs(P)) > 1e12:
             raise DetectabilityError("Riccati ODE diverged; (F, c_r) is not detectable")

@@ -4,9 +4,17 @@ One run integrates the true SDE, feeds attacked measurements to the estimator
 bank, resolves the per-step constraint set into a control, and logs
 everything the diagnostics need: per-estimator estimates and residues, active
 sets and removal reasons, barrier chain values on the true state, CLF value,
-minimum constraint slack, and policy events. Identical (scenario, seed)
-inputs produce byte-identical CSVs; floats are printed with 17 significant
-digits so files round-trip exactly.
+minimum constraint slack, WMR wheel commands, and policy events. Identical
+(scenario, seed) inputs produce byte-identical CSVs; floats are printed with
+17 significant digits so files round-trip exactly.
+
+The step loop holds only the feedback: it observes the filters, decides the
+control, records the decision, applies the actuator failure, and steps the
+plant and the bank. What a run only records is derived once from the
+finished trajectory: the barrier values from one stacked BarrierChain.value
+call per chain member, the CLF value of each state, and the wheel commands
+from the compensator recurrence over the controls, whose clamp events are
+merged into the policy events in step order.
 
 A sensor-fault step assembles the rows of its active sets once, with the row
 terms a run never changes computed before the first step
@@ -63,20 +71,21 @@ class RunResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _chain_values(scn: Scenario, x: np.ndarray) -> np.ndarray:
-    vals = []
-    for ch in scn.chains:
-        for d in range(len(ch)):
-            vals.append(ch.value(d, x))
-    return np.array(vals)
-
-
-def _chain_labels(scn: Scenario) -> list:
-    labels = []
-    for b, ch in enumerate(scn.chains):
-        for d in range(len(ch)):
-            labels.append(f"h{d}_b{b}")
-    return labels
+def _wheel_commands(x0: np.ndarray, controls: np.ndarray, dt: float):
+    """The WMR compensator recurrence over a run's controls, from the
+    heading of x0: the (steps, 2) wheel commands and the steps it clamped."""
+    omega1 = math.hypot(x0[2], x0[3])
+    theta = math.atan2(x0[3], x0[2]) if omega1 > 0 else 0.0
+    omega = np.zeros((len(controls), 2))
+    clamped = []
+    for k, u in enumerate(controls):
+        comp = wmr_compensator(u, theta, omega1, dt)
+        omega1 = comp.omega1
+        theta += comp.omega2 * dt
+        omega[k] = (comp.omega1, comp.omega2)
+        if comp.clamped:
+            clamped.append(k)
+    return omega, clamped
 
 
 def _filter_state(bank, k: int, t: float):
@@ -122,28 +131,14 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     states = np.zeros((steps + 1, n))
     estimates = np.zeros((steps + 1, m, n)) if sensor_family else None
     controls = np.zeros((steps, p))
-    h_labels = _chain_labels(scn)
-    h_values = np.zeros((steps + 1, len(h_labels)))
-    V_vals = np.zeros(steps + 1) if scn.clf is not None else None
     residues = np.zeros((steps, m)) if sensor_family else None
     slack_min = np.full(steps, np.nan)
     Z_log, U_log, removed_log = [], [], []
-    omega = np.zeros((steps, 2)) if scn.compensator else None
     events = []
-
-    theta = 0.0
-    omega1 = 0.0
-    if scn.compensator:
-        vx, vy = x[2], x[3]
-        omega1 = math.hypot(vx, vy)
-        theta = math.atan2(vy, vx) if omega1 > 0 else 0.0
 
     for k in range(steps):
         t = k * dt
         states[k] = x
-        h_values[k] = _chain_values(scn, x)
-        if V_vals is not None:
-            V_vals[k] = scn.clf.value(x)
         if sensor_family:
             estimates[k], residues[k] = _filter_state(bank, k, t)
             # A huge but finite estimate can overflow a CLF value or a row:
@@ -171,14 +166,6 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             # every actuator row is a safety row.
             events.append((k, "safety_unfiltered"))
 
-        if scn.compensator:
-            comp = wmr_compensator(u, theta, omega1, dt)
-            omega1 = comp.omega1
-            theta += comp.omega2 * dt
-            omega[k] = (comp.omega1, comp.omega2)
-            if comp.clamped:
-                events.append((k, "compensator_clamped"))
-
         u_applied = apply_actuator_failure(u, scn.faults.effectiveness_at(t))
         # one RNG stream per run, state draw before measurement draw
         w = rng.standard_normal(n)
@@ -196,15 +183,20 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
                 bank.step(model, u, y_inc, dt)
 
     states[steps] = x
-    h_values[steps] = _chain_values(scn, x)
-    if V_vals is not None:
-        V_vals[steps] = scn.clf.value(x)
     if sensor_family:
         estimates[steps] = _filter_state(bank, steps, steps * dt)[0]
 
-    # each chain's columns start with its h0
-    h0_cols = np.cumsum([0] + [len(ch) for ch in scn.chains[:-1]])
-    min_h = float(np.min(h_values[:, h0_cols]))
+    members = [(b, d) for b, ch in enumerate(scn.chains) for d in range(len(ch))]
+    h_labels = [f"h{d}_b{b}" for b, d in members]
+    h_values = np.stack([scn.chains[b].value(d, states) for b, d in members], axis=1)
+    min_h = float(np.min(h_values[:, [d == 0 for _, d in members]]))
+    V_vals = np.array([scn.clf.value(xk) for xk in states]) if scn.clf is not None else None
+    omega = None
+    if scn.compensator:
+        omega, clamped = _wheel_commands(scn.x0, controls, dt)
+        # a stable sort keeps a step's policy event before its clamp
+        events = sorted(events + [(k, "compensator_clamped") for k in clamped],
+                        key=lambda e: e[0])
     reach = final_distance = None
     if scn.clf is not None:
         reach = goal_reach_time(times, states, scn.clf, scn.goal_radius,

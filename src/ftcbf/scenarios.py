@@ -85,8 +85,7 @@ class CompensatorOutput(NamedTuple):
     clamped: bool
 
 
-def wmr_compensator(u, theta: float, omega1_prev: float, dt: float,
-                    floor: float = WMR_OMEGA_FLOOR) -> CompensatorOutput:
+def wmr_compensator(u, theta: float, omega1_prev: float, dt: float) -> CompensatorOutput:
     """Map linearized inputs back to wheel commands.
 
     omega1 accumulates u1 cos(theta) + u2 sin(theta); omega2 divides by
@@ -96,8 +95,8 @@ def wmr_compensator(u, theta: float, omega1_prev: float, dt: float,
     u = np.asarray(u, dtype=float)
     omega1 = omega1_prev + (u[0] * math.cos(theta) + u[1] * math.sin(theta)) * dt
     clamped = False
-    if abs(omega1) < floor:
-        omega1 = math.copysign(floor, omega1 if omega1 != 0.0 else 1.0)
+    if abs(omega1) < WMR_OMEGA_FLOOR:
+        omega1 = math.copysign(WMR_OMEGA_FLOOR, omega1 if omega1 != 0.0 else 1.0)
         clamped = True
     omega2 = (u[1] * math.cos(theta) - u[0] * math.sin(theta)) / omega1
     return CompensatorOutput(omega1, omega2, clamped)
@@ -633,6 +632,16 @@ def build_scenario(cfg: dict) -> Scenario:
                 notes.append("calibration: no gammas given, so estimator rows are unshrunk "
                              "(gamma = 0) and pairwise pruning is off (theta = inf); "
                              "run `ftcbf calibrate` and merge its calibration block")
+        # gamma_offset is exact for half-planes only; no bound backs the
+        # shrink of an ellipsoid or polynomial barrier over the gamma ball.
+        if not actuator and np.any(gammas > 0):
+            poly = [k for k, ch in enumerate(chains) if ch.kind != "affine"]
+            if poly:
+                source = "policy: baseline_gamma" if mode == "baseline" else "calibration: gammas"
+                raise ScenarioValidationError(
+                    f"barriers: entry {poly[0]} is not a half-plane, so the nonzero {source} "
+                    f"{gammas.tolist()} cannot shrink it: a gamma offset is exact for "
+                    "half-planes only")
 
         # The most rows one control QP takes: every barrier under every
         # failure pattern, or every barrier and the CLF at every estimate plus

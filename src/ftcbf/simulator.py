@@ -31,6 +31,7 @@ from .errors import ContractError, ScenarioValidationError
 
 _SPOT_CHECK_RNG = np.random.default_rng(0x5EED)
 _LIN_TOL = 1e-12
+_FD_EPS = 1e-6        # finite-difference step of drift_jacobian
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ class SystemModel:
             F=F, G=G, is_linear=True,
         )
 
-    def drift_jacobian(self, x: np.ndarray, u: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    def drift_jacobian(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """d(f + g u)/dx at (x, u); exact for LTI, finite differences otherwise."""
         if self.is_linear:
             return self.F
@@ -114,8 +115,8 @@ class SystemModel:
         J = np.empty((self.n, self.n))
         for j in range(self.n):
             xp = x.copy()
-            xp[j] += eps
-            J[:, j] = (self.f(xp) + self.g(xp) @ u - base) / eps
+            xp[j] += _FD_EPS
+            J[:, j] = (self.f(xp) + self.g(xp) @ u - base) / _FD_EPS
         return J
 
 

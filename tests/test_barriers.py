@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ftcbf.barriers import (BarrierChain, HalfPlane, Poly, af_rows, build_chain,
+from ftcbf.barriers import (HalfPlane, Poly, af_rows, build_chain,
                             ellipsoid_barrier, hoscbf_pair, hoscbf_row)
 from ftcbf.errors import ContractError, RedundancyError, UncontrollableBarrierError
-from ftcbf.scenarios import BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G
+from ftcbf.scenarios import BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G, load_scenario
 from ftcbf.simulator import SystemModel
 
 from conftest import integrator_model, random_stable_model
@@ -187,6 +187,24 @@ def test_af_rows_over_a_stack_are_each_state_alone():
         af_rows(chain_sets, X, patterns, model, alpha=alpha)
 
 
+def test_chain_values_over_a_trajectory_are_each_state_alone(wmr_yaml, boeing_yaml):
+    """value(d, X) over a (T, n) stack gives each state the bits value(d, x)
+    gives it alone, at every degree of the golden chains and of an
+    ellipsoid chain: a run derives its h columns this way."""
+    rng = np.random.default_rng(8)
+    chains = [*load_scenario(wmr_yaml).chains, *load_scenario(boeing_yaml).chains,
+              build_chain(ellipsoid_barrier(np.diag([1.0, 4.0, 0.0, 0.0]), np.zeros(4)),
+                          wmr_model(sigma=0.01))]
+    assert [len(ch) for ch in chains] == [2, 1, 1, 2]
+    X = rng.uniform(-1.0, 1.0, (50, 4))
+    for ch in chains:
+        for d in range(len(ch)):
+            stacked = ch.value(d, X)
+            assert stacked.shape == (50,)
+            alone = np.array([ch.value(d, x) for x in X])
+            assert stacked.tobytes() == alone.tobytes()
+
+
 def test_af_redundancy_violation():
     model = boeing_model()
     dead = np.zeros((3, 3))
@@ -279,15 +297,16 @@ def test_gamma_offset_affine_exact():
     assert ch.gamma_offset(1, 0.3) == pytest.approx(0.3 * np.sqrt(2))
 
 
-def test_gamma_offset_poly_sphere_estimate():
+def test_gamma_offset_of_a_polynomial_chain_is_an_error():
+    """No bound backs the shrink of a polynomial barrier over the gamma ball,
+    so only gamma = 0 leaves one unshrunk."""
     h = ellipsoid_barrier(np.eye(2), np.zeros(2))  # h = 1 - ||x||^2
-    ch = BarrierChain("poly", 0, polys=[h], grads=[[h.diff(0), h.diff(1)]],
-                      hessians=[[[h.diff(0).diff(0), h.diff(0).diff(1)],
-                                 [h.diff(1).diff(0), h.diff(1).diff(1)]]],
-                      gamma_box=2.0)
-    gamma = 0.2
-    exact = 2 * gamma - gamma ** 2  # h at distance gamma inside the unit circle
-    assert ch.gamma_offset(0, gamma) == pytest.approx(exact, abs=2e-2)
+    ch = build_chain(h, integrator_model(), force_degree=0)
+    assert ch.kind == "poly"
+    assert ch.gamma_offset(0, 0.0) == 0.0
+    assert ch.shrunk(0, np.array([0.5, 0.0]), 0.0) == pytest.approx(0.75)
+    with pytest.raises(ContractError, match="cannot shrink a polynomial barrier"):
+        ch.gamma_offset(0, 0.2)
 
 
 def test_poly_arithmetic():

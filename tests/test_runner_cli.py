@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ftcbf import cli
 from ftcbf.cli import main
 from ftcbf.errors import ContractError, ScenarioValidationError
 from ftcbf.runner import csv_lines, run_scenario, run_sweep, sweep_metrics, write_csv
@@ -73,6 +74,23 @@ def test_unfiltered_steps_are_events_and_final_goal_distance(wmr_yaml):
     boeing = sweep_metrics([run_scenario(load_scenario(SCENARIO_DIR / "boeing.yaml"), 0)])
     assert boeing["hold_rate"] is None
     assert boeing["per_seed"]["0"]["final_goal_distance"] is None
+
+
+def test_compensator_clamp_joins_the_policy_event_of_its_step(wmr_yaml):
+    """A WMR run from rest with no active row: step 0 falls back to the
+    unfiltered control and its wheel command is clamped at the singularity.
+    The clamp, derived after the step loop, joins the policy event of its
+    step in the CSV, and the events stay in step order."""
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    cfg["clf"] = None
+    cfg["policy"] = {"mode": "sensor_ft", "delta": 1e-6}
+    cfg["sim"].update(x0=[-1.0, -0.05, 0.0, 0.0], horizon=0.2)
+    res = run_scenario(build_scenario(cfg), 0)
+    events = [row.split(",")[-1] for row in csv_lines(res)]
+    assert events[0] == "event"
+    assert events[1] == "safety_unfiltered;compensator_clamped"
+    assert (0, "compensator_clamped") in res.events
+    assert [k for k, _ in res.events] == sorted(k for k, _ in res.events)
 
 
 @pytest.mark.parametrize("name", ["wmr", "boeing"])
@@ -221,15 +239,25 @@ def test_cli_missing_scenario_is_error(tmp_path):
     assert rc == 1
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the work ran before --out was checked")
+
+
 @pytest.mark.parametrize("case", ["run-out-is-a-file", "calibrate-out-below-a-file",
-                                  "run-scenario-is-a-directory"])
-def test_cli_file_errors_are_error_lines(tmp_path, wmr_yaml, capsys, case):
+                                  "verify-out-below-a-file", "run-scenario-is-a-directory"])
+def test_cli_file_errors_are_error_lines(tmp_path, wmr_yaml, capsys, monkeypatch, case):
+    """A file error is an error line; calibrate and verify find a --out they
+    cannot write before the Monte Carlo or the falsifier runs."""
+    for work in ("calibrate_gammas", "falsify_sensor_region", "falsify_actuator_region"):
+        monkeypatch.setattr(cli, work, _never)
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = {"run-out-is-a-file": ["run", "--scenario", str(wmr_yaml), "--seeds", "0,",
                                   "--out", str(taken)],
             "calibrate-out-below-a-file": ["calibrate", "--scenario", str(wmr_yaml),
                                            "--runs", "50", "--out", str(taken / "x.yaml")],
+            "verify-out-below-a-file": ["verify", "--scenario", str(wmr_yaml),
+                                        "--out", str(taken / "r.json")],
             "run-scenario-is-a-directory": ["run", "--scenario", str(tmp_path), "--seeds", "0,",
                                             "--out", str(tmp_path / "out")]}[case]
     rc = main(argv)
@@ -565,7 +593,10 @@ def _on_boeing(*edits):
     (_set("policy", "delta", 0), "policy: delta must be positive or .inf, got 0"),
     (_set("clf", "goal_indices", []), "clf: goal_indices: at least one entry is required"),
     (_set("clf", {"radius": 0.05, "goal_indices": [], "v_bar": 0.1}),
-     "clf: goal_indices: at least one entry is required")],
+     "clf: goal_indices: at least one entry is required"),
+    (_set("barriers", [{"type": "half_plane", "a": [0.0, 1.0, 0.0, 0.0], "b": 0.1},
+                       {"type": "ellipsoid", "Phi": np.eye(4).tolist(), "center": [0.0] * 4}]),
+     "barriers: entry 1 is not a half-plane, so the nonzero calibration: gammas")],
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
@@ -577,7 +608,7 @@ def _on_boeing(*edits):
          "negative-v-bar-fraction", "horizon-below-dt", "fractional-failure-pattern",
          "step-and-time", "zero-lqr-r", "negative-lqr-q", "fractional-failure-step",
          "negative-failure-step", "huge-lqr-r", "huge-lqr-q", "zero-delta",
-         "empty-goal-indices", "empty-goal-indices-with-v-bar"])
+         "empty-goal-indices", "empty-goal-indices-with-v-bar", "gamma-on-an-ellipsoid"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())

@@ -183,6 +183,11 @@ def test_custom_scenario_ellipsoid_and_polynomial_barriers():
     assert scn.chains[0].value(0, np.zeros(2)) == pytest.approx(1.0)
     assert scn.chains[0].value(0, np.array([1.0, 0.0])) == pytest.approx(0.0)
     assert scn.chains[1].value(0, np.array([0.5, 0.0])) == pytest.approx(0.75)
+    # a gamma offset is exact for half-planes only
+    cfg["policy"] = {"mode": "baseline", "baseline_gamma": 0.01}
+    with pytest.raises(ScenarioValidationError, match=r"^barriers: entry 0 is not a half-plane, "
+                                                      r"so the nonzero policy: baseline_gamma"):
+        build_scenario(cfg)
 
 
 def test_estimator_block_config():
