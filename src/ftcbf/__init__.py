@@ -1,6 +1,6 @@
 """Fault-tolerant safe control toolkit.
 
-Simulates control-affine systems under sensor attacks and actuator failures,
+Simulates LTI plants under sensor attacks and actuator failures,
 synthesizes controls through estimator banks and barrier/Lyapunov constraint
 sets solved as small quadratic programs, and checks constraint feasibility by
 Farkas certificates and counterexample sampling.

@@ -2,13 +2,12 @@
 
 A barrier h >= 0 defines the safe set. The chain
 
-    h^0 = h,   h^{d+1} = dh^d/dx f(x) + 1/2 tr(sigma^T d2h^d/dx2 sigma) + h^d
+    h^0 = h,   h^{d+1} = dh^d/dx F x + 1/2 tr(sigma^T d2h^d/dx2 sigma) + h^d
 
-is built up to the minimal relative degree d' at which the control enters
-(dh^{d'}/dx g != 0). Half-planes h = a.x + b stay affine along the chain and
-are handled in closed form; general polynomial barriers go through a dense
-multi-index coefficient table with symbolic derivatives. Chains require an
-LTI model except in the degree-0 case.
+is built on the LTI model up to the minimal relative degree d' at which the
+control enters (dh^{d'}/dx G != 0). Half-planes h = a.x + b stay affine along
+the chain and are handled in closed form; general polynomial barriers go
+through a dense multi-index coefficient table with symbolic derivatives.
 
 Rows are oriented row.u >= bound. A single row is a (row, bound) pair and a
 row set is the arrays the QP takes, A (m x p) and b (m,), with a parallel
@@ -19,9 +18,9 @@ admissible z. hoscbf_pair is the one place that formula lives: the policy
 takes the worst case, the verifier plugs in a sampled z, and the CLF row
 reuses its trace and error terms. af_rows is the one place the
 actuator-failure rows of every barrier are assembled, for the policy and
-the verifier alike. For an affine chain on an LTI model under a
-filter whose gain never changes, only h(x_hat) and dh/dx f(x_hat) move from
-step to step; fixed_terms computes the rest once per run.
+the verifier alike. For an affine chain under a filter whose gain never
+changes, only h(x_hat) and dh/dx F x_hat move from step to step; fixed_terms
+computes the rest once per run.
 """
 
 from __future__ import annotations
@@ -121,9 +120,6 @@ class HalfPlane:
     a: tuple
     b: float
 
-    def to_poly(self) -> Poly:
-        return Poly.affine(np.asarray(self.a), self.b)
-
 
 def ellipsoid_barrier(Phi, center) -> Poly:
     """h(x) = 1 - (x - c)^T Phi (x - c); safe inside the ellipsoid."""
@@ -216,31 +212,24 @@ def _grad_dot_g_nonzero(grad_row: np.ndarray, G_eff: np.ndarray) -> bool:
 
 def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
                 force_degree: Optional[int] = None) -> BarrierChain:
-    """Build h^0..h^{d'} with d' minimal such that dh^{d'}/dx g != 0.
+    """Build h^0..h^{d'} with d' minimal such that dh^{d'}/dx G != 0.
 
     The search stops at degree n + 2. input_mask restricts the
-    relative-degree test to g L (actuator-failure chains); the recursion
+    relative-degree test to G L (actuator-failure chains); the recursion
     itself never involves u below d' because the masked input column is
     identically zero there. force_degree pins d' without the
     controllability test (used to express deliberately degenerate
-    verification scenarios where no valid degree exists); a force_degree
-    above 0 needs an LTI model, for a half-plane and a polynomial alike.
+    verification scenarios where no valid degree exists).
     """
     if force_degree is not None and force_degree < 0:
         raise ContractError(f"force_degree must be nonnegative, got {force_degree}")
-    if force_degree and not model.is_linear:
-        raise ContractError("force_degree > 0 needs an LTI model")
     top = model.n + 2 if force_degree is None else force_degree
-    G_eff = None
-    if model.is_linear:
-        G_eff = model.G if input_mask is None else model.G @ np.asarray(input_mask, dtype=float)
+    G_eff = model.G if input_mask is None else model.G @ np.asarray(input_mask, dtype=float)
 
     if isinstance(h, HalfPlane):
         a = np.asarray(h.a, dtype=float)
         if a.shape != (model.n,):
             raise ContractError("half-plane normal has wrong dimension")
-        if not model.is_linear and force_degree is None:
-            return _degree_zero_chain(h.to_poly(), model, affine=(a, float(h.b)))
         weights, offsets = [a], [float(h.b)]
         for d in range(top + 1):
             if d == force_degree or force_degree is None and _grad_dot_g_nonzero(weights[d], G_eff):
@@ -251,8 +240,6 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
             f"no relative degree <= {top}: a^T F^d G == 0 throughout")
 
     if isinstance(h, Poly):
-        if not model.is_linear:
-            return _degree_zero_chain(h, model)
         lin = [Poly.affine(model.F[i], 0.0) for i in range(model.n)]
         Q = model.sigma @ model.sigma.T
         polys = [h]
@@ -284,23 +271,6 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
     raise ContractError(f"unsupported barrier type {type(h).__name__}")
 
 
-def _degree_zero_chain(h: Poly, model: SystemModel, affine=None) -> BarrierChain:
-    """Nonlinear models support degree-0 chains only: dh/dx g(x) is probed at
-    random states; symbolic recursion would need a polynomial drift."""
-    grads = [h.diff(i) for i in range(model.n)]
-    rng = np.random.default_rng(0xC8A1)
-    for _ in range(32):
-        x = rng.standard_normal(model.n)
-        row = np.array([g.eval(x) for g in grads]) @ model.g(x)
-        if np.max(np.abs(row)) > 1e-9:
-            if affine is not None:
-                return BarrierChain("affine", 0, weights=[np.asarray(affine[0])], offsets=[affine[1]])
-            hess = [[grads[i].diff(j) for j in range(model.n)] for i in range(model.n)]
-            return BarrierChain("poly", 0, polys=[h], grads=[grads], hessians=[hess])
-    raise UncontrollableBarrierError(
-        "dh/dx g(x) vanished at all probed states; nonlinear models need relative degree 0")
-
-
 def _trace_term(est, H: np.ndarray) -> float:
     """1/2 tr(nu^T K^T H K nu) of a row with Hessian H under est; 0 for an
     estimator without a gain."""
@@ -325,10 +295,10 @@ def _error_term(est, w: np.ndarray, gamma: float, z: Optional[np.ndarray] = None
 def _pair_terms(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
                 gamma: float, z: Optional[np.ndarray] = None):
     """(w, row, trace, err) of the row at x_hat: the top-degree gradient, the
-    row vector w g, and the trace and error terms of its bound."""
+    row vector w G, and the trace and error terms of its bound."""
     d = chain.rel_degree
     w = chain.grad(d, x_hat)
-    return (w, w @ model.g(x_hat), _trace_term(est, chain.hessian(d, x_hat)),
+    return (w, w @ model.G, _trace_term(est, chain.hessian(d, x_hat)),
             _error_term(est, w, gamma, z))
 
 
@@ -336,10 +306,10 @@ def fixed_terms(chain: BarrierChain, est, model: SystemModel, gamma: float):
     """The terms (w, row, trace, err) of the policy's row that stay fixed
     through a run, or None when they change from step to step.
 
-    They stay fixed for an affine chain on an LTI model (constant gradient,
-    zero Hessian, constant g) under a filter whose gain never changes.
+    They stay fixed for an affine chain (constant gradient, zero Hessian)
+    under a filter whose gain never changes.
     """
-    if chain.kind != "affine" or not model.is_linear or not est.fixed_gain:
+    if chain.kind != "affine" or not est.fixed_gain:
         return None
     return _pair_terms(chain, est, model, est.x_hat, gamma)
 
@@ -349,7 +319,7 @@ def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
     """(row, bound) of the estimator-conditioned row at the top degree d'.
 
     row.u >= bound encodes
-        dh/dx (f + g u) + 1/2 tr(nu^T K^T H K nu) + dh/dx K c z >= -(h(x_hat) - gamma offset)
+        dh/dx (F x + G u) + 1/2 tr(nu^T K^T H K nu) + dh/dx K c z >= -(h(x_hat) - gamma offset)
     at the estimate x_hat. With z None the error term is its worst case over
     ||z|| <= gamma (the policy's row); with z given it is exact (the
     verifier's row at a sampled error). fixed, from fixed_terms, stands in
@@ -376,22 +346,20 @@ def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
     leaves a barrier no control authority indicates missing actuator
     redundancy. x may be a stack of states (..., n); then A and b carry its
     leading axes, alpha acts elementwise, and each state's rows are the bits
-    that state alone gives (np.vecdot and a matmul per state). A stack needs
-    an LTI model, as in simulator: a user-supplied f or g sees the whole
-    stack.
+    that state alone gives (np.vecdot and a matmul per state).
     """
     x = np.asarray(x, dtype=float)
     if any(len(chains) != len(patterns) for chains in chain_sets):
         raise RedundancyError("one chain per failure pattern is required")
     stack, m = x.shape[:-1], len(chain_sets) * len(patterns)
-    gx, fx = model.g(x), model.f(x)
+    fx = model.f(x)
     A, W = np.empty(stack + (m, model.p)), np.empty(stack + (m, model.n))
     values, sources = [], []
     for k, chains in enumerate(chain_sets):
         for j, (chain, L) in enumerate(zip(chains, patterns)):
             i, d = len(sources), chain.rel_degree
             W[..., i, :] = chain.grad(d, x)
-            A[..., i, :] = (W[..., i, None, :] @ gx @ np.asarray(L, dtype=float))[..., 0, :]
+            A[..., i, :] = (W[..., i, None, :] @ model.G @ np.asarray(L, dtype=float))[..., 0, :]
             values.append(chain.value(d, x))
             sources.append(f"{'af_cbf' if d == 0 else 'af_hocbf'}({j})[{k}]")
     dead = (np.abs(A) <= 1e-12).all(axis=-1).any(axis=tuple(range(len(stack))))

@@ -5,7 +5,7 @@ equation F^T P_L + P_L F = -I, position coordinates rescaled by the goal
 radius, and decay rate rho = 1 / (d * max eigenvalue). The constraint row
 enforces the estimator-conditioned decrease condition
 
-    dV/dx (f + g u) + gamma ||dV/dx K c|| + 1/2 tr(nu^T K^T 2Psi K nu) < 0
+    dV/dx (F x + G u) + gamma ||dV/dx K c|| + 1/2 tr(nu^T K^T 2Psi K nu) < 0
 
 robustly over the gamma error ball (strict inequality realized with a fixed
 margin; an optional rho V(x_hat) decay term gives the exponential version
@@ -126,7 +126,7 @@ def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
     dv = clf.grad(x_hat)
     if np.max(np.abs(dv)) <= 1e-12:
         return None
-    row = -(dv @ model.g(x_hat))
+    row = -(dv @ model.G)
     bound = float(dv @ model.f(x_hat)) + STRICT_MARGIN
     bound += _error_term(est, dv, gamma)
     bound += _trace_term(est, clf.hessian()) if trace is None else trace

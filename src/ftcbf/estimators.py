@@ -1,17 +1,18 @@
-"""Banks of reduced-sensor Kalman/extended Kalman filters.
+"""Banks of reduced-sensor Kalman filters on the LTI model.
 
 For m declared fault patterns the bank holds m single-pattern filters (pattern
 sensors removed), one per pair (both patterns removed, open loop if nothing is
-left), steady-state gains for LTI models, smoothed innovation residues for the
+left), steady-state gains, smoothed innovation residues for the
 conflict-resolution policy, and the Monte Carlo calibration that turns the
 existence statement "there is a gamma bounding the estimation error with high
-probability" into usable per-filter radii.
+probability" into usable per-filter radii. A riccati_ode filter's covariance
+and steady_state_gain follow the same Riccati flow of F, _riccati_rate.
 
 A bank built from x0 of shape (runs, n) carries one estimate per run in each
 filter (x_hat and residue gain the leading run axis) and is stepped on output
 increments of shape (runs, q). Gains and covariances stay one per filter:
-for an LTI model the Riccati flow does not depend on the state, so every run
-shares it exactly. Calibration steps all its Monte Carlo runs this way.
+the Riccati flow does not depend on the state, so every run shares it
+exactly. Calibration steps all its Monte Carlo runs this way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, DetectabilityError, EstimatorConfigError
-from .simulator import FaultScenario, SystemModel, matvec, measure, step_true_state
+from .simulator import (FaultScenario, SystemModel, matvec, measure, step_count,
+                        step_true_state)
 
 _RICCATI_TOL = 1e-10  # steady_state_gain's relative residual
 
@@ -61,11 +63,16 @@ def _sym_check(P: np.ndarray) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
+def _riccati_rate(F: np.ndarray, P: np.ndarray, Q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """dP/dt = F P + P F^T + Q - P S P, the Riccati flow with S = c_r^T R_r^-1 c_r."""
+    return F @ P + P @ F.T + Q - P @ S @ P
+
+
 def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: float,
              model: SystemModel) -> EstimatorState:
     """Advance one Euler step of the filter SDE.
 
-    dx_hat = (f(x_hat) + g(x_hat) u) dt + K (dy_r - c_r x_hat dt)
+    dx_hat = (F x_hat + G u) dt + K (dy_r - c_r x_hat dt)
 
     The residue smooths the innovation norm, one per run: residue <-
     s residue + (1 - s) ||dy_r - c_r x_hat dt|| with s = smoothing, since the
@@ -76,11 +83,11 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
     dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P and the gain is recomputed
     as P c_r^T R_r^-1; constant_gain keeps K frozen at the steady-state value.
     A stacked x_hat of shape (runs, n) steps every run; P and K stay shared,
-    which is exact for an LTI model (drift_jacobian is F whatever the state).
+    which is exact because the flow does not depend on the state.
     """
     x = est.x_hat
     u = np.asarray(u, dtype=float)
-    drift = (model.f(x) + matvec(model.g(x), u)) * dt
+    drift = (model.f(x) + matvec(model.G, u)) * dt
     if est.mode == "open_loop":
         return replace(est, x_hat=x + drift)
 
@@ -92,7 +99,7 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
     if est.mode == "constant_gain":
         return replace(est, x_hat=x_new, residue=res)
 
-    Ft = model.drift_jacobian(x, u)
+    F = model.F
     Q = model.sigma @ model.sigma.T
     S = est.c_r.T @ est.R_r_inv @ est.c_r
     # Substep the Riccati Euler update: one full-dt step from P0 = I is
@@ -100,9 +107,9 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
     P_new = est.P
     remaining = dt
     for _ in range(10_000):
-        stable = 0.2 / max(1.0, np.max(np.abs(Ft)), np.max(np.abs(P_new @ S)))
+        stable = 0.2 / max(1.0, np.max(np.abs(F)), np.max(np.abs(P_new @ S)))
         h = min(remaining, stable)
-        P_new = _sym_check(P_new + h * (Ft @ P_new + P_new @ Ft.T + Q - P_new @ S @ P_new))
+        P_new = _sym_check(P_new + h * _riccati_rate(F, P_new, Q, S))
         remaining -= h
         if remaining <= 0.0:
             break
@@ -136,7 +143,7 @@ def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray, R_r: np.nda
     P = math.sqrt(q0 * r0) * np.eye(F.shape[0]) if q0 > 0 else np.zeros_like(F)
     f_norm = max(1.0, np.max(np.abs(F)))
     for _ in range(max_iter):
-        dP = F @ P + P @ F.T + Q - P @ S @ P
+        dP = _riccati_rate(F, P, Q, S)
         scale = max(q0, np.max(np.abs(P)), 1e-12)
         if np.max(np.abs(dP)) <= _RICCATI_TOL * scale:
             return P @ c_r.T @ R_inv
@@ -201,8 +208,6 @@ def _make_state(model: SystemModel, ident: tuple, removed: tuple, x0: np.ndarray
     R_inv = np.linalg.inv(R_r)
     Q = model.sigma @ model.sigma.T
     if mode == "constant_gain":
-        if not model.is_linear:
-            raise EstimatorConfigError("constant_gain mode requires an LTI model")
         K = steady_state_gain(model.F, c_r, Q, R_r)
         P = np.eye(model.n)
     else:
@@ -269,8 +274,7 @@ def calibrate_gammas(model: SystemModel, scen: FaultScenario, n_runs: int, horiz
     sup_t ||x_t - x_hat_{t,i}||, splitting epsilon evenly between the
     estimation-error event and the pairwise-deviation event; theta_ij is set
     to gamma_i + gamma_j. Runs use u = 0: for LTI filters the error dynamics
-    do not depend on the input, so this loses no generality for the shipped
-    scenarios. A model that is not LTI is rejected.
+    do not depend on the input, so this loses no generality.
 
     All runs step in lockstep as one (n_runs, n) stack through measure,
     step_true_state and one bank. Run r draws its noise from
@@ -282,14 +286,11 @@ def calibrate_gammas(model: SystemModel, scen: FaultScenario, n_runs: int, horiz
         raise ContractError(f"epsilon must be a finite number in (0, 1], got {epsilon!r}")
     if n_runs < 50:
         raise ContractError("calibration needs n_runs >= 50")
-    if not model.is_linear:
-        raise ContractError("calibration needs an LTI model (SystemModel.linear): "
-                            "the u = 0 runs do not bound the error of a nonlinear filter")
     clean = FaultScenario(q=model.q, p=model.p, sensor_patterns=scen.sensor_patterns,
                           active_fault=None, attack=None, failure_schedule=[])
     m = len(clean.sensor_patterns)
     n, q = model.n, model.q
-    steps = int(round(horizon / dt))
+    steps = step_count(horizon, dt)
     u = np.zeros(model.p)
     x = np.zeros((n_runs, n))
     bank = make_bank(model, clean.sensor_patterns, x, mode=mode, with_pairs=False)

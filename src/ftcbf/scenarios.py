@@ -37,7 +37,7 @@ from .errors import (ContractError, FtcbfError, LyapunovError, RedundancyError,
 from .estimators import steady_state_gain
 from .optimizer import QpProblem, check_problem_size
 from .policy import CLF_MODES, MODES, PolicyConfig
-from .simulator import FaultScenario, SystemModel
+from .simulator import FaultScenario, SystemModel, step_count
 
 WMR_F = np.array([
     [0.0, 0.0, 1.0, 0.0],
@@ -138,7 +138,7 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return step_count(self.horizon, self.dt)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -461,16 +461,16 @@ SCHEMA = {
 }
 
 
-def _lqr_gain(F: np.ndarray, G: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
+def _lqr_gain(F: np.ndarray, G: np.ndarray, Q: np.ndarray, R: np.ndarray,
+              weights: str) -> np.ndarray:
     """The LQR gain of the weights Q and R (the Riccati fixed point of the
-    dual filter); an error naming policy: nominal when the weights give
-    none, an overflow included."""
+    dual filter); an error led by weights, which names the block they come
+    from, when they give none, an overflow included."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return steady_state_gain(F.T, G.T, Q, R).T
     except (FloatingPointError, FtcbfError) as exc:
-        raise ScenarioValidationError(
-            f"policy: nominal: the LQR weights q and r give no gain ({exc})") from exc
+        raise ScenarioValidationError(f"{weights} give no gain ({exc})") from exc
 
 
 def _stabilized_F(F: np.ndarray, G: np.ndarray, notes: list) -> np.ndarray:
@@ -482,8 +482,9 @@ def _stabilized_F(F: np.ndarray, G: np.ndarray, notes: list) -> np.ndarray:
         return F
     except LyapunovError:
         pass
-    K_dual = steady_state_gain(F.T, G.T, np.eye(F.shape[0]), np.eye(G.shape[1]))
-    K_lqr = K_dual.T
+    K_lqr = _lqr_gain(F, G, np.eye(F.shape[0]), np.eye(G.shape[1]),
+                      "clf: the Lyapunov solve on F is singular, and the unit LQR weights "
+                      "that would stabilize F")
     notes.append("clf: Lyapunov solve used stabilized F - G K_lqr (F is not Hurwitz)")
     return F - G @ K_lqr
 
@@ -523,15 +524,18 @@ def build_scenario(cfg: dict) -> Scenario:
         F = _shaped(mblock["F"], (n, n), "model: F")
         c = _shaped(mblock["c"], (None, n), "model: c")
         q = c.shape[0]
-        model = SystemModel.linear(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n,
-                                                             "model: sigma"),
-                                   _scale_or_matrix(mblock.get("nu", 0.0), q, "model: nu"))
+        model = SystemModel(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n, "model: sigma"),
+                            _scale_or_matrix(mblock.get("nu", 0.0), q, "model: nu"))
 
         sim = cfg["sim"]
         dt = float(sim["dt"])
         if sim["horizon"] < dt:
             raise ScenarioValidationError(
                 f"sim: horizon {sim['horizon']!r} is shorter than one step of dt = {dt!r}")
+        try:
+            step_count(sim["horizon"], dt)
+        except ContractError as exc:
+            raise ScenarioValidationError(f"sim: horizon {exc}") from exc
         fblock = cfg["faults"]
         schedule = [(float(item["time"]) if "time" in item else float(item["step"]) * dt,
                      np.diag(_shaped(item["L"], (p,), f"faults: failure_schedule entry {k} L")))
@@ -595,7 +599,8 @@ def build_scenario(cfg: dict) -> Scenario:
             q_w = nominal.get("q", 1.0)
             Q_lqr = float(q_w) * np.eye(n) if np.isscalar(q_w) \
                 else np.diag(_shaped(q_w, (n,), "policy: nominal q"))
-            gain = _lqr_gain(F, G, Q_lqr, float(nominal.get("r", 1.0)) * np.eye(p))
+            gain = _lqr_gain(F, G, Q_lqr, float(nominal.get("r", 1.0)) * np.eye(p),
+                             "policy: nominal: the LQR weights q and r")
         elif nominal.get("type") == "gain":
             gain = _shaped(nominal["K"], (p, n), "policy: nominal K")
         u_max = pblock.get("u_max")

@@ -1,37 +1,36 @@
-"""Control-affine plant simulation under sensor attacks and actuator failures.
+"""LTI plant simulation under sensor attacks and actuator failures.
 
 The plant is the Ito SDE
 
-    dx = (f(x) + g(x) u) dt + sigma dW
+    dx = (F x + G u) dt + sigma dW
     dy = (c x + a_t) dt + nu dV
 
-integrated with Euler-Maruyama at a fixed step. The attack vector a_t is
-supported on the sensor indices of the active fault pattern; actuator failures
-multiply the commanded input by a diagonal 0/1 effectiveness matrix L.
+integrated with Euler-Maruyama at a fixed step. Both case studies reach the
+controller as such a model: the WMR after feedback linearization (the
+scenario's compensator maps its input back to wheel commands) and the
+Boeing 747 lateral axis directly. The attack vector a_t is supported on the
+sensor indices of the active fault pattern; actuator failures multiply the
+commanded input by a diagonal 0/1 effectiveness matrix L.
 
 `measure` and `step_true_state` also take a stack of states of shape
 (runs, n), with noise draws of the same leading shape, and step every run at
 once. Their matrix-vector products go through `matvec`, which gives the same
 bits for one run of a stack as for that state alone, so a Monte Carlo batch
-reproduces its per-run loop exactly. A batch needs an LTI model: a
-user-supplied f or g sees the whole stack.
+reproduces its per-run loop exactly.
 
 Sensor and actuator indices are 0-based throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ContractError, ScenarioValidationError
-
-_SPOT_CHECK_RNG = np.random.default_rng(0x5EED)
-_LIN_TOL = 1e-12
-_FD_EPS = 1e-6        # finite-difference step of drift_jacobian
 
 
 def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -39,9 +38,13 @@ def matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x[..., None])[..., 0]
 
 
-def _constant(value: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The g of an LTI model: the same G at every state."""
-    return value
+def step_count(horizon: float, dt: float) -> int:
+    """The number of dt steps in horizon, rounded to the nearest; a
+    ContractError when horizon / dt is not finite."""
+    steps = horizon / dt
+    if not math.isfinite(steps):
+        raise ContractError(f"{horizon!r} / dt = {dt!r} is not a finite step count")
+    return int(round(steps))
 
 
 def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
@@ -55,69 +58,46 @@ def _as_matrix(m, rows: int, cols: int, name: str) -> np.ndarray:
 
 @dataclass
 class SystemModel:
-    """Control-affine dynamics plus output map and noise intensities.
+    """The drift and input matrices F and G, the output map c and the noise
+    intensities sigma and nu.
 
-    Single source of truth for the dimensions n (state), p (input),
-    q (output). For LTI models pass F and G; f and g are derived and the
-    linearity claim is spot-checked at random states.
+    G gives the dimensions n (state) and p (input), c gives q (output); every
+    other matrix is checked against them.
     """
 
-    n: int
-    p: int
-    q: int
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
+    F: np.ndarray
+    G: np.ndarray
     c: np.ndarray
     sigma: np.ndarray
     nu: np.ndarray
-    F: Optional[np.ndarray] = None
-    G: Optional[np.ndarray] = None
-    is_linear: bool = False
 
     def __post_init__(self):
-        if min(self.n, self.p, self.q) <= 0:
-            raise ContractError("dimensions n, p, q must be positive")
-        self.c = _as_matrix(self.c, self.q, self.n, "c")
-        self.sigma = _as_matrix(self.sigma, self.n, self.n, "sigma")
-        self.nu = _as_matrix(self.nu, self.q, self.q, "nu")
-        if self.is_linear:
-            if self.F is None or self.G is None:
-                raise ContractError("is_linear requires F and G")
-            self.F = _as_matrix(self.F, self.n, self.n, "F")
-            self.G = _as_matrix(self.G, self.n, self.p, "G")
-            for _ in range(4):
-                x = _SPOT_CHECK_RNG.standard_normal(self.n)
-                if np.max(np.abs(self.f(x) - self.F @ x)) > _LIN_TOL * max(1.0, np.max(np.abs(x))):
-                    raise ContractError("f(x) != F x at a probed state")
-                if np.max(np.abs(self.g(x) - self.G)) > _LIN_TOL:
-                    raise ContractError("g(x) != G at a probed state")
+        G, c = np.asarray(self.G, dtype=float), np.asarray(self.c, dtype=float)
+        for a, name in ((G, "G"), (c, "c")):
+            if a.ndim != 2 or a.size == 0:
+                raise ContractError(f"{name} must be a nonempty 2-D matrix, got shape {a.shape}")
+        (n, p), q = G.shape, c.shape[0]
+        self.F = _as_matrix(self.F, n, n, "F")
+        self.G = _as_matrix(G, n, p, "G")
+        self.c = _as_matrix(c, q, n, "c")
+        self.sigma = _as_matrix(self.sigma, n, n, "sigma")
+        self.nu = _as_matrix(self.nu, q, q, "nu")
 
-    @classmethod
-    def linear(cls, F, G, c, sigma, nu) -> "SystemModel":
-        F = np.asarray(F, dtype=float)
-        G = np.asarray(G, dtype=float)
-        n, p = G.shape
-        c = np.asarray(c, dtype=float)
-        return cls(
-            n=n, p=p, q=c.shape[0],
-            f=partial(matvec, F),
-            g=partial(_constant, G),
-            c=c, sigma=np.asarray(sigma, dtype=float), nu=np.asarray(nu, dtype=float),
-            F=F, G=G, is_linear=True,
-        )
+    @property
+    def n(self) -> int:
+        return self.G.shape[0]
 
-    def drift_jacobian(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """d(f + g u)/dx at (x, u); exact for LTI, finite differences otherwise."""
-        if self.is_linear:
-            return self.F
-        x = np.asarray(x, dtype=float)
-        base = self.f(x) + self.g(x) @ u
-        J = np.empty((self.n, self.n))
-        for j in range(self.n):
-            xp = x.copy()
-            xp[j] += _FD_EPS
-            J[:, j] = (self.f(xp) + self.g(xp) @ u - base) / _FD_EPS
-        return J
+    @property
+    def p(self) -> int:
+        return self.G.shape[1]
+
+    @property
+    def q(self) -> int:
+        return self.c.shape[0]
+
+    def f(self, x: np.ndarray) -> np.ndarray:
+        """The drift F x of a state, or of each state of a stack (..., n)."""
+        return matvec(self.F, x)
 
 
 def _bias_attack(amplitude: float, start: float, t: float) -> float:
@@ -214,7 +194,7 @@ class FaultScenario:
 
 def step_true_state(model: SystemModel, x: np.ndarray, u: np.ndarray, dt: float,
                     noise_draw: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step: x + (f(x) + g(x) u) dt + sigma w sqrt(dt).
+    """One Euler-Maruyama step: x + (F x + G u) dt + sigma w sqrt(dt).
 
     x and noise_draw are (n,) or a stack (runs, n); u is (p,) or (runs, p).
     """
@@ -226,7 +206,7 @@ def step_true_state(model: SystemModel, x: np.ndarray, u: np.ndarray, dt: float,
     if x.shape[-1:] != (model.n,) or u.shape[-1:] != (model.p,) \
             or noise_draw.shape != x.shape:
         raise ContractError("state/input/noise dimension mismatch")
-    return (x + (model.f(x) + matvec(model.g(x), u)) * dt
+    return (x + (model.f(x) + matvec(model.G, u)) * dt
             + matvec(model.sigma, noise_draw) * np.sqrt(dt))
 
 

@@ -34,8 +34,8 @@ def boeing_yaml():
 
 def integrator_model(n=2, sigma=0.0, nu=0.0):
     """f = 0, g = I: every channel directly actuated."""
-    return SystemModel.linear(np.zeros((n, n)), np.eye(n), np.eye(n),
-                              sigma * np.eye(n), nu * np.eye(n))
+    return SystemModel(np.zeros((n, n)), np.eye(n), np.eye(n),
+                       sigma * np.eye(n), nu * np.eye(n))
 
 
 def random_stable_model(rng, n, p, q=None, sigma=0.05, nu=0.05):
@@ -43,4 +43,4 @@ def random_stable_model(rng, n, p, q=None, sigma=0.05, nu=0.05):
     F = rng.uniform(-1, 1, (n, n)) - 1.5 * np.eye(n)
     G = rng.uniform(-1, 1, (n, p))
     c = rng.uniform(-1, 1, (q, n))
-    return SystemModel.linear(F, G, c, sigma * np.eye(n), nu * np.eye(q))
+    return SystemModel(F, G, c, sigma * np.eye(n), nu * np.eye(q))

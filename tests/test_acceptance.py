@@ -284,7 +284,7 @@ def test_verifier_cross_check():
             for ch in scn.chains:
                 d = ch.rel_degree
                 w = ch.grad(d, x_hat)
-                row = w @ scn.model.g(x_hat)
+                row = w @ scn.model.G
                 xi = float(w @ scn.model.f(x_hat)) + ch.shrunk(d, x_hat, 0.0)
                 if est.K is not None:
                     xi += float(w @ est.K @ est.c_r @ np.asarray(point["zs"][i]))

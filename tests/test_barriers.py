@@ -21,12 +21,12 @@ class StubEst:
 
 
 def wmr_model(sigma=0.0, nu=0.0):
-    return SystemModel.linear(WMR_F, WMR_G, WMR_C, sigma * np.eye(4), nu * np.eye(6))
+    return SystemModel(WMR_F, WMR_G, WMR_C, sigma * np.eye(4), nu * np.eye(6))
 
 
 def boeing_model():
-    return SystemModel.linear(BOEING_F, BOEING_G, np.array([[0, 1, 0, 0.]]),
-                              np.zeros((4, 4)), np.zeros((1, 1)))
+    return SystemModel(BOEING_F, BOEING_G, np.array([[0, 1, 0, 0.]]),
+                       np.zeros((4, 4)), np.zeros((1, 1)))
 
 
 def test_wmr_chain_degree_one():
@@ -49,8 +49,8 @@ def test_integrator_degree_zero():
 
 
 def test_no_relative_degree_raises():
-    model = SystemModel.linear(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2),
-                               np.zeros((2, 2)), np.zeros((2, 2)))
+    model = SystemModel(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2),
+                        np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(UncontrollableBarrierError):
         build_chain(HalfPlane((1.0, 0.0), 0.0), model)
     forced = build_chain(HalfPlane((1.0, 0.0), 0.0), model, force_degree=0)
@@ -75,22 +75,6 @@ def test_forcing_the_natural_degree_builds_the_same_chain():
 def test_negative_force_degree_is_rejected():
     with pytest.raises(ContractError, match="force_degree"):
         build_chain(HalfPlane((0, 1, 0, 0), 0.1), wmr_model(), force_degree=-1)
-
-
-def _pendulum():
-    return SystemModel(n=2, p=1, q=1, f=lambda x: np.array([x[1], -np.sin(x[0])]),
-                       g=lambda x: np.array([[0.0], [1.0]]), c=np.eye(2)[:1],
-                       sigma=np.zeros((2, 2)), nu=np.zeros((1, 1)))
-
-
-@pytest.mark.parametrize("h", [HalfPlane((0.0, 1.0), 0.5), Poly.affine((0.0, 1.0), 0.5)],
-                         ids=["half-plane", "poly"])
-def test_force_degree_above_zero_needs_an_lti_model(h):
-    """On a pendulum, pinning a degree above 0 is an error for a half-plane
-    and a polynomial barrier alike; the free search still builds degree 0."""
-    with pytest.raises(ContractError, match="force_degree > 0 needs an LTI model"):
-        build_chain(h, _pendulum(), force_degree=2)
-    assert build_chain(h, _pendulum()).rel_degree == 0
 
 
 def test_scbf_row_plain():
@@ -278,7 +262,7 @@ def test_row_soundness_over_gamma_ball():
             u = u + r_row * (-gap + 0.01) / (r_row @ r_row)
         z = rng.standard_normal(4)
         z = z / np.linalg.norm(z) * gamma * rng.random()
-        lhs = (w @ (model.f(est.x_hat) + model.g(est.x_hat) @ u)
+        lhs = (w @ (model.f(est.x_hat) + model.G @ u)
                + w @ est.K @ est.c_r @ z + trace)
         assert lhs >= -hshrunk - 1e-9
     # the worst case is attained at z* = -gamma (w K c)^T / ||w K c||: the

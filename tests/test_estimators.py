@@ -12,7 +12,7 @@ from conftest import integrator_model
 
 
 def wmr_model(sigma=0.01, nu=0.01):
-    return SystemModel.linear(WMR_F, WMR_G, WMR_C, sigma * np.eye(4), nu * np.eye(6))
+    return SystemModel(WMR_F, WMR_G, WMR_C, sigma * np.eye(4), nu * np.eye(6))
 
 
 def test_reduce_then_measure_commutes():
@@ -29,8 +29,8 @@ def test_reduce_then_measure_commutes():
 
 
 def test_ekf_noop_without_dynamics_or_gain():
-    model = SystemModel.linear(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2),
-                               np.zeros((2, 2)), np.eye(2))
+    model = SystemModel(np.zeros((2, 2)), np.zeros((2, 1)), np.eye(2),
+                        np.zeros((2, 2)), np.eye(2))
     bank = make_bank(model, [[]], np.array([0.7, -0.3]), mode="open_loop")
     est = bank.singles[0]
     stepped = ekf_step(est, np.zeros(1), np.zeros(2), 0.1, model)
@@ -39,8 +39,8 @@ def test_ekf_noop_without_dynamics_or_gain():
 
 def test_riccati_scalar_fixed_point():
     # dP/dt = Q - P^2/R with Q = R = 1 settles at P = 1, K = 1
-    model = SystemModel.linear(np.zeros((1, 1)), np.ones((1, 1)), np.eye(1),
-                               np.eye(1), np.eye(1))
+    model = SystemModel(np.zeros((1, 1)), np.ones((1, 1)), np.eye(1),
+                        np.eye(1), np.eye(1))
     bank = make_bank(model, [[]], np.zeros(1), mode="riccati_ode")
     est = replace(bank.singles[0], P=np.zeros((1, 1)), K=np.zeros((1, 1)))
     for _ in range(1500):
@@ -97,8 +97,8 @@ def test_pair_sensor_sets_and_open_loop():
     bank = make_bank(model, [[0], [2]], np.zeros(4))
     assert bank.pairs[(0, 1)].removed == (0, 2)
     assert bank.pairs[(0, 1)].sensors == (1, 3, 4, 5)
-    tiny = SystemModel.linear(-np.eye(2), np.eye(2), np.eye(2),
-                              0.01 * np.eye(2), 0.01 * np.eye(2))
+    tiny = SystemModel(-np.eye(2), np.eye(2), np.eye(2),
+                       0.01 * np.eye(2), 0.01 * np.eye(2))
     bank2 = make_bank(tiny, [[0], [1]], np.zeros(2))
     assert bank2.pairs[(0, 1)].mode == "open_loop"
     assert bank2.pairs[(0, 1)].K is None
@@ -121,15 +121,15 @@ def test_steady_state_gain_detectability_failure():
 def test_singular_r_rejected():
     with pytest.raises(EstimatorConfigError):
         steady_state_gain(np.zeros((1, 1)), np.eye(1), np.eye(1), np.zeros((1, 1)))
-    model = SystemModel.linear(np.zeros((2, 2)), np.eye(2), np.eye(2),
-                               np.eye(2), np.zeros((2, 2)))
+    model = SystemModel(np.zeros((2, 2)), np.eye(2), np.eye(2),
+                        np.eye(2), np.zeros((2, 2)))
     with pytest.raises(EstimatorConfigError):
         make_bank(model, [[0]], np.zeros(2))
 
 
 def test_residue_examples():
-    model = SystemModel.linear(np.zeros((1, 1)), np.ones((1, 1)), np.eye(1),
-                               np.eye(1), np.eye(1))
+    model = SystemModel(np.zeros((1, 1)), np.ones((1, 1)), np.eye(1),
+                        np.eye(1), np.eye(1))
     bank = make_bank(model, [[]], np.array([1.0]))
     est = bank.singles[0]
     u = np.zeros(1)
@@ -203,8 +203,8 @@ def test_lockstep_calibration_matches_per_run_loop(case):
     # 123 steps: two full 50-step noise blocks and a partial one
     if case == "open_loop":
         # the first pattern removes every sensor, so its filter runs open loop
-        model = SystemModel.linear(-np.eye(2), np.eye(2), np.eye(2),
-                                   0.01 * np.eye(2), 0.01 * np.eye(2))
+        model = SystemModel(-np.eye(2), np.eye(2), np.eye(2),
+                            0.01 * np.eye(2), 0.01 * np.eye(2))
         scen = FaultScenario(q=2, p=2, sensor_patterns=[[0, 1], []])
         args = (model, scen, 50, 1.23, 0.1)
         kwargs = dict(dt=0.01, seed=5)
@@ -216,14 +216,6 @@ def test_lockstep_calibration_matches_per_run_loop(case):
     sups, gammas = calibrate_per_run(*args, **kwargs)
     assert np.array_equal(cal.sup_errors, sups)
     assert np.array_equal(cal.gammas, gammas)
-
-
-def test_calibration_rejects_nonlinear_model():
-    model = SystemModel(n=1, p=1, q=1, f=lambda x: -x ** 3, g=lambda x: np.ones((1, 1)),
-                        c=np.eye(1), sigma=0.01 * np.eye(1), nu=0.01 * np.eye(1))
-    scen = FaultScenario(q=1, p=1, sensor_patterns=[[]])
-    with pytest.raises(ContractError, match="LTI"):
-        calibrate_gammas(model, scen, 50, 0.1, 0.1, mode="riccati_ode")
 
 
 @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 3.0, float("nan"), float("inf")])

@@ -58,7 +58,7 @@ def test_active_sets_thresholds():
 
 def test_active_sets_single_estimator_near_boundary():
     from ftcbf.scenarios import WMR_C, WMR_F, WMR_G
-    wmr = SystemModel.linear(WMR_F, WMR_G, WMR_C, 0.01 * np.eye(4), 0.01 * np.eye(6))
+    wmr = SystemModel(WMR_F, WMR_G, WMR_C, 0.01 * np.eye(4), 0.01 * np.eye(6))
     chain = build_chain(HalfPlane((0, 1, 0, 0), 0.1), wmr)
     bank = stub_bank([[0.0, 1.0, 0.0, 0.0], [0.0, -0.099, 0.0, 0.0]])
     cfg = PolicyConfig(mode="sensor_ft", delta=0.5)

@@ -596,7 +596,9 @@ def _on_boeing(*edits):
      "clf: goal_indices: at least one entry is required"),
     (_set("barriers", [{"type": "half_plane", "a": [0.0, 1.0, 0.0, 0.0], "b": 0.1},
                        {"type": "ellipsoid", "Phi": np.eye(4).tolist(), "center": [0.0] * 4}]),
-     "barriers: entry 1 is not a half-plane, so the nonzero calibration: gammas")],
+     "barriers: entry 1 is not a half-plane, so the nonzero calibration: gammas"),
+    (_set("sim", {"dt": 1.0e-300, "horizon": 1.0e+300}),
+     "sim: horizon 1e+300 / dt = 1e-300 is not a finite step count")],
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
@@ -608,7 +610,8 @@ def _on_boeing(*edits):
          "negative-v-bar-fraction", "horizon-below-dt", "fractional-failure-pattern",
          "step-and-time", "zero-lqr-r", "negative-lqr-q", "fractional-failure-step",
          "negative-failure-step", "huge-lqr-r", "huge-lqr-q", "zero-delta",
-         "empty-goal-indices", "empty-goal-indices-with-v-bar", "gamma-on-an-ellipsoid"])
+         "empty-goal-indices", "empty-goal-indices-with-v-bar", "gamma-on-an-ellipsoid",
+         "step-count-overflow"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())

@@ -190,6 +190,21 @@ def test_custom_scenario_ellipsoid_and_polynomial_barriers():
         build_scenario(cfg)
 
 
+def test_clf_without_a_stabilizing_lqr_gain_names_the_clf_block():
+    """The eigenvalues 1 and -1 of F = diag(1, -1) make its Lyapunov solve
+    singular, and its unstable mode gets no input, so no LQR gain
+    stabilizes it for the CLF."""
+    cfg = {"kind": "custom",
+           "model": {"F": [[1.0, 0.0], [0.0, -1.0]], "G": [[0.0], [1.0]],
+                     "c": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.01, "nu": 0.01},
+           "barriers": [{"type": "half_plane", "a": [0.0, 1.0], "b": 1.0}],
+           "clf": {"radius": 0.1, "goal_indices": [0]}}
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^clf: the Lyapunov solve on F is singular, and the unit LQR "
+                             r"weights that would stabilize F give no gain"):
+        build_scenario(cfg)
+
+
 def test_estimator_block_config():
     scn = build_scenario({"kind": "wmr", "estimators": {"smoothing": 0.8}})
     assert scn.estimator_smoothing == pytest.approx(0.8)

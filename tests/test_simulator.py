@@ -16,15 +16,15 @@ def test_pure_integrator_step():
 
 
 def test_boeing_equilibrium():
-    model = SystemModel.linear(BOEING_F, BOEING_G, np.array([[0, 1, 0, 0.]]),
-                               np.zeros((4, 4)), np.zeros((1, 1)))
+    model = SystemModel(BOEING_F, BOEING_G, np.array([[0, 1, 0, 0.]]),
+                        np.zeros((4, 4)), np.zeros((1, 1)))
     for dt in (0.01, 0.1, 1.0):
         x1 = step_true_state(model, np.zeros(4), np.zeros(3), dt, np.zeros(4))
         assert np.allclose(x1, 0.0)
 
 
 def test_wmr_drift_step():
-    model = SystemModel.linear(WMR_F, WMR_G, WMR_C, np.zeros((4, 4)), np.zeros((6, 6)))
+    model = SystemModel(WMR_F, WMR_G, WMR_C, np.zeros((4, 4)), np.zeros((6, 6)))
     x1 = step_true_state(model, np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(2), 0.5, np.zeros(4))
     assert np.allclose(x1, [0.5, 0.0, 1.0, 0.0])
 
@@ -38,7 +38,7 @@ def test_step_contract_checks():
 
 
 def test_measure_wmr_observation():
-    model = SystemModel.linear(WMR_F, WMR_G, WMR_C, np.zeros((4, 4)), np.zeros((6, 6)))
+    model = SystemModel(WMR_F, WMR_G, WMR_C, np.zeros((4, 4)), np.zeros((6, 6)))
     scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
     y = measure(model, np.array([1.0, 2.0, 0.0, 0.0]), 0.0, scen, np.zeros(6), 1.0)
     assert np.allclose(y, [1, 1, 2, 2, 0, 0])
@@ -129,8 +129,19 @@ def test_seeded_run_bitwise_reproducible():
     assert not np.array_equal(run(7), run(8))
 
 
-def test_linear_spot_check_rejects_lying_model():
-    F, G = np.zeros((2, 2)), np.eye(2)
-    with pytest.raises(ContractError):
-        SystemModel(n=2, p=2, q=2, f=lambda x: x, g=lambda x: G, c=np.eye(2),
-                    sigma=np.zeros((2, 2)), nu=np.zeros((2, 2)), F=F, G=G, is_linear=True)
+_MODEL = dict(F=np.zeros((2, 2)), G=np.array([[0.0], [1.0]]), c=np.eye(2)[:1],
+              sigma=np.zeros((2, 2)), nu=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("F", np.zeros((2, 3))), ("c", np.zeros((1, 3))), ("sigma", np.zeros((3, 3))),
+    ("nu", np.zeros((2, 2))), ("G", np.array([0.0, 1.0])), ("G", np.zeros((2, 0))),
+    ("F", [[0.0, np.nan], [0.0, 0.0]]), ("G", [[np.inf], [1.0]]), ("c", [[np.nan, 0.0]]),
+    ("sigma", [[0.0, 0.0], [0.0, -np.inf]]), ("nu", [[np.nan]])],
+    ids=["F-not-square", "c-columns", "sigma-size", "nu-size", "G-vector", "G-empty",
+         "F-nan", "G-inf", "c-nan", "sigma-inf", "nu-nan"])
+def test_system_model_checks_name_the_matrix(name, value):
+    model = SystemModel(**_MODEL)
+    assert (model.n, model.p, model.q) == (2, 1, 1)
+    with pytest.raises(ContractError, match=rf"^{name} "):
+        SystemModel(**dict(_MODEL, **{name: value}))

@@ -20,8 +20,8 @@ from conftest import integrator_model
 
 
 def no_authority_model(nu=0.01):
-    return SystemModel.linear(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
-                              np.array([[1.0, 0.0]]), np.zeros((2, 2)), nu * np.eye(1))
+    return SystemModel(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)),
+                       np.array([[1.0, 0.0]]), np.zeros((2, 2)), nu * np.eye(1))
 
 
 def pointwise(ch, model, x_hat, gamma):
@@ -93,8 +93,8 @@ def test_ft_set_agrees_with_bruteforce_lp():
     agree = 0
     for _ in range(100):
         n, p, m = 2, int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        model = SystemModel.linear(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, p)),
-                                   np.eye(n), 0.1 * np.eye(n), 0.1 * np.eye(n))
+        model = SystemModel(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, (n, p)),
+                            np.eye(n), 0.1 * np.eye(n), 0.1 * np.eye(n))
         a = rng.uniform(-1, 1, n)
         ch = build_chain(HalfPlane(tuple(a), float(rng.uniform(-1, 1))), model,
                          force_degree=0)
@@ -105,7 +105,7 @@ def test_ft_set_agrees_with_bruteforce_lp():
         A, Xi = [], []
         for i in range(m):
             w = ch.grad(0, estimates[i])
-            A.append(-(w @ model.g(estimates[i])))
+            A.append(-(w @ model.G))
             Xi.append(float(w @ model.f(estimates[i])) + ch.shrunk(0, estimates[i], 0.1))
         lp = linprog(np.zeros(p), A_ub=np.array(A), b_ub=np.array(Xi),
                      bounds=[(None, None)] * p, method="highs")
@@ -335,8 +335,8 @@ def slab_region():
     """One input moving x1 between two barriers whose rows oppose each other.
     Their bounds meet unless x2 is above about 0.95, so counterexamples lie
     in a thin strip of the box [-1, 1]^2."""
-    model = SystemModel.linear(np.diag([0.0, -3.0]), np.array([[1.0], [0.0]]), np.eye(2),
-                               np.zeros((2, 2)), np.eye(2))
+    model = SystemModel(np.diag([0.0, -3.0]), np.array([[1.0], [0.0]]), np.eye(2),
+                        np.zeros((2, 2)), np.eye(2))
     barriers = [HalfPlane((1.0, 0.0), 1.0), HalfPlane((-1.0, 0.5), -0.05)]
     L = np.eye(1)
     return [[build_chain(h, model, input_mask=L)] for h in barriers], [L], model
