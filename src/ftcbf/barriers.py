@@ -18,8 +18,8 @@ admissible z. hoscbf_pair is the one place that formula lives: the policy
 takes the worst case, the verifier plugs in a sampled z, and the CLF row
 reuses its trace and error terms. af_rows is the one place the
 actuator-failure rows of every barrier are assembled, for the policy and
-the verifier alike. For an affine chain under a filter whose gain never
-changes, only h(x_hat) and dh/dx F x_hat move from step to step; fixed_terms
+the verifier alike. Every filter's gain is fixed, so for an affine chain
+only h(x_hat) and dh/dx F x_hat move from step to step; fixed_terms
 computes the rest once per run.
 """
 
@@ -304,12 +304,13 @@ def _pair_terms(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
 
 def fixed_terms(chain: BarrierChain, est, model: SystemModel, gamma: float):
     """The terms (w, row, trace, err) of the policy's row that stay fixed
-    through a run, or None when they change from step to step.
+    through a run, or None for a polynomial chain, whose gradient and
+    Hessian move with the estimate.
 
-    They stay fixed for an affine chain (constant gradient, zero Hessian)
-    under a filter whose gain never changes.
+    An affine chain has a constant gradient and a zero Hessian, and every
+    filter's gain is fixed, so its terms stay fixed.
     """
-    if chain.kind != "affine" or not est.fixed_gain:
+    if chain.kind != "affine":
         return None
     return _pair_terms(chain, est, model, est.x_hat, gamma)
 

@@ -106,10 +106,10 @@ def build_quadratic_clf(F: np.ndarray, d: float, x_goal=None,
     return QuadraticClf(Psi=Psi, x_goal=x_goal, rho=1.0 / (d * lam_max))
 
 
-def clf_trace(clf: QuadraticClf, est) -> Optional[float]:
-    """The trace term of clf_row under est when it stays fixed through a run
-    (the filter's gain never changes), else None."""
-    return _trace_term(est, clf.hessian()) if est.fixed_gain else None
+def clf_trace(clf: QuadraticClf, est) -> float:
+    """The trace term of clf_row under est, fixed through a run: the
+    Hessian of V and the filter's gain never change."""
+    return _trace_term(est, clf.hessian())
 
 
 def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,

@@ -24,7 +24,9 @@ class EstimatorConfigError(FtcbfError):
 
 
 class DetectabilityError(FtcbfError):
-    """Riccati iteration failed to converge within the iteration budget."""
+    """The Riccati equation has no steady state: a mode of F that does not
+    decay is unobservable (PBH test, naming its eigenvalue), or the
+    iteration diverged or ran out of budget."""
 
 
 class LyapunovError(FtcbfError):

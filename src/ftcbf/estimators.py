@@ -5,14 +5,14 @@ sensors removed), one per pair (both patterns removed, open loop if nothing is
 left), steady-state gains, smoothed innovation residues for the
 conflict-resolution policy, and the Monte Carlo calibration that turns the
 existence statement "there is a gamma bounding the estimation error with high
-probability" into usable per-filter radii. A riccati_ode filter's covariance
-and steady_state_gain follow the same Riccati flow of F, _riccati_rate.
+probability" into usable per-filter radii. The covariance flow of the LTI
+model does not depend on the state, so every filter with sensors runs its
+steady-state Kalman-Bucy gain from step 0; the others run open loop.
 
 A bank built from x0 of shape (runs, n) carries one estimate per run in each
 filter (x_hat and residue gain the leading run axis) and is stepped on output
-increments of shape (runs, q). Gains and covariances stay one per filter:
-the Riccati flow does not depend on the state, so every run shares it
-exactly. Calibration steps all its Monte Carlo runs this way.
+increments of shape (runs, q). Gains stay one per filter, shared by every
+run. Calibration steps all its Monte Carlo runs this way.
 """
 
 from __future__ import annotations
@@ -27,45 +27,28 @@ from .errors import ContractError, DetectabilityError, EstimatorConfigError
 from .simulator import (FaultScenario, SystemModel, matvec, measure, step_count,
                         step_true_state)
 
-_RICCATI_TOL = 1e-10  # steady_state_gain's relative residual
+MODES = ("constant_gain", "open_loop")
+_RICCATI_TOL = 1e-10      # steady_state_gain's relative residual
+_RICCATI_STEPS = 400_000  # steady_state_gain's iteration budget
+_ZERO_TOL = 1e-9          # relative size below which a singular value or Re mu counts as 0
 
 
 @dataclass
 class EstimatorState:
-    """One filter: estimate, covariance, gain, and its retained sensor set.
+    """One filter: estimate, gain, and its retained sensor set.
 
-    mode is one of constant_gain, riccati_ode, open_loop. In open_loop mode
-    (empty sensor set) there is no gain and the innovation term is dropped.
+    K is the steady-state gain; a filter without one (K None: no sensors
+    left, or open_loop mode) runs open loop and drops the innovation term.
     """
 
     removed: tuple
     sensors: tuple
     x_hat: np.ndarray
-    P: np.ndarray
-    mode: str
     K: Optional[np.ndarray] = None
     c_r: Optional[np.ndarray] = None
     nu_r: Optional[np.ndarray] = None
-    R_r_inv: Optional[np.ndarray] = None
     residue: float = 0.0
     smoothing: float = 0.95
-
-    @property
-    def fixed_gain(self) -> bool:
-        """The gain never changes: frozen (constant_gain) or absent (open_loop)."""
-        return self.mode != "riccati_ode"
-
-
-def _sym_check(P: np.ndarray) -> np.ndarray:
-    asym = np.max(np.abs(P - P.T))
-    if asym > 1e-6 * max(1.0, np.max(np.abs(P))):
-        raise EstimatorConfigError(f"covariance lost symmetry by {asym:.2e}")
-    return (P + P.T) / 2.0
-
-
-def _riccati_rate(F: np.ndarray, P: np.ndarray, Q: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """dP/dt = F P + P F^T + Q - P S P, the Riccati flow with S = c_r^T R_r^-1 c_r."""
-    return F @ P + P @ F.T + Q - P @ S @ P
 
 
 def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: float,
@@ -76,59 +59,48 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
 
     The residue smooths the innovation norm, one per run: residue <-
     s residue + (1 - s) ||dy_r - c_r x_hat dt|| with s = smoothing, since the
-    raw innovation is noise-dominated at small dt. An open_loop filter has
-    no innovation and keeps its residue.
-
-    In riccati_ode mode the covariance follows
-    dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P and the gain is recomputed
-    as P c_r^T R_r^-1; constant_gain keeps K frozen at the steady-state value.
-    A stacked x_hat of shape (runs, n) steps every run; P and K stay shared,
-    which is exact because the flow does not depend on the state.
+    raw innovation is noise-dominated at small dt. A filter without a gain
+    has no innovation and keeps its residue. A stacked x_hat of shape
+    (runs, n) steps every run with the one gain.
     """
     x = est.x_hat
     u = np.asarray(u, dtype=float)
     drift = (model.f(x) + matvec(model.G, u)) * dt
-    if est.mode == "open_loop":
+    if est.K is None:
         return replace(est, x_hat=x + drift)
-
     innov = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, x) * dt
-    x_new = x + drift + matvec(est.K, innov)
     s = est.smoothing
     res = s * est.residue + (1.0 - s) * np.sqrt(np.vecdot(innov, innov))
-
-    if est.mode == "constant_gain":
-        return replace(est, x_hat=x_new, residue=res)
-
-    F = model.F
-    Q = model.sigma @ model.sigma.T
-    S = est.c_r.T @ est.R_r_inv @ est.c_r
-    # Substep the Riccati Euler update: one full-dt step from P0 = I is
-    # unstable when the measurement noise is small (||S P|| dt >> 1).
-    P_new = est.P
-    remaining = dt
-    for _ in range(10_000):
-        stable = 0.2 / max(1.0, np.max(np.abs(F)), np.max(np.abs(P_new @ S)))
-        h = min(remaining, stable)
-        P_new = _sym_check(P_new + h * _riccati_rate(F, P_new, Q, S))
-        remaining -= h
-        if remaining <= 0.0:
-            break
-    else:
-        raise EstimatorConfigError("Riccati substepping stalled; dt too large for this model")
-    K_new = P_new @ est.c_r.T @ est.R_r_inv
-    return replace(est, x_hat=x_new, P=P_new, K=K_new, residue=res)
+    return replace(est, x_hat=x + drift + matvec(est.K, innov), residue=res)
 
 
-def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray, R_r: np.ndarray,
-                      max_iter: int = 400_000) -> np.ndarray:
+def _check_detectable(F: np.ndarray, c_r: np.ndarray) -> None:
+    """PBH test: every eigenvalue lambda of F with Re lambda >= 0 (up to
+    rounding) must have rank [F - lambda I; c_r] = n, else that mode neither
+    decays nor shows in c_r and the Riccati equation has no steady state."""
+    n = F.shape[0]
+    scale = max(1.0, np.max(np.abs(F)), np.max(np.abs(c_r)))
+    for lam in np.linalg.eigvals(F):
+        if lam.real >= -_ZERO_TOL * scale:
+            M = np.vstack([F - lam * np.eye(n), c_r])
+            if np.linalg.svd(M, compute_uv=False)[-1] <= _ZERO_TOL * scale:
+                raise DetectabilityError(
+                    f"(F, c_r) is not detectable: the mode of eigenvalue {lam:.6g} of F "
+                    "does not decay and c_r does not observe it")
+
+
+def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray,
+                      R_r: np.ndarray) -> np.ndarray:
     """Constant Kalman gain K = P c_r^T R_r^-1 at the Riccati fixed point.
 
-    Integrates dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P with an
-    adaptive Euler step until ||dP/dt||_inf <= _RICCATI_TOL * scale, where
-    scale is the magnitude of the problem (max of ||Q|| and ||P||):
-    small-noise models need the residual driven proportionally further
-    because the gain multiplies P by R^-1. Non-convergence within the budget is reported as a
-    detectability failure.
+    With Q != 0, a pair (F, c_r) that fails the PBH detectability test is a
+    DetectabilityError at once. Otherwise integrates
+    dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P with an adaptive Euler
+    step until ||dP/dt||_inf <= _RICCATI_TOL * scale, where scale is the
+    magnitude of the problem (max of ||Q|| and ||P||): small-noise models
+    need the residual driven proportionally further because the gain
+    multiplies P by R^-1. Divergence, or no convergence within
+    _RICCATI_STEPS, is a DetectabilityError too.
     """
     F = np.asarray(F, dtype=float)
     c_r = np.atleast_2d(np.asarray(c_r, dtype=float))
@@ -136,14 +108,16 @@ def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray, R_r: np.nda
     R_r = np.atleast_2d(np.asarray(R_r, dtype=float))
     if np.min(np.linalg.svd(R_r, compute_uv=False)) <= 1e-12:
         raise EstimatorConfigError("reduced measurement noise R_r is singular")
+    if np.any(Q != 0.0):
+        _check_detectable(F, c_r)
     R_inv = np.linalg.inv(R_r)
     S = c_r.T @ R_inv @ c_r
     q0 = max(np.max(np.abs(Q)), 0.0)
     r0 = max(np.max(np.abs(R_r)), 1e-300)
     P = math.sqrt(q0 * r0) * np.eye(F.shape[0]) if q0 > 0 else np.zeros_like(F)
     f_norm = max(1.0, np.max(np.abs(F)))
-    for _ in range(max_iter):
-        dP = _riccati_rate(F, P, Q, S)
+    for _ in range(_RICCATI_STEPS):
+        dP = F @ P + P @ F.T + Q - P @ S @ P
         scale = max(q0, np.max(np.abs(P)), 1e-12)
         if np.max(np.abs(dP)) <= _RICCATI_TOL * scale:
             return P @ c_r.T @ R_inv
@@ -192,30 +166,41 @@ class EstimatorBank:
     def residues(self) -> np.ndarray:
         return np.array([e.residue for e in self.singles])
 
+    def check_euler_step(self, model: SystemModel, dt: float) -> None:
+        """Refuse a dt at which some filter's Euler step cannot carry its
+        gain: each eigenvalue mu of F - K c_r with Re mu < 0 must give
+        |1 + mu dt| < 1, or the error of that decaying mode grows at every
+        step. Marginal modes (mu = 0) are the model's and are left alone."""
+        named = [(f"single {i}", est) for i, est in enumerate(self.singles)]
+        named += [(f"pair {i},{j}", est) for (i, j), est in self.pairs.items()]
+        for name, est in named:
+            if est.K is None:
+                continue
+            A = model.F - est.K @ est.c_r
+            mu = np.linalg.eigvals(A)
+            decaying = mu.real < -_ZERO_TOL * max(1.0, np.max(np.abs(A)))
+            factor = float(np.max(np.abs(1.0 + mu[decaying] * dt), initial=0.0))
+            if factor >= 1.0:
+                raise ContractError(
+                    f"filter {name}: its Euler step scales a decaying error mode by "
+                    f"|1 + mu dt| = {factor:.3g} >= 1; sim: dt = {dt:g} is too large for "
+                    "its gain")
 
-def _make_state(model: SystemModel, ident: tuple, removed: tuple, x0: np.ndarray,
-                mode: str, smoothing: float) -> EstimatorState:
-    q = model.q
-    sensors = tuple(i for i in range(q) if i not in set(removed))
-    if not sensors or mode == "open_loop":
+
+def _make_state(model: SystemModel, ident: str, removed: tuple, x0: np.ndarray,
+                open_loop: bool, smoothing: float) -> EstimatorState:
+    sensors = tuple(i for i in range(model.q) if i not in set(removed))
+    if not sensors or open_loop:
         return EstimatorState(removed=removed, sensors=sensors, x_hat=x0.copy(),
-                              P=np.eye(model.n), mode="open_loop", smoothing=smoothing)
+                              smoothing=smoothing)
     c_r, nu_r = model.c[sensors, :], model.nu[np.ix_(sensors, sensors)]
     R_r = nu_r @ nu_r.T
     if np.min(np.linalg.svd(R_r, compute_uv=False)) <= 1e-12:
         raise EstimatorConfigError(
             f"estimator {ident}: reduced R is singular; add measurement noise on retained sensors")
-    R_inv = np.linalg.inv(R_r)
-    Q = model.sigma @ model.sigma.T
-    if mode == "constant_gain":
-        K = steady_state_gain(model.F, c_r, Q, R_r)
-        P = np.eye(model.n)
-    else:
-        P = np.eye(model.n)
-        K = P @ c_r.T @ R_inv
+    K = steady_state_gain(model.F, c_r, model.sigma @ model.sigma.T, R_r)
     return EstimatorState(removed=removed, sensors=sensors, x_hat=x0.copy(),
-                          P=P, mode=mode, K=K, c_r=c_r, nu_r=nu_r, R_r_inv=R_inv,
-                          smoothing=smoothing)
+                          K=K, c_r=c_r, nu_r=nu_r, smoothing=smoothing)
 
 
 def make_bank(model: SystemModel, patterns: Sequence[Sequence[int]], x0: np.ndarray,
@@ -223,22 +208,28 @@ def make_bank(model: SystemModel, patterns: Sequence[Sequence[int]], x0: np.ndar
               smoothing: float = 0.95, with_pairs: bool = True) -> EstimatorBank:
     """Build the m single filters and the pairwise filters.
 
-    x_hat(0) = x0 for every filter (the system starts known-safe) and
-    P(0) = I. x0 may be a stack (runs, n); each filter then tracks every run
-    in lockstep. gammas/thetas may be filled in later by calibration.
+    x_hat(0) = x0 for every filter (the system starts known-safe). In
+    constant_gain mode each filter with sensors gets its steady-state gain;
+    in open_loop mode every filter runs open loop. x0 may be a stack
+    (runs, n); each filter then tracks every run in lockstep. gammas/thetas
+    may be filled in later by calibration.
     """
+    if mode not in MODES:
+        raise ContractError(f"unknown filter mode {mode!r}: use one of {', '.join(MODES)}")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim > 2 or x0.shape[-1:] != (model.n,):
         raise ContractError("x0 dimension mismatch")
+    open_loop = mode == "open_loop"
     pats = [tuple(sorted(int(s) for s in p)) for p in patterns]
-    singles = [_make_state(model, ("single", i), pat, x0, mode, smoothing)
+    singles = [_make_state(model, f"single {i}", pat, x0, open_loop, smoothing)
                for i, pat in enumerate(pats)]
     pairs = {}
     if with_pairs:
         for i in range(len(pats)):
             for j in range(i + 1, len(pats)):
                 both = tuple(sorted(set(pats[i]) | set(pats[j])))
-                pairs[(i, j)] = _make_state(model, ("pair", i, j), both, x0, mode, smoothing)
+                pairs[(i, j)] = _make_state(model, f"pair {i},{j}", both, x0, open_loop,
+                                            smoothing)
     m = len(pats)
     g = np.zeros(m) if gammas is None else np.asarray(gammas, dtype=float)
     th = dict(thetas) if thetas else {}
@@ -294,6 +285,7 @@ def calibrate_gammas(model: SystemModel, scen: FaultScenario, n_runs: int, horiz
     u = np.zeros(model.p)
     x = np.zeros((n_runs, n))
     bank = make_bank(model, clean.sensor_patterns, x, mode=mode, with_pairs=False)
+    bank.check_euler_step(model, dt)
     rngs = [np.random.default_rng(seed + run) for run in range(n_runs)]
     noise = np.empty((NOISE_BLOCK, n_runs, n + q))
     sups = np.zeros((n_runs, m))

@@ -95,8 +95,8 @@ def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
 @dataclass(frozen=True)
 class FixedTerms:
     """Per filter, the row terms that no step of a run changes: hoscbf[i][c]
-    from barriers.fixed_terms for chain c, clf[i] from clf.clf_trace (None
-    where a term changes)."""
+    from barriers.fixed_terms for chain c (None marks a polynomial chain),
+    clf[i] from clf.clf_trace (None without a CLF)."""
 
     hoscbf: list
     clf: list

@@ -123,6 +123,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     if sensor_family:
         bank = make_bank(model, scn.bank_patterns, scn.x0, mode=scn.estimator_mode,
                          gammas=scn.gammas, thetas=scn.thetas, smoothing=scn.estimator_smoothing)
+        bank.check_euler_step(model, dt)
         m = bank.m
         fixed = fixed_row_terms(model, scn.chains, bank, scn.clf)
 

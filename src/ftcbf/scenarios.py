@@ -34,7 +34,7 @@ from .barriers import HalfPlane, Poly, build_chain, ellipsoid_barrier
 from .clf import QuadraticClf, build_quadratic_clf, solve_lyapunov
 from .errors import (ContractError, FtcbfError, LyapunovError, RedundancyError,
                      ScenarioValidationError, SolverError, UncontrollableBarrierError)
-from .estimators import steady_state_gain
+from .estimators import MODES as ESTIMATOR_MODES, steady_state_gain
 from .optimizer import QpProblem, check_problem_size
 from .policy import CLF_MODES, MODES, PolicyConfig
 from .simulator import FaultScenario, SystemModel, step_count
@@ -451,7 +451,7 @@ SCHEMA = {
                                   "r": _positive_number, "K": _MATRIX})},
     "sim": {"dt": _positive_number, "horizon": _positive_number, "x0": _NUMBERS,
             "cost": (_MATRIX, {"identity"})},
-    "estimators": (None, {"mode": {"constant_gain", "riccati_ode", "open_loop"},
+    "estimators": (None, {"mode": set(ESTIMATOR_MODES),
                           "smoothing": _fraction}),
     "calibration": (None, {"gammas": (None, [_nonnegative(_finite_number)]),
                            "thetas": (None, lambda value, where: _parse_thetas(value)),

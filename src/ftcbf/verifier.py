@@ -225,7 +225,9 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
     where the constraints bind. alpha acts elementwise on a stack."""
     rng = np.random.default_rng(seed)
     pts = latin_hypercube(rng, budget, model.n, -box, box)
-    barrier_chains = [cs[0] for cs in af_chain_sets]  # unmasked member per barrier
+    # cs[0] is barrier k's chain under patterns[0]; only its degree-0 member
+    # is read, and that member is h itself under every mask.
+    barrier_chains = [cs[0] for cs in af_chain_sets]
 
     def states(lo, hi):
         x = pts[lo:hi].copy()

@@ -230,15 +230,12 @@ def test_step2_pruning_fixture():
     from ftcbf.estimators import EstimatorBank, EstimatorState
 
     def est(i, x):
-        return EstimatorState(removed=(), sensors=(0,),
-                              x_hat=np.asarray(x, float), P=np.eye(2), mode="open_loop")
+        return EstimatorState(removed=(), sensors=(0,), x_hat=np.asarray(x, float))
 
     x_ij = [0.11, float(np.sqrt(0.2 ** 2 - 0.11 ** 2))]
     bank = EstimatorBank(
         singles=[est(0, [0.0, 0.0]), est(1, [1.5, 0.0])],
-        pairs={(0, 1): EstimatorState(removed=(), sensors=(),
-                                      x_hat=np.asarray(x_ij), P=np.eye(2),
-                                      mode="open_loop")},
+        pairs={(0, 1): EstimatorState(removed=(), sensors=(), x_hat=np.asarray(x_ij))},
         gammas=np.zeros(2), thetas={(0, 1): 1.0})
 
     # u >= 1 from estimator 0 contradicts -u >= 1 from estimator 1

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import yaml
+import time
 from dataclasses import replace
 
 from ftcbf.errors import ContractError, DetectabilityError, EstimatorConfigError
 from ftcbf.estimators import calibrate_gammas, ekf_step, make_bank, steady_state_gain
-from ftcbf.scenarios import WMR_C, WMR_F, WMR_G, load_scenario
+from ftcbf.runner import run_scenario
+from ftcbf.scenarios import SCHEMA, WMR_C, WMR_F, WMR_G, build_scenario, load_scenario
 from ftcbf.simulator import FaultScenario, SystemModel, measure, step_true_state
 
 from conftest import integrator_model
@@ -37,18 +39,6 @@ def test_ekf_noop_without_dynamics_or_gain():
     assert np.array_equal(stepped.x_hat, est.x_hat)
 
 
-def test_riccati_scalar_fixed_point():
-    # dP/dt = Q - P^2/R with Q = R = 1 settles at P = 1, K = 1
-    model = SystemModel(np.zeros((1, 1)), np.ones((1, 1)), np.eye(1),
-                        np.eye(1), np.eye(1))
-    bank = make_bank(model, [[]], np.zeros(1), mode="riccati_ode")
-    est = replace(bank.singles[0], P=np.zeros((1, 1)), K=np.zeros((1, 1)))
-    for _ in range(1500):
-        est = ekf_step(est, np.zeros(1), np.zeros(1), 0.01, model)
-    assert est.P[0, 0] == pytest.approx(1.0, abs=1e-5)
-    assert est.K[0, 0] == pytest.approx(1.0, abs=1e-5)
-
-
 def test_exact_init_zero_noise_tracks_truth():
     model = wmr_model(sigma=0.0, nu=0.01)
     scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
@@ -63,21 +53,6 @@ def test_exact_init_zero_noise_tracks_truth():
     for est in bank.singles + list(bank.pairs.values()):
         assert np.max(np.abs(est.x_hat - x)) < 1e-10
         assert est.residue < 1e-10
-
-
-def test_covariance_stays_symmetric_psd():
-    model = wmr_model()
-    bank = make_bank(model, [[0], [2]], np.zeros(4), mode="riccati_ode")
-    rng = np.random.default_rng(8)
-    scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
-    x = np.zeros(4)
-    for k in range(300):
-        y_inc = measure(model, x, k * 0.01, scen, rng.standard_normal(6), 0.01)
-        x = step_true_state(model, x, np.zeros(2), 0.01, rng.standard_normal(4))
-        bank.step(model, np.zeros(2), y_inc, 0.01)
-        for est in bank.singles + list(bank.pairs.values()):
-            assert np.max(np.abs(est.P - est.P.T)) < 1e-12
-            assert np.min(np.linalg.eigvalsh(est.P)) >= -1e-9
 
 
 def test_constant_gain_never_changes():
@@ -100,7 +75,6 @@ def test_pair_sensor_sets_and_open_loop():
     tiny = SystemModel(-np.eye(2), np.eye(2), np.eye(2),
                        0.01 * np.eye(2), 0.01 * np.eye(2))
     bank2 = make_bank(tiny, [[0], [1]], np.zeros(2))
-    assert bank2.pairs[(0, 1)].mode == "open_loop"
     assert bank2.pairs[(0, 1)].K is None
 
 
@@ -115,7 +89,31 @@ def test_steady_state_gain_detectability_failure():
     F = np.diag([1.0, 1.0])
     c = np.array([[1.0, 0.0]])  # second (unstable) state unobservable
     with pytest.raises(DetectabilityError):
-        steady_state_gain(F, c, np.eye(2), np.eye(1), max_iter=30_000)
+        steady_state_gain(F, c, np.eye(2), np.eye(1))
+
+
+@pytest.mark.parametrize("F, c", [
+    (np.diag([1.0, -1.0]), np.array([[0.0, 1.0]])),
+    (np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 0.0]])),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((1, 2)))],
+    ids=["unstable", "polynomial-growth", "undamped-oscillation"])
+def test_steady_state_gain_fails_the_detectability_test_at_once(F, c):
+    """A pair with a mode that does not decay and that c_r does not see has
+    no steady state; the PBH test names its eigenvalue before any iteration,
+    also where the Riccati flow grows only polynomially."""
+    t0 = time.perf_counter()
+    with pytest.raises(DetectabilityError, match=r"^\(F, c_r\) is not detectable: the mode of "
+                                                 r"eigenvalue "):
+        steady_state_gain(F, c, np.eye(2), np.eye(1))
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_steady_state_gain_without_process_noise_skips_the_detectability_test():
+    """With Q = 0 the flow starts at its fixed point P = 0: the gain is 0
+    whatever F and c_r are."""
+    K = steady_state_gain(np.diag([1.0, 1.0]), np.array([[1.0, 0.0]]), np.zeros((2, 2)),
+                          np.eye(1))
+    assert np.array_equal(K, np.zeros((2, 1)))
 
 
 def test_singular_r_rejected():
@@ -198,7 +196,7 @@ def calibrate_per_run(model, scen, n_runs, horizon, epsilon, dt=0.01, seed=0,
     return sups, np.quantile(sups, 1.0 - epsilon / 2.0, axis=0)
 
 
-@pytest.mark.parametrize("case", ["constant_gain", "riccati_ode", "open_loop"])
+@pytest.mark.parametrize("case", ["constant_gain", "open_loop"])
 def test_lockstep_calibration_matches_per_run_loop(case):
     # 123 steps: two full 50-step noise blocks and a partial one
     if case == "open_loop":
@@ -233,3 +231,47 @@ def test_stored_wmr_calibration_reproduces(wmr_yaml):
                            block["epsilon"], dt=scn.dt, seed=1000, mode=scn.estimator_mode)
     assert np.max(np.abs(cal.gammas - np.asarray(block["gammas"]))) <= 1e-7
     assert abs(cal.thetas[(0, 1)] - block["thetas"]["0,1"]) <= 1e-7
+
+
+def test_unknown_filter_mode_is_an_error():
+    scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
+    message = r"^unknown filter mode 'kalman': use one of constant_gain, open_loop$"
+    with pytest.raises(ContractError, match=message):
+        make_bank(wmr_model(), scen.sensor_patterns, np.zeros(4), mode="kalman")
+    with pytest.raises(ContractError, match=message):
+        calibrate_gammas(wmr_model(), scen, 50, 1.0, 0.1, mode="kalman")
+
+
+@pytest.mark.parametrize("mode", sorted(SCHEMA["estimators"][1]["mode"]))
+def test_every_filter_mode_tracks_the_golden_wmr(wmr_yaml, mode):
+    """Up to the attack onset (t = 1 s) every filter of every mode the
+    loader accepts stays within 0.1 m of the state on seeds 0-4."""
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    cfg["sim"]["horizon"] = 1.0
+    cfg["estimators"] = {"mode": mode}
+    scn = build_scenario(cfg)
+    for seed in range(5):
+        res = run_scenario(scn, seed)
+        errors = np.linalg.norm(res.estimates - res.states[:, None, :], axis=-1)
+        assert np.max(errors) < 0.1, (seed, float(np.max(errors)))
+
+
+@pytest.mark.parametrize("nu, factor", [(2e-5, "1.83"), (1e-5, "4.66")])
+def test_euler_step_that_cannot_carry_the_gain_is_refused(nu, factor):
+    """A small measurement noise gives a gain whose fastest error mode mu
+    has |1 + mu dt| > 1 at dt = 0.02: run and calibration refuse it before
+    their first step, naming the filter, the factor and sim: dt."""
+    model = wmr_model(sigma=0.002, nu=nu)
+    scen = FaultScenario(q=6, p=2, sensor_patterns=[[0], [2]])
+    bank = make_bank(model, scen.sensor_patterns, np.zeros(4))
+    message = (rf"^filter single 0: its Euler step scales a decaying error mode by "
+               rf"\|1 \+ mu dt\| = {factor} >= 1; sim: dt = 0.02 is too large for its gain$")
+    with pytest.raises(ContractError, match=message):
+        bank.check_euler_step(model, 0.02)
+    with pytest.raises(ContractError, match=message):
+        calibrate_gammas(model, scen, 50, 1.0, 0.1, dt=0.02)
+    bank.check_euler_step(model, 0.002)
+    # The golden gain (nu = 0.002, factor 0.978) and a noise-free gain K = 0,
+    # whose error modes are all marginal, pass.
+    for golden in (wmr_model(sigma=0.002, nu=0.002), wmr_model(sigma=0.0, nu=0.002)):
+        make_bank(golden, scen.sensor_patterns, np.zeros(4)).check_euler_step(golden, 0.02)

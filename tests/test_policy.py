@@ -21,14 +21,12 @@ def stub_bank(estimates, pair_estimates=None, thetas=None, residues=None):
     singles = []
     for i, x in enumerate(estimates):
         singles.append(EstimatorState(removed=(), sensors=(0,),
-                                      x_hat=np.asarray(x, dtype=float), P=np.eye(len(x)),
-                                      mode="open_loop",
+                                      x_hat=np.asarray(x, dtype=float),
                                       residue=0.0 if residues is None else residues[i]))
     pairs = {}
     for key, x in (pair_estimates or {}).items():
         pairs[key] = EstimatorState(removed=(), sensors=(),
-                                    x_hat=np.asarray(x, dtype=float),
-                                    P=np.eye(len(x)), mode="open_loop")
+                                    x_hat=np.asarray(x, dtype=float))
     return EstimatorBank(singles=singles, pairs=pairs, gammas=np.zeros(len(estimates)),
                          thetas=thetas or {})
 

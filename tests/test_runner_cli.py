@@ -3,12 +3,13 @@ import json
 import math
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 import yaml
 
-from ftcbf import cli
+from ftcbf import cli, estimators
 from ftcbf.cli import main
 from ftcbf.errors import ContractError, ScenarioValidationError
 from ftcbf.runner import csv_lines, run_scenario, run_sweep, sweep_metrics, write_csv
@@ -265,6 +266,53 @@ def test_cli_file_errors_are_error_lines(tmp_path, wmr_yaml, capsys, monkeypatch
     assert rc == 1
     assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["run", "calibrate"])
+def test_cli_refuses_a_gain_its_euler_step_cannot_carry(tmp_path, wmr_yaml, capsys, monkeypatch,
+                                                        command):
+    """With model: nu: 2e-5 the golden WMR's single filters get a gain whose
+    fastest error mode the Euler step at dt = 0.02 scales by 1.83; run and
+    calibrate stop with an error line before any filter step."""
+    monkeypatch.setattr(estimators, "ekf_step", _never)
+    cfg = yaml.safe_load(wmr_yaml.read_text())
+    cfg["model"]["nu"] = 2e-5
+    path = tmp_path / "quiet_sensors.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = {"run": ["--seeds", "0,", "--out", str(tmp_path / "out")],
+           "calibrate": ["--runs", "50", "--out", str(tmp_path / "c.yaml")]}[command]
+    rc = main([command, "--scenario", str(path)] + out)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.splitlines()[-1].startswith(
+        "error: filter single 0: its Euler step scales a decaying error mode "
+        "by |1 + mu dt| = 1.83 >= 1; sim: dt = 0.02")
+    assert "Traceback" not in err
+    assert not (tmp_path / "c.yaml").exists()
+
+
+def test_cli_clf_without_a_stabilizable_pair_fails_at_once(tmp_path, capsys):
+    """The second state of F = [[0, 1], [0, 0]] gets no input from
+    G = [[1], [0]] and does not decay, so no LQR gain stabilizes F for the
+    CLF. The detectability test of the dual pair says so before the Riccati
+    iteration, whose flow here grows only polynomially."""
+    doc = {"kind": "custom",
+           "model": {"F": [[0.0, 1.0], [0.0, 0.0]], "G": [[1.0], [0.0]],
+                     "c": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.01, "nu": 0.01},
+           "barriers": [{"type": "half_plane", "a": [1.0, 0.0], "b": 1.0}],
+           "clf": {"radius": 0.1, "goal_indices": [0]}}
+    path = tmp_path / "unstabilizable.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    t0 = time.perf_counter()
+    rc = main(["run", "--scenario", str(path), "--seeds", "0,", "--out", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: clf: the Lyapunov solve on F is singular, and the unit LQR "
+                          "weights that would stabilize F give no gain ((F, c_r) is not "
+                          "detectable: the mode of eigenvalue 0 of F")
+    assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_calibrate_block_merges(tmp_path, wmr_yaml):
@@ -546,7 +594,9 @@ def _on_boeing(*edits):
      "policy: mode must be one of actuator_ft, baseline, sensor_ft, sensor_ft_clf, "
      "got 'sensor-ft'"),
     (_set("estimators", "mode", "kalman"),
-     "estimators: mode must be one of constant_gain, open_loop, riccati_ode, got 'kalman'"),
+     "estimators: mode must be one of constant_gain, open_loop, got 'kalman'"),
+    (_set("estimators", "mode", "riccati_ode"),
+     "estimators: mode must be one of constant_gain, open_loop, got 'riccati_ode'"),
     (_set("seeds", ["0"]), "seeds: entry 0 must be an integer"),
     (_set("seeds", [-1, 0, 0]), "seeds: entry 0 must be nonnegative, got -1"),
     (_set("seeds", [0, 1, 0]), "seeds lists seed 0 twice"),
@@ -602,8 +652,8 @@ def _on_boeing(*edits):
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
-         "unknown-estimator-mode", "text-seed", "negative-seed", "repeated-seed",
-         "pos-dim-past-n", "short-failure-pattern",
+         "unknown-estimator-mode", "removed-estimator-mode", "text-seed", "negative-seed",
+         "repeated-seed", "pos-dim-past-n", "short-failure-pattern",
          "short-nominal-q", "short-x0", "negative-gamma", "negative-theta",
          "smoothing-above-one", "smoothing-of-one", "negative-force-degree", "short-barrier-normal",
          "small-ellipsoid", "narrow-output-matrix", "negative-exponent",
