@@ -24,9 +24,9 @@ class EstimatorConfigError(FtcbfError):
 
 
 class DetectabilityError(FtcbfError):
-    """The Riccati equation has no steady state: a mode of F that does not
-    decay is unobservable (PBH test, naming its eigenvalue), or the
-    iteration diverged or ran out of budget."""
+    """No stabilizing Riccati solution: a mode of F that does not decay is
+    unobservable (PBH test) or, as an imaginary-axis eigenvalue of the
+    Hamiltonian, unreached by Q (each named), or P fails its residual check."""
 
 
 class LyapunovError(FtcbfError):

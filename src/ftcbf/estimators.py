@@ -7,7 +7,7 @@ conflict-resolution policy, and the Monte Carlo calibration that turns the
 existence statement "there is a gamma bounding the estimation error with high
 probability" into usable per-filter radii. The covariance flow of the LTI
 model does not depend on the state, so every filter with sensors runs its
-steady-state Kalman-Bucy gain from step 0; the others run open loop.
+steady-state gain, one Riccati solve, from step 0; the others run open loop.
 
 A bank built from x0 of shape (runs, n) carries one estimate per run in each
 filter (x_hat and residue gain the leading run axis) and is stepped on output
@@ -17,7 +17,6 @@ run. Calibration steps all its Monte Carlo runs this way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -28,9 +27,8 @@ from .simulator import (FaultScenario, SystemModel, matvec, measure, step_count,
                         step_true_state)
 
 MODES = ("constant_gain", "open_loop")
-_RICCATI_TOL = 1e-10      # steady_state_gain's relative residual
-_RICCATI_STEPS = 400_000  # steady_state_gain's iteration budget
-_ZERO_TOL = 1e-9          # relative size below which a singular value or Re mu counts as 0
+_RESIDUAL_TOL = 1e-8  # steady_state_gain's relative Riccati residual
+_ZERO_TOL = 1e-9      # relative size below which a singular value or Re mu counts as 0
 
 
 @dataclass
@@ -77,7 +75,7 @@ def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: floa
 def _check_detectable(F: np.ndarray, c_r: np.ndarray) -> None:
     """PBH test: every eigenvalue lambda of F with Re lambda >= 0 (up to
     rounding) must have rank [F - lambda I; c_r] = n, else that mode neither
-    decays nor shows in c_r and the Riccati equation has no steady state."""
+    decays nor shows in c_r, and no stabilizing Riccati solution exists."""
     n = F.shape[0]
     scale = max(1.0, np.max(np.abs(F)), np.max(np.abs(c_r)))
     for lam in np.linalg.eigvals(F):
@@ -91,42 +89,42 @@ def _check_detectable(F: np.ndarray, c_r: np.ndarray) -> None:
 
 def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray,
                       R_r: np.ndarray) -> np.ndarray:
-    """Constant Kalman gain K = P c_r^T R_r^-1 at the Riccati fixed point.
+    """Kalman gain K = P c_r^T R_r^-1 (float arrays, c_r 2-D) at the stabilizing
+    solution P of F P + P F^T + Q - P S P = 0, S = c_r^T R_r^-1 c_r.
 
-    With Q != 0, a pair (F, c_r) that fails the PBH detectability test is a
-    DetectabilityError at once. Otherwise integrates
-    dP/dt = F P + P F^T + Q - P c_r^T R_r^-1 c_r P with an adaptive Euler
-    step until ||dP/dt||_inf <= _RICCATI_TOL * scale, where scale is the
-    magnitude of the problem (max of ||Q|| and ||P||): small-noise models
-    need the residual driven proportionally further because the gain
-    multiplies P by R^-1. Divergence, or no convergence within
-    _RICCATI_STEPS, is a DetectabilityError too.
+    Q = 0 gives K = 0, the flow's fixed point P = 0. Otherwise a pair (F, c_r)
+    that fails the PBH detectability test is a DetectabilityError, and
+    P = U2 U1^-1, symmetrized, comes from the n eigenvectors [U1; U2] of
+    H = [[F^T, -S], [-Q, -F]] with Re mu < 0 (Laub's invariant-subspace method).
+    Fewer such mu, an eigenvalue on the imaginary axis, is a DetectabilityError
+    naming it; so is a residual above _RESIDUAL_TOL times the largest term.
     """
-    F = np.asarray(F, dtype=float)
-    c_r = np.atleast_2d(np.asarray(c_r, dtype=float))
-    Q = np.asarray(Q, dtype=float)
-    R_r = np.atleast_2d(np.asarray(R_r, dtype=float))
     if np.min(np.linalg.svd(R_r, compute_uv=False)) <= 1e-12:
         raise EstimatorConfigError("reduced measurement noise R_r is singular")
-    if np.any(Q != 0.0):
-        _check_detectable(F, c_r)
+    n = F.shape[0]
     R_inv = np.linalg.inv(R_r)
+    if not np.any(Q):
+        return np.zeros((n, c_r.shape[0]))
+    _check_detectable(F, c_r)
     S = c_r.T @ R_inv @ c_r
-    q0 = max(np.max(np.abs(Q)), 0.0)
-    r0 = max(np.max(np.abs(R_r)), 1e-300)
-    P = math.sqrt(q0 * r0) * np.eye(F.shape[0]) if q0 > 0 else np.zeros_like(F)
-    f_norm = max(1.0, np.max(np.abs(F)))
-    for _ in range(_RICCATI_STEPS):
-        dP = F @ P + P @ F.T + Q - P @ S @ P
-        scale = max(q0, np.max(np.abs(P)), 1e-12)
-        if np.max(np.abs(dP)) <= _RICCATI_TOL * scale:
-            return P @ c_r.T @ R_inv
-        if not np.all(np.isfinite(dP)) or np.max(np.abs(P)) > 1e12:
-            raise DetectabilityError("Riccati ODE diverged; (F, c_r) is not detectable")
-        step = 0.35 / (f_norm + max(1.0, np.max(np.abs(S @ P))))
-        P = (P + step * dP)
-        P = (P + P.T) / 2.0
-    raise DetectabilityError("Riccati ODE did not reach steady state within the iteration budget")
+    mu, V = np.linalg.eig(np.block([[F.T, -S], [-Q, -F]]))
+    # Scaled by the spectrum: the size of S or Q alone can dwarf every mu.
+    stable = mu.real < -_ZERO_TOL * max(1.0, np.max(np.abs(mu)))
+    if np.count_nonzero(stable) < n:
+        axis = mu[~stable][np.argmin(np.abs(mu[~stable].real))]
+        raise DetectabilityError(
+            f"no stabilizing Riccati solution: the Hamiltonian has the eigenvalue {axis:.6g} "
+            "on the imaginary axis, a mode of F that does not decay and that Q does not reach")
+    # A singular U1 gives the least-squares P, which the residual check refuses.
+    P = np.linalg.lstsq(V[:n, stable].T, V[n:, stable].T, rcond=None)[0].T.real
+    P = (P + P.T) / 2.0
+    terms = np.array([F @ P, P @ F.T, Q, -P @ S @ P])
+    residual = np.max(np.abs(terms.sum(axis=0)))
+    if not residual <= _RESIDUAL_TOL * np.max(np.abs(terms)):
+        raise DetectabilityError(
+            f"the stable eigenvectors of the Riccati Hamiltonian give no solution: residual "
+            f"{residual:.3g} against a largest term of {np.max(np.abs(terms)):.3g}")
+    return P @ c_r.T @ R_inv
 
 
 @dataclass

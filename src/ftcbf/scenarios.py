@@ -463,9 +463,9 @@ SCHEMA = {
 
 def _lqr_gain(F: np.ndarray, G: np.ndarray, Q: np.ndarray, R: np.ndarray,
               weights: str) -> np.ndarray:
-    """The LQR gain of the weights Q and R (the Riccati fixed point of the
-    dual filter); an error led by weights, which names the block they come
-    from, when they give none, an overflow included."""
+    """The LQR gain of the weights Q and R: the stabilizing Riccati solution
+    of the dual filter pair (F^T, G^T). When they give none, an overflow
+    included, the error is led by weights, which names their block."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return steady_state_gain(F.T, G.T, Q, R).T
@@ -559,6 +559,8 @@ def build_scenario(cfg: dict) -> Scenario:
                 f"policy: failure patterns need mode actuator_ft or baseline, not {mode!r}")
         if mode == "actuator_ft" and not pblock.get("patterns"):
             raise ScenarioValidationError("policy: mode 'actuator_ft' needs failure patterns")
+        if not actuator and not fblock["patterns"]:
+            raise ScenarioValidationError("faults: patterns: at least one entry is required")
         af_patterns, af_chain_sets = [], []
         if actuator:
             pattern_diags = [[1.0] * p] if mode == "baseline" else pblock["patterns"]

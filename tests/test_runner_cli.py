@@ -294,8 +294,8 @@ def test_cli_refuses_a_gain_its_euler_step_cannot_carry(tmp_path, wmr_yaml, caps
 def test_cli_clf_without_a_stabilizable_pair_fails_at_once(tmp_path, capsys):
     """The second state of F = [[0, 1], [0, 0]] gets no input from
     G = [[1], [0]] and does not decay, so no LQR gain stabilizes F for the
-    CLF. The detectability test of the dual pair says so before the Riccati
-    iteration, whose flow here grows only polynomially."""
+    CLF. The detectability test of the dual pair says so at once, before
+    the Riccati solve."""
     doc = {"kind": "custom",
            "model": {"F": [[0.0, 1.0], [0.0, 0.0]], "G": [[1.0], [0.0]],
                      "c": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.01, "nu": 0.01},
@@ -636,8 +636,6 @@ def _on_boeing(*edits):
      "faults: failure_schedule entry 0 step must be an integer, got 0.5"),
     (_on_boeing(_set("faults", "failure_schedule", [{"step": -5, "L": [1, 0, 1]}])),
      "faults: failure_schedule entry 0 step must be nonnegative, got -5"),
-    (_on_boeing(_set("policy", "nominal", "r", 1e308)),
-     "policy: nominal: the LQR weights q and r give no gain"),
     (_on_boeing(_set("policy", "nominal", "q", 1e308)),
      "policy: nominal: the LQR weights q and r give no gain"),
     (_set("policy", "delta", 0), "policy: delta must be positive or .inf, got 0"),
@@ -648,7 +646,9 @@ def _on_boeing(*edits):
                        {"type": "ellipsoid", "Phi": np.eye(4).tolist(), "center": [0.0] * 4}]),
      "barriers: entry 1 is not a half-plane, so the nonzero calibration: gammas"),
     (_set("sim", {"dt": 1.0e-300, "horizon": 1.0e+300}),
-     "sim: horizon 1e+300 / dt = 1e-300 is not a finite step count")],
+     "sim: horizon 1e+300 / dt = 1e-300 is not a finite step count"),
+    (_set("faults", {"patterns": [], "active": None, "attack": None}),
+     "faults: patterns: at least one entry is required")],
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
@@ -659,9 +659,9 @@ def _on_boeing(*edits):
          "small-ellipsoid", "narrow-output-matrix", "negative-exponent",
          "negative-v-bar-fraction", "horizon-below-dt", "fractional-failure-pattern",
          "step-and-time", "zero-lqr-r", "negative-lqr-q", "fractional-failure-step",
-         "negative-failure-step", "huge-lqr-r", "huge-lqr-q", "zero-delta",
+         "negative-failure-step", "huge-lqr-q", "zero-delta",
          "empty-goal-indices", "empty-goal-indices-with-v-bar", "gamma-on-an-ellipsoid",
-         "step-count-overflow"])
+         "step-count-overflow", "empty-sensor-patterns"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())

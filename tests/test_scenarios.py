@@ -60,6 +60,23 @@ def test_boeing_build():
     assert scn.policy.mode == "actuator_ft"
 
 
+@pytest.mark.parametrize("r, largest", [(1e4, 0.07470), (1e5, 0.01373), (1e308, None)],
+                         ids=["1e4", "1e5", "1e308"])
+def test_boeing_lqr_with_a_heavy_input_weight_stabilizes(boeing_yaml, r, largest):
+    """F is Hurwitz, so every input weight r has a stabilizing LQR gain, which
+    shrinks as r grows. At r = 1e308 it is about 2e-305: finite and nonzero,
+    with no overflow."""
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["policy"]["nominal"]["r"] = r
+    K = build_scenario(cfg).policy.nominal_gain
+    assert np.all(np.isfinite(K))
+    if largest is None:
+        assert 0.0 < np.max(np.abs(K)) <= 1e-300
+    else:
+        assert np.max(np.abs(K)) == pytest.approx(largest, rel=1e-3)
+    assert np.max(np.linalg.eigvals(BOEING_F - BOEING_G @ K).real) < 0
+
+
 def test_boeing_redundancy_controllable():
     for L in (np.diag([1.0, 0, 1]), np.diag([0.0, 1, 1])):
         B = BOEING_G @ L
