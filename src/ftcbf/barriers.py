@@ -172,9 +172,13 @@ class BarrierChain:
         return np.array([g.eval(x) for g in self.grads[d]])
 
     def hessian(self, d: int, x: np.ndarray) -> np.ndarray:
+        """d2h^d/dx2 at x, or at each state of a stack; an affine member's is
+        one zero matrix for every state."""
         n = len(self.weights[d]) if self.kind == "affine" else self.polys[d].n
         if self.kind == "affine":
             return np.zeros((n, n))
+        if isinstance(x, np.ndarray) and x.ndim > 1:
+            return _each_state(x, lambda xi: self.hessian(d, xi))
         return np.array([[self.hessians[d][i][j].eval(x) for j in range(n)] for i in range(n)])
 
     def gamma_offset(self, d: int, gamma: float) -> float:
@@ -271,35 +275,37 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
     raise ContractError(f"unsupported barrier type {type(h).__name__}")
 
 
-def _trace_term(est, H: np.ndarray) -> float:
-    """1/2 tr(nu^T K^T H K nu) of a row with Hessian H under est; 0 for an
-    estimator without a gain."""
+def _trace_term(est, H: np.ndarray):
+    """1/2 tr(nu^T K^T H K nu) of a row with Hessian H under est, over a
+    stack of Hessians (..., n, n) too; 0 for an estimator without a gain."""
     if est is None or est.K is None:
         return 0.0
     KN = est.K @ est.nu_r
-    return 0.5 * float(np.trace(KN.T @ H @ KN))
+    return 0.5 * np.trace(KN.T @ H @ KN, axis1=-2, axis2=-1)
 
 
-def _error_term(est, w: np.ndarray, gamma: float, z: Optional[np.ndarray] = None) -> float:
+def _error_term(est, w: np.ndarray, gamma: float, z: Optional[np.ndarray] = None):
     """What the error term of a row with gradient w adds to the bound: the
     worst case gamma ||w K c|| over ||z|| <= gamma when z is None, the exact
-    -w K c z otherwise; 0 for an estimator without a gain."""
+    -w K c z otherwise; 0 for an estimator without a gain. Over stacks of
+    gradients and errors (..., n) too, each sample with its own bits."""
     if est is None or est.K is None:
         return 0.0
-    wKc = w @ est.K @ est.c_r
+    wKc = (w[..., None, :] @ est.K @ est.c_r)[..., 0, :]
     if z is None:
-        return gamma * float(np.linalg.norm(wKc))
-    return -float(wKc @ np.asarray(z, dtype=float))
+        return gamma * np.sqrt(np.vecdot(wKc, wKc))
+    return -np.vecdot(wKc, z)
 
 
 def _pair_terms(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
                 gamma: float, z: Optional[np.ndarray] = None):
-    """(w, row, trace, err) of the row at x_hat: the top-degree gradient, the
-    row vector w G, and the trace and error terms of its bound."""
+    """(w, row, trace, err) of the row at x_hat, or at each of a stack: the
+    top-degree gradient (an affine chain's is one for every sample), the row
+    vector w G, and the trace and error terms of its bound."""
     d = chain.rel_degree
     w = chain.grad(d, x_hat)
-    return (w, w @ model.G, _trace_term(est, chain.hessian(d, x_hat)),
-            _error_term(est, w, gamma, z))
+    return (w, (w[..., None, :] @ model.G)[..., 0, :],
+            _trace_term(est, chain.hessian(d, x_hat)), _error_term(est, w, gamma, z))
 
 
 def fixed_terms(chain: BarrierChain, est, model: SystemModel, gamma: float):
@@ -324,10 +330,14 @@ def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
     at the estimate x_hat. With z None the error term is its worst case over
     ||z|| <= gamma (the policy's row); with z given it is exact (the
     verifier's row at a sampled error). fixed, from fixed_terms, stands in
-    for (w, row, trace, err) of the policy's row.
+    for (w, row, trace, err) of the policy's row. x_hat and z may be stacks
+    (..., n): then bound carries their leading axes, row does too unless
+    the chain is affine (one row for every sample), and each sample's row
+    and bound are the bits that sample alone gives.
     """
     w, row, trace, err = _pair_terms(chain, est, model, x_hat, gamma, z) if fixed is None else fixed
-    bound = -chain.shrunk(chain.rel_degree, x_hat, gamma) - float(w @ model.f(x_hat)) - trace + err
+    bound = (-chain.shrunk(chain.rel_degree, x_hat, gamma) - np.vecdot(w, model.f(x_hat))
+             - trace + err)
     return row, bound
 
 

@@ -526,6 +526,12 @@ def build_scenario(cfg: dict) -> Scenario:
         q = c.shape[0]
         model = SystemModel(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n, "model: sigma"),
                             _scale_or_matrix(mblock.get("nu", 0.0), q, "model: nu"))
+        for key, noise in (("sigma", model.sigma), ("nu", model.nu)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(noise @ noise.T).all()
+            if not finite:
+                raise ScenarioValidationError(
+                    f"model: {key}: the covariance {key} {key}^T overflows; use a smaller {key}")
 
         sim = cfg["sim"]
         dt = float(sim["dt"])

@@ -8,12 +8,13 @@ of estimates and estimation errors (sensor case) or states in the safe box
 samples", never "verified"; a returned counterexample is a sound witness of
 infeasibility and reproduces as an infeasible QP on the same rows.
 
-Samples are checked in blocks, in the order they are drawn. One
-optimizer.farkas_verdicts pass per block settles every sample that a point
-shows feasible, over the row basis its samples share. The first sample left
-unsettled gets a report: its farkas_certificate is the one check that
-certifies it or raises, and the report is the bits a sample-by-sample loop
-gives.
+Both falsifiers draw all their samples up front and hand falsify_region
+their stacked rows and points; it checks them in blocks, in the order they
+are drawn. One optimizer.farkas_verdicts pass per block settles every
+sample that a point shows feasible, over the row basis its samples share.
+The first sample left unsettled gets a report: its farkas_certificate is
+the one check that certifies it or raises, and the report is the bits a
+sample-by-sample loop gives.
 """
 
 from __future__ import annotations
@@ -45,30 +46,29 @@ def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
     estimate distances violate theta_ij the premise of the feasibility
     condition fails and the check is reported vacuous (feasible by premise).
     """
-    rows = _ft_rows(chains, model, ests, estimates, zs, gammas, thetas)
-    if rows is None:
-        return {"feasible": True, "vacuous": True, "certificate": None}
-    y = farkas_certificate(*rows)
-    return {"feasible": y is None, "vacuous": False, "certificate": y}
-
-
-def _ft_rows(chains, model, ests, estimates, zs, gammas, thetas) -> Optional[tuple]:
-    """The rows (A, b) that verify_ft_set_pointwise checks, or None when the
-    premise fails."""
     m = len(estimates)
     if not (len(ests) == len(zs) == len(gammas) == m):
         raise ContractError("estimates, ests, zs, gammas must have equal length")
+    estimates, zs = np.asarray(estimates, dtype=float), np.asarray(zs, dtype=float)
     if thetas:
         for i in range(m):
             for j in range(i + 1, m):
-                lim = thetas.get((i, j), np.inf)
-                if np.linalg.norm(np.asarray(estimates[i]) - np.asarray(estimates[j])) > lim:
-                    return None
-    rows = [hoscbf_pair(chain, ests[i], model, np.asarray(estimates[i], dtype=float),
-                        gammas[i], z=zs[i])
-            for i in range(m) for chain in chains]
-    A, b = zip(*rows)
-    return np.array(A), np.array(b)
+                if np.linalg.norm(estimates[i] - estimates[j]) > thetas.get((i, j), np.inf):
+                    return {"feasible": True, "vacuous": True, "certificate": None}
+    y = farkas_certificate(*_ft_rows(chains, model, ests, estimates, zs, gammas))
+    return {"feasible": y is None, "vacuous": False, "certificate": y}
+
+
+def _ft_rows(chains, model, ests, estimates, zs, gammas) -> tuple:
+    """The rows (A, b) of the m-estimator set at estimates and errors zs,
+    stacks (..., m, n): A (..., m * len(chains), p) and b (..., m * len(chains)),
+    each sample's rows the bits that sample alone gives."""
+    pairs = [hoscbf_pair(chain, ests[i], model, estimates[..., i, :], gammas[i],
+                         z=zs[..., i, :])
+             for i in range(len(ests)) for chain in chains]
+    stack = estimates.shape[:-2] + (model.p,)
+    return (np.stack([np.broadcast_to(row, stack) for row, _ in pairs], axis=-2),
+            np.stack([bound for _, bound in pairs], axis=-1))
 
 
 def latin_hypercube(rng: np.random.Generator, count: int, dims: int,
@@ -78,14 +78,6 @@ def latin_hypercube(rng: np.random.Generator, count: int, dims: int,
     for d in range(dims):
         bins[:, d] = bins[rng.permutation(count), d]
     return lo + bins * (hi - lo)
-
-
-def _ball_sample(rng: np.random.Generator, dims: int, radius: float) -> np.ndarray:
-    v = rng.standard_normal(dims)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        return np.zeros(dims)
-    return v / n * radius * rng.random() ** (1.0 / dims)
 
 
 def _to_level(x: np.ndarray, value, w: np.ndarray) -> np.ndarray:
@@ -117,17 +109,19 @@ def _first_infeasible(verdicts: Callable, lo: int, hi: int) -> int:
     return hi if ok.all() else lo + int(np.argmin(ok))
 
 
-def falsify_region(verdicts: Callable[[int, int], np.ndarray], report: Callable[[int], dict],
+def falsify_region(rows: Callable[[int, int], tuple], point: Callable[[int], dict],
                    sampler_info: dict, budget: int) -> dict:
     """Check samples 0..budget-1 in blocks of _BLOCK; first infeasible one wins.
 
-    verdicts(lo, hi) tells for samples lo..hi-1 at once whether a point
-    shows each feasible, and report(k) gives the pointwise dict of sample k
-    (with a "point" entry describing the sampled configuration). The report
-    of the first unsettled sample is the one check that certifies it or
-    raises; an FtcbfError it raises comes out as the same class with the
-    sample index and sampler seed before its message. Deterministic given
-    the sampler seed.
+    rows(lo, hi) gives the rows A (S, m, p) and b (S, m) of samples lo..hi-1
+    A u >= b, or raises RedundancyError when some sample's rows cannot be
+    assembled; point(k) describes the configuration of sample k. One
+    farkas_verdicts pass per block settles what a point shows feasible. The
+    first unsettled sample's report, from rows(k, k + 1), is the one check
+    that certifies it, says why its rows cannot be assembled, or raises; an
+    FtcbfError it raises comes out as the same class with the sample index
+    and sampler seed before its message. Deterministic given the sampler
+    seed.
     """
     if budget < 1:
         raise ContractError("falsification budget must be positive")
@@ -135,14 +129,22 @@ def falsify_region(verdicts: Callable[[int, int], np.ndarray], report: Callable[
     seeds = sampler_info.get("seeds", [])
     for lo in range(0, budget, _BLOCK):
         hi = min(lo + _BLOCK, budget)
-        k = _first_infeasible(verdicts, lo, hi)
-        if k < hi:
+        k = _first_infeasible(lambda a, b: farkas_verdicts(*rows(a, b)), lo, hi)
+        if k == hi:
+            continue
+        try:
             try:
-                out = report(k)
-            except FtcbfError as exc:
-                raise type(exc)(f"sample {k} of sampler seed "
-                                f"{', '.join(map(str, seeds))}: {exc}") from exc
-            break
+                A, b = rows(k, k + 1)
+            except RedundancyError as exc:
+                out = {"feasible": False, "certificate": None, "reason": str(exc)}
+            else:
+                y = farkas_certificate(A[0], b[0])
+                out = {"feasible": y is None, "certificate": y}
+            out["point"] = point(k)
+        except FtcbfError as exc:
+            raise type(exc)(f"sample {k} of sampler seed "
+                            f"{', '.join(map(str, seeds))}: {exc}") from exc
+        break
     return {
         "checked_conditions": sampler_info.get("conditions", ""),
         "samples": budget if out is None else k + 1,
@@ -174,16 +176,15 @@ def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
     if not (np.all(np.isfinite(gammas)) and np.all(np.isfinite(list(thetas.values())))):
         raise ContractError("sensor verification needs finite gammas and thetas; run "
                             "`ftcbf calibrate` and merge its calibration: block into the scenario")
-    m = len(ests)
+    m, n = len(ests), model.n
     rng = np.random.default_rng(seed)
     theta_min = min(thetas.values()) if thetas else 0.0
-    base_pts = latin_hypercube(rng, budget, model.n, -box, box)
-    # Each sample's estimate offsets, then its errors, drawn sample by sample.
-    radii = [theta_min / 2.0] * m + [gammas[i] for i in range(m)]
-    draws = np.empty((budget, 2 * m, model.n))
-    for k in range(budget):
-        for i, radius in enumerate(radii):
-            draws[k, i] = _ball_sample(rng, model.n, radius)
+    base_pts = latin_hypercube(rng, budget, n, -box, box)
+    # Each sample's m estimate offsets, then its m errors, uniform in their balls.
+    v = rng.standard_normal((budget, 2 * m, n))
+    radii = np.array([theta_min / 2.0] * m + list(gammas))
+    radii = radii * rng.random((budget, 2 * m)) ** (1.0 / n)
+    draws = v / np.sqrt(np.vecdot(v, v))[..., None] * radii[..., None]
 
     def sample(lo, hi):
         base = base_pts[lo:hi].copy()
@@ -193,26 +194,15 @@ def falsify_sensor_region(chains: Sequence[BarrierChain], model: SystemModel,
                 base[pushed] = _to_level(at, chain.shrunk(d, at, max(gammas)), chain.grad(d, at))
         return base[:, None] + draws[lo:hi, :m], draws[lo:hi, m:]
 
-    def verdicts(lo, hi):
-        rows = [_ft_rows(chains, model, ests, e, z, gammas, thetas)
-                for e, z in zip(*sample(lo, hi))]
-        # A sample whose premise fails is feasible by premise.
-        posed = np.array([r is not None for r in rows])
-        ok = ~posed
-        if posed.any():
-            A, b = map(np.array, zip(*(r for r in rows if r is not None)))
-            ok[posed] = farkas_verdicts(A, b)
-        return ok
+    def rows(lo, hi):
+        return _ft_rows(chains, model, ests, *sample(lo, hi), gammas)
 
-    def report(k):
-        (estimates,), (zs,) = sample(k, k + 1)
-        out = verify_ft_set_pointwise(chains, model, ests, list(estimates), list(zs), gammas,
-                                      thetas)
-        out["point"] = {"estimates": estimates.tolist(), "zs": zs.tolist()}
-        return out
+    def point(k):
+        estimates, zs = sample(k, k + 1)
+        return {"estimates": estimates[0].tolist(), "zs": zs[0].tolist()}
 
     info = {"conditions": f"sensor FT-HOSCBF set, m={m}, box={box}", "seeds": [seed]}
-    return falsify_region(verdicts, report, info, budget)
+    return falsify_region(rows, point, info, budget)
 
 
 def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
@@ -243,21 +233,12 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
                 x[unsafe] = _to_level(x[unsafe], v[unsafe], ch.grad(0, x[unsafe]))
         return x
 
-    def verdicts(lo, hi):
-        A, b, _ = af_rows(af_chain_sets, states(lo, hi), patterns, model, alpha=alpha)
-        return farkas_verdicts(A, b)
+    def rows(lo, hi):
+        return af_rows(af_chain_sets, states(lo, hi), patterns, model, alpha=alpha)[:2]
 
-    def report(k):
-        x = states(k, k + 1)[0]
-        try:
-            A, b, _ = af_rows(af_chain_sets, x, patterns, model, alpha=alpha)
-        except RedundancyError as exc:
-            return {"feasible": False, "certificate": None,
-                    "reason": str(exc), "point": {"x": x.tolist()}}
-        y = farkas_certificate(A, b)
-        return {"feasible": y is None, "certificate": y,
-                "point": {"x": x.tolist()}}
+    def point(k):
+        return {"x": states(k, k + 1)[0].tolist()}
 
     info = {"conditions": f"actuator CBF set, patterns={len(patterns)}, box={box}",
             "seeds": [seed]}
-    return falsify_region(verdicts, report, info, budget)
+    return falsify_region(rows, point, info, budget)

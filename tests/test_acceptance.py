@@ -225,6 +225,34 @@ def test_safety_probability_each_pattern(wmr_golden):
     report("Safety probability runtime <= 10 min", wall <= 600.0, f"{wall:.0f}s")
 
 
+def test_wmr_binding_fixture():
+    """The golden WMR with its goal moved to x2 = -0.3, past the barrier
+    x2 >= -0.1, so that the safety row binds during the attack (the golden
+    runs keep h0 >= 0.056 after onset). Seeds 0-9 per attacked pattern: the
+    FT policy never violates and comes within 0.03 of the barrier after
+    onset; the baseline violates on at least one seed."""
+    base = yaml.safe_load((SCENARIO_DIR / "wmr.yaml").read_text())
+    for active in (0, 1):
+        cfg = dict(base, clf=dict(base["clf"], goal=[0.0, -0.3, 0.0, 0.0]),
+                   faults=dict(base["faults"], active=active))
+        scn = build_scenario(cfg)
+        onset = int(round(base["faults"]["attack"]["start"] / scn.dt))
+        results = run_sweep(scn, range(10))
+        violations = sum(res.metrics["violated"] for res in results)
+        min_h = min(float(np.min(res.h_values[onset:, res.h_labels.index("h0_b0")]))
+                    for res in results)
+        unfiltered = max(res.metrics["unfiltered_steps"] for res in results)
+        baseline = build_scenario(dict(cfg, policy=dict(base["policy"], mode="baseline")))
+        bl_violations = sum(res.metrics["violated"] for res in run_sweep(baseline, range(10)))
+        print(f"pattern {active}: at most {unfiltered} unfiltered steps on one seed")
+        report(f"Binding WMR pattern {active}: FT never violates",
+               violations == 0, f"violations={violations}/10")
+        report(f"Binding WMR pattern {active}: FT min h0 after onset <= 0.03",
+               min_h <= 0.03, f"min h0={min_h:.4f}")
+        report(f"Binding WMR pattern {active}: baseline violates",
+               bl_violations >= 1, f"violations={bl_violations}/10")
+
+
 def test_step2_pruning_fixture():
     """Distances (1.5, 0.2, 1.4) vs theta = 1 remove exactly index j."""
     from ftcbf.estimators import EstimatorBank, EstimatorState

@@ -4,6 +4,7 @@ import pytest
 from ftcbf.barriers import (HalfPlane, Poly, af_rows, build_chain,
                             ellipsoid_barrier, hoscbf_pair, hoscbf_row)
 from ftcbf.errors import ContractError, RedundancyError, UncontrollableBarrierError
+from ftcbf.estimators import make_bank
 from ftcbf.scenarios import BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G, load_scenario
 from ftcbf.simulator import SystemModel
 
@@ -187,6 +188,29 @@ def test_chain_values_over_a_trajectory_are_each_state_alone(wmr_yaml, boeing_ya
             assert stacked.shape == (50,)
             alone = np.array([ch.value(d, x) for x in X])
             assert stacked.tobytes() == alone.tobytes()
+
+
+def test_hoscbf_pair_over_a_stack_is_each_sample_alone(wmr_yaml):
+    """hoscbf_pair over a (300, n) stack of estimates and errors gives each
+    sample the row and bound, bit for bit, that the sample alone gives: for
+    the golden WMR chain and an ellipsoid chain, under each golden filter's
+    gain, with sampled errors and with the worst case."""
+    scn = load_scenario(wmr_yaml)
+    bank = make_bank(scn.model, scn.bank_patterns, scn.x0, with_pairs=False)
+    ell = build_chain(ellipsoid_barrier(np.diag([4.0, 9.0, 0.0, 0.0]), [0.1, -0.2, 0.0, 0.0]),
+                      scn.model)
+    rng = np.random.default_rng(5)
+    X, Z = rng.uniform(-1.0, 1.0, (300, 4)), 0.01 * rng.standard_normal((300, 4))
+    for ch, gamma in ((scn.chains[0], float(scn.gammas[0])), (ell, 0.0)):
+        for est in bank.singles:
+            for z in (Z, None):
+                row, bound = hoscbf_pair(ch, est, scn.model, X, gamma, z=z)
+                assert row.shape == ((300, 2) if ch.kind == "poly" else (2,))
+                alone = [hoscbf_pair(ch, est, scn.model, X[k], gamma,
+                                     z=None if z is None else z[k]) for k in range(300)]
+                assert (np.broadcast_to(row, (300, 2)).tobytes()
+                        == np.array([r for r, _ in alone]).tobytes())
+                assert bound.tobytes() == np.array([b for _, b in alone]).tobytes()
 
 
 def test_af_redundancy_violation():

@@ -385,3 +385,38 @@ def test_euler_step_that_cannot_carry_the_gain_is_refused(nu, factor):
     # whose error modes are all marginal, pass.
     for golden in (wmr_model(sigma=0.002, nu=0.002), wmr_model(sigma=0.0, nu=0.002)):
         make_bank(golden, scen.sensor_patterns, np.zeros(4)).check_euler_step(golden, 0.02)
+
+
+def test_filter_errors_follow_their_exact_law(wmr_yaml):
+    """On the LTI model each fixed-gain filter's error e = x - x_hat follows
+    e_{k+1} = A e_k + sigma sqrt(dt) w - K nu_s sqrt(dt) v, with
+    A = I + dt (F - K c_r) and nu_s the filter's rows of nu, so its
+    covariance is P_{k+1} = A P_k A^T + dt (sigma sigma^T + K nu_s nu_s^T K^T)
+    from P_0 = 0. Over 400 lockstep attack-free runs of the golden WMR
+    filters, the mean of ||e_k||^2 / tr P_k lies within about 3 sigma of 1
+    at steps 10, 100 and 600; a slip in a noise scale moves it far out."""
+    scn = load_scenario(wmr_yaml)
+    model, dt, runs = scn.model, scn.dt, 400
+    clean = FaultScenario(q=model.q, p=model.p, sensor_patterns=scn.faults.sensor_patterns)
+    x, u = np.zeros((runs, model.n)), np.zeros(model.p)
+    bank = make_bank(model, clean.sensor_patterns, x, with_pairs=False)
+    laws = []
+    for est in bank.singles:
+        nu_s = model.nu[list(est.sensors), :]
+        laws.append((np.eye(model.n) + dt * (model.F - est.K @ est.c_r),
+                     dt * (model.sigma @ model.sigma.T + est.K @ nu_s @ nu_s.T @ est.K.T)))
+    P = [np.zeros((model.n, model.n)) for _ in bank.singles]
+    rng = np.random.default_rng(0)
+    ratios = {}
+    for k in range(1, 601):
+        w, v = rng.standard_normal((runs, model.n)), rng.standard_normal((runs, model.q))
+        y_inc = measure(model, x, (k - 1) * dt, clean, v, dt)
+        x = step_true_state(model, x, u, dt, w)
+        bank.step(model, u, y_inc, dt)
+        for i, (est, (A, D)) in enumerate(zip(bank.singles, laws)):
+            P[i] = A @ P[i] @ A.T + D
+            if k in (10, 100, 600):
+                e = x - est.x_hat
+                ratios[k, i] = float(np.mean(np.vecdot(e, e)) / np.trace(P[i]))
+    assert len(ratios) == 6
+    assert all(0.8 <= r <= 1.25 for r in ratios.values()), ratios

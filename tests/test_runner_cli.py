@@ -648,7 +648,9 @@ def _on_boeing(*edits):
     (_set("sim", {"dt": 1.0e-300, "horizon": 1.0e+300}),
      "sim: horizon 1e+300 / dt = 1e-300 is not a finite step count"),
     (_set("faults", {"patterns": [], "active": None, "attack": None}),
-     "faults: patterns: at least one entry is required")],
+     "faults: patterns: at least one entry is required"),
+    (_set("model", "sigma", 1.0e+200), "model: sigma: the covariance sigma sigma^T overflows"),
+    (_set("model", "nu", 1.0e+200), "model: nu: the covariance nu nu^T overflows")],
     ids=["policy-key", "sim-key", "clf-key", "attack-key", "nominal-key", "barrier-key",
          "calibration-key", "negative-u-max", "zero-u-max", "negative-dt", "nan-horizon",
          "zero-horizon", "list-radius", "text-active", "unknown-mode",
@@ -661,7 +663,7 @@ def _on_boeing(*edits):
          "step-and-time", "zero-lqr-r", "negative-lqr-q", "fractional-failure-step",
          "negative-failure-step", "huge-lqr-q", "zero-delta",
          "empty-goal-indices", "empty-goal-indices-with-v-bar", "gamma-on-an-ellipsoid",
-         "step-count-overflow", "empty-sensor-patterns"])
+         "step-count-overflow", "empty-sensor-patterns", "huge-sigma", "huge-nu"])
 def test_cli_unread_keys_and_unusable_values_are_errors(tmp_path, wmr_yaml, capsys, edit,
                                                          message):
     cfg = yaml.safe_load(wmr_yaml.read_text())

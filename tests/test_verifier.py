@@ -5,7 +5,7 @@ import pytest
 
 import ftcbf.optimizer as optimizer
 import ftcbf.verifier as verifier
-from ftcbf.barriers import HalfPlane, af_rows, build_chain
+from ftcbf.barriers import HalfPlane, af_rows, build_chain, hoscbf_pair
 from ftcbf.cli import _report_json
 from ftcbf.errors import RedundancyError, SolverError
 from ftcbf.estimators import make_bank
@@ -122,55 +122,59 @@ def test_latin_hypercube_stratified():
         assert np.all(counts == 1)
 
 
+# One input u under the rows u >= b0 and -u >= b1: feasible with b = -1,
+# infeasible with b = 1.
+PAIR = np.array([[1.0], [-1.0]])
+
+
+def pair_rows(infeasible, lo, hi):
+    """rows(lo, hi) of samples that are feasible except where infeasible(k)."""
+    k = np.arange(lo, hi)
+    b = np.where(infeasible(k), 1.0, -1.0)[:, None] * np.ones(2)
+    return np.broadcast_to(PAIR, (hi - lo, 2, 1)), b
+
+
 def test_falsify_region_deterministic_and_counts():
-    reported = []
+    asked = []
 
-    def verdicts(lo, hi):
-        return np.arange(lo, hi) < 5
+    def point(k):
+        asked.append(k)
+        return {"k": k}
 
-    def report(k):
-        reported.append(k)
-        return {"feasible": False}
-
-    rep = falsify_region(verdicts, report, {"seeds": [0]}, budget=20)
-    assert rep["counterexample"] is not None
-    assert rep["samples"] == 6 and reported == [5]
-    rep = falsify_region(lambda lo, hi: np.ones(hi - lo, dtype=bool), report, {}, budget=200)
-    assert rep["counterexample"] is None and rep["samples"] == 200 and reported == [5]
+    rep = falsify_region(lambda lo, hi: pair_rows(lambda k: k >= 5, lo, hi), point,
+                         {"seeds": [0]}, budget=20)
+    assert rep["counterexample"]["point"] == {"k": 5} and not rep["counterexample"]["feasible"]
+    assert rep["samples"] == 6 and asked == [5]
+    rep = falsify_region(lambda lo, hi: pair_rows(lambda k: k < 0, lo, hi), point, {},
+                         budget=200)
+    assert rep["counterexample"] is None and rep["samples"] == 200 and asked == [5]
     with pytest.raises(Exception):
-        falsify_region(verdicts, report, {}, budget=0)
+        falsify_region(lambda lo, hi: pair_rows(lambda k: k >= 5, lo, hi), point, {}, budget=0)
 
 
 @pytest.mark.parametrize("infeasible, raising, first", [
     (None, 70, 70), (100, 70, 70), (66, 70, 66), (70, 66, 66), (None, 0, 0), (127, 64, 64)])
 def test_falsify_region_decides_a_raising_block_sample_by_sample(infeasible, raising, first):
     """A block whose rows cannot be assembled is decided as a sample-by-sample
-    loop decides it: the first infeasible or failing sample is reported, and
-    an error its report raises comes out as the same class, named by the
-    sample and the sampler seed and chained to the report's own."""
+    loop decides it: the first infeasible or failing sample is reported, a
+    failing one with the reason its rows cannot be assembled."""
     asked = []
 
-    def verdicts(lo, hi):
+    def rows(lo, hi):
         asked.append((lo, hi))
         if lo <= raising < hi:
             raise RedundancyError("pattern 0 has no control authority")
-        return np.arange(lo, hi) != infeasible
+        return pair_rows(lambda k: k == infeasible, lo, hi)
 
-    def report(k):
-        if k == raising:
-            raise SolverError("no KKT active set and no Farkas certificate")
-        return {"feasible": False, "k": k}
-
+    rep = falsify_region(rows, lambda k: {"k": k}, {"seeds": [5]}, budget=500)
     if first == raising:
-        with pytest.raises(SolverError) as err:
-            falsify_region(verdicts, report, {"seeds": [5]}, budget=500)
-        assert str(err.value) == (f"sample {first} of sampler seed 5: "
-                                  "no KKT active set and no Farkas certificate")
-        assert str(err.value.__cause__) == "no KKT active set and no Farkas certificate"
+        assert rep["counterexample"] == {"feasible": False, "certificate": None,
+                                         "reason": "pattern 0 has no control authority",
+                                         "point": {"k": first}}
     else:
-        rep = falsify_region(verdicts, report, {"seeds": [5]}, budget=500)
-        assert rep["counterexample"] == {"feasible": False, "k": first}
-        assert rep["samples"] == first + 1
+        assert not rep["counterexample"]["feasible"]
+        assert rep["counterexample"]["point"] == {"k": first}
+    assert rep["samples"] == first + 1
     assert all(hi - lo <= verifier._BLOCK for lo, hi in asked)
 
 
@@ -201,7 +205,8 @@ def test_falsify_region_reports_a_real_undecided_sample(infeasible, undecided):
     """A sample whose Farkas solve raises, before, after or without an
     infeasible one, among feasible samples on its own row matrix: the
     stacked verdicts leave it unsettled without raising, and its report
-    raises as the sample loop does, named by its index."""
+    raises as the sample loop does, named by its index and chained to the
+    error of its own solve."""
     A, b = UNDECIDED
     with pytest.raises(SolverError, match="no KKT active set and no Farkas certificate"):
         farkas_certificate(A, b)
@@ -214,22 +219,20 @@ def test_falsify_region_reports_a_real_undecided_sample(infeasible, undecided):
                             np.array([1.0, 1.0, -1.0]))
     stack_A, stack_b = map(np.array, zip(*rows))
 
-    def verdicts(lo, hi):
-        return optimizer.farkas_verdicts(stack_A[lo:hi], stack_b[lo:hi])
-
-    def report(k):
-        return {"certificate": farkas_certificate(*rows[k])}
+    def stacked(lo, hi):
+        return stack_A[lo:hi], stack_b[lo:hi]
 
     unsettled = sorted(i for i in (infeasible, undecided) if i is not None)
-    assert np.flatnonzero(~verdicts(0, len(rows))).tolist() == unsettled
+    assert np.flatnonzero(~optimizer.farkas_verdicts(stack_A, stack_b)).tolist() == unsettled
     k, ref = reference_region(rows, len(rows))
     assert k == unsettled[0]
     if isinstance(ref, str):
         with pytest.raises(SolverError) as err:
-            falsify_region(verdicts, report, {"seeds": [9]}, budget=len(rows))
+            falsify_region(stacked, lambda k: {"k": k}, {"seeds": [9]}, budget=len(rows))
         assert str(err.value) == f"sample {k} of sampler seed 9: {ref}"
+        assert type(err.value.__cause__) is SolverError and str(err.value.__cause__) == ref
     else:
-        rep = falsify_region(verdicts, report, {"seeds": [9]}, budget=len(rows))
+        rep = falsify_region(stacked, lambda k: {"k": k}, {"seeds": [9]}, budget=len(rows))
         assert rep["samples"] == k + 1
         assert rep["counterexample"]["certificate"].tobytes() == ref
 
@@ -366,6 +369,97 @@ def test_falsify_actuator_golden_and_dead_pattern_match_the_sample_loop():
         rep = falsify_actuator_region(chain_sets, patterns, scn.model, 1.0, budget, seed=3)
         ref = reference_actuator_region(chain_sets, patterns, scn.model, 1.0, budget, 3)
         assert _report_json(rep) == _report_json(ref)
+
+
+def reference_sensor_region(chains, model, ests, gammas, thetas, box, budget, seed):
+    """falsify_sensor_region as a sample-by-sample loop: the same draws in the
+    same order, then one-sample hoscbf_pair calls and one farkas_certificate
+    per sample."""
+    m, n = len(ests), model.n
+    rng = np.random.default_rng(seed)
+    pts = latin_hypercube(rng, budget, n, -box, box)
+    v = rng.standard_normal((budget, 2 * m, n))
+    u = rng.random((budget, 2 * m))
+    radii = [min(thetas.values()) / 2.0] * m + list(gammas)
+    out = None
+    for k in range(budget):
+        base = pts[k]
+        if k % 2 == 1:
+            ch = chains[k // 2 % len(chains)]
+            d = ch.rel_degree
+            base = _reference_to_level(base, ch.shrunk(d, base, max(gammas)), ch.grad(d, base))
+        offsets = [v[k, i] / np.linalg.norm(v[k, i]) * (radii[i] * u[k, i] ** (1.0 / n))
+                   for i in range(2 * m)]
+        estimates, zs = [base + o for o in offsets[:m]], offsets[m:]
+        pairs = [hoscbf_pair(ch, ests[i], model, estimates[i], gammas[i], z=zs[i])
+                 for i in range(m) for ch in chains]
+        y = farkas_certificate(np.array([row for row, _ in pairs]),
+                               np.array([bound for _, bound in pairs]))
+        if y is not None:
+            out = {"feasible": False, "certificate": y,
+                   "point": {"estimates": [e.tolist() for e in estimates],
+                             "zs": [z.tolist() for z in zs]}}
+            break
+    return {"checked_conditions": f"sensor FT-HOSCBF set, m={m}, box={box}",
+            "samples": budget if out is None else k + 1, "budget": budget,
+            "counterexample": out, "seeds": [seed],
+            "verdict": "counterexample" if out else f"no counterexample in {budget} samples"}
+
+
+def sensor_slab():
+    """Two opposed half-planes under one input that moves x1 and two
+    estimates without a gain: the sensor counterpart of slab_region."""
+    model = SystemModel(np.diag([0.0, -3.0]), np.array([[1.0], [0.0]]), np.eye(2),
+                        np.zeros((2, 2)), np.eye(2))
+    chains = [build_chain(HalfPlane((1.0, 0.0), 1.0), model),
+              build_chain(HalfPlane((-1.0, 0.5), 0.02), model)]
+    return chains, model, [None, None], [0.01, 0.01], {(0, 1): 0.02}
+
+
+@pytest.mark.parametrize("seed, first", [(316, 0), (87, 63), (77, 64), (62, 127), (2, None)])
+def test_falsify_sensor_block_edges_match_the_sample_loop(seed, first):
+    """The first counterexample at a block's first sample, at its last, at
+    the next block's first and at the second block's last, and a clean
+    run: each report is the sample loop's, bytes and all."""
+    assert verifier._BLOCK == 64
+    args = (*sensor_slab(), 1.0, 200)
+    ref = reference_sensor_region(*args, seed)
+    assert ref["samples"] == (200 if first is None else first + 1)
+    assert (ref["counterexample"] is None) is (first is None)
+    assert _report_json(falsify_sensor_region(*args, seed=seed)) == _report_json(ref)
+
+
+def test_falsify_sensor_golden_wmr_matches_the_sample_loop(wmr_yaml):
+    scn = load_scenario(wmr_yaml)
+    bank = make_bank(scn.model, scn.bank_patterns, scn.x0, with_pairs=False)
+    args = (scn.chains, scn.model, bank.singles, [float(g) for g in scn.gammas], scn.thetas,
+            scn.verify_box, 300)
+    ref = reference_sensor_region(*args, 3)
+    assert ref["counterexample"] is None
+    assert _report_json(falsify_sensor_region(*args, seed=3)) == _report_json(ref)
+
+
+def test_every_golden_wmr_sample_meets_the_theta_premise(wmr_yaml, monkeypatch):
+    """The sampler keeps each sibling estimate within theta_min / 2 of its
+    base, so no sample of a golden verify is vacuous: the falsifier needs no
+    premise check."""
+    scn = load_scenario(wmr_yaml)
+    bank = make_bank(scn.model, scn.bank_patterns, scn.x0, with_pairs=False)
+    drawn, ft_rows = [], verifier._ft_rows
+
+    def recorded(chains, model, ests, estimates, zs, gammas):
+        drawn.extend(estimates)
+        return ft_rows(chains, model, ests, estimates, zs, gammas)
+
+    monkeypatch.setattr(verifier, "_ft_rows", recorded)
+    for seed in range(5):
+        rep = falsify_sensor_region(scn.chains, scn.model, bank.singles,
+                                    [float(g) for g in scn.gammas], scn.thetas,
+                                    scn.verify_box, 2000, seed=seed)
+        assert rep["counterexample"] is None
+    assert len(drawn) == 10_000
+    for (i, j), theta in scn.thetas.items():
+        assert all(np.linalg.norm(e[i] - e[j]) <= theta for e in drawn)
 
 
 def test_boeing_verify_allocation_peak_is_bounded(boeing_yaml):
