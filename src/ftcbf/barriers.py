@@ -20,7 +20,11 @@ reuses its trace and error terms. af_rows is the one place the
 actuator-failure rows of every barrier are assembled, for the policy and
 the verifier alike. Every filter's gain is fixed, so for an affine chain
 only h(x_hat) and dh/dx F x_hat move from step to step; fixed_terms
-computes the rest once per run.
+computes the rest once per run. The actuator rows are the same case with
+the true state for x_hat: over affine chains af_fixed_terms computes the
+rows A, the gradients, the offsets and the authority check once, and
+af_rows computes only each bound, with the dot products the per-state
+assembly uses, so the rows are the bits that assembly gives.
 """
 
 from __future__ import annotations
@@ -346,36 +350,105 @@ def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float, fixed
     return hoscbf_pair(chain, est, model, est.x_hat, gamma, fixed=fixed)
 
 
-def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
-            patterns: Sequence[np.ndarray], model: SystemModel,
-            alpha: Callable[[float], float] = lambda s: s):
-    """(A, b, sources): one noise-free row per barrier and failure pattern,
-    evaluated at the true state, barrier by barrier.
+@dataclass(frozen=True)
+class AfTerms:
+    """What af_rows reads of an all-affine chain set that no state changes:
+    the rows A (m x p), the top-degree gradients W (m x n) and offsets (m,),
+    the source tags, and the first pattern whose rows have no control
+    authority (None when every pattern has some)."""
 
-    chain_sets[k][j] is barrier k's chain built with input_mask=patterns[j];
-    row af_cbf(j)[k] (af_hocbf above degree 0) is its row. A pattern that
-    leaves a barrier no control authority indicates missing actuator
-    redundancy. x may be a stack of states (..., n); then A and b carry its
-    leading axes, alpha acts elementwise, and each state's rows are the bits
-    that state alone gives (np.vecdot and a matmul per state).
-    """
-    x = np.asarray(x, dtype=float)
+    A: np.ndarray
+    W: np.ndarray
+    offsets: np.ndarray
+    sources: list
+    dead: Optional[int]
+
+
+def _af_matrix(chain_sets, x: np.ndarray, patterns, model: SystemModel):
+    """(A, W, sources): each row's gradient at x (a state or a stack) and
+    its row W G L, barrier by barrier."""
     if any(len(chains) != len(patterns) for chains in chain_sets):
         raise RedundancyError("one chain per failure pattern is required")
     stack, m = x.shape[:-1], len(chain_sets) * len(patterns)
-    fx = model.f(x)
     A, W = np.empty(stack + (m, model.p)), np.empty(stack + (m, model.n))
-    values, sources = [], []
+    sources = []
     for k, chains in enumerate(chain_sets):
         for j, (chain, L) in enumerate(zip(chains, patterns)):
             i, d = len(sources), chain.rel_degree
             W[..., i, :] = chain.grad(d, x)
             A[..., i, :] = (W[..., i, None, :] @ model.G @ np.asarray(L, dtype=float))[..., 0, :]
-            values.append(chain.value(d, x))
             sources.append(f"{'af_cbf' if d == 0 else 'af_hocbf'}({j})[{k}]")
-    dead = (np.abs(A) <= 1e-12).all(axis=-1).any(axis=tuple(range(len(stack))))
-    if dead.any():
-        raise RedundancyError(f"pattern {int(dead.argmax()) % len(patterns)} has no control "
-                              "authority at this state")
+    return A, W, sources
+
+
+def _dead_pattern(A: np.ndarray, patterns) -> Optional[int]:
+    """The first pattern with a row of A (at any state of a stack) that
+    gives no control authority, or None."""
+    dead = (np.abs(A) <= 1e-12).all(axis=-1).any(axis=tuple(range(A.ndim - 2)))
+    return int(dead.argmax()) % len(patterns) if dead.any() else None
+
+
+def _check_authority(dead: Optional[int]) -> None:
+    if dead is not None:
+        raise RedundancyError(f"pattern {dead} has no control authority at this state")
+
+
+def af_fixed_terms(chain_sets: Sequence[Sequence[BarrierChain]], patterns: Sequence[np.ndarray],
+                   model: SystemModel) -> Optional[AfTerms]:
+    """The terms of af_rows that no state changes, or None when some chain
+    is polynomial, whose gradient moves with the state.
+
+    An affine chain's gradient is one vector for every state, so its row
+    W G L, the authority check on that row and its offset are fixed; they
+    are computed here as af_rows computes them at any state, bit for bit.
+    """
+    if any(chain.kind != "affine" for chains in chain_sets for chain in chains):
+        return None
+    A, W, sources = _af_matrix(chain_sets, np.zeros(model.n), patterns, model)
+    offsets = np.array([chain.offsets[chain.rel_degree]
+                        for chains in chain_sets for chain in chains])
+    # Every step's outcome holds this A, so no caller may write to it.
+    A.setflags(write=False)
+    return AfTerms(A, W, offsets, sources, _dead_pattern(A, patterns))
+
+
+def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
+            patterns: Sequence[np.ndarray], model: SystemModel,
+            alpha: Callable[[float], float] = lambda s: s, fixed: Optional[AfTerms] = None):
+    """(A, b, sources): one noise-free row per barrier and failure pattern,
+    evaluated at the true state, barrier by barrier.
+
+    chain_sets[k][j] is barrier k's chain built with input_mask=patterns[j];
+    row af_cbf(j)[k] (af_hocbf above degree 0) is its row A u >= b, with
+    b = -alpha(h^{d'}(x)) - dh^{d'}/dx F x. A pattern that leaves a barrier
+    no control authority indicates missing actuator redundancy, a
+    RedundancyError. x may be a stack of states (..., n); then A and b
+    carry its leading axes, alpha acts elementwise, and each state's rows
+    are the bits that state alone gives (np.vecdot and a matmul per state).
+
+    When every chain is affine, A, the gradients, the offsets and the
+    authority check are the same at every state: fixed, from
+    af_fixed_terms, holds them (built here when not given), and only b is
+    computed, from h^{d'}(x) = W x + offsets with the same dot products, so
+    the rows are the bits the per-state assembly gives. A set with a
+    polynomial chain is assembled state by state.
+    """
+    x = np.asarray(x, dtype=float)
+    if fixed is None:
+        fixed = af_fixed_terms(chain_sets, patterns, model)
+    if fixed is None:
+        return _af_rows_at(chain_sets, x, patterns, model, alpha)
+    _check_authority(fixed.dead)
+    A = fixed.A if x.ndim == 1 else np.broadcast_to(fixed.A, x.shape[:-1] + fixed.A.shape)
+    values = np.vecdot(fixed.W, x[..., None, :]) + fixed.offsets
+    return A, -alpha(values) - np.vecdot(fixed.W, model.f(x)[..., None, :]), list(fixed.sources)
+
+
+def _af_rows_at(chain_sets, x: np.ndarray, patterns, model: SystemModel, alpha):
+    """af_rows assembled state by state: every gradient and row at x."""
+    A, W, sources = _af_matrix(chain_sets, x, patterns, model)
+    _check_authority(_dead_pattern(A, patterns))
+    stack, m = x.shape[:-1], len(sources)
+    values = [chain.value(chain.rel_degree, x) for chains in chain_sets for chain in chains]
     values = np.moveaxis(np.array(values).reshape((m,) + stack), 0, -1)
-    return A, -alpha(values) - np.vecdot(W, fx[..., None, :]), sources
+    return A, -alpha(values) - np.vecdot(W, model.f(x)[..., None, :]), sources

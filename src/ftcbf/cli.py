@@ -54,8 +54,11 @@ def cmd_run(args) -> int:
     for note in scn.notes:
         print(f"note: {note}", file=sys.stderr)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise FtcbfError(f"--out {args.out} is not a directory")
     results = run_sweep(scn, seeds)
+    # Made only now, so that a run stopped by a check leaves no directory.
+    out.mkdir(parents=True, exist_ok=True)
     for res in results:
         write_csv(res, out / f"{scn.name}_seed{res.seed}.csv")
     metrics = sweep_metrics(results)

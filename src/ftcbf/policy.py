@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierChain, af_rows, fixed_terms, hoscbf_row
+from .barriers import AfTerms, BarrierChain, af_rows, fixed_terms, hoscbf_row
 from .clf import QuadraticClf, clf_row, clf_trace
 from .errors import ContractError
 from .estimators import EstimatorBank
@@ -208,17 +208,20 @@ def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],
 
 
 def actuator_control(cfg: PolicyConfig, model: SystemModel, x: np.ndarray,
-                     af_chain_sets, patterns, qp: QpProblem) -> ResolveOutcome:
+                     af_chain_sets, patterns, qp: QpProblem,
+                     fixed: Optional[AfTerms] = None) -> ResolveOutcome:
     """Actuator-failure policy: one QP over all pattern rows at the true state.
 
-    af_chain_sets holds one chain list per barrier, aligned with patterns.
+    af_chain_sets holds one chain list per barrier, aligned with patterns;
+    fixed, from barriers.af_fixed_terms, holds what of their rows no state
+    changes, computed once per run.
     With a nominal gain the QP runs on the deviation v = u - u_nom (the
     bounds shift by A u_nom), acting as a safety filter around the
     reference-tracking feedback. The outcome keeps the unshifted rows, which
     hold for u itself.
     """
     A, b, sources = af_rows(af_chain_sets, x, patterns, model,
-                            alpha=lambda s, k=cfg.alpha_kappa: k * s)
+                            alpha=lambda s, k=cfg.alpha_kappa: k * s, fixed=fixed)
     u_nom, b_qp = np.zeros(qp.p), b
     if cfg.nominal_gain is not None:
         u_nom = -np.asarray(cfg.nominal_gain) @ np.asarray(x, dtype=float)

@@ -19,12 +19,15 @@ merged into the policy events in step order.
 A sensor-fault step assembles the rows of its active sets once, with the row
 terms a run never changes computed before the first step
 (policy.fixed_row_terms), and hands them to the policy, whose pruning
-re-solves select from those rows. A non-finite measurement, estimate,
-smoothed residue or constraint row stops the run with a ContractError naming
-the step, its time and the filter or the row's source, since NaN would
-otherwise fail every comparison and drop out of the active sets unseen. A
-huge but finite measurement overflows to such a value; the overflow itself
-raises no floating-point warning.
+re-solves select from those rows. An actuator step likewise computes only
+its bounds, from the terms of the failure rows built before the first step
+(barriers.af_fixed_terms); only the sensor family computes the output
+increment, which its filters read, but both draw the same noise. A
+non-finite measurement, estimate, smoothed residue or constraint row stops
+the run with a ContractError naming the step, its time and the filter or
+the row's source, since NaN would otherwise fail every comparison and drop
+out of the active sets unseen. A huge but finite measurement overflows to
+such a value; the overflow itself raises no floating-point warning.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import Optional
 
 import numpy as np
 
+from .barriers import af_fixed_terms
 from .clf import goal_distances, goal_reach_time
 from .errors import ContractError
 from .estimators import make_bank
@@ -126,6 +130,8 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         bank.check_euler_step(model, dt)
         m = bank.m
         fixed = fixed_row_terms(model, scn.chains, bank, scn.clf)
+    else:
+        fixed = af_fixed_terms(scn.af_chain_sets, scn.af_patterns, model)
 
     x = scn.x0.copy()
     times = np.arange(steps + 1) * dt
@@ -152,7 +158,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, rows, scn.qp)
         else:
             outcome = actuator_control(scn.policy, model, x, scn.af_chain_sets,
-                                       scn.af_patterns, scn.qp)
+                                       scn.af_patterns, scn.qp, fixed)
         u = outcome.u
         controls[k] = u
         Z_log.append(";".join(str(i) for i in outcome.Z))
@@ -168,12 +174,12 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             events.append((k, "safety_unfiltered"))
 
         u_applied = apply_actuator_failure(u, scn.faults.effectiveness_at(t))
-        # one RNG stream per run, state draw before measurement draw
+        # One RNG stream per run, state draw before measurement draw, in
+        # either family; only the filters read the output increment.
         w = rng.standard_normal(n)
         v = rng.standard_normal(q)
-        y_inc = measure(model, x, t, scn.faults, v, dt)
-        x = step_true_state(model, x, u_applied, dt, w)
         if sensor_family:
+            y_inc = measure(model, x, t, scn.faults, v, dt)
             bad = np.flatnonzero(~np.isfinite(y_inc)).tolist()
             if bad:
                 readers = [i for i, est in enumerate(bank.singles) if set(bad) & set(est.sensors)]
@@ -182,6 +188,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             # An overflowing residue is named at the next step's check.
             with np.errstate(over="ignore", invalid="ignore"):
                 bank.step(model, u, y_inc, dt)
+        x = step_true_state(model, x, u_applied, dt, w)
 
     states[steps] = x
     if sensor_family:

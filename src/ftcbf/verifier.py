@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barriers import BarrierChain, af_rows, hoscbf_pair
+from .barriers import BarrierChain, af_fixed_terms, af_rows, hoscbf_pair
 from .errors import ContractError, FtcbfError, RedundancyError
 from .optimizer import farkas_certificate, farkas_verdicts
 from .simulator import SystemModel
@@ -212,12 +212,14 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
     """Sample states in the safe part of the box and Farkas-check the
     policy's rows A u >= b at each (af_rows, all barriers under every
     pattern jointly). Half the samples are pushed to a barrier boundary,
-    where the constraints bind. alpha acts elementwise on a stack."""
+    where the constraints bind. alpha acts elementwise on a stack. What of
+    the rows no state changes (af_fixed_terms) is computed once per call."""
     rng = np.random.default_rng(seed)
     pts = latin_hypercube(rng, budget, model.n, -box, box)
     # cs[0] is barrier k's chain under patterns[0]; only its degree-0 member
     # is read, and that member is h itself under every mask.
     barrier_chains = [cs[0] for cs in af_chain_sets]
+    fixed = af_fixed_terms(af_chain_sets, patterns, model)
 
     def states(lo, hi):
         x = pts[lo:hi].copy()
@@ -234,7 +236,8 @@ def falsify_actuator_region(af_chain_sets: Sequence[Sequence[BarrierChain]],
         return x
 
     def rows(lo, hi):
-        return af_rows(af_chain_sets, states(lo, hi), patterns, model, alpha=alpha)[:2]
+        return af_rows(af_chain_sets, states(lo, hi), patterns, model, alpha=alpha,
+                       fixed=fixed)[:2]
 
     def point(k):
         return {"x": states(k, k + 1)[0].tolist()}

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ftcbf.barriers import (HalfPlane, Poly, af_rows, build_chain,
+from ftcbf import barriers, verifier
+from ftcbf.barriers import (HalfPlane, Poly, af_fixed_terms, af_rows, build_chain,
                             ellipsoid_barrier, hoscbf_pair, hoscbf_row)
 from ftcbf.errors import ContractError, RedundancyError, UncontrollableBarrierError
 from ftcbf.estimators import make_bank
+from ftcbf.runner import run_scenario
 from ftcbf.scenarios import BOEING_F, BOEING_G, WMR_C, WMR_F, WMR_G, load_scenario
 from ftcbf.simulator import SystemModel
 
@@ -148,28 +150,77 @@ def test_af_rows_identity_patterns_identical():
         assert np.allclose(row, A[0]) and bound == pytest.approx(b[0])
 
 
-def test_af_rows_over_a_stack_are_each_state_alone():
+def test_af_rows_over_a_stack_are_each_state_alone(monkeypatch):
     """A stack of states gives each state the rows and bounds, bit for bit,
     that af_rows gives that state alone: for a half-plane (one row vector
-    for every state) and an ellipsoid (a gradient that moves with the
-    state). One state without control authority makes the stack an error."""
+    for every state, from fixed terms) and an ellipsoid (a gradient that
+    moves with the state, so the set is assembled state by state). One
+    state without control authority makes the stack an error."""
     model = boeing_model()
     patterns = [np.eye(3), np.diag([1.0, 0, 1]), np.diag([0.0, 1, 1])]
-    barriers = [HalfPlane((0, 1, 0, 0), 0.025),
-                ellipsoid_barrier(np.diag([1.0, 4.0, 1.0, 1.0]), np.zeros(4))]
+    hs = [HalfPlane((0, 1, 0, 0), 0.025),
+          ellipsoid_barrier(np.diag([1.0, 4.0, 1.0, 1.0]), np.zeros(4))]
     chain_sets = [[build_chain(h, model, input_mask=L, force_degree=0) for L in patterns]
-                  for h in barriers]
+                  for h in hs]
+    assert af_fixed_terms(chain_sets[:1], patterns, model) is not None
+    assert af_fixed_terms(chain_sets, patterns, model) is None
+    per_state = []
+    monkeypatch.setattr(barriers, "_af_rows_at",
+                        lambda *a, f=barriers._af_rows_at: per_state.append(1) or f(*a))
     X = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 7, 4))
     alpha = lambda s: 2.0 * s  # noqa: E731
-    A, b, sources = af_rows(chain_sets, X, patterns, model, alpha=alpha)
-    assert A.shape == (2, 7, 6, 3) and b.shape == (2, 7, 6)
-    for idx in np.ndindex(2, 7):
-        A1, b1, s1 = af_rows(chain_sets, X[idx], patterns, model, alpha=alpha)
-        assert A[idx].tobytes() == A1.tobytes() and b[idx].tobytes() == b1.tobytes()
-        assert s1 == sources
+    for sets in (chain_sets[:1], chain_sets):
+        per_state.clear()
+        A, b, sources = af_rows(sets, X, patterns, model, alpha=alpha)
+        assert A.shape == (2, 7, 3 * len(sets), 3) and b.shape == (2, 7, 3 * len(sets))
+        for idx in np.ndindex(2, 7):
+            A1, b1, s1 = af_rows(sets, X[idx], patterns, model, alpha=alpha)
+            assert A[idx].tobytes() == A1.tobytes() and b[idx].tobytes() == b1.tobytes()
+            assert s1 == sources
+        # The ellipsoid's set, and only it, takes the per-state path.
+        assert len(per_state) == (0 if len(sets) == 1 else 15)
     X[1, 3] = 0.0
     with pytest.raises(RedundancyError, match="pattern 0 has no control authority"):
         af_rows(chain_sets, X, patterns, model, alpha=alpha)
+
+
+def test_af_fixed_terms_give_the_per_state_rows_bit_for_bit(boeing_yaml, monkeypatch):
+    """Over affine chains af_rows computes only the bounds, from the terms
+    af_fixed_terms builds once, and its A, b and sources are the bits that
+    the per-state assembly gives each state alone: at every step state of
+    golden Boeing seeds 0-3 and at the 2000 states of its verify (sampler
+    seed 0), for the golden chains and with the degree-1 bank-angle barrier
+    phi <= 0.1 added, under alpha_kappa 1 and 2.5, over the stack and one
+    state at a time."""
+    scn = load_scenario(boeing_yaml)
+    model, patterns = scn.model, scn.af_patterns
+    seen = []
+    monkeypatch.setattr(verifier, "af_rows",
+                        lambda sets, x, *a, f=verifier.af_rows, **kw: seen.append(x) or
+                        f(sets, x, *a, **kw))
+    rep = verifier.falsify_actuator_region(scn.af_chain_sets, patterns, model, scn.verify_box,
+                                           2000, seed=0, alpha=lambda s: s)
+    assert rep["counterexample"] is None
+    X = np.concatenate([run_scenario(scn, s).states for s in range(4)] + seen)
+    assert X.shape == (4 * (scn.n_steps + 1) + 2000, 4)
+    phi = [build_chain(HalfPlane((0.0, 0.0, 0.0, -1.0), 0.1), model, input_mask=L)
+           for L in patterns]
+    assert {ch.rel_degree for ch in phi} == {1}
+    for sets in (scn.af_chain_sets, scn.af_chain_sets + [phi]):
+        fixed = af_fixed_terms(sets, patterns, model)
+        assert fixed is not None and fixed.dead is None
+        for kappa in (1.0, 2.5):
+            alpha = lambda s, k=kappa: k * s  # noqa: E731
+            ref = [barriers._af_rows_at(sets, x, patterns, model, alpha) for x in X]
+            assert all(s == ref[0][2] for _, _, s in ref)
+            A, b, sources = af_rows(sets, X, patterns, model, alpha=alpha, fixed=fixed)
+            assert A.tobytes() == np.array([r[0] for r in ref]).tobytes()
+            assert b.tobytes() == np.array([r[1] for r in ref]).tobytes()
+            assert sources == ref[0][2]
+            for x, (A0, b0, s0) in zip(X, ref):
+                A1, b1, s1 = af_rows(sets, x, patterns, model, alpha=alpha)
+                assert A1.tobytes() == A0.tobytes() and b1.tobytes() == b0.tobytes()
+                assert s1 == s0
 
 
 def test_chain_values_over_a_trajectory_are_each_state_alone(wmr_yaml, boeing_yaml):

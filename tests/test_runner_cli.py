@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
-from ftcbf import cli, estimators
+from ftcbf import cli, estimators, policy, runner
 from ftcbf.cli import main
-from ftcbf.errors import ContractError, ScenarioValidationError
+from ftcbf.errors import ContractError, RedundancyError, ScenarioValidationError
 from ftcbf.runner import csv_lines, run_scenario, run_sweep, sweep_metrics, write_csv
 from ftcbf.scenarios import build_scenario, load_scenario
 
@@ -42,6 +42,15 @@ def test_csv_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     write_csv(run_scenario(scn, 4), tmp_path / "c.csv")
     assert p1.read_bytes() != (tmp_path / "c.csv").read_bytes()
+
+
+def test_actuator_runs_compute_no_output_increment(boeing_yaml, monkeypatch):
+    """Only the filters read the output increment, so an actuator run never
+    calls measure; its CSV is the bytes of a run that may call it."""
+    scn = load_scenario(boeing_yaml)
+    expected = csv_lines(run_scenario(scn, 0))
+    monkeypatch.setattr(runner, "measure", _never)
+    assert csv_lines(run_scenario(scn, 0)) == expected
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
@@ -247,9 +256,11 @@ def _never(*args, **kwargs):
 @pytest.mark.parametrize("case", ["run-out-is-a-file", "calibrate-out-below-a-file",
                                   "verify-out-below-a-file", "run-scenario-is-a-directory"])
 def test_cli_file_errors_are_error_lines(tmp_path, wmr_yaml, capsys, monkeypatch, case):
-    """A file error is an error line; calibrate and verify find a --out they
-    cannot write before the Monte Carlo or the falsifier runs."""
-    for work in ("calibrate_gammas", "falsify_sensor_region", "falsify_actuator_region"):
+    """A file error is an error line; run, calibrate and verify find a --out
+    they cannot write before the sweep, the Monte Carlo or the falsifier
+    runs."""
+    for work in ("run_sweep", "calibrate_gammas", "falsify_sensor_region",
+                 "falsify_actuator_region"):
         monkeypatch.setattr(cli, work, _never)
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -273,7 +284,8 @@ def test_cli_refuses_a_gain_its_euler_step_cannot_carry(tmp_path, wmr_yaml, caps
                                                         command):
     """With model: nu: 2e-5 the golden WMR's single filters get a gain whose
     fastest error mode the Euler step at dt = 0.02 scales by 1.83; run and
-    calibrate stop with an error line before any filter step."""
+    calibrate stop with an error line before any filter step, and leave no
+    output behind: no file, and no empty --out directory."""
     monkeypatch.setattr(estimators, "ekf_step", _never)
     cfg = yaml.safe_load(wmr_yaml.read_text())
     cfg["model"]["nu"] = 2e-5
@@ -289,6 +301,7 @@ def test_cli_refuses_a_gain_its_euler_step_cannot_carry(tmp_path, wmr_yaml, caps
         "by |1 + mu dt| = 1.83 >= 1; sim: dt = 0.02")
     assert "Traceback" not in err
     assert not (tmp_path / "c.yaml").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_clf_without_a_stabilizable_pair_fails_at_once(tmp_path, capsys):
@@ -367,6 +380,45 @@ def test_cli_verify_exit_codes(tmp_path, boeing_yaml):
     assert rc == 2
     report = json.loads((tmp_path / "rep2.json").read_text())
     assert report["counterexample"] is not None
+
+
+def test_an_actuator_pattern_without_authority_fails_as_before(tmp_path, boeing_yaml, capsys,
+                                                              monkeypatch):
+    """Golden Boeing with the pattern [0, 0, 0] added and its barriers pinned
+    at degree 0 (force_degree) loads, but that pattern's rows are zero.
+    The run raises RedundancyError at step 0's decision, before any plant
+    step; `ftcbf run` prints it as an error line and leaves no --out
+    directory; `ftcbf verify` reports it at sample 0 with the reason, in
+    the bytes it has always had."""
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["policy"]["patterns"] = [[1, 1, 1], [0, 0, 0]]
+    for spec in cfg["barriers"]:
+        spec["force_degree"] = 0
+    path = tmp_path / "no_authority.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    message = "pattern 1 has no control authority at this state"
+
+    calls = []
+    monkeypatch.setattr(policy, "af_rows",
+                        lambda *a, f=policy.af_rows, **kw: calls.append(1) or f(*a, **kw))
+    monkeypatch.setattr(runner, "step_true_state", _never)
+    with pytest.raises(RedundancyError, match=f"^{message}$"):
+        run_scenario(load_scenario(path), 0)
+    assert calls == [1]
+
+    rc = main(["run", "--scenario", str(path), "--seeds", "0,", "--out", str(tmp_path / "out")])
+    assert rc == 1 and capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+    rc = main(["verify", "--scenario", str(path), "--budget", "100",
+               "--out", str(tmp_path / "rep.json")])
+    assert rc == 2
+    point = [-0.8462891603103861, 0.025000000000000022, 0.16185490951046755, 0.6334959729993455]
+    expected = {"budget": 100, "checked_conditions": "actuator CBF set, patterns=2, box=1.0",
+                "counterexample": {"certificate": None, "feasible": False, "point": {"x": point},
+                                   "reason": message},
+                "samples": 1, "seeds": [0], "verdict": "counterexample"}
+    assert (tmp_path / "rep.json").read_text() == cli._report_json(expected) + "\n"
 
 
 def test_cli_verify_uncalibrated_sensor_scenario(tmp_path, wmr_yaml, capsys):
