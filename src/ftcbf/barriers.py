@@ -29,7 +29,8 @@ assembly uses, so the rows are the bits that assembly gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,22 +100,19 @@ class Poly:
                 out[tuple(de)] = out.get(tuple(de), 0.0) + c * e[i]
         return Poly(self.n, out)
 
-    def eval(self, x: np.ndarray) -> float:
+    def eval(self, x: np.ndarray):
+        """p(x) at a state x (n,), a float, or at each state of a stack (..., n);
+        each power is a run of products, so each state gets the bits it gets alone."""
         x = np.asarray(x, dtype=float)
-        total = 0.0
+        cols = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
+        total = 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
         for e, c in self.terms.items():
             v = c
-            for i, p in enumerate(e):
+            for xi, p in zip(cols, e):
                 if p:
-                    v *= x[i] ** p
-            total += v
+                    v = v * math.prod([xi] * p)
+            total = total + v
         return total
-
-    def is_zero(self, tol: float = _COEF_TOL) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -150,40 +148,35 @@ class BarrierChain:
     polys: Optional[list] = None
     grads: Optional[list] = None       # poly: per-degree [dh/dx_i]
     hessians: Optional[list] = None    # poly: per-degree [[d2h/dx_i dx_j]]
-    _offset_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return self.rel_degree + 1
 
+    def __post_init__(self):
+        # grad hands out the stored gradients, so no caller may write to them.
+        for w in self.weights or ():
+            w.setflags(write=False)
+
     def value(self, d: int, x: np.ndarray):
-        """h^d at the state x, or at each state of a stack x, an array (..., n)."""
-        if isinstance(x, np.ndarray) and x.ndim > 1:
-            if self.kind == "affine":
-                # np.vecdot gives each state the bits of w @ x for that state alone.
-                return np.vecdot(self.weights[d], x) + self.offsets[d]
-            return _each_state(x, lambda xi: self.value(d, xi))
+        """h^d at the state x (n,), or at each state of a stack x (..., n)."""
         if self.kind == "affine":
-            return float(self.weights[d] @ x + self.offsets[d])
+            # np.vecdot gives each state the bits of w @ x for that state alone.
+            return np.vecdot(self.weights[d], x) + self.offsets[d]
         return self.polys[d].eval(x)
 
     def grad(self, d: int, x: np.ndarray) -> np.ndarray:
-        """dh^d/dx at x, or at each state of a stack; an affine member's is one
-        vector for every state."""
+        """dh^d/dx at x, or at each state of a stack (..., n); an affine
+        member's is one vector for every state."""
         if self.kind == "affine":
-            return np.array(self.weights[d], dtype=float)
-        if isinstance(x, np.ndarray) and x.ndim > 1:
-            return _each_state(x, lambda xi: self.grad(d, xi))
-        return np.array([g.eval(x) for g in self.grads[d]])
+            return self.weights[d]
+        return _last_axes([g.eval(x) for g in self.grads[d]], 1)
 
     def hessian(self, d: int, x: np.ndarray) -> np.ndarray:
-        """d2h^d/dx2 at x, or at each state of a stack; an affine member's is
-        one zero matrix for every state."""
-        n = len(self.weights[d]) if self.kind == "affine" else self.polys[d].n
+        """d2h^d/dx2 at x, or at each state of a stack (..., n, n); an affine
+        member's is one zero matrix for every state."""
         if self.kind == "affine":
-            return np.zeros((n, n))
-        if isinstance(x, np.ndarray) and x.ndim > 1:
-            return _each_state(x, lambda xi: self.hessian(d, xi))
-        return np.array([[self.hessians[d][i][j].eval(x) for j in range(n)] for i in range(n)])
+            return np.zeros((len(self.weights[d]),) * 2)
+        return _last_axes([[h.eval(x) for h in row] for row in self.hessians[d]], 2)
 
     def gamma_offset(self, d: int, gamma: float) -> float:
         """sup{h^d(x) : x within gamma of the zero level set}.
@@ -196,21 +189,18 @@ class BarrierChain:
         if self.kind != "affine":
             raise ContractError(f"gamma = {gamma!r} > 0 cannot shrink a polynomial barrier: "
                                 "its gamma offset is exact for half-planes only")
-        key = (d, float(gamma))
-        if key not in self._offset_cache:
-            self._offset_cache[key] = gamma * float(np.linalg.norm(self.weights[d]))
-        return self._offset_cache[key]
+        return gamma * float(np.linalg.norm(self.weights[d]))
 
     def shrunk(self, d: int, x: np.ndarray, gamma: float) -> float:
         """hat h^d(x) = h^d(x) - gamma offset."""
         return self.value(d, x) - self.gamma_offset(d, gamma)
 
 
-def _each_state(x: np.ndarray, fn: Callable) -> np.ndarray:
-    """fn at each state of a stack x (..., n), one state at a time, so that
-    each result is the bits of fn at that state alone."""
-    out = np.array([fn(xi) for xi in x.reshape(-1, x.shape[-1])])
-    return out.reshape(x.shape[:-1] + out.shape[1:])
+def _last_axes(values: list, k: int) -> np.ndarray:
+    """values, k nested lists of floats or of equal-shape arrays (...), as
+    one contiguous array with the k list axes last."""
+    out = np.array(values)
+    return np.ascontiguousarray(out.transpose(*range(k, out.ndim), *range(k)))
 
 
 def _grad_dot_g_nonzero(grad_row: np.ndarray, G_eff: np.ndarray) -> bool:
@@ -235,7 +225,7 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
     G_eff = model.G if input_mask is None else model.G @ np.asarray(input_mask, dtype=float)
 
     if isinstance(h, HalfPlane):
-        a = np.asarray(h.a, dtype=float)
+        a = np.array(h.a, dtype=float)
         if a.shape != (model.n,):
             raise ContractError("half-plane normal has wrong dimension")
         weights, offsets = [a], [float(h.b)]
@@ -254,16 +244,13 @@ def build_chain(h, model: SystemModel, input_mask: Optional[np.ndarray] = None,
         grads = [[h.diff(i) for i in range(model.n)]]
         hessians = [[[grads[0][i].diff(j) for j in range(model.n)] for i in range(model.n)]]
         for d in range(top + 1):
-            if force_degree is not None:
-                if d == force_degree:
-                    return BarrierChain("poly", d, polys=polys, grads=grads, hessians=hessians)
-            else:
-                gd = grads[d]
-                gG = [sum((gd[i] * float(G_eff[i, k]) for i in range(model.n)),
-                          Poly.constant(model.n, 0.0)) for k in range(model.p)]
-                if any(not p.is_zero(1e-9 * max(1.0, polys[d].max_abs_coeff())) for p in gG):
-                    return BarrierChain("poly", d, polys=polys, grads=grads, hessians=hessians)
             gd = grads[d]
+            gG = (sum((gd[i] * float(G_eff[i, k]) for i in range(model.n)), Poly(model.n))
+                  for k in range(model.p))
+            tol = 1e-9 * max([1.0, *map(abs, polys[d].terms.values())])
+            if d == force_degree or force_degree is None and any(
+                    abs(c) > tol for p in gG for c in p.terms.values()):
+                return BarrierChain("poly", d, polys=polys, grads=grads, hessians=hessians)
             nxt = polys[d]
             for i in range(model.n):
                 nxt = nxt + gd[i] * lin[i]
@@ -431,7 +418,7 @@ def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
     af_fixed_terms, holds them (built here when not given), and only b is
     computed, from h^{d'}(x) = W x + offsets with the same dot products, so
     the rows are the bits the per-state assembly gives. A set with a
-    polynomial chain is assembled state by state.
+    polynomial chain is evaluated in full at x.
     """
     x = np.asarray(x, dtype=float)
     if fixed is None:
@@ -445,10 +432,9 @@ def af_rows(chain_sets: Sequence[Sequence[BarrierChain]], x: np.ndarray,
 
 
 def _af_rows_at(chain_sets, x: np.ndarray, patterns, model: SystemModel, alpha):
-    """af_rows assembled state by state: every gradient and row at x."""
+    """af_rows with every gradient and row evaluated at x (a state or a stack)."""
     A, W, sources = _af_matrix(chain_sets, x, patterns, model)
     _check_authority(_dead_pattern(A, patterns))
-    stack, m = x.shape[:-1], len(sources)
-    values = [chain.value(chain.rel_degree, x) for chains in chain_sets for chain in chains]
-    values = np.moveaxis(np.array(values).reshape((m,) + stack), 0, -1)
+    values = _last_axes([chain.value(chain.rel_degree, x)
+                         for chains in chain_sets for chain in chains], 1)
     return A, -alpha(values) - np.vecdot(W, model.f(x)[..., None, :]), sources

@@ -21,7 +21,7 @@ import numpy as np
 
 from .barriers import _error_term, _trace_term
 from .errors import ContractError, LyapunovError
-from .simulator import SystemModel
+from .simulator import SystemModel, matvec
 
 STRICT_MARGIN = 1e-9
 
@@ -71,12 +71,14 @@ class QuadraticClf:
         if self.rho <= 0:
             raise ContractError("rho must be positive")
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """V at the state x (n,), or at each state of a stack (..., n)."""
         e = np.asarray(x, dtype=float) - self.x_goal
-        return float(e @ self.Psi @ e)
+        return np.vecdot(e @ self.Psi, e)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self.Psi @ (np.asarray(x, dtype=float) - self.x_goal)
+        """dV/dx at x, or at each state of a stack (..., n)."""
+        return 2.0 * matvec(self.Psi, np.asarray(x, dtype=float) - self.x_goal)
 
     def hessian(self) -> np.ndarray:
         return 2.0 * self.Psi

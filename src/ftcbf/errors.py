@@ -26,7 +26,8 @@ class EstimatorConfigError(FtcbfError):
 class DetectabilityError(FtcbfError):
     """No stabilizing Riccati solution: a mode of F that does not decay is
     unobservable (PBH test) or, as an imaginary-axis eigenvalue of the
-    Hamiltonian, unreached by Q (each named), or P fails its residual check."""
+    Hamiltonian, unreached by Q (each named), or P fails its residual check,
+    or weights too large for double precision leave that spectrum unresolved."""
 
 
 class LyapunovError(FtcbfError):

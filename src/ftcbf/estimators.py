@@ -29,6 +29,7 @@ from .simulator import (FaultScenario, SystemModel, matvec, measure, step_count,
 MODES = ("constant_gain", "open_loop")
 _RESIDUAL_TOL = 1e-8  # steady_state_gain's relative Riccati residual
 _ZERO_TOL = 1e-9      # relative size below which a singular value or Re mu counts as 0
+_AXIS_TOL = 1e-3      # relative distance within which an axis eigenvalue of H is one of F
 
 
 @dataclass
@@ -39,7 +40,6 @@ class EstimatorState:
     left, or open_loop mode) runs open loop and drops the innovation term.
     """
 
-    removed: tuple
     sensors: tuple
     x_hat: np.ndarray
     K: Optional[np.ndarray] = None
@@ -98,6 +98,8 @@ def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray,
     H = [[F^T, -S], [-Q, -F]] with Re mu < 0 (Laub's invariant-subspace method).
     Fewer such mu, an eigenvalue on the imaginary axis, is a DetectabilityError
     naming it; so is a residual above _RESIDUAL_TOL times the largest term.
+    With S, Q >= 0 such an eigenvalue is one of F; one that is not shows a
+    spectrum lost in rounding (huge weights), an error naming no eigenvalue.
     """
     if np.min(np.linalg.svd(R_r, compute_uv=False)) <= 1e-12:
         raise EstimatorConfigError("reduced measurement noise R_r is singular")
@@ -112,6 +114,11 @@ def steady_state_gain(F: np.ndarray, c_r: np.ndarray, Q: np.ndarray,
     stable = mu.real < -_ZERO_TOL * max(1.0, np.max(np.abs(mu)))
     if np.count_nonzero(stable) < n:
         axis = mu[~stable][np.argmin(np.abs(mu[~stable].real))]
+        lam = np.linalg.eigvals(F)
+        if np.min(np.abs(lam - axis)) > _AXIS_TOL * max(1.0, np.max(np.abs(lam))):
+            raise DetectabilityError(
+                "the Riccati Hamiltonian's spectrum is not resolved in double precision: "
+                "it shows an eigenvalue on the imaginary axis that F does not have")
         raise DetectabilityError(
             f"no stabilizing Riccati solution: the Hamiltonian has the eigenvalue {axis:.6g} "
             "on the imaginary axis, a mode of F that does not decay and that Q does not reach")
@@ -189,16 +196,15 @@ def _make_state(model: SystemModel, ident: str, removed: tuple, x0: np.ndarray,
                 open_loop: bool, smoothing: float) -> EstimatorState:
     sensors = tuple(i for i in range(model.q) if i not in set(removed))
     if not sensors or open_loop:
-        return EstimatorState(removed=removed, sensors=sensors, x_hat=x0.copy(),
-                              smoothing=smoothing)
+        return EstimatorState(sensors=sensors, x_hat=x0.copy(), smoothing=smoothing)
     c_r, nu_r = model.c[sensors, :], model.nu[np.ix_(sensors, sensors)]
     R_r = nu_r @ nu_r.T
     if np.min(np.linalg.svd(R_r, compute_uv=False)) <= 1e-12:
         raise EstimatorConfigError(
             f"estimator {ident}: reduced R is singular; add measurement noise on retained sensors")
     K = steady_state_gain(model.F, c_r, model.sigma @ model.sigma.T, R_r)
-    return EstimatorState(removed=removed, sensors=sensors, x_hat=x0.copy(),
-                          K=K, c_r=c_r, nu_r=nu_r, smoothing=smoothing)
+    return EstimatorState(sensors=sensors, x_hat=x0.copy(), K=K, c_r=c_r, nu_r=nu_r,
+                          smoothing=smoothing)
 
 
 def make_bank(model: SystemModel, patterns: Sequence[Sequence[int]], x0: np.ndarray,

@@ -12,9 +12,9 @@ The step loop holds only the feedback: it observes the filters, decides the
 control, records the decision, applies the actuator failure, and steps the
 plant and the bank. What a run only records is derived once from the
 finished trajectory: the barrier values from one stacked BarrierChain.value
-call per chain member, the CLF value of each state, and the wheel commands
-from the compensator recurrence over the controls, whose clamp events are
-merged into the policy events in step order.
+call per chain member, the CLF values from one QuadraticClf.value call,
+and the wheel commands from the compensator recurrence over the controls,
+whose clamp events are merged into the policy events in step order.
 
 A sensor-fault step assembles the rows of its active sets once, with the row
 terms a run never changes computed before the first step
@@ -27,7 +27,9 @@ non-finite measurement, estimate, smoothed residue or constraint row stops
 the run with a ContractError naming the step, its time and the filter or
 the row's source, since NaN would otherwise fail every comparison and drop
 out of the active sets unseen. A huge but finite measurement overflows to
-such a value; the overflow itself raises no floating-point warning.
+such a value; the overflow itself raises no floating-point warning. A
+SolverError from a step's decision is raised again, chained, with the step
+and its time in front of its message.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ import numpy as np
 
 from .barriers import af_fixed_terms
 from .clf import goal_distances, goal_reach_time
-from .errors import ContractError
+from .errors import ContractError, SolverError
 from .estimators import make_bank
-from .policy import (ResolveOutcome, active_sets, actuator_control,
-                     assemble_constraints, fixed_row_terms, resolve_conflicts)
+from .policy import (active_sets, actuator_control, assemble_constraints,
+                     fixed_row_terms, resolve_conflicts)
 from .scenarios import Scenario, wmr_compensator
 from .simulator import apply_actuator_failure, measure, step_true_state
 
@@ -155,10 +157,12 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
                 rows = assemble_constraints(scn.policy, model, scn.chains, bank, scn.clf,
                                             Z0, U0, fixed)
             _check_rows(rows, k, t)
-            outcome: ResolveOutcome = resolve_conflicts(bank, Z0, U0, rows, scn.qp)
-        else:
-            outcome = actuator_control(scn.policy, model, x, scn.af_chain_sets,
-                                       scn.af_patterns, scn.qp, fixed)
+        try:
+            outcome = (resolve_conflicts(bank, Z0, U0, rows, scn.qp) if sensor_family
+                       else actuator_control(scn.policy, model, x, scn.af_chain_sets,
+                                             scn.af_patterns, scn.qp, fixed))
+        except SolverError as exc:
+            raise type(exc)(f"step {k} (t = {t:.6g} s): {exc}") from exc
         u = outcome.u
         controls[k] = u
         Z_log.append(";".join(str(i) for i in outcome.Z))
@@ -198,7 +202,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     h_labels = [f"h{d}_b{b}" for b, d in members]
     h_values = np.stack([scn.chains[b].value(d, states) for b, d in members], axis=1)
     min_h = float(np.min(h_values[:, [d == 0 for _, d in members]]))
-    V_vals = np.array([scn.clf.value(xk) for xk in states]) if scn.clf is not None else None
+    V_vals = scn.clf.value(states) if scn.clf is not None else None
     omega = None
     if scn.compensator:
         omega, clamped = _wheel_commands(scn.x0, controls, dt)

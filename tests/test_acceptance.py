@@ -11,7 +11,7 @@ import pytest
 import yaml
 from scipy.optimize import linprog
 
-from ftcbf.barriers import HalfPlane, build_chain
+from ftcbf.barriers import HalfPlane, af_rows, build_chain
 from ftcbf.estimators import calibrate_gammas, make_bank, steady_state_gain
 from ftcbf.optimizer import QpProblem, farkas_certificate, solve_qp
 from ftcbf.policy import resolve_conflicts
@@ -19,7 +19,7 @@ from ftcbf.runner import run_scenario, run_sweep
 from ftcbf.scenarios import (BOEING_F, BOEING_G, WMR_C, WMR_F, build_scenario,
                              load_scenario)
 from ftcbf.simulator import SystemModel
-from ftcbf.verifier import falsify_sensor_region
+from ftcbf.verifier import falsify_actuator_region, falsify_sensor_region
 
 from conftest import SCENARIO_DIR, random_stable_model
 
@@ -253,17 +253,54 @@ def test_wmr_binding_fixture():
                bl_violations >= 1, f"violations={bl_violations}/10")
 
 
+def test_boeing_bank_angle_fixture():
+    """The golden Boeing with the barrier phi <= 0.1 added, which has
+    relative degree 1 under every pattern: the paper's actuator HOCBF. Its
+    FT-HOCBF set is not feasible, and verify and the run agree: verify's
+    first sample is a counterexample whose certificate holds on the rows
+    rebuilt at its point, and the seed-0 run violates the barrier only
+    after the policy has given up."""
+    doc = yaml.safe_load((SCENARIO_DIR / "boeing.yaml").read_text())
+    doc["barriers"] = doc["barriers"] + [{"type": "half_plane", "a": [0, 0, 0, -1], "b": 0.1}]
+    scn = build_scenario(doc)
+    assert [ch.rel_degree for ch in scn.af_chain_sets[-1]] == [1, 1, 1]
+    alpha = lambda s, k=scn.policy.alpha_kappa: k * s  # noqa: E731
+    rep = falsify_actuator_region(scn.af_chain_sets, scn.af_patterns, scn.model,
+                                  scn.verify_box, 2000, seed=0, alpha=alpha)
+    cex = rep["counterexample"]
+    report("Bank angle: verify finds a counterexample at sample 1",
+           cex is not None and rep["samples"] == 1, f"samples={rep['samples']}")
+    A, b, _ = af_rows(scn.af_chain_sets, np.asarray(cex["point"]["x"]), scn.af_patterns,
+                      scn.model, alpha=alpha)
+    y = cex["certificate"]
+    report("Bank angle: the certificate holds on the rebuilt rows",
+           bool(np.min(y) >= 0.0 and np.max(np.abs(A.T @ y)) <= 1e-9 * max(1.0, np.max(y))
+                and b @ y > 0.0), f"b.y={b @ y:.3g}")
+    res = run_scenario(scn, 0)
+    infeasible = [k for k, e in res.events if e == "policy_infeasible"]
+    h0 = res.h_values[:, [label.startswith("h0_") for label in res.h_labels]]
+    violating = np.flatnonzero((h0 < 0.0).any(axis=1))
+    print(f"infeasible steps {infeasible}, violating states {violating.tolist()}")
+    report("Bank angle: the run gives up and violates",
+           bool(infeasible) and res.metrics["min_h"] < 0.0,
+           f"{len(infeasible)} infeasible steps, min_h={res.metrics['min_h']:.4g}")
+    report("Bank angle: no violation before the first infeasible step",
+           bool(infeasible) and violating.size > 0 and violating[0] > infeasible[0],
+           f"first infeasible step {infeasible[:1]}, first violating state "
+           f"{violating[:1].tolist()}")
+
+
 def test_step2_pruning_fixture():
     """Distances (1.5, 0.2, 1.4) vs theta = 1 remove exactly index j."""
     from ftcbf.estimators import EstimatorBank, EstimatorState
 
     def est(i, x):
-        return EstimatorState(removed=(), sensors=(0,), x_hat=np.asarray(x, float))
+        return EstimatorState(sensors=(0,), x_hat=np.asarray(x, float))
 
     x_ij = [0.11, float(np.sqrt(0.2 ** 2 - 0.11 ** 2))]
     bank = EstimatorBank(
         singles=[est(0, [0.0, 0.0]), est(1, [1.5, 0.0])],
-        pairs={(0, 1): EstimatorState(removed=(), sensors=(), x_hat=np.asarray(x_ij))},
+        pairs={(0, 1): EstimatorState(sensors=(), x_hat=np.asarray(x_ij))},
         gammas=np.zeros(2), thetas={(0, 1): 1.0})
 
     # u >= 1 from estimator 0 contradicts -u >= 1 from estimator 1

@@ -224,21 +224,45 @@ def test_af_fixed_terms_give_the_per_state_rows_bit_for_bit(boeing_yaml, monkeyp
 
 
 def test_chain_values_over_a_trajectory_are_each_state_alone(wmr_yaml, boeing_yaml):
-    """value(d, X) over a (T, n) stack gives each state the bits value(d, x)
-    gives it alone, at every degree of the golden chains and of an
-    ellipsoid chain: a run derives its h columns this way."""
+    """value, grad and hessian over a (T, n) stack, and over a (5, 10, n)
+    one, give each state the bits they give it alone, at every degree of
+    the golden chains, of an ellipsoid chain and of a chain with a cubic
+    term; so do QuadraticClf.value and grad at the golden WMR states and
+    estimates. A run derives its h and V columns this way. A polynomial is
+    evaluated at one state on floats, and an affine gradient is the stored,
+    read-only vector."""
     rng = np.random.default_rng(8)
+    model = wmr_model(sigma=0.01)
+    cubic = Poly(4, {(0, 0, 0, 0): 1.0, (3, 0, 0, 0): -0.5, (0, 2, 0, 0): -1.0,
+                     (1, 1, 0, 0): 0.3})
     chains = [*load_scenario(wmr_yaml).chains, *load_scenario(boeing_yaml).chains,
-              build_chain(ellipsoid_barrier(np.diag([1.0, 4.0, 0.0, 0.0]), np.zeros(4)),
-                          wmr_model(sigma=0.01))]
-    assert [len(ch) for ch in chains] == [2, 1, 1, 2]
+              build_chain(ellipsoid_barrier(np.diag([1.0, 4.0, 0.0, 0.0]), np.zeros(4)), model),
+              build_chain(cubic, model)]
+    assert [len(ch) for ch in chains] == [2, 1, 1, 2, 2]
     X = rng.uniform(-1.0, 1.0, (50, 4))
     for ch in chains:
         for d in range(len(ch)):
-            stacked = ch.value(d, X)
-            assert stacked.shape == (50,)
-            alone = np.array([ch.value(d, x) for x in X])
-            assert stacked.tobytes() == alone.tobytes()
+            for method, shape in ((ch.value, ()), (ch.grad, (4,)), (ch.hessian, (4, 4))):
+                stacked = method(d, X)
+                alone = np.array([method(d, x) for x in X])
+                if ch.kind == "affine" and method != ch.value:
+                    # one gradient or Hessian for every state
+                    assert stacked.tobytes() == alone[0].tobytes() and stacked.shape == shape
+                    assert np.all(alone == alone[0])
+                else:
+                    assert stacked.shape == (50,) + shape
+                    assert stacked.tobytes() == alone.tobytes()
+                    assert method(d, X.reshape(5, 10, 4)).tobytes() == alone.tobytes()
+            if ch.kind == "poly":
+                assert type(ch.value(d, X[0])) is float
+            else:
+                assert not ch.grad(d, X).flags.writeable
+    scn = load_scenario(wmr_yaml)
+    res = run_scenario(scn, 0)
+    states = np.concatenate([res.states, res.estimates.reshape(-1, 4)])
+    for method in (scn.clf.value, scn.clf.grad):
+        assert method(states).tobytes() == np.array([method(x) for x in states]).tobytes()
+    assert res.V.tobytes() == np.array([scn.clf.value(x) for x in res.states]).tobytes()
 
 
 def test_hoscbf_pair_over_a_stack_is_each_sample_alone(wmr_yaml):

@@ -74,7 +74,6 @@ def test_constant_gain_never_changes():
 def test_pair_sensor_sets_and_open_loop():
     model = wmr_model()
     bank = make_bank(model, [[0], [2]], np.zeros(4))
-    assert bank.pairs[(0, 1)].removed == (0, 2)
     assert bank.pairs[(0, 1)].sensors == (1, 3, 4, 5)
     tiny = SystemModel(-np.eye(2), np.eye(2), np.eye(2),
                        0.01 * np.eye(2), 0.01 * np.eye(2))

@@ -20,13 +20,11 @@ def stub_bank(estimates, pair_estimates=None, thetas=None, residues=None):
     """Bank with hand-placed estimates for policy fixtures."""
     singles = []
     for i, x in enumerate(estimates):
-        singles.append(EstimatorState(removed=(), sensors=(0,),
-                                      x_hat=np.asarray(x, dtype=float),
+        singles.append(EstimatorState(sensors=(0,), x_hat=np.asarray(x, dtype=float),
                                       residue=0.0 if residues is None else residues[i]))
     pairs = {}
     for key, x in (pair_estimates or {}).items():
-        pairs[key] = EstimatorState(removed=(), sensors=(),
-                                    x_hat=np.asarray(x, dtype=float))
+        pairs[key] = EstimatorState(sensors=(), x_hat=np.asarray(x, dtype=float))
     return EstimatorBank(singles=singles, pairs=pairs, gammas=np.zeros(len(estimates)),
                          thetas=thetas or {})
 

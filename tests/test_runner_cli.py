@@ -11,7 +11,7 @@ import yaml
 
 from ftcbf import cli, estimators, policy, runner
 from ftcbf.cli import main
-from ftcbf.errors import ContractError, RedundancyError, ScenarioValidationError
+from ftcbf.errors import ContractError, RedundancyError, ScenarioValidationError, SolverError
 from ftcbf.runner import csv_lines, run_scenario, run_sweep, sweep_metrics, write_csv
 from ftcbf.scenarios import build_scenario, load_scenario
 
@@ -325,6 +325,47 @@ def test_cli_clf_without_a_stabilizable_pair_fails_at_once(tmp_path, capsys):
                           "weights that would stabilize F give no gain ((F, c_r) is not "
                           "detectable: the mode of eigenvalue 0 of F")
     assert elapsed < 1.0
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("q", [1e308, [1e200] * 4], ids=["scalar-1e308", "diagonal-1e200"])
+def test_cli_refuses_lqr_weights_whose_hamiltonian_is_not_resolved(tmp_path, boeing_yaml, capsys,
+                                                                    q):
+    """At these weights the Riccati Hamiltonian's eigenvalues at F's scale
+    drown in its rounding, and one lands on the imaginary axis where F has
+    no eigenvalue. The error names the nominal block and no eigenvalue."""
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["policy"]["nominal"]["q"] = q
+    path = tmp_path / "huge_weights.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["run", "--scenario", str(path), "--seeds", "0,", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: policy: nominal: the LQR weights q and r give no gain (the Riccati "
+                   "Hamiltonian's spectrum is not resolved in double precision: it shows an "
+                   "eigenvalue on the imaginary axis that F does not have)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_solver_error_names_its_step(tmp_path, boeing_yaml, capsys):
+    """The golden Boeing in baseline mode with the bank-angle box |phi| <= 0.1
+    diverges, and at step 121 the QP kernel finds neither an active set nor
+    a certificate. The SolverError is raised again, chained, naming the
+    step and its time; the CLI prints it and writes nothing."""
+    cfg = yaml.safe_load(boeing_yaml.read_text())
+    cfg["policy"]["mode"] = "baseline"
+    cfg["barriers"] += [{"type": "half_plane", "a": [0, 0, 0, sign], "b": 0.1}
+                        for sign in (1, -1)]
+    with pytest.raises(SolverError, match=r"^step 121 \(t = 12\.1 s\): no KKT active set and "
+                                          r"no Farkas certificate$") as info:
+        run_scenario(build_scenario(cfg), 0)
+    assert type(info.value.__cause__) is SolverError
+    path = tmp_path / "bank_box.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    rc = main(["run", "--scenario", str(path), "--seeds", "0,", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("error: step 121 (t = 12.1 s): no KKT active set and no "
+                                       "Farkas certificate\n")
     assert not (tmp_path / "out").exists()
 
 
