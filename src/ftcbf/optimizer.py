@@ -34,23 +34,29 @@ the one-shot case. farkas_verdicts takes a stack of row sets, as a verify
 loop poses them, and settles each that a point shows feasible; the rest,
 infeasible or undecidable, are left to farkas_certificate. The work splits
 by what it reads:
-- once per distinct A (and metric L): the unit rows, the QR factors of
+- once per distinct A (and metric L), in the module's record of the last
+  row matrix posed, keyed by the bytes of A and L (_RowRecord): the checks
+  of A (finite, within the row-set budget), each row's tolerance and, at
+  the first solve that needs factors, the unit rows and the QR factors of
   every set, of which only the independent sets are kept, and, at the first
   infeasible solve, every (set, row) pair's certificate weights and whether
-  the pair is dependent with nonnegative weights (_RowBasis). The module
-  keeps the last row matrix's basis, keyed by the bytes of A and L. A Boeing
-  run and every verify loop pose one A and factor once; a WMR step poses a
-  new A.
+  the pair is dependent with nonnegative weights (_RowBasis). A Boeing run
+  and every verify loop pose one A, which is checked and factored once, and
+  each later row set on it checks only its bounds; a WMR step poses a new A.
 - once per stack of bounds on one A (_Factors, with a leading sample axis; a
   RowFactors holds a stack of one b): every independent set's KKT point and
   the rows it misses for each b, and, at a RowFactors' first infeasible
   solve, each pair's margin b^T y.
 - per solve, for every b of the stack: the multipliers of the sets that
   meet the kept rows and the check of the chosen point on the original
-  rows; then, for one b, the certificate and its validation.
-The same bytes pass through the same arithmetic whether the basis is
+  rows; then, for one b, the certificate and its validation. A solve whose
+  kept bounds u = 0 meets (b <= tol) returns u = 0, zero multipliers and
+  the rows with |b| <= tol as active without factors or checks: the row
+  check reads b - A 0 = b and the stationarity check 2 R 0 = A^T 0 = 0,
+  both exact.
+The same bytes pass through the same arithmetic whether the record is
 fresh or kept, and each b of a stack through its own solves and products,
-so neither a kept basis nor the stack changes a bit of any result.
+so neither a kept record nor the stack changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -162,7 +168,6 @@ class _RowBasis:
     """The independent row sets' factors in the metric: the terms that depend
     on A and L alone, read-only and shared by every b posed on the same A."""
 
-    key: tuple           # (A.shape, A.tobytes(), L.tobytes() or None)
     AL: np.ndarray       # A L^-T
     unit: np.ndarray     # row norms in the metric, then 1 for the p padding rows
     N: np.ndarray        # the unit rows, then the padding rows
@@ -176,11 +181,10 @@ class _RowBasis:
     _pair_terms: Optional[tuple] = field(default=None, repr=False)
 
     @classmethod
-    def factor(cls, key: tuple, A: np.ndarray, L: Optional[np.ndarray]) -> "_RowBasis":
+    def factor(cls, A: np.ndarray, L: Optional[np.ndarray]) -> "_RowBasis":
         m, p = A.shape
         sets, holds = _row_sets(m, p)
-        # A copy, so that the record neither aliases nor pins the caller's rows.
-        AL = _metric_rows(np.array(A), L)
+        AL = _metric_rows(A, L)
         # The unit rows in the metric, then p padding rows: unit vectors in
         # dimensions of their own, with bound 0.
         unit = np.ones(m + p)
@@ -191,7 +195,7 @@ class _RowBasis:
         N[m:, p:] = np.eye(p)
         Q, Rs = np.linalg.qr(N[sets].transpose(0, 2, 1))
         indep = (np.abs(np.diagonal(Rs, axis1=1, axis2=2)) > _INDEP_TOL).all(axis=1)
-        return cls(key, *_read_only(AL, unit, N, sets[indep], holds[indep], Q[indep], Rs[indep]))
+        return cls(*_read_only(AL, unit, N, sets[indep], holds[indep], Q[indep], Rs[indep]))
 
     def pair_terms(self) -> tuple:
         """For every set S and row j: the weights w = -R^-1 Q^T n_j of S's
@@ -213,19 +217,54 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-# The basis of the last row matrix factored; a miss replaces it. One record
+@dataclass
+class _RowRecord:
+    """What one row matrix A and metric L give alone, read-only and shared
+    by every b posed on them: each row's tolerance, at once, and the basis,
+    at the first solve that needs factors. A record is made only for rows
+    that passed _checked, so finding one vouches for their finiteness and
+    row-set budget."""
+
+    key: tuple           # (A.shape, A.tobytes(), L.tobytes() or None)
+    A: np.ndarray        # a copy, so that the record neither aliases nor pins the caller's rows
+    L: Optional[np.ndarray]
+    tol: np.ndarray      # _FEAS_TOL times each row's norm
+    _basis: Optional[_RowBasis] = field(default=None, repr=False)
+
+    @property
+    def basis(self) -> _RowBasis:
+        if self._basis is None:
+            self._basis = _RowBasis.factor(self.A, self.L)
+        return self._basis
+
+
+# The record of the last row matrix posed; a miss replaces it. One record
 # serves every caller: a run or a verify loop poses one A throughout or a
-# new A at each step, and then a miss costs only the key.
-_basis: Optional[_RowBasis] = None
+# new A at each step, and then a miss adds only the key and a copy of A to
+# the checks and tolerances that every new A needs.
+_record: Optional[_RowRecord] = None
 
 
-def _row_basis(A: np.ndarray, L: Optional[np.ndarray]) -> _RowBasis:
-    global _basis
+def _row_record(A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None) -> _RowRecord:
+    """The module's record of the float rows A in qp's metric (the identity
+    when qp is None), after _checked's checks of A and its bounds b: every
+    check on a miss, which then records A; on a hit, which vouches for A,
+    only b's shape and finiteness and the size of R."""
+    global _record
+    L = None if qp is None else qp._L
     key = (A.shape, A.tobytes(), None if L is None else L.tobytes())
-    basis = _basis
-    if basis is None or basis.key != key:
-        basis = _basis = _RowBasis.factor(key, A, L)
-    return basis
+    record = _record
+    hit = record is not None and record.key == key
+    _checked(A, b, False, qp, recorded=hit)
+    if not hit:
+        # The tolerance is a distance, the same for a row and any multiple
+        # of it: in value, 1e-9 on a row scaled by 1e6 asks more than double
+        # precision gives, and on a row scaled by 1e-6 allows a point 1e-3
+        # outside it.
+        A = np.array(A)
+        A, tol = _read_only(A, _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A)))
+        record = _record = _RowRecord(key, A, L, tol)
+    return record
 
 
 @dataclass
@@ -240,10 +279,9 @@ class _Factors:
     misses: np.ndarray   # (sample, set, row): the set's point misses the row
 
     @classmethod
-    def build(cls, A: np.ndarray, bs: np.ndarray, tol: np.ndarray,
-              L: Optional[np.ndarray]) -> "_Factors":
-        B = _row_basis(A, L)
-        m, p = A.shape
+    def build(cls, record: _RowRecord, bs: np.ndarray) -> "_Factors":
+        B = record.basis
+        m, p = record.A.shape
         bN = np.zeros((len(bs), len(B.unit)))
         bN[:, :m] = bs / B.unit[:m]
         bS = bN[:, B.sets]
@@ -252,7 +290,7 @@ class _Factors:
         # calls, so its bits do not depend on the stack.
         z = np.linalg.solve(B.Rs.transpose(0, 2, 1), bS[..., None])
         vs = (B.Q @ z)[..., :p, 0]
-        misses = ~(vs @ B.AL.T - bs[:, None] >= -tol)
+        misses = ~(vs @ B.AL.T - bs[:, None] >= -record.tol)
         return cls(B, bS, z, vs, misses)
 
     def first_kkt(self, keep: Optional[np.ndarray] = None) -> tuple:
@@ -274,24 +312,21 @@ class _Factors:
         return s[first], j[first], mu[first]
 
 
-def _checked(A, b, stacked: bool, qp: Optional[QpProblem] = None) -> tuple:
-    """A and the bounds as float arrays, one row matrix and its bounds or
-    (stacked) a stack of each, A (S, m, p) and b (S, m), and each row's
-    tolerance; ContractError on mismatched shapes or non-finite data, and
-    SolverError beyond the row-set budget, whatever the bounds."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _checked(A: np.ndarray, b: np.ndarray, stacked: bool, qp: Optional[QpProblem] = None,
+             recorded: bool = False) -> None:
+    """ContractError unless the float rows A and bounds b are one row matrix
+    and its bounds or (stacked) a stack of each, A (S, m, p) and b (S, m),
+    of R's size and finite, and SolverError beyond the row-set budget,
+    whatever the bounds. Rows that are recorded (_row_record) were found
+    finite and within the budget when their record was made."""
     if (A.ndim != 2 + stacked or b.shape != A.shape[:-1]
             or (qp is not None and A.shape[1] != qp.p)):
         raise ContractError(f"constraint rows of shape {A.shape} and bounds of shape {b.shape} "
                             "do not match" + ("" if qp is None else f" R of size {qp.p}"))
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    if not ((recorded or np.isfinite(A).all()) and np.isfinite(b).all()):
         raise ContractError("non-finite constraint data")
-    _row_sets(*A.shape[-2:])
-    # The tolerance is a distance, the same for a row and any multiple of it:
-    # in value, 1e-9 on a row scaled by 1e6 asks more than double precision
-    # gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
-    return A, b, _FEAS_TOL * np.sqrt(np.einsum("...ij,...ij->...i", A, A))
+    if not recorded:
+        _row_sets(*A.shape[-2:])
 
 
 def _slack(A: np.ndarray, b: np.ndarray, u: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -315,27 +350,30 @@ class RowFactors:
     lie outside it. Only the test of each point against each row is one
     product over all rows, which may round differently from a product over
     fewer; it can change a decision only for a slack within rounding of the
-    1e-9 tolerance. The factors are built at the first solve that needs
-    them (none when u = 0 meets the kept rows), and every certificate the
-    rows offer at the first infeasible solve. The independent sets and
-    what of them depends on A and the metric alone come from the module's
-    basis of the last row matrix, factored again only when A or the metric
-    differs from it; the points, misses and margins, which read b, are this
-    object's, a stack of one. With qp None the metric is the identity and a
-    feasible result is not checked for stationarity (the Farkas check asks
-    for feasibility only).
+    1e-9 tolerance. What depends on A and the metric alone comes from the
+    module's record of the last row matrix (_row_record), made again only
+    when A or the metric differs from it: the checks of A, each row's
+    tolerance and, at the first solve that needs factors, the independent
+    sets' factors. A hit checks only b and the size of R. The factors are
+    needed by no solve whose u = 0 meets the kept rows; such a solve returns
+    u = 0 as it stands. The points, misses and margins, which read b, are
+    this object's, a stack of one, built at the first solve that needs them,
+    and every certificate the rows offer at the first infeasible solve. With
+    qp None the metric is the identity and a feasible result is not checked
+    for stationarity (the Farkas check asks for feasibility only).
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None):
-        self.A, self.b, self.tol = _checked(A, b, False, qp)
+        self.b = np.asarray(b, dtype=float)
+        self.record = _row_record(np.asarray(A, dtype=float), self.b, qp)
+        self.A, self.tol = self.record.A, self.record.tol
         self.qp = qp
-        self._L = None if qp is None else qp._L
         self._factors: Optional[_Factors] = None
         self._pair_table = None
 
     def _factored(self) -> _Factors:
         if self._factors is None:
-            self._factors = _Factors.build(self.A, self.b[None], self.tol, self._L)
+            self._factors = _Factors.build(self.record, self.b[None])
         return self._factors
 
     def solve(self, keep: Optional[np.ndarray] = None) -> QpResult:
@@ -344,27 +382,37 @@ class RowFactors:
         The optimum is the first set of _row_sets over the kept rows whose
         rows are independent, whose multipliers are nonnegative and whose
         point satisfies every kept row. Active sets, multipliers and the
-        certificate index the kept rows.
+        certificate index the kept rows. ContractError unless keep is None
+        or a boolean mask over the rows.
         """
         every = keep is None
-        keep = np.ones(len(self.b), dtype=bool) if every else np.asarray(keep, dtype=bool)
+        if every:
+            keep = np.ones(len(self.b), dtype=bool)
+        else:
+            keep = np.asarray(keep)
+            if keep.dtype != bool or keep.shape != self.b.shape:
+                raise ContractError(f"keep must be a boolean mask of shape {self.b.shape}, "
+                                    f"not {keep.dtype} of shape {keep.shape}")
         # With every row kept, the stored arrays serve uncopied.
         A, b, tol = ((self.A, self.b, self.tol) if every
                      else (self.A[keep], self.b[keep], self.tol[keep]))
         m, p = A.shape
         if (b <= tol).all():
-            # The empty set, u = 0, needs no factors.
-            u, lam = np.zeros(p), np.zeros(m)
-        else:
-            f = self._factored()
-            found, picks, mus = f.first_kkt(None if every else keep)
-            if not len(found):
-                return QpResult("infeasible", certificate=self._certificate(keep))
-            B, j, mu = f.basis, picks[0], mus[0]
-            u = f.vs[0, j] if self._L is None else np.linalg.solve(self._L.T, f.vs[0, j])
-            lam = np.zeros(len(B.unit))
-            lam[B.sets[j]] = 2.0 * mu / B.unit[B.sets[j]]
-            lam = np.maximum(lam[:len(self.b)][keep], 0.0)
+            # The empty set: u = 0 meets every kept row, for b - A 0 = b <= tol,
+            # and 2 R 0 = A^T 0 = 0 with zero multipliers, so the row and
+            # stationarity checks below hold exactly and are not run.
+            return QpResult("optimal", u=np.zeros(p),
+                            active=tuple(np.flatnonzero(np.abs(b) <= tol).tolist()),
+                            multipliers=np.zeros(m))
+        f = self._factored()
+        found, picks, mus = f.first_kkt(None if every else keep)
+        if not len(found):
+            return QpResult("infeasible", certificate=self._certificate(keep))
+        B, j, mu, L = f.basis, picks[0], mus[0], self.record.L
+        u = f.vs[0, j] if L is None else np.linalg.solve(L.T, f.vs[0, j])
+        lam = np.zeros(len(B.unit))
+        lam[B.sets[j]] = 2.0 * mu / B.unit[B.sets[j]]
+        lam = np.maximum(lam[:len(self.b)][keep], 0.0)
         viol = _slack(A, b, u, tol)
         if self.qp is not None:
             grad = 2.0 * self.qp.R @ u
@@ -434,23 +482,27 @@ def farkas_verdicts(A: np.ndarray, bs: np.ndarray) -> np.ndarray:
     tells which.
 
     Each run of samples whose row matrices are the same bytes takes one
-    _Factors pass over the basis of that matrix.
+    _Factors pass over the record of that matrix.
     """
-    A, bs, tols = _checked(A, bs, True)
+    A = np.asarray(A, dtype=float)
+    bs = np.asarray(bs, dtype=float)
+    _checked(A, bs, True)
     verdicts = np.zeros(len(bs), dtype=bool)
     bits = np.ascontiguousarray(A).view(np.int64)
     new = np.ones(len(A), dtype=bool)
     new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
     runs = np.append(np.flatnonzero(new), len(A))
     for lo, hi in zip(runs[:-1], runs[1:]):
-        b, tol, ok = bs[lo:hi], tols[lo], verdicts[lo:hi]
-        ok[:] = (b <= tol).all(axis=1)
+        b, ok = bs[lo:hi], verdicts[lo:hi]
+        record = _row_record(A[lo], b[0])
+        ok[:] = (b <= record.tol).all(axis=1)
         rest = np.flatnonzero(~ok)
         if rest.size:
-            f = _Factors.build(A[lo], b[rest], tol, None)
+            f = _Factors.build(record, b[rest])
             found, picks, _ = f.first_kkt()
             points = rest[found]
-            ok[points] = (b[points] - matvec(A[lo], f.vs[found, picks]) <= tol).all(axis=1)
+            ok[points] = (b[points] - matvec(record.A, f.vs[found, picks])
+                          <= record.tol).all(axis=1)
     return verdicts
 
 

@@ -9,9 +9,10 @@ from scipy.optimize import linprog
 import ftcbf.optimizer as optimizer
 from ftcbf.errors import ContractError, SolverError
 from ftcbf.barriers import af_rows
-from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors, _checked,
-                             _Factors, _validate_certificate, farkas_certificate,
+from ftcbf.optimizer import (_SUBSET_BUDGET, QpProblem, QpResult, RowFactors, _Factors,
+                             _slack, _validate_certificate, farkas_certificate,
                              farkas_verdicts, solve_qp)
+from ftcbf.runner import csv_lines, run_scenario
 from ftcbf.scenarios import build_scenario
 
 
@@ -312,13 +313,13 @@ def test_kept_basis_solves_bit_for_bit_as_a_fresh_one(system, identity, seed):
     b2 = b1 + rng.uniform(-1.0, 1.0, m) * np.linalg.norm(A, axis=1)
     keep = rng.random(m) < 0.7
     for first, second in ((b1, b2), (b2, b1)):
-        optimizer._basis = None
+        optimizer._record = None
         _outcome(RowFactors(A, first, qp), None)
-        kept = optimizer._basis
+        kept = optimizer._record
         factors = RowFactors(A, second, qp)
         warm = [_outcome(factors, None), _outcome(factors, keep)]
-        assert kept is None or optimizer._basis is kept
-        optimizer._basis = None
+        assert optimizer._record is kept
+        optimizer._record = None
         factors = RowFactors(A, second, qp)
         assert [_outcome(factors, None), _outcome(factors, keep)] == warm
 
@@ -345,11 +346,11 @@ def test_stacked_verdicts_equal_one_row_solves(system, seed):
         except SolverError:
             outcomes.append(False)
     assert farkas_verdicts(np.broadcast_to(A, (len(bs), m, p)), bs).tolist() == outcomes
-    _, _, tol = _checked(A, b, False)
-    stacked = _Factors.build(A, bs, tol, None)
+    record = RowFactors(A, b).record
+    stacked = _Factors.build(record, bs)
     assert stacked.z.shape == (len(bs), len(stacked.basis.sets), p, 1)
     for i, row in enumerate(bs):
-        one = _Factors.build(A, row[None], tol, None)
+        one = _Factors.build(record, row[None])
         for name in ("z", "vs", "misses"):
             assert getattr(stacked, name)[i].tobytes() == getattr(one, name)[0].tobytes()
 
@@ -375,9 +376,10 @@ def test_stacked_verdicts_check_their_input():
 
 
 def test_basis_is_kept_for_the_same_bytes_and_read_only():
-    """The basis is kept for rows and a metric of the same bytes, and
-    factored again when one bit of A or the cost R differs. Its arrays are
-    read-only, and a change to the caller's rows does not reach them."""
+    """The record, with its tolerances and basis, is kept for rows and a
+    metric of the same bytes, and made again when one bit of A or the cost
+    R differs. Its arrays are read-only, and a change to the caller's rows
+    does not reach them."""
     rng = np.random.default_rng(3)
     # u0 >= 1 and -u0 >= 1 are infeasible, so the certificate terms are built too.
     A = np.vstack([[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], rng.uniform(-1, 1, (3, 3))])
@@ -385,27 +387,29 @@ def test_basis_is_kept_for_the_same_bytes_and_read_only():
     M = rng.uniform(-1, 1, (3, 3))
     qp, other = QpProblem(np.eye(3)), QpProblem(M @ M.T + np.eye(3))
     assert solve_qp(qp, A, b).status == "infeasible"
-    basis = optimizer._basis
+    record = optimizer._record
     assert solve_qp(qp, A.copy(), -b).is_feasible
     assert farkas_certificate(A, b) is not None
-    assert optimizer._basis is basis
+    assert optimizer._record is record
     flipped = A.copy()
     flipped.view(np.uint64)[3, 1] ^= 1
     solve_qp(qp, flipped, b)
-    assert optimizer._basis is not basis
+    assert optimizer._record is not record
+    assert optimizer._record.A.tobytes() == flipped.tobytes()
     solve_qp(qp, A, b)
-    basis = optimizer._basis
+    record = optimizer._record
     solve_qp(other, A, b)
-    assert optimizer._basis is not basis
-    basis = optimizer._basis
-    arrays = [basis.AL, basis.unit, basis.N, basis.sets, basis.holds, basis.Q, basis.Rs,
-              *basis._pair_terms]
+    assert optimizer._record is not record
+    record = optimizer._record
+    basis = record.basis
+    arrays = [record.A, record.tol, basis.AL, basis.unit, basis.N, basis.sets, basis.holds,
+              basis.Q, basis.Rs, *basis._pair_terms]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
-    AL = basis.AL.copy()
+    kept = [a.copy() for a in (record.A, record.tol, basis.AL)]
     A[3, 1] += 1.0
-    assert np.array_equal(basis.AL, AL)
+    assert all(np.array_equal(a, k) for a, k in zip((record.A, record.tol, basis.AL), kept))
 
 
 def test_golden_boeing_basis_holds_the_independent_sets():
@@ -413,13 +417,116 @@ def test_golden_boeing_basis_holds_the_independent_sets():
     under three patterns: 27 of the 42 sets of at most 3 of the 6 rows have
     independent rows, and the basis holds those, in _row_sets order."""
     scn = build_scenario({"kind": "boeing"})
-    A, _, _ = af_rows(scn.af_chain_sets, scn.x0, scn.af_patterns, scn.model)
+    A, b, _ = af_rows(scn.af_chain_sets, scn.x0, scn.af_patterns, scn.model)
     sets, holds = optimizer._row_sets(*A.shape)
     rank = [np.linalg.matrix_rank(A[h]) == h.sum() for h in holds]
-    basis = optimizer._row_basis(A, None)
+    basis = RowFactors(A, b).record.basis
     assert (len(basis.sets), len(sets)) == (27, 42)
     assert np.array_equal(basis.sets, sets[rank])
     assert np.array_equal(basis.holds, holds[rank])
+
+
+@settings(deadline=None, max_examples=150)
+@given(degenerate_systems(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_zero_control_answers_are_returned_directly(system, identity, seed):
+    """Bounds that u = 0 meets (b <= tol) are answered without factors: u = 0,
+    zero multipliers and the rows with |b| <= tol active, over every row and
+    over a mask, and the row and stationarity checks accept that result. One
+    row pushed above its tolerance takes the general path, whose point
+    leaves the origin to meet it."""
+    A, _, infeasible = system
+    m, p = A.shape
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1, 1, (p, p))
+    qp = QpProblem(np.eye(p) if identity else M @ M.T + np.eye(p))
+    norms = np.linalg.norm(A, axis=1)
+    tol = RowFactors(A, np.zeros(m), qp).tol
+    # Rows on their tolerance's edge or inside it, and rows strictly below.
+    edge = rng.choice([-1.0, 0.0, 1.0], m) * tol * rng.choice([1.0, rng.uniform()], m)
+    b = np.where(rng.random(m) < 0.5, edge, -rng.uniform(0.1, 1.0, m) * norms)
+    factors = RowFactors(A, b, qp)
+    for keep in (None, rng.random(m) < 0.7):
+        kept = slice(None) if keep is None else keep
+        res = factors.solve(keep)
+        assert res.is_feasible and res.certificate is None
+        assert res.u.tobytes() == np.zeros(p).tobytes()
+        assert res.multipliers.tobytes() == np.zeros(len(b[kept])).tobytes()
+        assert res.active == tuple(np.flatnonzero(np.abs(b[kept]) <= tol[kept]).tolist())
+        viol = _slack(A[kept], b[kept], res.u, tol[kept])
+        assert tuple(np.flatnonzero(np.abs(viol) <= tol[kept]).tolist()) == res.active
+        grad = 2.0 * qp.R @ res.u
+        assert np.abs(grad - A[kept].T @ res.multipliers).max(initial=0.0) \
+            <= 1e-7 * max(1.0, np.abs(grad).max())
+    assert factors._factors is None
+    nonzero = np.flatnonzero(norms > 0)
+    if infeasible or not nonzero.size:
+        return
+    # Every other row well below its bound, so the pushed row alone binds.
+    j = rng.choice(nonzero)
+    b = -rng.uniform(0.5, 1.0, m) * norms
+    b[j] = tol[j] * 10.0 ** rng.uniform(0.5, 6.0)
+    res = RowFactors(A, b, qp).solve()
+    assert res.is_feasible and np.any(res.u != 0.0) and j in res.active
+    _assert_kkt(qp.R, A, b, res)
+
+
+def test_solve_rejects_a_keep_that_is_not_a_row_mask():
+    factors = RowFactors(np.eye(3), np.ones(3), QpProblem(np.eye(3)))
+    for keep in ([0, 2], np.array([1, 0, 1]), [1.0, 0.0, 1.0], np.ones(2, dtype=bool),
+                 np.ones((3, 1), dtype=bool)):
+        with pytest.raises(ContractError, match="keep must be a boolean mask of shape"):
+            factors.solve(keep)
+    assert factors.solve([True, False, True]).active == (0, 1)
+
+
+def test_a_recorded_matrix_still_checks_its_bounds_and_size():
+    """Right after a solve on the same rows (a record hit), bad bounds and a
+    cost of another size raise what they raise on a miss; rows that fail a
+    check leave the record as it was."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    b = np.array([1.0, -1.0, 0.0])
+    qp = QpProblem(np.eye(2))
+    bad = [(solve_qp, qp, A, [np.nan, 0.0, 0.0]), (solve_qp, qp, A, np.zeros(2)),
+           (solve_qp, QpProblem(np.eye(3)), A, b), (farkas_certificate, A, [0.0, np.inf, 0.0]),
+           (farkas_certificate, A, np.zeros((3, 1)))]
+    for call, *args in bad:
+        solve_qp(qp, A, b)
+        record = optimizer._record
+        with pytest.raises(ContractError) as hit:
+            call(*args)
+        assert optimizer._record is record
+        optimizer._record = None
+        with pytest.raises(ContractError) as miss:
+            call(*args)
+        assert str(hit.value) == str(miss.value)
+    solve_qp(qp, A, b)
+    record = optimizer._record
+    with pytest.raises(ContractError, match="non-finite"):
+        solve_qp(qp, np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]), b)
+    m = _max_rows(2) + 1
+    with pytest.raises(SolverError, match=rf"{m} rows in p = 2"):
+        solve_qp(qp, np.ones((m, 2)), np.zeros(m))
+    assert optimizer._record is record
+
+
+def test_golden_boeing_run_records_its_rows_once(monkeypatch):
+    """Every step of a golden Boeing run poses the same rows, so one record
+    serves the whole run, and the run writes the CSV of a run that does not
+    count its records."""
+    scn = build_scenario({"kind": "boeing"})
+    optimizer._record = None
+    plain = csv_lines(run_scenario(scn, 0))
+    made, record = [], optimizer._RowRecord
+
+    def counted(*args, **kwargs):
+        made.append(args[0])
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_record", None)
+    monkeypatch.setattr(optimizer, "_RowRecord", counted)
+    res = run_scenario(scn, 0)
+    assert len(res.controls) == 300 and len(made) == 1
+    assert "\n".join(csv_lines(res)).encode() == "\n".join(plain).encode()
 
 
 def test_nearly_concurrent_rows_one_scaled_by_1e6():

@@ -268,7 +268,7 @@ def test_boeing_verify_factors_its_rows_once(monkeypatch):
         shapes.append(np.shape(a))
         return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "_basis", None)
+    monkeypatch.setattr(optimizer, "_record", None)
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     rep = falsify_actuator_region(scn.af_chain_sets, scn.af_patterns, scn.model,
                                   box=1.0, budget=200, seed=0)
