@@ -20,7 +20,8 @@ reuses its trace and error terms. af_rows is the one place the
 actuator-failure rows of every barrier are assembled, for the policy and
 the verifier alike. Every filter's gain is fixed, so for an affine chain
 only h(x_hat) and dh/dx F x_hat move from step to step; fixed_terms
-computes the rest once per run. The actuator rows are the same case with
+computes the rest once per run, and hoscbf_pair takes the shrunk value and
+F x_hat from a caller that computed them once for every row of a step. The actuator rows are the same case with
 the true state for x_hat: over affine chains af_fixed_terms computes the
 rows A, the gradients, the offsets and the authority check once, and
 af_rows computes only each bound, with the dot products the per-state
@@ -313,7 +314,8 @@ def fixed_terms(chain: BarrierChain, est, model: SystemModel, gamma: float):
 
 
 def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
-                gamma: float, z: Optional[np.ndarray] = None, fixed=None):
+                gamma: float, z: Optional[np.ndarray] = None, fixed=None,
+                shrunk=None, drift: Optional[np.ndarray] = None):
     """(row, bound) of the estimator-conditioned row at the top degree d'.
 
     row.u >= bound encodes
@@ -321,20 +323,27 @@ def hoscbf_pair(chain: BarrierChain, est, model: SystemModel, x_hat: np.ndarray,
     at the estimate x_hat. With z None the error term is its worst case over
     ||z|| <= gamma (the policy's row); with z given it is exact (the
     verifier's row at a sampled error). fixed, from fixed_terms, stands in
-    for (w, row, trace, err) of the policy's row. x_hat and z may be stacks
-    (..., n): then bound carries their leading axes, row does too unless
-    the chain is affine (one row for every sample), and each sample's row
-    and bound are the bits that sample alone gives.
+    for (w, row, trace, err) of the policy's row; shrunk and drift, when the
+    caller has computed them at x_hat, for chain.shrunk(d', x_hat, gamma) and
+    F x_hat. x_hat and z may be stacks (..., n): then bound carries their
+    leading axes, row does too unless the chain is affine (one row for every
+    sample), and each sample's row and bound are the bits that sample alone
+    gives.
     """
     w, row, trace, err = _pair_terms(chain, est, model, x_hat, gamma, z) if fixed is None else fixed
-    bound = (-chain.shrunk(chain.rel_degree, x_hat, gamma) - np.vecdot(w, model.f(x_hat))
-             - trace + err)
-    return row, bound
+    if shrunk is None:
+        shrunk = chain.shrunk(chain.rel_degree, x_hat, gamma)
+    if drift is None:
+        drift = model.f(x_hat)
+    return row, -shrunk - np.vecdot(w, drift) - trace + err
 
 
-def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float, fixed=None):
-    """Estimator-conditioned (row, bound) at est.x_hat, robust over the gamma ball."""
-    return hoscbf_pair(chain, est, model, est.x_hat, gamma, fixed=fixed)
+def hoscbf_row(chain: BarrierChain, est, model: SystemModel, gamma: float, fixed=None,
+               shrunk=None, drift: Optional[np.ndarray] = None):
+    """Estimator-conditioned (row, bound) at est.x_hat, robust over the gamma
+    ball; fixed, shrunk and drift as in hoscbf_pair."""
+    return hoscbf_pair(chain, est, model, est.x_hat, gamma, fixed=fixed, shrunk=shrunk,
+                       drift=drift)
 
 
 @dataclass(frozen=True)

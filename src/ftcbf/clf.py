@@ -115,25 +115,27 @@ def clf_trace(clf: QuadraticClf, est) -> float:
 
 
 def clf_row(clf: QuadraticClf, est, model: SystemModel, gamma: float,
-            decay: bool = False, trace: Optional[float] = None):
+            decay: bool = False, trace: Optional[float] = None,
+            drift: Optional[np.ndarray] = None, V=None):
     """Decrease-condition (row, bound) at est.x_hat, or None when degenerate.
 
     Degenerate means the gradient vanishes (estimate at the goal): the row
     would read 0.u >= positive and is flagged inactive instead of emitted.
     With decay=True the bound additionally includes rho V(x_hat), asking for
     exponential descent rather than bare decrease. trace, from clf_trace,
-    stands in for the trace term.
+    stands in for the trace term; drift and V, when the caller has computed
+    them at est.x_hat, for F x_hat and V(x_hat).
     """
     x_hat = est.x_hat
     dv = clf.grad(x_hat)
     if np.max(np.abs(dv)) <= 1e-12:
         return None
     row = -(dv @ model.G)
-    bound = float(dv @ model.f(x_hat)) + STRICT_MARGIN
+    bound = float(dv @ (model.f(x_hat) if drift is None else drift)) + STRICT_MARGIN
     bound += _error_term(est, dv, gamma)
     bound += _trace_term(est, clf.hessian()) if trace is None else trace
     if decay:
-        bound += clf.rho * clf.value(x_hat)
+        bound += clf.rho * (clf.value(x_hat) if V is None else V)
     return row, bound
 
 

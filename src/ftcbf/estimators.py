@@ -13,11 +13,15 @@ A bank built from x0 of shape (runs, n) carries one estimate per run in each
 filter (x_hat and residue gain the leading run axis) and is stepped on output
 increments of shape (runs, q). Gains stay one per filter, shared by every
 run. Calibration steps all its Monte Carlo runs this way.
+
+A bank step computes the input term G u once for all its filters and
+advances each filter in place through ekf_step, which replaces the filter's
+estimate and residue with new arrays; no filter state is copied per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,27 +53,30 @@ class EstimatorState:
     smoothing: float = 0.95
 
 
-def ekf_step(est: EstimatorState, u: np.ndarray, y_reduced: np.ndarray, dt: float,
-             model: SystemModel) -> EstimatorState:
-    """Advance one Euler step of the filter SDE.
+def ekf_step(est: EstimatorState, Gu: np.ndarray, y_reduced: np.ndarray, dt: float,
+             model: SystemModel) -> None:
+    """Advance est one Euler step of the filter SDE, in place.
 
     dx_hat = (F x_hat + G u) dt + K (dy_r - c_r x_hat dt)
 
-    The residue smooths the innovation norm, one per run: residue <-
+    Gu is the input term G u, which every filter of a bank shares. The
+    residue smooths the innovation norm, one per run: residue <-
     s residue + (1 - s) ||dy_r - c_r x_hat dt|| with s = smoothing, since the
     raw innovation is noise-dominated at small dt. A filter without a gain
     has no innovation and keeps its residue. A stacked x_hat of shape
-    (runs, n) steps every run with the one gain.
+    (runs, n) steps every run with the one gain. x_hat and residue are
+    replaced by new values, never written into, so an estimate read before
+    the step keeps its value.
     """
     x = est.x_hat
-    u = np.asarray(u, dtype=float)
-    drift = (model.f(x) + matvec(model.G, u)) * dt
+    drift = (model.f(x) + Gu) * dt
     if est.K is None:
-        return replace(est, x_hat=x + drift)
-    innov = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, x) * dt
+        est.x_hat = x + drift
+        return
+    innov = y_reduced - matvec(est.c_r, x) * dt
     s = est.smoothing
-    res = s * est.residue + (1.0 - s) * np.sqrt(np.vecdot(innov, innov))
-    return replace(est, x_hat=x + drift + matvec(est.K, innov), residue=res)
+    est.residue = s * est.residue + (1.0 - s) * np.sqrt(np.vecdot(innov, innov))
+    est.x_hat = x + drift + matvec(est.K, innov)
 
 
 def _check_detectable(F: np.ndarray, c_r: np.ndarray) -> None:
@@ -154,13 +161,13 @@ class EstimatorBank:
         return float(self.gammas[i])
 
     def step(self, model: SystemModel, u: np.ndarray, y_inc: np.ndarray, dt: float) -> None:
-        """Advance every filter one step on the shared output increment,
-        each on its retained channels."""
+        """Advance every filter in place one step on the shared output
+        increment, each on its retained channels; G u is computed once for
+        all of them."""
         y_inc = np.asarray(y_inc, dtype=float)
-        for k, est in enumerate(self.singles):
-            self.singles[k] = ekf_step(est, u, y_inc.take(est.sensors, axis=-1), dt, model)
-        for key, est in self.pairs.items():
-            self.pairs[key] = ekf_step(est, u, y_inc.take(est.sensors, axis=-1), dt, model)
+        Gu = matvec(model.G, np.asarray(u, dtype=float))
+        for est in [*self.singles, *self.pairs.values()]:
+            ekf_step(est, Gu, y_inc.take(est.sensors, axis=-1), dt, model)
 
     def estimate(self, i: int) -> np.ndarray:
         return self.singles[i].x_hat

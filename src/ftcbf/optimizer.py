@@ -43,6 +43,11 @@ by what it reads:
   the pair is dependent with nonnegative weights (_RowBasis). A Boeing run
   and every verify loop pose one A, which is checked and factored once, and
   each later row set on it checks only its bounds; a WMR step poses a new A.
+  farkas_verdicts checks its whole stack once and takes the tolerances of
+  all its runs of equal matrices in one call (or the kept record's, for a
+  stack of that one matrix), and makes a record from those for each run
+  that needs factors, so a stack of distinct matrices (a polynomial
+  barrier's verify) repeats no check per sample.
 - once per stack of bounds on one A (_Factors, with a leading sample axis; a
   RowFactors holds a stack of one b): every independent set's KKT point and
   the rows it misses for each b, and, at a RowFactors' first infeasible
@@ -245,26 +250,39 @@ class _RowRecord:
 _record: Optional[_RowRecord] = None
 
 
+def _row_tolerances(A: np.ndarray) -> np.ndarray:
+    """_FEAS_TOL times each row's norm, for one row matrix or a stack, each
+    row's the bits it gets alone.
+
+    The tolerance is a distance, the same for a row and any multiple of it:
+    in value, 1e-9 on a row scaled by 1e6 asks more than double precision
+    gives, and on a row scaled by 1e-6 allows a point 1e-3 outside it.
+    """
+    return _FEAS_TOL * np.sqrt(np.einsum("...ij,...ij->...i", A, A))
+
+
+def _new_record(key: tuple, A: np.ndarray, L: Optional[np.ndarray],
+                tol: Optional[np.ndarray] = None) -> _RowRecord:
+    """Record the checked float rows A (copied) in the metric L under key,
+    replacing the module's record; tol, A's _row_tolerances, is computed
+    when not given."""
+    global _record
+    A = np.array(A)
+    A, tol = _read_only(A, _row_tolerances(A) if tol is None else tol)
+    _record = _RowRecord(key, A, L, tol)
+    return _record
+
+
 def _row_record(A: np.ndarray, b: np.ndarray, qp: Optional[QpProblem] = None) -> _RowRecord:
     """The module's record of the float rows A in qp's metric (the identity
     when qp is None), after _checked's checks of A and its bounds b: every
     check on a miss, which then records A; on a hit, which vouches for A,
     only b's shape and finiteness and the size of R."""
-    global _record
     L = None if qp is None else qp._L
     key = (A.shape, A.tobytes(), None if L is None else L.tobytes())
-    record = _record
-    hit = record is not None and record.key == key
+    hit = _record is not None and _record.key == key
     _checked(A, b, False, qp, recorded=hit)
-    if not hit:
-        # The tolerance is a distance, the same for a row and any multiple
-        # of it: in value, 1e-9 on a row scaled by 1e6 asks more than double
-        # precision gives, and on a row scaled by 1e-6 allows a point 1e-3
-        # outside it.
-        A = np.array(A)
-        A, tol = _read_only(A, _FEAS_TOL * np.sqrt(np.einsum("ij,ij->i", A, A)))
-        record = _record = _RowRecord(key, A, L, tol)
-    return record
+    return _record if hit else _new_record(key, A, L)
 
 
 @dataclass
@@ -481,28 +499,36 @@ def farkas_verdicts(A: np.ndarray, bs: np.ndarray) -> np.ndarray:
     are infeasible, or their solve raises, and farkas_certificate on them
     tells which.
 
-    Each run of samples whose row matrices are the same bytes takes one
-    _Factors pass over the record of that matrix.
+    The stack is checked, and the tolerances of every run of samples whose
+    row matrices are the same bytes taken, once. The samples of a run that
+    u = 0 does not settle take one _Factors pass over the record of that
+    matrix, made from the checked rows and their tolerances on a miss.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.ascontiguousarray(A, dtype=float)
     bs = np.asarray(bs, dtype=float)
     _checked(A, bs, True)
-    verdicts = np.zeros(len(bs), dtype=bool)
-    bits = np.ascontiguousarray(A).view(np.int64)
+    bits = A.view(np.int64)
     new = np.ones(len(A), dtype=bool)
     new[1:] = (bits[1:] != bits[:-1]).any(axis=(1, 2))
-    runs = np.append(np.flatnonzero(new), len(A))
-    for lo, hi in zip(runs[:-1], runs[1:]):
+    heads = np.flatnonzero(new).tolist()
+    keys = [(A.shape[1:], A[lo].tobytes(), None) for lo in heads]
+    # One tolerance per run: the kept record's for a stack of its one
+    # matrix, else every run's in one call.
+    tols = ([_record.tol] if len(keys) == 1 and _record is not None and _record.key == keys[0]
+            else _row_tolerances(A[heads]))
+    verdicts = np.zeros(len(A), dtype=bool)
+    for lo, hi, key, tol in zip(heads, heads[1:] + [len(A)], keys, tols):
         b, ok = bs[lo:hi], verdicts[lo:hi]
-        record = _row_record(A[lo], b[0])
-        ok[:] = (b <= record.tol).all(axis=1)
+        ok[:] = (b <= tol).all(axis=1)
         rest = np.flatnonzero(~ok)
-        if rest.size:
-            f = _Factors.build(record, b[rest])
-            found, picks, _ = f.first_kkt()
-            points = rest[found]
-            ok[points] = (b[points] - matvec(record.A, f.vs[found, picks])
-                          <= record.tol).all(axis=1)
+        if not rest.size:
+            continue
+        record = (_record if _record is not None and _record.key == key
+                  else _new_record(key, A[lo], None, tol))
+        f = _Factors.build(record, b[rest])
+        found, picks, _ = f.first_kkt()
+        points = rest[found]
+        ok[points] = (b[points] - matvec(record.A, f.vs[found, picks]) <= record.tol).all(axis=1)
     return verdicts
 
 

@@ -11,6 +11,16 @@ with parallel lists of source tags and owning estimators. A step's rows are
 assembled and factored once: pruning never changes a row, so each re-solve
 keeps the rows of the estimators still active and selects over the same
 factors (optimizer.RowFactors).
+
+What the rows read is computed once at the rate it changes. FixedTerms holds
+what no step of a run changes: each affine row's terms, each filter's CLF
+trace term, the gamma offset of every (filter, barrier) pair and the input
+box's rows. StepTerms holds what each step reads of the estimates: every
+filter's shrunk barrier values and CLF value, read by active_sets and by
+the rows alike; assemble_constraints computes each filter's F x_hat once
+for all of its rows. hoscbf_pair and clf_row stay the one place each row
+formula lives, and take these terms as arguments; the rows are the bits of
+computing every term per row.
 """
 
 from __future__ import annotations
@@ -77,71 +87,131 @@ class ResolveOutcome:
     infeasible_event: bool = False
 
 
-def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
-                clf: Optional[QuadraticClf], cfg: PolicyConfig):
-    """Z = estimators whose shrunk top-degree barrier value is below delta;
-    U = estimators whose CLF value still exceeds V_bar."""
-    Z = []
-    for i, est in enumerate(bank.singles):
-        worst = min(ch.shrunk(ch.rel_degree, est.x_hat, bank.gamma(i)) for ch in chains)
-        if worst < cfg.delta:
-            Z.append(i)
-    U = []
-    if clf is not None and cfg.mode in CLF_MODES:
-        U = [j for j, est in enumerate(bank.singles) if clf.value(est.x_hat) > cfg.V_bar]
-    return Z, U
-
-
 @dataclass(frozen=True)
 class FixedTerms:
-    """Per filter, the row terms that no step of a run changes: hoscbf[i][c]
-    from barriers.fixed_terms for chain c (None marks a polynomial chain),
-    clf[i] from clf.clf_trace (None without a CLF)."""
+    """The row terms that no step of a run changes. Per filter i:
+    hoscbf[i][c] from barriers.fixed_terms for chain c (None marks a
+    polynomial chain), clf[i] from clf.clf_trace (None without a CLF), and
+    offsets[i, c] the gamma offset of chain c's top degree under filter i's
+    radius. box holds the input box's (rows, bounds, sources, owners) as
+    assemble_constraints emits them, empty lists without u_max."""
 
     hoscbf: list
     clf: list
+    offsets: np.ndarray
+    box: tuple
 
 
-def fixed_row_terms(model: SystemModel, chains: Sequence[BarrierChain], bank: EstimatorBank,
-                    clf: Optional[QuadraticClf]) -> FixedTerms:
+def gamma_offsets(chains: Sequence[BarrierChain], bank: EstimatorBank) -> np.ndarray:
+    """(m, chains): the gamma offset of each chain's top degree under each
+    filter's radius."""
+    return np.array([[ch.gamma_offset(ch.rel_degree, bank.gamma(i)) for ch in chains]
+                     for i in range(bank.m)]).reshape(bank.m, len(chains))
+
+
+def fixed_row_terms(cfg: PolicyConfig, model: SystemModel, chains: Sequence[BarrierChain],
+                    bank: EstimatorBank, clf: Optional[QuadraticClf]) -> FixedTerms:
     """The fixed row terms of a run over bank, computed once before its first step."""
+    rows, bounds, sources = [], [], []
+    if cfg.u_max is not None:
+        # Input box: never pruned, turns outlier-driven control blowups
+        # into infeasibilities the pruning steps can act on.
+        for i, e in enumerate(np.eye(model.p)):
+            rows += [e, -e]
+            sources += [f"ubox(+{i})", f"ubox(-{i})"]
+        bounds = [-cfg.u_max] * len(rows)
+    for row in rows:
+        row.setflags(write=False)
+    box = (rows, bounds, sources, [-1] * len(rows))
     return FixedTerms(
         hoscbf=[[fixed_terms(ch, est, model, bank.gamma(i)) for ch in chains]
                 for i, est in enumerate(bank.singles)],
-        clf=[None if clf is None else clf_trace(clf, est) for est in bank.singles])
+        clf=[None if clf is None else clf_trace(clf, est) for est in bank.singles],
+        offsets=gamma_offsets(chains, bank), box=box)
+
+
+@dataclass(frozen=True)
+class StepTerms:
+    """What a step's active sets and rows read of the single filters'
+    estimates, each computed once per step: the estimates x_hats (m, n),
+    shrunk[i, c] = hat h^{d'}(x_hat_i) of chain c, and V[i] = V(x_hat_i),
+    None unless the mode carries a CLF row."""
+
+    x_hats: np.ndarray
+    shrunk: np.ndarray
+    V: Optional[np.ndarray]
+
+
+def step_terms(x_hats: np.ndarray, chains: Sequence[BarrierChain],
+               clf: Optional[QuadraticClf], cfg: PolicyConfig,
+               offsets: np.ndarray) -> StepTerms:
+    """The step terms at the estimates x_hats (m, n), with offsets from
+    gamma_offsets; each filter's values are the bits its estimate gives
+    alone (BarrierChain.value and QuadraticClf.value on a stack)."""
+    values = np.array([ch.value(ch.rel_degree, x_hats) for ch in chains])
+    V = clf.value(x_hats) if clf is not None and cfg.mode in CLF_MODES else None
+    return StepTerms(x_hats, values.reshape(len(chains), len(x_hats)).T - offsets, V)
+
+
+def _estimates(bank: EstimatorBank) -> np.ndarray:
+    return np.array([est.x_hat for est in bank.singles])
+
+
+def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
+                clf: Optional[QuadraticClf], cfg: PolicyConfig,
+                terms: Optional[StepTerms] = None):
+    """Z = estimators whose shrunk top-degree barrier value is below delta
+    for some chain; U = estimators whose CLF value still exceeds V_bar.
+    terms, from step_terms, holds those values (computed here when not
+    given)."""
+    if terms is None:
+        terms = step_terms(_estimates(bank), chains, clf, cfg, gamma_offsets(chains, bank))
+    Z = [i for i, values in enumerate(terms.shrunk.tolist()) if min(values) < cfg.delta]
+    U = [] if terms.V is None else [j for j, V in enumerate(terms.V.tolist()) if V > cfg.V_bar]
+    return Z, U
 
 
 def assemble_constraints(cfg: PolicyConfig, model: SystemModel,
                          chains: Sequence[BarrierChain], bank: EstimatorBank,
                          clf: Optional[QuadraticClf],
                          Z: Sequence[int], U: Sequence[int],
-                         fixed: Optional[FixedTerms] = None):
+                         fixed: Optional[FixedTerms] = None,
+                         terms: Optional[StepTerms] = None):
     """Sensor-fault rows (A, b, sources, owners): one row per (barrier, i in
     Z), one CLF row per j in U (active_sets leaves U empty unless the mode
     carries a CLF), and the input box when u_max is set. owners[r] is the
     estimator row r belongs to, -1 for the input box. fixed, from
-    fixed_row_terms, spares recomputing the terms a run never changes.
+    fixed_row_terms, and terms, from step_terms, are computed here when not
+    given; every row reads its filter's F x_hat, computed once.
     baseline is the same machinery over a single-filter bank.
     """
-    rows = []  # (row, bound, source, owner)
+    if fixed is None:
+        fixed = fixed_row_terms(cfg, model, chains, bank, clf)
+    if terms is None:
+        terms = step_terms(_estimates(bank), chains, clf, cfg, fixed.offsets)
+    drift = model.f(terms.x_hats)
+    rows, bounds, sources, owners = [], [], [], []
     for i in Z:
+        est = bank.singles[i]
         for c, ch in enumerate(chains):
-            terms = None if fixed is None else fixed.hoscbf[i][c]
-            rows.append((*hoscbf_row(ch, bank.singles[i], model, bank.gamma(i), terms),
-                         f"hoscbf({i})", i))
+            row, bound = hoscbf_row(ch, est, model, bank.gamma(i), fixed.hoscbf[i][c],
+                                    terms.shrunk[i, c], drift[i])
+            rows.append(row)
+            bounds.append(bound)
+            sources.append(f"hoscbf({i})")
+            owners.append(i)
     for j in U:
         r = clf_row(clf, bank.singles[j], model, bank.gamma(j), decay=cfg.clf_decay,
-                    trace=None if fixed is None else fixed.clf[j])
+                    trace=fixed.clf[j], drift=drift[j],
+                    V=None if terms.V is None else terms.V[j])
         if r is not None:
-            rows.append((*r, f"clf({j})", j))
-    if cfg.u_max is not None:
-        # Input box: never pruned, turns outlier-driven control blowups
-        # into infeasibilities the pruning steps can act on.
-        for i, e in enumerate(np.eye(model.p)):
-            rows += [(e, -cfg.u_max, f"ubox(+{i})", -1), (-e, -cfg.u_max, f"ubox(-{i})", -1)]
-    A, b, sources, owners = zip(*rows) if rows else ((), (), (), ())
-    return (np.array(A).reshape(-1, model.p), np.array(b), list(sources),
-            np.array(owners, dtype=np.intp))
+            rows.append(r[0])
+            bounds.append(r[1])
+            sources.append(f"clf({j})")
+            owners.append(j)
+    box_rows, box_bounds, box_sources, box_owners = fixed.box
+    return (np.array(rows + box_rows).reshape(-1, model.p), np.array(bounds + box_bounds),
+            sources + box_sources, np.array(owners + box_owners, dtype=np.intp))
 
 
 def resolve_conflicts(bank: EstimatorBank, Z: Sequence[int], U: Sequence[int],

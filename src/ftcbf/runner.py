@@ -16,20 +16,27 @@ call per chain member, the CLF values from one QuadraticClf.value call,
 and the wheel commands from the compensator recurrence over the controls,
 whose clamp events are merged into the policy events in step order.
 
-A sensor-fault step assembles the rows of its active sets once, with the row
-terms a run never changes computed before the first step
-(policy.fixed_row_terms), and hands them to the policy, whose pruning
-re-solves select from those rows. An actuator step likewise computes only
-its bounds, from the terms of the failure rows built before the first step
-(barriers.af_fixed_terms); only the sensor family computes the output
-increment, which its filters read, but both draw the same noise. A
-non-finite measurement, estimate, smoothed residue or constraint row stops
-the run with a ContractError naming the step, its time and the filter or
-the row's source, since NaN would otherwise fail every comparison and drop
-out of the active sets unseen. A huge but finite measurement overflows to
-such a value; the overflow itself raises no floating-point warning. A
-SolverError from a step's decision is raised again, chained, with the step
-and its time in front of its message.
+A sensor-fault step does only the work that moves. The row terms a run
+never changes (each affine row's terms, each filter's trace term and gamma
+offsets, the input box's rows) are computed before the first step
+(policy.fixed_row_terms). Each step computes once, from the filters'
+estimates, what its active sets and rows read (policy.step_terms: the
+shrunk barrier values and the CLF values; F x_hat once per filter in
+assemble_constraints), assembles the rows of its active sets once and
+hands them to the policy, whose pruning re-solves select from those rows;
+the bank then advances its filters in place. An actuator step likewise
+computes only its bounds, from the terms of the failure rows built before
+the first step (barriers.af_fixed_terms); only the sensor family computes
+the output increment, which its filters read, but both draw the same
+noise. A non-finite measurement, estimate, smoothed residue, barrier value
+at an estimate or constraint row stops the run with a ContractError naming
+the step, its time and the filter or the row's source, since NaN would
+otherwise fail every comparison and drop out of the active sets unseen,
+and so would a barrier value of +inf, which no delta exceeds. A huge but
+finite measurement or estimate overflows to such a value; the overflow
+itself raises no floating-point warning. A SolverError from a step's
+decision is raised again, chained, with the step and its time in front of
+its message.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from .clf import goal_distances, goal_reach_time
 from .errors import ContractError, SolverError
 from .estimators import make_bank
 from .policy import (active_sets, actuator_control, assemble_constraints,
-                     fixed_row_terms, resolve_conflicts)
+                     fixed_row_terms, resolve_conflicts, step_terms)
 from .scenarios import Scenario, wmr_compensator
 from .simulator import apply_actuator_failure, measure, step_true_state
 
@@ -108,6 +115,17 @@ def _filter_state(bank, k: int, t: float):
     return x_hats, residues
 
 
+def _check_barrier_values(terms, k: int, t: float) -> None:
+    """A non-finite shrunk barrier value at a filter's estimate is an error
+    naming the step and the filter: +inf would fail every comparison with
+    delta, even delta = +inf, and NaN every comparison at all, so the filter
+    would leave Z unseen."""
+    if not np.isfinite(terms.shrunk).all():
+        bad = np.flatnonzero(~np.isfinite(terms.shrunk).all(axis=1)).tolist()
+        raise ContractError(f"step {k} (t = {t:.6g} s): the barrier value of filter {bad} "
+                            "is non-finite")
+
+
 def _check_rows(rows, k: int, t: float) -> None:
     """A non-finite row is an error naming the step and the row's source."""
     A, b, sources, _ = rows
@@ -131,7 +149,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
                          gammas=scn.gammas, thetas=scn.thetas, smoothing=scn.estimator_smoothing)
         bank.check_euler_step(model, dt)
         m = bank.m
-        fixed = fixed_row_terms(model, scn.chains, bank, scn.clf)
+        fixed = fixed_row_terms(scn.policy, model, scn.chains, bank, scn.clf)
     else:
         fixed = af_fixed_terms(scn.af_chain_sets, scn.af_patterns, model)
 
@@ -149,13 +167,16 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         t = k * dt
         states[k] = x
         if sensor_family:
-            estimates[k], residues[k] = _filter_state(bank, k, t)
-            # A huge but finite estimate can overflow a CLF value or a row:
-            # the overflow is caught by the check below, which names it.
+            x_hats, residues[k] = _filter_state(bank, k, t)
+            estimates[k] = x_hats
+            # A huge but finite estimate can overflow a barrier value or a
+            # row: the checks below name the overflow.
             with np.errstate(over="ignore", invalid="ignore"):
-                Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy)
+                terms = step_terms(x_hats, scn.chains, scn.clf, scn.policy, fixed.offsets)
+                _check_barrier_values(terms, k, t)
+                Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy, terms)
                 rows = assemble_constraints(scn.policy, model, scn.chains, bank, scn.clf,
-                                            Z0, U0, fixed)
+                                            Z0, U0, fixed, terms)
             _check_rows(rows, k, t)
         try:
             outcome = (resolve_conflicts(bank, Z0, U0, rows, scn.qp) if sensor_family

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -108,6 +108,14 @@ def _ramp_attack(rate: float, start: float, t: float) -> float:
     return rate * (t - start) if t >= start else 0.0
 
 
+@cache
+def _identity(p: int) -> np.ndarray:
+    """The read-only p x p identity, built once per size."""
+    eye = np.eye(p)
+    eye.setflags(write=False)
+    return eye
+
+
 @dataclass
 class FaultScenario:
     """Disjoint sensor fault patterns, an attack signal, and a failure schedule.
@@ -155,6 +163,8 @@ class FaultScenario:
             if t_start < last_t:
                 raise ScenarioValidationError("failure schedule must be ordered by start time")
             last_t = t_start
+            L = L.copy()
+            L.setflags(write=False)
             sched.append((float(t_start), L))
         self.failure_schedule = sched
 
@@ -184,8 +194,10 @@ class FaultScenario:
         return a
 
     def effectiveness_at(self, t: float) -> np.ndarray:
-        """Active effectiveness matrix L at time t (identity before any failure)."""
-        L = np.eye(self.p)
+        """Active effectiveness matrix L at time t (identity before any
+        failure), read-only: the identity is built once per size and each
+        scheduled L is the schedule's own."""
+        L = _identity(self.p)
         for t_start, Lj in self.failure_schedule:
             if t >= t_start:
                 L = Lj

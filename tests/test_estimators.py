@@ -12,7 +12,7 @@ from ftcbf.estimators import calibrate_gammas, ekf_step, make_bank, steady_state
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import (BOEING_F, BOEING_G, SCHEMA, WMR_C, WMR_F, WMR_G, build_scenario,
                              load_scenario)
-from ftcbf.simulator import FaultScenario, SystemModel, measure, step_true_state
+from ftcbf.simulator import FaultScenario, SystemModel, matvec, measure, step_true_state
 
 from conftest import integrator_model
 
@@ -39,8 +39,9 @@ def test_ekf_noop_without_dynamics_or_gain():
                         np.zeros((2, 2)), np.eye(2))
     bank = make_bank(model, [[]], np.array([0.7, -0.3]), mode="open_loop")
     est = bank.singles[0]
-    stepped = ekf_step(est, np.zeros(1), np.zeros(2), 0.1, model)
-    assert np.array_equal(stepped.x_hat, est.x_hat)
+    before = est.x_hat.copy()
+    ekf_step(est, matvec(model.G, np.zeros(1)), np.zeros(2), 0.1, model)
+    assert np.array_equal(est.x_hat, before)
 
 
 def test_exact_init_zero_noise_tracks_truth():
@@ -59,6 +60,46 @@ def test_exact_init_zero_noise_tracks_truth():
         assert est.residue < 1e-10
 
 
+def replace_step(est, u, y_reduced, dt, model):
+    """Reference: the filter step as a copy, one dataclasses.replace per filter."""
+    x = est.x_hat
+    u = np.asarray(u, dtype=float)
+    drift = (model.f(x) + matvec(model.G, u)) * dt
+    if est.K is None:
+        return replace(est, x_hat=x + drift)
+    innov = np.asarray(y_reduced, dtype=float) - matvec(est.c_r, x) * dt
+    s = est.smoothing
+    res = s * est.residue + (1.0 - s) * np.sqrt(np.vecdot(innov, innov))
+    return replace(est, x_hat=x + drift + matvec(est.K, innov), residue=res)
+
+
+@pytest.mark.parametrize("mode, runs", [("constant_gain", None), ("open_loop", None),
+                                        ("constant_gain", 3)],
+                         ids=["constant-gain", "open-loop", "stack-of-3"])
+def test_in_place_bank_equals_the_replace_reference(wmr_yaml, mode, runs):
+    """Over 600 steps of the golden WMR model under its attack, random
+    inputs and noise, the bank stepped in place holds at every step the bits
+    of stepping copies of its filters with replace_step."""
+    scn = load_scenario(wmr_yaml)
+    model, dt = scn.model, scn.dt
+    rng = np.random.default_rng(7)
+    x = scn.x0 if runs is None else scn.x0 + 0.01 * rng.standard_normal((runs, model.n))
+    bank = make_bank(model, scn.bank_patterns, x, mode=mode, smoothing=scn.estimator_smoothing)
+    ref = [replace(est, x_hat=est.x_hat.copy()) for est in [*bank.singles,
+                                                            *bank.pairs.values()]]
+    lead = np.shape(x)[:-1]
+    for k in range(600):
+        u = rng.uniform(-1.0, 1.0, model.p)
+        y_inc = measure(model, x, k * dt, scn.faults, rng.standard_normal(lead + (model.q,)), dt)
+        x = step_true_state(model, x, u, dt, rng.standard_normal(np.shape(x)))
+        bank.step(model, u, y_inc, dt)
+        ref = [replace_step(est, u, y_inc.take(est.sensors, axis=-1), dt, model) for est in ref]
+        for est, r in zip([*bank.singles, *bank.pairs.values()], ref):
+            assert est.x_hat.tobytes() == r.x_hat.tobytes()
+            assert np.asarray(est.residue).tobytes() == np.asarray(r.residue).tobytes()
+    assert all(np.any(est.residue) for est in bank.singles if est.K is not None)
+
+
 def test_constant_gain_never_changes():
     model = wmr_model()
     bank = make_bank(model, [[0]], np.zeros(4))
@@ -67,7 +108,10 @@ def test_constant_gain_never_changes():
     nu_r = 0.01 * np.eye(5)
     K_ref = steady_state_gain(WMR_F, c_r, 1e-4 * np.eye(4), nu_r @ nu_r.T)
     assert np.allclose(K0, K_ref)
-    est = ekf_step(bank.singles[0], np.zeros(2), np.zeros(5), 0.01, model)
+    est = bank.singles[0]
+    x0 = est.x_hat.copy()
+    ekf_step(est, matvec(model.G, np.ones(2)), np.ones(5), 0.01, model)
+    assert not np.array_equal(est.x_hat, x0)  # the step moved the estimate, not the gain
     assert np.array_equal(est.K, K0)
 
 
@@ -239,11 +283,13 @@ def test_residue_examples():
                         np.eye(1), np.eye(1))
     bank = make_bank(model, [[]], np.array([1.0]))
     est = bank.singles[0]
-    u = np.zeros(1)
-    instant = ekf_step(replace(est, smoothing=0.0), u, np.array([3.0]), 1.0, model)
+    Gu = matvec(model.G, np.zeros(1))
+    instant = replace(est, smoothing=0.0)
+    ekf_step(instant, Gu, np.array([3.0]), 1.0, model)
     assert instant.residue == pytest.approx(2.0)
-    sm = ekf_step(est, u, np.array([3.0]), 1.0, model)  # default factor 0.95 from zero history
-    assert sm.residue == pytest.approx(0.05 * 2.0)
+    assert (est.residue, est.x_hat.tolist()) == (0.0, [1.0])  # the copy stepped, not est
+    ekf_step(est, Gu, np.array([3.0]), 1.0, model)  # default factor 0.95 from zero history
+    assert est.residue == pytest.approx(0.05 * 2.0)
 
 
 def test_calibration_noise_free_gives_zero():

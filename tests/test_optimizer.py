@@ -375,6 +375,48 @@ def test_stacked_verdicts_check_their_input():
         farkas_verdicts([A, A], [[0.0, 0.0], [np.nan, 0.0]])
 
 
+def test_distinct_matrix_verdicts_check_the_stack_once(monkeypatch):
+    """A stack whose every sample has its own row matrix, as a polynomial
+    barrier's verify poses it: the stack is checked once, not once per
+    sample, each verdict is that of a solve of the sample alone, and the
+    records it makes hold the bits a solve's record holds, read-only and
+    apart from the caller's rows."""
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((40, 5, 3)) * 10.0 ** rng.integers(-3, 4, (40, 5, 1))
+    bs = np.einsum("sij,sj->si", stack, rng.standard_normal((40, 3))) \
+        + rng.uniform(-1.0, 1.0, (40, 5))
+    bs[:5] = -1.0  # u = 0 settles these without a record
+    bs[-1] = np.abs(bs[-1])  # and not the last, whose record is kept
+    calls = []
+    checked = optimizer._checked
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "_checked", counting)
+    optimizer._record = None
+    verdicts = farkas_verdicts(stack, bs)
+    assert calls == [True]
+    record = optimizer._record
+    assert record.A.tobytes() == stack[-1].tobytes() and not record.A.flags.writeable
+    assert not record.tol.flags.writeable
+    last = stack[-1].copy()
+    stack[-1] += 1.0  # the record holds its own copy
+    assert record.A.tobytes() == last.tobytes()
+    stack[-1] = last
+    monkeypatch.setattr(optimizer, "_checked", checked)
+    outcomes = []
+    for a, b in zip(stack, bs):
+        optimizer._record = None
+        try:
+            outcomes.append(RowFactors(a, b).solve().is_feasible)
+        except SolverError:
+            outcomes.append(False)
+    assert verdicts.tolist() == outcomes and 0 < sum(outcomes) < len(outcomes)
+    assert optimizer._record.tol.tobytes() == record.tol.tobytes()
+
+
 def test_basis_is_kept_for_the_same_bytes_and_read_only():
     """The record, with its tolerances and basis, is kept for rows and a
     metric of the same bytes, and made again when one bit of A or the cost

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ftcbf.barriers import HalfPlane, build_chain
-from ftcbf.clf import QuadraticClf
+from ftcbf.barriers import HalfPlane, build_chain, hoscbf_row
+from ftcbf.clf import QuadraticClf, clf_row
 from ftcbf.errors import ContractError
 from ftcbf.estimators import EstimatorBank, EstimatorState, make_bank
 from ftcbf.optimizer import QpProblem, solve_qp
@@ -206,6 +206,61 @@ def test_factored_pruning_matches_the_rebuild_reference(wmr_yaml, monkeypatch):
     assert len(resolved_at) == scn.n_steps
     assert {1, 2, 3} <= set(resolved_at)
     assert res.metrics["unfiltered_steps"] == 243
+
+
+def reference_step_rows(scn, bank):
+    """Z, U and (A, b, sources, owners) of a step, every term computed per
+    filter from its estimate: shrunk values, rows without fixed terms, the
+    CLF value twice, and the input box from np.eye."""
+    cfg, model = scn.policy, scn.model
+    Z = [i for i, est in enumerate(bank.singles)
+         if min(ch.shrunk(ch.rel_degree, est.x_hat, bank.gamma(i)) for ch in scn.chains)
+         < cfg.delta]
+    U = []
+    if cfg.mode in ("sensor_ft_clf", "baseline"):
+        U = [j for j, est in enumerate(bank.singles) if scn.clf.value(est.x_hat) > cfg.V_bar]
+    rows = []
+    for i in Z:
+        for ch in scn.chains:
+            rows.append((*hoscbf_row(ch, bank.singles[i], model, bank.gamma(i)),
+                         f"hoscbf({i})", i))
+    for j in U:
+        r = clf_row(scn.clf, bank.singles[j], model, bank.gamma(j), decay=cfg.clf_decay)
+        if r is not None:
+            rows.append((*r, f"clf({j})", j))
+    if cfg.u_max is not None:
+        for i, e in enumerate(np.eye(model.p)):
+            rows += [(e, -cfg.u_max, f"ubox(+{i})", -1), (-e, -cfg.u_max, f"ubox(-{i})", -1)]
+    A, b, sources, owners = zip(*rows)
+    return Z, U, (np.array(A), np.array(b), list(sources), np.array(owners, dtype=np.intp))
+
+
+def test_step_rows_equal_the_per_filter_reference_bit_for_bit(wmr_yaml, monkeypatch):
+    """Golden WMR seeds 0-1: at every step the runner's active sets and rows,
+    built from the run's fixed terms and the step's terms computed once,
+    are the bits of computing every term per filter and per row."""
+    from ftcbf.scenarios import load_scenario
+    scn = load_scenario(wmr_yaml)
+    steps = []
+
+    def checked(bank, Z, U, rows, qp):
+        ref_Z, ref_U, ref_rows = reference_step_rows(scn, bank)
+        assert (Z, U) == (ref_Z, ref_U)
+        A, b, sources, owners = rows
+        ref_A, ref_b, ref_sources, ref_owners = ref_rows
+        assert A.shape == ref_A.shape and A.tobytes() == ref_A.tobytes()
+        assert b.dtype == ref_b.dtype and b.tobytes() == ref_b.tobytes()
+        assert sources == ref_sources
+        assert owners.tolist() == ref_owners.tolist()
+        steps.append((len(Z), len(U)))
+        return resolve_conflicts(bank, Z, U, rows, qp)
+
+    monkeypatch.setattr(runner, "resolve_conflicts", checked)
+    for seed in (0, 1):
+        run_scenario(scn, seed)
+    assert len(steps) == 2 * scn.n_steps
+    # delta = +inf keeps both filters in Z; U shrinks as the estimates near the goal.
+    assert {z for z, _ in steps} == {2} and {u for _, u in steps} == {1, 2}
 
 
 def test_assemble_sensor_clf_counts_and_tags():

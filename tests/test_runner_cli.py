@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ def test_huge_attack_stops_the_run_naming_what_overflowed(wmr_yaml, amplitude, m
     scn.faults.attack = lambda t: amplitude if t >= 1.0 else 0.0
     with pytest.raises(ContractError, match=message):
         run_scenario(scn, 0)
+
+
+def test_overflowing_barrier_value_stops_the_run(wmr_yaml):
+    """Estimates [0, 1e308, 0, 1e308] are finite, but the golden barrier's
+    top-degree value x2 + v2 overflows to +inf at both, and inf < delta is
+    false even for delta = +inf, so both filters would leave Z unseen. The
+    run stops at the step instead, naming the filters."""
+    scn = load_scenario(wmr_yaml)
+    scn.policy = replace(scn.policy, mode="sensor_ft")
+    scn.x0 = np.array([0.0, 1e308, 0.0, 1e308])
+    with pytest.raises(ContractError, match=r"^step 0 \(t = 0 s\): the barrier value of filter "
+                                            r"\[0, 1\] is non-finite$"):
+        run_scenario(scn, 0)
+    # Without the check, the active sets read those values and return no filter.
+    bank = estimators.make_bank(scn.model, scn.bank_patterns, scn.x0, gammas=scn.gammas)
+    with np.errstate(over="ignore"):
+        assert policy.active_sets(bank, scn.chains, scn.clf, scn.policy) == ([], [])
 
 
 def test_non_finite_estimate_stops_the_run():
