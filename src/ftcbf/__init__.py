@@ -18,7 +18,6 @@ from .runner import RunResult, run_scenario, run_sweep, sweep_metrics, write_csv
 from .scenarios import Scenario, build_scenario, load_scenario, wmr_compensator
 from .simulator import (FaultScenario, SystemModel, apply_actuator_failure,
                         measure, step_true_state)
-from .verifier import (falsify_actuator_region, falsify_region,
-                       falsify_sensor_region, verify_ft_set_pointwise)
+from .verifier import falsify_actuator_region, falsify_region, falsify_sensor_region
 
 __version__ = "0.1.0"

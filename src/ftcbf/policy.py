@@ -102,13 +102,6 @@ class FixedTerms:
     box: tuple
 
 
-def gamma_offsets(chains: Sequence[BarrierChain], bank: EstimatorBank) -> np.ndarray:
-    """(m, chains): the gamma offset of each chain's top degree under each
-    filter's radius."""
-    return np.array([[ch.gamma_offset(ch.rel_degree, bank.gamma(i)) for ch in chains]
-                     for i in range(bank.m)]).reshape(bank.m, len(chains))
-
-
 def fixed_row_terms(cfg: PolicyConfig, model: SystemModel, chains: Sequence[BarrierChain],
                     bank: EstimatorBank, clf: Optional[QuadraticClf]) -> FixedTerms:
     """The fixed row terms of a run over bank, computed once before its first step."""
@@ -127,7 +120,9 @@ def fixed_row_terms(cfg: PolicyConfig, model: SystemModel, chains: Sequence[Barr
         hoscbf=[[fixed_terms(ch, est, model, bank.gamma(i)) for ch in chains]
                 for i, est in enumerate(bank.singles)],
         clf=[None if clf is None else clf_trace(clf, est) for est in bank.singles],
-        offsets=gamma_offsets(chains, bank), box=box)
+        offsets=np.array([[ch.gamma_offset(ch.rel_degree, bank.gamma(i)) for ch in chains]
+                          for i in range(bank.m)]).reshape(bank.m, len(chains)),
+        box=box)
 
 
 @dataclass(frozen=True)
@@ -145,27 +140,19 @@ class StepTerms:
 def step_terms(x_hats: np.ndarray, chains: Sequence[BarrierChain],
                clf: Optional[QuadraticClf], cfg: PolicyConfig,
                offsets: np.ndarray) -> StepTerms:
-    """The step terms at the estimates x_hats (m, n), with offsets from
-    gamma_offsets; each filter's values are the bits its estimate gives
-    alone (BarrierChain.value and QuadraticClf.value on a stack)."""
+    """The step terms at the estimates x_hats (m, n), with the gamma
+    offsets of FixedTerms.offsets; each filter's values are the bits its
+    estimate gives alone (BarrierChain.value and QuadraticClf.value on a
+    stack)."""
     values = np.array([ch.value(ch.rel_degree, x_hats) for ch in chains])
     V = clf.value(x_hats) if clf is not None and cfg.mode in CLF_MODES else None
     return StepTerms(x_hats, values.reshape(len(chains), len(x_hats)).T - offsets, V)
 
 
-def _estimates(bank: EstimatorBank) -> np.ndarray:
-    return np.array([est.x_hat for est in bank.singles])
-
-
-def active_sets(bank: EstimatorBank, chains: Sequence[BarrierChain],
-                clf: Optional[QuadraticClf], cfg: PolicyConfig,
-                terms: Optional[StepTerms] = None):
+def active_sets(terms: StepTerms, cfg: PolicyConfig):
     """Z = estimators whose shrunk top-degree barrier value is below delta
-    for some chain; U = estimators whose CLF value still exceeds V_bar.
-    terms, from step_terms, holds those values (computed here when not
-    given)."""
-    if terms is None:
-        terms = step_terms(_estimates(bank), chains, clf, cfg, gamma_offsets(chains, bank))
+    for some chain; U = estimators whose CLF value still exceeds V_bar. The
+    values are the step's terms, from step_terms."""
     Z = [i for i, values in enumerate(terms.shrunk.tolist()) if min(values) < cfg.delta]
     U = [] if terms.V is None else [j for j, V in enumerate(terms.V.tolist()) if V > cfg.V_bar]
     return Z, U
@@ -188,7 +175,8 @@ def assemble_constraints(cfg: PolicyConfig, model: SystemModel,
     if fixed is None:
         fixed = fixed_row_terms(cfg, model, chains, bank, clf)
     if terms is None:
-        terms = step_terms(_estimates(bank), chains, clf, cfg, fixed.offsets)
+        terms = step_terms(np.array([est.x_hat for est in bank.singles]), chains, clf, cfg,
+                           fixed.offsets)
     drift = model.f(terms.x_hats)
     rows, bounds, sources, owners = [], [], [], []
     for i in Z:

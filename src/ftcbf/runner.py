@@ -1,42 +1,43 @@
 """Per-seed simulation runs, trajectory records, CSV and metrics emission.
 
-One run integrates the true SDE, feeds attacked measurements to the estimator
-bank, resolves the per-step constraint set into a control, and logs
-everything the diagnostics need: per-estimator estimates and residues, active
-sets and removal reasons, barrier chain values on the true state, CLF value,
-minimum constraint slack, WMR wheel commands, and policy events. Identical
-(scenario, seed) inputs produce byte-identical CSVs; floats are printed with
-17 significant digits so files round-trip exactly.
+One run integrates the true SDE and, at every step, asks the run's
+controller for a control, records the decision, applies the actuator
+failure, lets the controller advance on the step's noise, and steps the
+plant. Identical (scenario, seed) inputs produce byte-identical CSVs; floats
+are printed with 17 significant digits so files round-trip exactly.
 
-The step loop holds only the feedback: it observes the filters, decides the
-control, records the decision, applies the actuator failure, and steps the
-plant and the bank. What a run only records is derived once from the
-finished trajectory: the barrier values from one stacked BarrierChain.value
-call per chain member, the CLF values from one QuadraticClf.value call,
-and the wheel commands from the compensator recurrence over the controls,
-whose clamp events are merged into the policy events in step order.
+The paper's two feedback laws are one controller each, picked once from the
+scenario's fault family and built before step 0; the step loop holds no
+family branch. Both families draw the same noise from one RNG stream per
+run, the state draw before the measurement draw.
+- _SensorControl runs FT-CBF rows over a bank of reduced-sensor filters. It
+  owns the bank, the row terms no step changes (policy.fixed_row_terms) and
+  the records of the filters' estimates and smoothed residues, each taken
+  when the bank reaches its step. A decision computes once, from the
+  estimates, what its active sets and rows read (policy.step_terms),
+  assembles the rows of its active sets once and hands them to the pruning
+  policy (policy.resolve_conflicts). Advancing measures the output
+  increment, which only its filters read, and steps the bank in place.
+- _ActuatorControl evaluates HOCBF rows over the redundant failure patterns
+  at the true state (policy.actuator_control), from the terms of those rows
+  built once per run (barriers.af_fixed_terms). Every one of its rows is a
+  safety row, so no step of it is safety_unfiltered.
 
-A sensor-fault step does only the work that moves. The row terms a run
-never changes (each affine row's terms, each filter's trace term and gamma
-offsets, the input box's rows) are computed before the first step
-(policy.fixed_row_terms). Each step computes once, from the filters'
-estimates, what its active sets and rows read (policy.step_terms: the
-shrunk barrier values and the CLF values; F x_hat once per filter in
-assemble_constraints), assembles the rows of its active sets once and
-hands them to the policy, whose pruning re-solves select from those rows;
-the bank then advances its filters in place. An actuator step likewise
-computes only its bounds, from the terms of the failure rows built before
-the first step (barriers.af_fixed_terms); only the sensor family computes
-the output increment, which its filters read, but both draw the same
-noise. A non-finite measurement, estimate, smoothed residue, barrier value
-at an estimate or constraint row stops the run with a ContractError naming
-the step, its time and the filter or the row's source, since NaN would
-otherwise fail every comparison and drop out of the active sets unseen,
-and so would a barrier value of +inf, which no delta exceeds. A huge but
-finite measurement or estimate overflows to such a value; the overflow
-itself raises no floating-point warning. A SolverError from a step's
-decision is raised again, chained, with the step and its time in front of
-its message.
+The sensor controller stops the run with a ContractError naming the step,
+its time and the filter or the row's source at a non-finite measurement
+channel that a filter reads, estimate, smoothed residue, barrier value at
+an estimate or constraint row, since NaN would otherwise fail every
+comparison and drop out of the active sets unseen, and so would a barrier
+value of +inf, which no delta exceeds. A huge but finite measurement or
+estimate overflows to such a value; the overflow itself raises no
+floating-point warning. A SolverError from a step's decision is raised
+again, chained, with the step and its time in front of its message.
+
+What a run only records is derived once from the finished trajectory: the
+barrier values from one stacked BarrierChain.value call per chain member,
+the CLF values from one QuadraticClf.value call, and the wheel commands
+from the compensator recurrence over the controls, whose clamp events are
+merged into the policy events in step order.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .barriers import af_fixed_terms
 from .clf import goal_distances, goal_reach_time
 from .errors import ContractError, SolverError
 from .estimators import make_bank
-from .policy import (active_sets, actuator_control, assemble_constraints,
+from .policy import (ResolveOutcome, active_sets, actuator_control, assemble_constraints,
                      fixed_row_terms, resolve_conflicts, step_terms)
 from .scenarios import Scenario, wmr_compensator
 from .simulator import apply_actuator_failure, measure, step_true_state
@@ -76,7 +77,7 @@ class RunResult:
     Z_log: list
     U_log: list
     removed_log: list
-    residues: Optional[np.ndarray]
+    residues: Optional[np.ndarray]    # (steps, m) smoothed residues
     slack_min: np.ndarray
     omega: Optional[np.ndarray]
     goal_radius: Optional[float]      # the scenario's, for the sweep's hold_rate
@@ -101,89 +102,129 @@ def _wheel_commands(x0: np.ndarray, controls: np.ndarray, dt: float):
     return omega, clamped
 
 
-def _filter_state(bank, k: int, t: float):
-    """The single filters' estimates and smoothed residues at step k; a
-    non-finite one is an error naming the step and the filter."""
-    x_hats = np.array([est.x_hat for est in bank.singles])
-    residues = bank.residues()
-    if not (np.isfinite(x_hats).all() and np.isfinite(residues).all()):
-        for what, values in (("estimate", x_hats), ("residue", residues[:, None])):
-            bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
-            if bad:
-                raise ContractError(f"step {k} (t = {t:.6g} s): the {what} of filter {bad} "
+def _at(k: int, dt: float) -> str:
+    """Step k and its time, as an error message names them."""
+    return f"step {k} (t = {k * dt:.6g} s)"
+
+
+class _SensorControl:
+    """The sensor-fault law over a bank of reduced-sensor filters."""
+
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+        self.bank = make_bank(scn.model, scn.bank_patterns, scn.x0, mode=scn.estimator_mode,
+                              gammas=scn.gammas, thetas=scn.thetas,
+                              smoothing=scn.estimator_smoothing)
+        self.bank.check_euler_step(scn.model, scn.dt)
+        self.fixed = fixed_row_terms(scn.policy, scn.model, scn.chains, self.bank, scn.clf)
+        # The channels some single filter reads; a pair filter reads fewer.
+        self.read = np.isin(np.arange(scn.model.q),
+                            [c for est in self.bank.singles for c in est.sensors])
+        self.estimates = np.zeros((scn.n_steps + 1, self.bank.m, scn.model.n))
+        self.residues = np.zeros((scn.n_steps, self.bank.m))
+        self._record(0)
+
+    def _record(self, k: int) -> None:
+        """Record the filters' estimates at step k, and their smoothed
+        residues before the last step; a non-finite one is an error naming
+        the step and the filter."""
+        x_hats = self.estimates[k]
+        x_hats[:] = [est.x_hat for est in self.bank.singles]
+        residues = self.bank.residues()
+        if k < len(self.residues):
+            self.residues[k] = residues
+        if not (np.isfinite(x_hats).all() and np.isfinite(residues).all()):
+            for what, values in (("estimate", x_hats), ("residue", residues[:, None])):
+                bad = np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist()
+                if bad:
+                    raise ContractError(f"{_at(k, self.scn.dt)}: the {what} of filter {bad} "
+                                        "is non-finite")
+
+    def decide(self, k: int, x: np.ndarray) -> ResolveOutcome:
+        """Steps 1-3 of the pruning policy over the rows of the active sets
+        at the filters' estimates of step k; the true state x is not read."""
+        scn = self.scn
+        # A huge but finite estimate can overflow a barrier value or a row:
+        # the checks below name the overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = step_terms(self.estimates[k], scn.chains, scn.clf, scn.policy,
+                               self.fixed.offsets)
+            # +inf would fail every comparison with delta, even delta = +inf,
+            # and NaN every comparison at all, so the filter would leave Z unseen.
+            if not np.isfinite(terms.shrunk).all():
+                bad = np.flatnonzero(~np.isfinite(terms.shrunk).all(axis=1)).tolist()
+                raise ContractError(f"{_at(k, scn.dt)}: the barrier value of filter {bad} "
                                     "is non-finite")
-    return x_hats, residues
+            Z, U = active_sets(terms, scn.policy)
+            rows = assemble_constraints(scn.policy, scn.model, scn.chains, self.bank, scn.clf,
+                                        Z, U, self.fixed, terms)
+        A, b, sources, _ = rows
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))[0]
+            raise ContractError(f"{_at(k, scn.dt)}: row {sources[bad]} is non-finite")
+        return resolve_conflicts(self.bank, Z, U, rows, scn.qp)
+
+    def unfiltered(self, outcome: ResolveOutcome) -> bool:
+        """Whether the accepted QP holds no safety row: Z names the
+        estimators whose safety rows it holds."""
+        return not outcome.Z
+
+    def advance(self, k: int, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        """Step the filters on the output increment of step k, drawn with the
+        measurement noise v, and record them at step k + 1."""
+        scn = self.scn
+        y_inc = measure(scn.model, x, k * scn.dt, scn.faults, v, scn.dt)
+        bad = np.flatnonzero(self.read & ~np.isfinite(y_inc)).tolist()
+        if bad:
+            readers = [i for i, est in enumerate(self.bank.singles) if set(bad) & set(est.sensors)]
+            raise ContractError(f"{_at(k, scn.dt)}: measurement channel {bad} is non-finite; "
+                                f"filter {readers} reads it")
+        # An overflowing residue is named by the record.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.bank.step(scn.model, u, y_inc, scn.dt)
+        self._record(k + 1)
 
 
-def _check_barrier_values(terms, k: int, t: float) -> None:
-    """A non-finite shrunk barrier value at a filter's estimate is an error
-    naming the step and the filter: +inf would fail every comparison with
-    delta, even delta = +inf, and NaN every comparison at all, so the filter
-    would leave Z unseen."""
-    if not np.isfinite(terms.shrunk).all():
-        bad = np.flatnonzero(~np.isfinite(terms.shrunk).all(axis=1)).tolist()
-        raise ContractError(f"step {k} (t = {t:.6g} s): the barrier value of filter {bad} "
-                            "is non-finite")
+class _ActuatorControl:
+    """The actuator-failure law at the true state; it keeps no filters."""
 
+    estimates = residues = None
 
-def _check_rows(rows, k: int, t: float) -> None:
-    """A non-finite row is an error naming the step and the row's source."""
-    A, b, sources, _ = rows
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
-        bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(b)))[0]
-        raise ContractError(f"step {k} (t = {t:.6g} s): row {sources[bad]} is non-finite")
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+        self.fixed = af_fixed_terms(scn.af_chain_sets, scn.af_patterns, scn.model)
+
+    def decide(self, k: int, x: np.ndarray) -> ResolveOutcome:
+        scn = self.scn
+        return actuator_control(scn.policy, scn.model, x, scn.af_chain_sets, scn.af_patterns,
+                                scn.qp, self.fixed)
+
+    def unfiltered(self, outcome: ResolveOutcome) -> bool:
+        """Never: every actuator row is a safety row."""
+        return False
+
+    def advance(self, k: int, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+        """Nothing reads the output increment, so it is not computed."""
 
 
 def run_scenario(scn: Scenario, seed: int) -> RunResult:
     rng = np.random.default_rng(seed)
-    model = scn.model
-    dt = scn.dt
-    steps = scn.n_steps
-    n, p, q = model.n, model.p, model.q
-    sensor_family = scn.family == "sensor"
-
-    bank = None
-    m = 0
-    if sensor_family:
-        bank = make_bank(model, scn.bank_patterns, scn.x0, mode=scn.estimator_mode,
-                         gammas=scn.gammas, thetas=scn.thetas, smoothing=scn.estimator_smoothing)
-        bank.check_euler_step(model, dt)
-        m = bank.m
-        fixed = fixed_row_terms(scn.policy, model, scn.chains, bank, scn.clf)
-    else:
-        fixed = af_fixed_terms(scn.af_chain_sets, scn.af_patterns, model)
-
+    model, dt, steps = scn.model, scn.dt, scn.n_steps
+    control = (_SensorControl if scn.family == "sensor" else _ActuatorControl)(scn)
     x = scn.x0.copy()
     times = np.arange(steps + 1) * dt
-    states = np.zeros((steps + 1, n))
-    estimates = np.zeros((steps + 1, m, n)) if sensor_family else None
-    controls = np.zeros((steps, p))
-    residues = np.zeros((steps, m)) if sensor_family else None
+    states = np.zeros((steps + 1, model.n))
+    controls = np.zeros((steps, model.p))
     slack_min = np.full(steps, np.nan)
     Z_log, U_log, removed_log = [], [], []
     events = []
 
     for k in range(steps):
-        t = k * dt
         states[k] = x
-        if sensor_family:
-            x_hats, residues[k] = _filter_state(bank, k, t)
-            estimates[k] = x_hats
-            # A huge but finite estimate can overflow a barrier value or a
-            # row: the checks below name the overflow.
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = step_terms(x_hats, scn.chains, scn.clf, scn.policy, fixed.offsets)
-                _check_barrier_values(terms, k, t)
-                Z0, U0 = active_sets(bank, scn.chains, scn.clf, scn.policy, terms)
-                rows = assemble_constraints(scn.policy, model, scn.chains, bank, scn.clf,
-                                            Z0, U0, fixed, terms)
-            _check_rows(rows, k, t)
         try:
-            outcome = (resolve_conflicts(bank, Z0, U0, rows, scn.qp) if sensor_family
-                       else actuator_control(scn.policy, model, x, scn.af_chain_sets,
-                                             scn.af_patterns, scn.qp, fixed))
+            outcome = control.decide(k, x)
         except SolverError as exc:
-            raise type(exc)(f"step {k} (t = {t:.6g} s): {exc}") from exc
+            raise type(exc)(f"{_at(k, dt)}: {exc}") from exc
         u = outcome.u
         controls[k] = u
         Z_log.append(";".join(str(i) for i in outcome.Z))
@@ -193,32 +234,17 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
             slack_min[k] = np.min(np.vecdot(outcome.A, u) - outcome.b)
         if outcome.infeasible_event:
             events.append((k, "policy_infeasible"))
-        elif sensor_family and not outcome.Z:
-            # Z names the estimators whose safety rows the accepted QP holds;
-            # every actuator row is a safety row.
+        elif control.unfiltered(outcome):
             events.append((k, "safety_unfiltered"))
 
-        u_applied = apply_actuator_failure(u, scn.faults.effectiveness_at(t))
-        # One RNG stream per run, state draw before measurement draw, in
-        # either family; only the filters read the output increment.
-        w = rng.standard_normal(n)
-        v = rng.standard_normal(q)
-        if sensor_family:
-            y_inc = measure(model, x, t, scn.faults, v, dt)
-            bad = np.flatnonzero(~np.isfinite(y_inc)).tolist()
-            if bad:
-                readers = [i for i, est in enumerate(bank.singles) if set(bad) & set(est.sensors)]
-                raise ContractError(f"step {k} (t = {t:.6g} s): measurement channel {bad} "
-                                    f"is non-finite; filter {readers} reads it")
-            # An overflowing residue is named at the next step's check.
-            with np.errstate(over="ignore", invalid="ignore"):
-                bank.step(model, u, y_inc, dt)
+        u_applied = apply_actuator_failure(u, scn.faults.effectiveness_at(k * dt))
+        # State draw before measurement draw, in either family.
+        w = rng.standard_normal(model.n)
+        v = rng.standard_normal(model.q)
+        control.advance(k, x, u, v)
         x = step_true_state(model, x, u_applied, dt, w)
 
     states[steps] = x
-    if sensor_family:
-        estimates[steps] = _filter_state(bank, steps, steps * dt)[0]
-
     members = [(b, d) for b, ch in enumerate(scn.chains) for d in range(len(ch))]
     h_labels = [f"h{d}_b{b}" for b, d in members]
     h_values = np.stack([scn.chains[b].value(d, states) for b, d in members], axis=1)
@@ -247,9 +273,9 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
         "steps": steps,
     }
     return RunResult(seed=seed, scenario=scn.name, times=times, states=states,
-                     estimates=estimates, controls=controls, h_values=h_values,
+                     estimates=control.estimates, controls=controls, h_values=h_values,
                      h_labels=h_labels, V=V_vals, Z_log=Z_log, U_log=U_log,
-                     removed_log=removed_log, residues=residues, slack_min=slack_min,
+                     removed_log=removed_log, residues=control.residues, slack_min=slack_min,
                      omega=omega, goal_radius=scn.goal_radius, events=events, metrics=metrics)
 
 

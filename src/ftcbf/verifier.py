@@ -19,7 +19,7 @@ sample-by-sample loop gives.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,31 +32,6 @@ from .simulator import SystemModel
 # the golden scenarios and hold more memory; the block of the first
 # counterexample is decided whole.
 _BLOCK = 64
-
-
-def verify_ft_set_pointwise(chains: Sequence[BarrierChain], model: SystemModel,
-                            ests: Sequence, estimates: Sequence[np.ndarray],
-                            zs: Sequence[np.ndarray], gammas: Sequence[float],
-                            thetas: Optional[dict] = None) -> dict:
-    """Farkas check of the m-estimator constraint set at given estimates/errors.
-
-    Assembles the policy's own rows A u >= b (hoscbf_pair) at each estimate
-    x_hat_i, with the supplied z_i in place of the worst case, and asks for
-    a certificate y >= 0 with A^T y = 0 and b^T y = 1. When pairwise
-    estimate distances violate theta_ij the premise of the feasibility
-    condition fails and the check is reported vacuous (feasible by premise).
-    """
-    m = len(estimates)
-    if not (len(ests) == len(zs) == len(gammas) == m):
-        raise ContractError("estimates, ests, zs, gammas must have equal length")
-    estimates, zs = np.asarray(estimates, dtype=float), np.asarray(zs, dtype=float)
-    if thetas:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.linalg.norm(estimates[i] - estimates[j]) > thetas.get((i, j), np.inf):
-                    return {"feasible": True, "vacuous": True, "certificate": None}
-    y = farkas_certificate(*_ft_rows(chains, model, ests, estimates, zs, gammas))
-    return {"feasible": y is None, "vacuous": False, "certificate": y}
 
 
 def _ft_rows(chains, model, ests, estimates, zs, gammas) -> tuple:

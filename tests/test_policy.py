@@ -7,7 +7,7 @@ from ftcbf.errors import ContractError
 from ftcbf.estimators import EstimatorBank, EstimatorState, make_bank
 from ftcbf.optimizer import QpProblem, solve_qp
 from ftcbf.policy import (PolicyConfig, ResolveOutcome, active_sets, actuator_control,
-                          assemble_constraints, resolve_conflicts)
+                          assemble_constraints, resolve_conflicts, step_terms)
 import ftcbf.runner as runner
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import build_scenario
@@ -38,17 +38,25 @@ def test_policy_config_validation():
         PolicyConfig(V_bar=-1.0)
 
 
+def sets_at(bank, chains, clf, cfg):
+    """The active sets at a stub bank's estimates; its radii are 0, and so
+    are the gamma offsets."""
+    x_hats = np.array([est.x_hat for est in bank.singles])
+    return active_sets(step_terms(x_hats, chains, clf, cfg, np.zeros((bank.m, len(chains)))),
+                       cfg)
+
+
 def test_active_sets_thresholds():
     model = integrator_model()
     chain = build_chain(HalfPlane((0.0, 1.0), 0.1), model)
     clf = QuadraticClf(Psi=np.eye(2), x_goal=np.zeros(2), rho=1.0)
     bank = stub_bank([[0.0, 5.0], [0.0, 5.0]])
     cfg = PolicyConfig(mode="sensor_ft_clf", delta=1e-6, V_bar=1.0)
-    Z, U = active_sets(bank, [chain], clf, cfg)
+    Z, U = sets_at(bank, [chain], clf, cfg)
     assert Z == []            # deep inside the safe set, tiny delta
     assert U == [0, 1]        # V = 25 > V_bar
     cfg = PolicyConfig(mode="sensor_ft_clf", delta=np.inf, V_bar=100.0)
-    Z, U = active_sets(bank, [chain], clf, cfg)
+    Z, U = sets_at(bank, [chain], clf, cfg)
     assert Z == [0, 1] and U == []
 
 
@@ -58,7 +66,7 @@ def test_active_sets_single_estimator_near_boundary():
     chain = build_chain(HalfPlane((0, 1, 0, 0), 0.1), wmr)
     bank = stub_bank([[0.0, 1.0, 0.0, 0.0], [0.0, -0.099, 0.0, 0.0]])
     cfg = PolicyConfig(mode="sensor_ft", delta=0.5)
-    Z, _ = active_sets(bank, [chain], None, cfg)
+    Z, _ = sets_at(bank, [chain], None, cfg)
     assert Z == [1]
 
 

@@ -153,6 +153,34 @@ def test_infinite_attack_stops_the_run_at_its_step(wmr_yaml):
         run_scenario(scn, 0)
 
 
+def test_a_channel_no_filter_reads_may_be_non_finite():
+    """A ramp on sensor 2 overflows to +inf at t = 2.8 s. The one filter
+    drops sensor 2, so no filter reads that channel: the run goes on, and
+    its CSV is the attack-free run's, line for line."""
+    cfg = {"kind": "wmr", "faults": {"patterns": [[2]], "active": 0},
+           "policy": {"mode": "sensor_ft"}, "sim": {"horizon": 4.0}}
+    clean = build_scenario(cfg)
+    cfg["faults"]["attack"] = {"type": "ramp", "rate": 1e308, "start": 1.0}
+    attacked = build_scenario(cfg)
+    assert np.isinf(attacked.faults.attack_vector(2.8)[2])
+    bank = estimators.make_bank(attacked.model, attacked.bank_patterns, attacked.x0)
+    assert all(2 not in est.sensors for est in bank.singles)
+    assert csv_lines(run_scenario(attacked, 0)) == csv_lines(run_scenario(clean, 0))
+
+
+def test_golden_wmr_records_one_row_per_filter_and_step(wmr_yaml):
+    """The filter records keep their shapes: estimates (steps + 1, m, n) from
+    x0 on, and the smoothed residues (steps, m) that each step's decision
+    read, zero before the first bank step."""
+    scn = load_scenario(wmr_yaml)
+    res = run_scenario(scn, 0)
+    m, n = len(scn.bank_patterns), scn.model.n
+    assert res.estimates.shape == (scn.n_steps + 1, m, n)
+    assert res.residues.shape == (scn.n_steps, m)
+    assert np.array_equal(res.estimates[0], np.broadcast_to(scn.x0, (m, n)))
+    assert not res.residues[0].any() and res.residues[1].all()
+
+
 @pytest.mark.parametrize("amplitude, message", [
     (1e160, r"^step 51 \(t = 1.02 s\): the residue of filter \[0\] is non-finite$"),
     (1e154, r"^step 51 \(t = 1.02 s\): row clf\(0\) is non-finite$")],
@@ -181,8 +209,11 @@ def test_overflowing_barrier_value_stops_the_run(wmr_yaml):
         run_scenario(scn, 0)
     # Without the check, the active sets read those values and return no filter.
     bank = estimators.make_bank(scn.model, scn.bank_patterns, scn.x0, gammas=scn.gammas)
+    offsets = policy.fixed_row_terms(scn.policy, scn.model, scn.chains, bank, scn.clf).offsets
     with np.errstate(over="ignore"):
-        assert policy.active_sets(bank, scn.chains, scn.clf, scn.policy) == ([], [])
+        terms = policy.step_terms(np.array([est.x_hat for est in bank.singles]), scn.chains,
+                                  scn.clf, scn.policy, offsets)
+    assert policy.active_sets(terms, scn.policy) == ([], [])
 
 
 def test_non_finite_estimate_stops_the_run():
@@ -840,8 +871,23 @@ def test_cli_verify_zero_budget(tmp_path, boeing_yaml):
     assert rc == 1
 
 
-def test_events_logged_on_boeing(boeing_yaml):
+def test_events_logged_on_boeing(boeing_yaml, monkeypatch):
+    """An actuator run decides every step at the true state through
+    actuator_control, keeps no filter records, and, since every one of its
+    rows is a safety row, logs no step as safety_unfiltered."""
     scn = load_scenario(boeing_yaml)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return policy.actuator_control(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "actuator_control", counted)
     res = run_scenario(scn, 0)
     assert res.metrics["policy_infeasible_steps"] == 0
     assert res.omega is None  # compensator is WMR-only
+    assert res.estimates is None and res.residues is None
+    assert all(event != "safety_unfiltered" for _, event in res.events)
+    assert res.metrics["unfiltered_steps"] == 0
+    assert len(calls) == scn.n_steps
+    assert np.array_equal(np.array(calls), res.states[:-1])

@@ -13,8 +13,7 @@ from ftcbf.optimizer import farkas_certificate
 from ftcbf.scenarios import PRESETS, build_scenario, load_scenario
 from ftcbf.simulator import SystemModel
 from ftcbf.verifier import (falsify_actuator_region, falsify_region,
-                            falsify_sensor_region, latin_hypercube,
-                            verify_ft_set_pointwise)
+                            falsify_sensor_region, latin_hypercube)
 
 from conftest import integrator_model
 
@@ -24,32 +23,38 @@ def no_authority_model(nu=0.01):
                        np.array([[1.0, 0.0]]), np.zeros((2, 2)), nu * np.eye(1))
 
 
+def ft_certificate(chains, model, estimates, zs, gammas):
+    """The Farkas certificate of the m-estimator set at one configuration
+    of estimates and errors, without filter gains: None when the set is
+    feasible."""
+    m = len(gammas)
+    A, b = verifier._ft_rows(chains, model, [None] * m, np.asarray(estimates, dtype=float),
+                             np.asarray(zs, dtype=float), gammas)
+    return farkas_certificate(A, b)
+
+
 def pointwise(ch, model, x_hat, gamma):
-    """The m = 1 constraint set at one estimate, without a filter gain."""
-    return verify_ft_set_pointwise([ch], model, [None], [np.asarray(x_hat, dtype=float)],
-                                   [np.zeros(model.n)], [gamma])
+    """The m = 1 certificate at one estimate with a zero error."""
+    return ft_certificate([ch], model, [x_hat], [np.zeros(model.n)], [gamma])
 
 
 def test_pointwise_control_enters():
     model = integrator_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.2), model)
-    out = pointwise(ch, model, [5.0, 0.0], gamma=0.1)
-    assert out["feasible"]
+    assert pointwise(ch, model, [5.0, 0.0], gamma=0.1) is None
 
 
 def test_pointwise_no_authority_but_interior():
     model = no_authority_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.5), model, force_degree=0)
     # h(x_hat) = x1 + 0.5 > 0 and xi = dh/dx f + hat h = x2 + hat h
-    out = pointwise(ch, model, [1.0, 0.0], gamma=0.0)
-    assert out["feasible"] and not out["vacuous"]
+    assert pointwise(ch, model, [1.0, 0.0], gamma=0.0) is None
 
 
 def test_pointwise_counterexample_outside_shrunk_set():
     model = no_authority_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.5), model, force_degree=0)
-    out = pointwise(ch, model, [-0.6, 0.0], gamma=0.0)
-    assert not out["feasible"]
+    assert pointwise(ch, model, [-0.6, 0.0], gamma=0.0) is not None
 
 
 def test_ft_set_m1_reduces_to_pointwise():
@@ -58,36 +63,25 @@ def test_ft_set_m1_reduces_to_pointwise():
     model = no_authority_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.5), model, force_degree=0)
     for x1 in (-0.6, -0.51, -0.49, 1.0):
-        out = pointwise(ch, model, [x1, 0.0], gamma=0.0)
-        assert out["feasible"] is (x1 + 0.5 >= 0.0)
-        if not out["feasible"]:
-            assert out["certificate"].shape == (1,) and out["certificate"][0] > 0
+        y = pointwise(ch, model, [x1, 0.0], gamma=0.0)
+        assert (y is None) is (x1 + 0.5 >= 0.0)
+        if y is not None:
+            assert y.shape == (1,) and y[0] > 0
 
 
 def test_ft_set_parallel_vs_antiparallel():
     model = integrator_model()
     ch = build_chain(HalfPlane((1.0, 0.0), 0.2), model)
-    ests = [None, None]
-    zs = [np.zeros(2), np.zeros(2)]
-    out = verify_ft_set_pointwise([ch], model, ests, [np.ones(2), 2 * np.ones(2)],
-                                  zs, [0.0, 0.0])
-    assert out["feasible"]
+    assert ft_certificate([ch], model, [np.ones(2), 2 * np.ones(2)], np.zeros((2, 2)),
+                          [0.0, 0.0]) is None
     # anti-parallel with conflicting bounds via direct Farkas assembly
     y = farkas_certificate(np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]))
     assert y is not None and abs(y[0] - y[1]) < 1e-9
 
 
-def test_ft_set_vacuous_premise():
-    model = integrator_model()
-    ch = build_chain(HalfPlane((1.0, 0.0), 0.2), model)
-    out = verify_ft_set_pointwise([ch], model, [None, None],
-                                  [np.zeros(2), np.array([10.0, 0.0])],
-                                  [np.zeros(2)] * 2, [0.0, 0.0], thetas={(0, 1): 1.0})
-    assert out["feasible"] and out["vacuous"]
-
-
 def test_ft_set_agrees_with_bruteforce_lp():
-    """Feasibility flag vs scipy linprog on the independently assembled system."""
+    """Farkas verdict on the verifier's rows vs scipy linprog on the
+    independently assembled system."""
     from scipy.optimize import linprog
     rng = np.random.default_rng(77)
     agree = 0
@@ -101,7 +95,7 @@ def test_ft_set_agrees_with_bruteforce_lp():
         estimates = [rng.uniform(-2, 2, n) for _ in range(m)]
         zs = [rng.uniform(-0.1, 0.1, n) for _ in range(m)]
         gammas = [0.1] * m
-        out = verify_ft_set_pointwise([ch], model, [None] * m, estimates, zs, gammas)
+        feasible = ft_certificate([ch], model, estimates, zs, gammas) is None
         A, Xi = [], []
         for i in range(m):
             w = ch.grad(0, estimates[i])
@@ -109,7 +103,7 @@ def test_ft_set_agrees_with_bruteforce_lp():
             Xi.append(float(w @ model.f(estimates[i])) + ch.shrunk(0, estimates[i], 0.1))
         lp = linprog(np.zeros(p), A_ub=np.array(A), b_ub=np.array(Xi),
                      bounds=[(None, None)] * p, method="highs")
-        agree += out["feasible"] == (lp.status == 0)
+        agree += feasible == (lp.status == 0)
     assert agree == 100
 
 
