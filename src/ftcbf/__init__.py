@@ -15,7 +15,7 @@ from .estimators import (CalibrationResult, EstimatorBank, EstimatorState,
 from .optimizer import QpProblem, QpResult, farkas_certificate, farkas_verdicts, solve_qp
 from .policy import PolicyConfig, active_sets, assemble_constraints, resolve_conflicts
 from .runner import RunResult, run_scenario, run_sweep, sweep_metrics, write_csv
-from .scenarios import Scenario, build_scenario, load_scenario, wmr_compensator
+from .scenarios import Scenario, build_scenario, load_scenario
 from .simulator import (FaultScenario, SystemModel, apply_actuator_failure,
                         measure, step_true_state)
 from .verifier import falsify_actuator_region, falsify_region, falsify_sensor_region

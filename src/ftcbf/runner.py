@@ -35,9 +35,9 @@ again, chained, with the step and its time in front of its message.
 
 What a run only records is derived once from the finished trajectory: the
 barrier values from one stacked BarrierChain.value call per chain member,
-the CLF values from one QuadraticClf.value call, and the wheel commands
-from the compensator recurrence over the controls, whose clamp events are
-merged into the policy events in step order.
+the CLF values from one QuadraticClf.value call, and the WMR wheel commands
+in closed form from the controls (_wheel_commands): the polar form of the
+commanded velocity, whose Euler unicycle retraces the noise-free plant.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import ContractError, SolverError
 from .estimators import make_bank
 from .policy import (ResolveOutcome, active_sets, actuator_control, assemble_constraints,
                      fixed_row_terms, resolve_conflicts, step_terms)
-from .scenarios import Scenario, wmr_compensator
+from .scenarios import Scenario
 from .simulator import apply_actuator_failure, measure, step_true_state
 
 
@@ -85,21 +85,21 @@ class RunResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _wheel_commands(x0: np.ndarray, controls: np.ndarray, dt: float):
-    """The WMR compensator recurrence over a run's controls, from the
-    heading of x0: the (steps, 2) wheel commands and the steps it clamped."""
-    omega1 = math.hypot(x0[2], x0[3])
-    theta = math.atan2(x0[3], x0[2]) if omega1 > 0 else 0.0
-    omega = np.zeros((len(controls), 2))
-    clamped = []
-    for k, u in enumerate(controls):
-        comp = wmr_compensator(u, theta, omega1, dt)
-        omega1 = comp.omega1
-        theta += comp.omega2 * dt
-        omega[k] = (comp.omega1, comp.omega2)
-        if comp.clamped:
-            clamped.append(k)
-    return omega, clamped
+def _wheel_commands(x0: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
+    """The (steps, 2) wheel commands of a run's controls, in closed form.
+
+    The commanded velocity is v_k = x0[2:4] + dt sum_{j<k} u_j. Its heading
+    is unwrapped modulo pi, so it stays continuous through zero speed, where
+    the robot reverses, and a speed of exactly zero keeps the last heading.
+    Row k is the signed speed omega1 = v_{k+1} . (cos, sin) theta_{k+1} and
+    the turn rate omega2 = (theta_{k+1} - theta_k) / dt.
+    """
+    v = np.vstack([x0[2:4], x0[2:4] + dt * np.cumsum(controls, axis=0)])
+    moving = np.any(v != 0.0, axis=1)
+    last = np.maximum.accumulate(np.where(moving, np.arange(len(v)), 0))
+    theta = np.unwrap(np.arctan2(v[last, 1], v[last, 0]), period=np.pi)
+    heading = np.stack([np.cos(theta[1:]), np.sin(theta[1:])], axis=1)
+    return np.stack([np.vecdot(v[1:], heading), np.diff(theta) / dt], axis=1)
 
 
 def _at(k: int, dt: float) -> str:
@@ -250,12 +250,7 @@ def run_scenario(scn: Scenario, seed: int) -> RunResult:
     h_values = np.stack([scn.chains[b].value(d, states) for b, d in members], axis=1)
     min_h = float(np.min(h_values[:, [d == 0 for _, d in members]]))
     V_vals = scn.clf.value(states) if scn.clf is not None else None
-    omega = None
-    if scn.compensator:
-        omega, clamped = _wheel_commands(scn.x0, controls, dt)
-        # a stable sort keeps a step's policy event before its clamp
-        events = sorted(events + [(k, "compensator_clamped") for k in clamped],
-                        key=lambda e: e[0])
+    omega = _wheel_commands(scn.x0, controls, dt) if scn.wheel_commands else None
     reach = final_distance = None
     if scn.clf is not None:
         reach = goal_reach_time(times, states, scn.clf, scn.goal_radius,
@@ -303,9 +298,9 @@ def csv_lines(res: RunResult) -> list:
         header += ["omega1", "omega2"]
     header += ["event"]
     lines = [",".join(header)]
-    ev: dict = {}
-    for k, e in res.events:
-        ev[k] = f"{ev[k]};{e}" if k in ev else e
+    # policy_infeasible and safety_unfiltered exclude each other: a step has
+    # at most one event.
+    ev = dict(res.events)
     times, slack = res.times.tolist(), res.slack_min.tolist()
     V = None if res.V is None else res.V.tolist()
     for k in range(steps + 1):

@@ -25,7 +25,7 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -76,31 +76,6 @@ BOEING_G = np.array([
 ])
 BOEING_C = np.array([[0.0, 1.0, 0.0, 0.0]])
 
-WMR_OMEGA_FLOOR = 1e-3
-
-
-class CompensatorOutput(NamedTuple):
-    omega1: float
-    omega2: float
-    clamped: bool
-
-
-def wmr_compensator(u, theta: float, omega1_prev: float, dt: float) -> CompensatorOutput:
-    """Map linearized inputs back to wheel commands.
-
-    omega1 accumulates u1 cos(theta) + u2 sin(theta); omega2 divides by
-    omega1, so |omega1| is clamped to a signed floor at the singularity (the
-    clamp is reported so runs can log the event).
-    """
-    u = np.asarray(u, dtype=float)
-    omega1 = omega1_prev + (u[0] * math.cos(theta) + u[1] * math.sin(theta)) * dt
-    clamped = False
-    if abs(omega1) < WMR_OMEGA_FLOOR:
-        omega1 = math.copysign(WMR_OMEGA_FLOOR, omega1 if omega1 != 0.0 else 1.0)
-        clamped = True
-    omega2 = (u[1] * math.cos(theta) - u[0] * math.sin(theta)) / omega1
-    return CompensatorOutput(omega1, omega2, clamped)
-
 
 @dataclass
 class Scenario:
@@ -127,7 +102,7 @@ class Scenario:
     thetas: dict
     seeds: list
     verify_box: float
-    compensator: bool
+    wheel_commands: bool              # record WMR wheel commands (kind wmr)
     notes: list
 
     @property
@@ -502,12 +477,14 @@ def _clf_level_inside_goal(clf: QuadraticClf, d: float, indices) -> float:
 def build_scenario(cfg: dict) -> Scenario:
     """Merge cfg over the preset its `kind` names and build the scenario.
 
-    `kind` only picks defaults (and the WMR wheel-command compensator): every
-    block is read the same way for every kind. A policy block that declares
-    failure `patterns` makes an actuator-failure scenario, anything else a
-    sensor-fault one; its mode must then be actuator_ft or baseline. cfg
-    must fit SCHEMA, so a misspelt key or a value of the wrong type is a
-    ScenarioValidationError that names it.
+    `kind` only picks defaults: every block is read the same way for every
+    kind. A wmr run also records the wheel commands of its controls, which
+    read the model as the WMR's double integrator, so kind wmr needs n = 4
+    and p = 2. A policy block that declares failure `patterns` makes an
+    actuator-failure scenario, anything else a sensor-fault one; its mode
+    must then be actuator_ft or baseline. cfg must fit SCHEMA, so a misspelt
+    key or a value of the wrong type is a ScenarioValidationError that names
+    it.
     """
     _check(cfg, SCHEMA, "")
     notes: list = []
@@ -524,6 +501,10 @@ def build_scenario(cfg: dict) -> Scenario:
         F = _shaped(mblock["F"], (n, n), "model: F")
         c = _shaped(mblock["c"], (None, n), "model: c")
         q = c.shape[0]
+        if kind == "wmr" and (n, p) != (4, 2):
+            raise ScenarioValidationError(
+                f"model: kind wmr needs n = 4 states and p = 2 inputs for its wheel commands, "
+                f"but the model has n = {n} and p = {p}; use kind: custom")
         model = SystemModel(F, G, c, _scale_or_matrix(mblock.get("sigma", 0.0), n, "model: sigma"),
                             _scale_or_matrix(mblock.get("nu", 0.0), q, "model: nu"))
         for key, noise in (("sigma", model.sigma), ("nu", model.nu)):
@@ -684,7 +665,7 @@ def build_scenario(cfg: dict) -> Scenario:
             bank_patterns=bank_patterns, gammas=gammas, thetas=thetas,
             seeds=[int(s) for s in cfg["seeds"]],
             verify_box=float((cfg.get("verify") or {}).get("box", 1.0)),
-            compensator=kind == "wmr", notes=notes,
+            wheel_commands=kind == "wmr", notes=notes,
         )
     except KeyError as exc:
         raise ScenarioValidationError(f"missing required key {exc.args[0]!r}") from exc

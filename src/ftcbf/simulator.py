@@ -6,10 +6,10 @@ The plant is the Ito SDE
     dy = (c x + a_t) dt + nu dV
 
 integrated with Euler-Maruyama at a fixed step. Both case studies reach the
-controller as such a model: the WMR after feedback linearization (the
-scenario's compensator maps its input back to wheel commands) and the
-Boeing 747 lateral axis directly. The attack vector a_t is supported on the
-sensor indices of the active fault pattern; actuator failures multiply the
+controller as such a model: the WMR after feedback linearization, whose
+inputs are the accelerations of a double integrator, and the Boeing 747
+lateral axis directly. The attack vector a_t is supported on the sensor
+indices of the active fault pattern; actuator failures multiply the
 commanded input by a diagonal 0/1 effectiveness matrix L.
 
 `measure` and `step_true_state` also take a stack of states of shape

@@ -87,21 +87,77 @@ def test_unfiltered_steps_are_events_and_final_goal_distance(wmr_yaml):
     assert boeing["per_seed"]["0"]["final_goal_distance"] is None
 
 
-def test_compensator_clamp_joins_the_policy_event_of_its_step(wmr_yaml):
+# (x0, controls, dt) of a straight line, a reversal through exactly zero
+# speed at step 10, a quarter turn at unit speed and a start from rest.
+_QUARTER = np.stack([np.cos(np.linspace(0, np.pi / 2, 21)),
+                     np.sin(np.linspace(0, np.pi / 2, 21))], axis=1)
+WHEEL_INPUTS = {
+    "straight": ([0.0, 0.0, 1.0, 0.0], np.tile([0.5, 0.0], (10, 1)), 0.1),
+    "reversal": ([0.0, 0.0, 1.0, 0.0], np.tile([-1.0, 0.0], (20, 1)), 0.1),
+    "quarter_turn": ([0.0, 0.0, 1.0, 0.0], np.diff(_QUARTER, axis=0) / 0.05, 0.05),
+    "from_rest": ([0.0, 0.0, 0.0, 0.0], np.tile([-3.0, 1.0], (5, 1)), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", WHEEL_INPUTS)
+def test_wheel_commands_are_the_polar_form_of_the_commanded_velocity(name):
+    """omega1 (cos, sin) theta rebuilds the commanded velocity, with theta
+    integrated from the heading of x0 by omega2; the heading never jumps by
+    more than a quarter turn in a step, and every command is finite."""
+    x0, controls, dt = WHEEL_INPUTS[name]
+    x0 = np.array(x0)
+    omega = runner._wheel_commands(x0, controls, dt)
+    assert omega.shape == (len(controls), 2) and np.isfinite(omega).all()
+    v_hat = x0[2:4] + dt * np.cumsum(controls, axis=0)
+    theta = math.atan2(x0[3], x0[2]) + dt * np.cumsum(omega[:, 1])
+    rebuilt = omega[:, :1] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    np.testing.assert_allclose(rebuilt, v_hat, rtol=0, atol=1e-12)
+    assert np.all(np.abs(dt * omega[:, 1]) <= np.pi / 2)
+    if name in ("straight", "reversal"):
+        assert np.all(omega[:, 1] == 0.0)
+    if name == "reversal":
+        assert omega[9, 0] == 0.0 and omega[8, 0] > 0.0 > omega[10, 0]
+    if name == "quarter_turn":
+        assert dt * np.sum(omega[:, 1]) == pytest.approx(np.pi / 2, abs=1e-12)
+        np.testing.assert_allclose(omega[:, 0], 1.0, rtol=0, atol=1e-12)
+    if name == "from_rest":
+        # u points backwards, so the robot backs up rather than turning round.
+        assert np.all(omega[:, 0] < 0.0) and np.all(omega[1:, 1] == 0.0)
+
+
+def test_a_run_from_rest_records_finite_wheel_commands(wmr_yaml):
     """A WMR run from rest with no active row: step 0 falls back to the
-    unfiltered control and its wheel command is clamped at the singularity.
-    The clamp, derived after the step loop, joins the policy event of its
-    step in the CSV, and the events stay in step order."""
+    unfiltered control at zero speed. Its wheel commands are finite, and
+    the step's only event is its policy event."""
     cfg = yaml.safe_load(wmr_yaml.read_text())
     cfg["clf"] = None
     cfg["policy"] = {"mode": "sensor_ft", "delta": 1e-6}
     cfg["sim"].update(x0=[-1.0, -0.05, 0.0, 0.0], horizon=0.2)
     res = run_scenario(build_scenario(cfg), 0)
+    assert np.isfinite(res.omega).all()
     events = [row.split(",")[-1] for row in csv_lines(res)]
     assert events[0] == "event"
-    assert events[1] == "safety_unfiltered;compensator_clamped"
-    assert (0, "compensator_clamped") in res.events
-    assert [k for k, _ in res.events] == sorted(k for k, _ in res.events)
+    assert events[1] == "safety_unfiltered"
+
+
+def test_a_unicycle_driven_by_the_wheel_commands_retraces_the_plant(wmr_yaml, monkeypatch):
+    """On a noise-free plant (zero state draws; the filters keep their
+    gains), a unicycle driven by each golden seed's wheel commands moves as
+    the plant's position does: each step moves it by the speed and heading
+    from before the step, as the plant's Euler step moves by its velocity."""
+    scn = load_scenario(wmr_yaml)
+    step = runner.step_true_state
+    monkeypatch.setattr(runner, "step_true_state",
+                        lambda model, x, u, dt, w: step(model, x, u, dt, np.zeros_like(w)))
+    dt, x0 = scn.dt, scn.x0
+    for seed in scn.seeds:
+        res = run_scenario(scn, seed)
+        path = [x0[:2]]
+        s, theta = math.hypot(x0[2], x0[3]), math.atan2(x0[3], x0[2])
+        for omega1, omega2 in res.omega:
+            path.append(path[-1] + dt * s * np.array([math.cos(theta), math.sin(theta)]))
+            s, theta = omega1, theta + dt * omega2
+        np.testing.assert_allclose(path, res.states[:, :2], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["wmr", "boeing"])
@@ -885,7 +941,7 @@ def test_events_logged_on_boeing(boeing_yaml, monkeypatch):
     monkeypatch.setattr(runner, "actuator_control", counted)
     res = run_scenario(scn, 0)
     assert res.metrics["policy_infeasible_steps"] == 0
-    assert res.omega is None  # compensator is WMR-only
+    assert res.omega is None  # wheel commands are WMR-only
     assert res.estimates is None and res.residues is None
     assert all(event != "safety_unfiltered" for _, event in res.events)
     assert res.metrics["unfiltered_steps"] == 0

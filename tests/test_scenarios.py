@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ftcbf.errors import FtcbfError, ScenarioValidationError
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import (BOEING_F, BOEING_G, PRESETS, SCHEMA, WMR_C, WMR_F, WMR_G, Scenario,
-                             _check, build_scenario, load_scenario, wmr_compensator)
+                             _check, build_scenario, load_scenario)
 
 from conftest import SCENARIO_DIR
 
@@ -84,30 +84,6 @@ def test_boeing_redundancy_controllable():
         assert np.linalg.matrix_rank(ctrb) == 4
 
 
-def test_compensator_axis_aligned():
-    out = wmr_compensator(np.array([1.0, 0.0]), theta=0.0, omega1_prev=0.0, dt=1.0)
-    assert out.omega1 == pytest.approx(1.0)
-    assert out.omega2 == pytest.approx(0.0)
-    assert not out.clamped
-
-
-def test_compensator_quarter_turn():
-    out = wmr_compensator(np.array([1.0, 0.0]), theta=np.pi / 2, omega1_prev=1.0, dt=0.0)
-    assert out.omega1 == pytest.approx(1.0)
-    assert out.omega2 == pytest.approx(-1.0)
-
-
-def test_compensator_no_input():
-    out = wmr_compensator(np.zeros(2), theta=0.7, omega1_prev=0.4, dt=0.3)
-    assert out.omega1 == pytest.approx(0.4)
-    assert out.omega2 == pytest.approx(0.0)
-
-
-def test_compensator_floor_clamp():
-    out = wmr_compensator(np.zeros(2), theta=0.0, omega1_prev=0.0, dt=0.1)
-    assert out.clamped and abs(out.omega1) == pytest.approx(1e-3)
-
-
 def test_scenario_validation_bad_attack_sensor():
     with pytest.raises(ScenarioValidationError):
         build_scenario({"kind": "wmr", "faults": {"patterns": [[0], [9]]}})
@@ -123,6 +99,22 @@ CUSTOM_MODEL = {"F": [[-1.0, 0.0], [0.0, -1.0]], "G": [[1.0, 0.0], [0.0, 1.0]],
 def test_scenario_validation_empty_barriers(cfg):
     with pytest.raises(ScenarioValidationError, match="barrier"):
         build_scenario({**cfg, "barriers": []})
+
+
+def test_wmr_kind_needs_the_wmr_sizes():
+    """kind wmr reads its model as the WMR's double integrator, n = 4 and
+    p = 2, for the wheel commands of its run: a model of other sizes is a
+    scenario error at build time, not an IndexError after the run."""
+    cfg = {"kind": "wmr",
+           "model": {"F": [[0, 1], [0, 0]], "G": [[0], [1]], "c": [[1, 0], [1, 0], [0, 1]],
+                     "sigma": 0.01, "nu": 0.01},
+           "faults": {"patterns": [[0]], "active": None},
+           "barriers": [{"type": "half_plane", "a": [1.0, 0.0], "b": 2.0}], "clf": None,
+           "policy": {"mode": "sensor_ft"},
+           "sim": {"dt": 0.02, "horizon": 0.2, "x0": [0.0, 0.0]}}
+    with pytest.raises(ScenarioValidationError, match=r"n = 2 and p = 1; use kind: custom"):
+        build_scenario(cfg)
+    run_scenario(build_scenario(dict(cfg, kind="custom")), 0)
 
 
 def test_unknown_kind():
@@ -154,7 +146,7 @@ def test_yaml_roundtrip_matches_programmatic(wmr_yaml, boeing_yaml):
 
 def test_kind_only_picks_defaults(wmr_yaml):
     """kind: custom with the WMR matrices runs the golden WMR exactly; only
-    the wheel-command compensator is WMR-specific."""
+    the wheel commands are WMR-specific."""
     cfg = yaml.safe_load(wmr_yaml.read_text())
     custom = dict(cfg, kind="custom",
                   model=dict(cfg["model"], F=WMR_F.tolist(), G=WMR_G.tolist(), c=WMR_C.tolist()))
