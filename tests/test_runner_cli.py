@@ -484,7 +484,11 @@ def test_cli_calibrate_block_merges(tmp_path, wmr_yaml):
     cfg = yaml.safe_load(wmr_yaml.read_text())
     cfg["calibration"] = block["calibration"]
     scn = build_scenario(cfg)
-    assert np.allclose(scn.gammas, block["calibration"]["gammas"])
+    golden = load_scenario(wmr_yaml)
+    calib = estimators.calibrate_gammas(golden.model, golden.faults, 50, golden.horizon, 0.1,
+                                        dt=golden.dt)
+    assert np.array_equal(scn.gammas, calib.gammas)
+    assert scn.thetas == calib.thetas
 
 
 def test_cli_calibrate_too_few_runs(tmp_path, wmr_yaml):
@@ -885,13 +889,17 @@ def test_failure_schedule_entry_keys_are_checked(boeing_yaml):
         build_scenario(cfg)
 
 
-def test_cli_malformed_yaml_is_an_error(tmp_path, capsys):
+@pytest.mark.parametrize("text, cause", [
+    (b"kind: wmr\nsim: {dt: 0.02\n", "not valid YAML"),
+    (b"\xffkind: wmr\n", "not UTF-8 text"),
+], ids=["not-yaml", "not-utf8"])
+def test_cli_malformed_yaml_is_an_error(tmp_path, capsys, text, cause):
     path = tmp_path / "broken.yaml"
-    path.write_text("kind: wmr\nsim: {dt: 0.02\n")
+    path.write_bytes(text)
     rc = main(["run", "--scenario", str(path), "--seeds", "0", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error:") and "not valid YAML" in err
+    assert err.startswith(f"error: {path}: {cause}")
     assert "Traceback" not in err
 
 

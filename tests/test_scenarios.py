@@ -1,14 +1,18 @@
 import copy
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+from ftcbf import scenarios
 from ftcbf.errors import FtcbfError, ScenarioValidationError
+from ftcbf.estimators import calibrate_gammas
 from ftcbf.runner import run_scenario
 from ftcbf.scenarios import (BOEING_F, BOEING_G, PRESETS, SCHEMA, WMR_C, WMR_F, WMR_G, Scenario,
-                             _check, build_scenario, load_scenario)
+                             _check, build_scenario, load_scenario, save_config)
 
 from conftest import SCENARIO_DIR
 
@@ -128,20 +132,99 @@ def test_boeing_dead_pattern_is_redundancy_error():
         build_scenario({"kind": "boeing", "policy": {"patterns": [[0, 0, 0]]}})
 
 
+def _same_chain(a, b):
+    assert (a.kind, a.rel_degree) == (b.kind, b.rel_degree)
+    for wa, wb in zip(a.weights, b.weights, strict=True):
+        assert np.array_equal(wa, wb)
+    assert a.offsets == b.offsets
+
+
 def _same_build(a, b):
+    """a and b agree, bit for bit, on every field a run reads."""
     for name in ("F", "G", "c", "sigma", "nu"):
         assert np.array_equal(getattr(a.model, name), getattr(b.model, name)), name
     assert np.array_equal(a.gammas, b.gammas)
     assert a.thetas == b.thetas
+    assert np.array_equal(a.x0, b.x0)
+    assert (a.dt, a.horizon, a.seeds, a.verify_box) == (b.dt, b.horizon, b.seeds, b.verify_box)
+    for field in dataclasses.fields(a.policy):
+        assert np.array_equal(getattr(a.policy, field.name), getattr(b.policy, field.name)), \
+            field.name
+    for ca, cb in zip(a.chains, b.chains, strict=True):
+        _same_chain(ca, cb)
+    for sa, sb in zip(a.af_chain_sets, b.af_chain_sets, strict=True):
+        for ca, cb in zip(sa, sb, strict=True):
+            _same_chain(ca, cb)
+    for pa, pb in zip(a.af_patterns, b.af_patterns, strict=True):
+        assert np.array_equal(pa, pb)
 
 
 def test_yaml_roundtrip_matches_programmatic(wmr_yaml, boeing_yaml):
-    scn_file = load_scenario(wmr_yaml)
-    cfg = yaml.safe_load(wmr_yaml.read_text())
-    _same_build(scn_file, build_scenario(cfg))
+    """load_scenario reads each golden file to the scenario that PyYAML's
+    pure-Python safe_load gives."""
+    for path in (wmr_yaml, boeing_yaml):
+        _same_build(load_scenario(path), build_scenario(yaml.safe_load(path.read_text())))
     scn_b = load_scenario(boeing_yaml)
     assert scn_b.family == "actuator"
     assert len(scn_b.af_patterns) == 3
+
+
+# Every scalar form a scenario document can meet, read by YAML 1.1's rules:
+# 010 is octal, 1:30 is base 60, and a float with no dot (1e-3) is a string.
+SCALAR_FORMS = """\
+inf: [.inf, -.inf, .Inf]
+nulls: [null, ~]
+empty:
+bools: [yes, off, true, No]
+ints: [010, 0x1f, 1_000, -7, 1:30]
+floats: [1.0e-3, 1.5, -0.0, 4.9e-324, 1.7976931348623157e+308]
+strings: [1e-3, 5e-324, "0,1", wmr]
+nested: [[0.0, 1.0], [[2], []], {a: [1, {b: 2.5}]}]
+"""
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_c_and_python_parsers_read_every_scalar_form_alike():
+    python = yaml.load(SCALAR_FORMS, Loader=yaml.SafeLoader)
+    c = yaml.load(SCALAR_FORMS, Loader=yaml.CSafeLoader)
+    assert c == python == {
+        "inf": [math.inf, -math.inf, math.inf], "nulls": [None, None], "empty": None,
+        "bools": [True, False, True, False], "ints": [8, 31, 1000, -7, 90],
+        "floats": [0.001, 1.5, -0.0, 5e-324, 1.7976931348623157e308],
+        "strings": ["1e-3", "5e-324", "0,1", "wmr"],
+        "nested": [[0.0, 1.0], [[2], []], {"a": [1, {"b": 2.5}]}]}
+    assert repr(c) == repr(python)  # so each value has the same type: 1 != 1.0 != True
+
+
+def _calibration_blocks(wmr_yaml):
+    """calibrate_gammas blocks of the golden WMR at three seeds, and one of
+    the extreme floats a block may hold."""
+    scn = load_scenario(wmr_yaml)
+    blocks = [{"calibration": calibrate_gammas(scn.model, scn.faults, 50, scn.horizon, 0.05,
+                                               dt=scn.dt, seed=seed).as_config()}
+              for seed in (0, 7, 350)]
+    return blocks + [{"calibration": {"gammas": [5e-324, 1e-300], "thetas": {
+        "0,1": 1.7976931348623157e308}, "epsilon": 0.05, "n_runs": 200}}]
+
+
+def test_save_config_writes_the_bytes_of_safe_dump(tmp_path, wmr_yaml):
+    """Byte for byte what yaml.safe_dump writes, and read back exactly."""
+    path = tmp_path / "calib.yaml"
+    for block in _calibration_blocks(wmr_yaml):
+        save_config(block, path)
+        written = path.read_bytes()
+        assert written == yaml.safe_dump(block, sort_keys=False).encode()
+        assert yaml.safe_load(written) == block
+
+
+def test_pure_python_yaml_gives_the_same_scenarios_and_bytes(tmp_path, monkeypatch,
+                                                             wmr_yaml, boeing_yaml):
+    """The pair that runs where PyYAML has no libyaml reads the golden files
+    to the same scenarios and writes the same bytes."""
+    monkeypatch.setattr(scenarios, "_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(scenarios, "_DUMPER", yaml.SafeDumper)
+    test_yaml_roundtrip_matches_programmatic(wmr_yaml, boeing_yaml)
+    test_save_config_writes_the_bytes_of_safe_dump(tmp_path, wmr_yaml)
 
 
 def test_kind_only_picks_defaults(wmr_yaml):
